@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -184,6 +185,22 @@ _SCHEME_CSI = {
 }
 
 
+def _snr_grid(text: str) -> list[float]:
+    """Parse --snr-grid: comma-separated, finite and pairwise distinct dB."""
+    try:
+        grid = [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a list of numbers: {text!r}") from None
+    bad = [s for s in grid if not math.isfinite(s)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"non-finite SNR values {bad}")
+    dupes = sorted({s for s in grid if grid.count(s) > 1})
+    if dupes:
+        raise argparse.ArgumentTypeError(f"duplicate SNR values {dupes}")
+    return grid
+
+
 def cmd_simulate(args, argv: list[str]) -> int:
     mu = as_fraction(args.mu)
     config = validate_config(args.m, args.k, args.n if args.n else args.k,
@@ -192,9 +209,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
     allocation = _build_allocation(config, library)
     scheme = Scheme(args.scheme)
     demand = DemandVector.worst_case(config)
-    snr_grid = [float(s) for s in args.snr_grid.split(",")]
+    snr_grid = args.snr_grid
     trials = run_campaign(config, allocation, scheme, demand, snr_grid,
-                          args.trials, args.seed, workers=args.workers)
+                          args.trials, args.seed)
     estimate = estimate_ndt(trials)
 
     out = Path(args.out)
@@ -339,14 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu", required=True, help="fractional cache size p/q")
     p_sim.add_argument("--scheme", choices=[s.value for s in Scheme],
                        required=True)
-    p_sim.add_argument("--snr-grid",
+    p_sim.add_argument("--snr-grid", type=_snr_grid,
                        default=",".join(f"{s:g}" for s in DEFAULT_SNR_GRID_DB),
-                       help="comma-separated dB values")
+                       help="comma-separated distinct dB values")
     p_sim.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_SNR,
                        help="trials per SNR point")
     p_sim.add_argument("--seed", type=int, required=True,
                        help="master seed (required for reproducibility)")
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(handler=cmd_simulate)
 

@@ -10,7 +10,8 @@ verified here at double precision:
 * the submatrix reconstruction identity built from the corner blocks H1
   (ell x ell, invertible almost surely), H2 and H3;
 * the log-det residual term log det(I + Ht Ht^T) with Ht = H2 H1^-1, which
-  is power independent;
+  is power independent, against an exact-rational oracle that evaluates it
+  as det(G^T G) / det(H1)^2 with G = [H1; H2] (Sylvester's identity);
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
 Entropy inequalities themselves are not estimated; only these deterministic
@@ -172,76 +173,54 @@ def logdet_term(h: np.ndarray, ell: int) -> float:
     return float(np.sum(np.log1p(svals ** 2)))
 
 
-def det_direct(rows) -> Fraction | float:
-    """Cofactor-expansion determinant over the elements as given.
+def det_exact(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fraction.
 
-    An oracle independent of LAPACK; works elementwise, so feeding it
-    Fraction entries yields an exact determinant.
+    Pivots on the first nonzero entry of each column, so no comparison of
+    magnitudes is needed; a column without a pivot makes the matrix singular.
     """
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det_direct(minor)
-    return total
-
-
-def _inv_exact(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse over rationals."""
-    n = len(rows)
-    work = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    det = Fraction(1)
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(work[r][col]))
-        if work[pivot][col] == 0:
-            raise SingularH1Error("H1 is exactly singular in the oracle path")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [v * inv_p for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pivot_value = work[col][col]
+        det *= pivot_value
+        for r in range(col + 1, n):
+            f = work[r][col] / pivot_value
+            if f:
                 work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    return det
 
 
 def logdet_oracle(h: np.ndarray, ell: int) -> float:
-    """Brute-force log-det from explicitly formed Ht entries, exactly.
+    """Exact log det(I + Ht Ht^T) from two ell x ell determinants.
 
-    Every float coefficient is a dyadic rational, so the inverse, the Gram
-    matrix and the cofactor determinant are computed without rounding; only
-    the final logarithm is floating point. This keeps the oracle honest on
-    draws where Ht is huge and any fixed-precision determinant would cancel
-    catastrophically.
+    With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
+    det(I + Ht^T Ht) = det(G^T G) / det(H1)^2, so no inverse is formed.
+    Every float coefficient is a dyadic rational, so both determinants are
+    computed without rounding; only the final logarithm is floating point.
+    This keeps the oracle honest on draws where Ht is huge and any
+    fixed-precision determinant would cancel catastrophically.
     """
     blocks = build_submatrices(h, ell)
     if blocks.h2.shape[0] == 0:
         return 0.0
     if np.linalg.cond(blocks.h1) > H1_COND_LIMIT:
         raise SingularH1Error("H1 condition number too large; redraw the channel")
-    h1 = [[Fraction(x) for x in row] for row in blocks.h1.tolist()]
-    h2 = [[Fraction(x) for x in row] for row in blocks.h2.tolist()]
-    inv = _inv_exact(h1)
-    rows = len(h2)
-    ht = [
-        [sum(h2[i][t] * inv[t][j] for t in range(ell)) for j in range(ell)]
-        for i in range(rows)
-    ]
-    gram = [
-        [
-            Fraction(int(i == j)) + sum(ht[i][t] * ht[j][t] for t in range(ell))
-            for j in range(rows)
-        ]
-        for i in range(rows)
-    ]
-    det = det_direct(gram)
+    g = [[Fraction(x) for x in row]
+         for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
+    det_h1 = det_exact(g[:ell])
+    if det_h1 == 0:
+        raise SingularH1Error("H1 is exactly singular in the oracle path")
+    gram = [[sum(row[i] * row[j] for row in g) for j in range(ell)]
+            for i in range(ell)]
+    det = det_exact(gram) / det_h1 ** 2
     return math.log(det.numerator) - math.log(det.denominator)
 
 

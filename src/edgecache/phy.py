@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,28 +411,19 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                  scheme: Scheme, demand: DemandVector, snr_grid_db,
-                 trials_per_snr: int, master_seed: int,
-                 workers: int = 1) -> list[TrialResult]:
+                 trials_per_snr: int, master_seed: int) -> list[TrialResult]:
     """Monte-Carlo campaign over an SNR grid.
 
     Each trial has its own seed derived from (master seed, trial index), so
-    results are bit-identical for any number of workers; the returned list
-    is ordered by (snr index, trial index).
+    results do not depend on execution order; the returned list is ordered
+    by (snr index, trial index).
     """
-    jobs = []
-    for si, snr in enumerate(snr_grid_db):
-        for ti in range(trials_per_snr):
-            seed = trial_seed(master_seed, si * trials_per_snr + ti)
-            jobs.append((snr, seed))
-
-    def _one(job):
-        snr, seed = job
-        return run_trial(config, allocation, scheme, demand, snr, seed)
-
-    if workers <= 1:
-        return [_one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one, jobs))
+    return [
+        run_trial(config, allocation, scheme, demand, snr,
+                  trial_seed(master_seed, si * trials_per_snr + ti))
+        for si, snr in enumerate(snr_grid_db)
+        for ti in range(trials_per_snr)
+    ]
 
 
 def estimate_ndt(trials) -> EmpiricalNdt:

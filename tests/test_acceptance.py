@@ -290,15 +290,6 @@ class TestPropertySuites:
         for en in range(1, 5):
             assert alloc.en_bits(en) == cfg.cache_bits  # exact equality
 
-    def test_simulation_determinism_under_parallelism(self):
-        cfg, alloc, dem = scheme_setup(Scheme.IA_XCHANNEL_2X2, F(1, 2))
-        runs = [
-            run_campaign(cfg, alloc, Scheme.IA_XCHANNEL_2X2, dem,
-                         [20.0, 40.0], 10, master_seed=3, workers=w)
-            for w in (1, 2, 8)
-        ]
-        assert runs[0] == runs[1] == runs[2]
-
     @pytest.mark.parametrize("scheme,mu,bound_mu", [
         (Scheme.ZERO_FORCING, F(1), F(1)),
         (Scheme.IA_XCHANNEL_2X2, F(1, 2), F(1, 2)),

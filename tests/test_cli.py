@@ -118,10 +118,10 @@ class TestSimulateCommand:
         assert [r["snr_db"] for r in rows] == ["20.0", "40.0", "60.0"]
         assert all(int(r["trials"]) == 60 for r in rows)
 
-    def test_deterministic_across_runs_and_workers(self, tmp_path):
+    def test_deterministic_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(self.ARGS + ["--out", str(out1)])
-        main(self.ARGS + ["--workers", "4", "--out", str(out2)])
+        main(self.ARGS + ["--out", str(out2)])
         assert digest(out1) == digest(out2)
         assert digest(out1.with_suffix(".summary.json")) == \
             digest(out2.with_suffix(".summary.json"))
@@ -171,6 +171,30 @@ class TestSimulateCommand:
     def test_seed_required(self, tmp_path):
         code = main(["simulate", "--m", "2", "--k", "2", "--mu", "1",
                      "--scheme", "zf", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", [
+        "20,30,40,40",  # duplicate point
+        "20,40,20.0",   # duplicate under a different spelling
+        "20,nan,40",
+        "20,40,inf",
+        "20,,40",
+    ])
+    def test_bad_snr_grid_rejected_before_any_trial(self, tmp_path,
+                                                    monkeypatch, grid):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a trial ran on a rejected SNR grid")
+
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_campaign)
+        out = tmp_path / "x.csv"
+        # the later --snr-grid overrides the valid one in ARGS
+        code = main(self.ARGS + ["--snr-grid", grid, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_workers_flag_removed(self, tmp_path):
+        code = main(self.ARGS + ["--workers", "2",
+                                 "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
 

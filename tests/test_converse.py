@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecache.converse import (
     H1_COND_LIMIT,
+    LOGDET_ORACLE_TOL,
     build_submatrices,
-    det_direct,
+    det_exact,
     folded_channel,
     lambda_constant,
     logdet_oracle,
@@ -25,6 +28,43 @@ from edgecache.errors import RangeError, SingularH1Error
 from edgecache.model import validate_config
 
 F = Fraction
+
+
+def det_direct(rows):
+    """Cofactor-expansion determinant over the elements as given.
+
+    Reference for det_exact, independent of elimination and of LAPACK;
+    works elementwise, so Fraction entries yield an exact determinant.
+    Costs O(n!), so keep n small.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * det_direct(minor)
+    return total
+
+
+# small numerators make exactly singular draws common
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def square_fraction_matrices(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows[0][0] = F(0)  # first column needs a row swap, or has no pivot
+    if n > 1 and draw(st.booleans()):
+        scale = draw(small_fractions)
+        rows[-1] = [scale * v for v in rows[0]]  # exactly singular
+    return rows
 
 
 class TestLambdaConstant:
@@ -215,6 +255,29 @@ class TestLogDet:
         assert "power" not in params and len(params) == 2
         h = np.random.default_rng(19).standard_normal((4, 4))
         assert logdet_term(h, 2) == logdet_term(h, 2)
+
+    def test_oracle_hand_case(self):
+        # G = [3, 2]^T after picking column 2: det G^T G = 20, det H1^2 = 4
+        assert logdet_oracle(np.array([[3.0, 2.0], [1.0, 4.0]]), 1) == \
+            math.log(5)
+
+    def test_oracle_rejects_exactly_singular_h1(self, monkeypatch):
+        # the conditioning guard is bypassed so the exact check must fire
+        monkeypatch.setattr("edgecache.converse.H1_COND_LIMIT", math.inf)
+        h = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 4.0], [5.0, 6.0, 7.0]])
+        with pytest.raises(SingularH1Error):
+            logdet_oracle(h, 2)  # H1 = [[1, 2], [2, 4]]
+
+    @pytest.mark.parametrize("ell", [1, 6])
+    def test_oracle_agreement_at_12x12(self, ell):
+        h = sample_regular_channel(np.random.default_rng(26), 12, 12, ell)
+        assert abs(logdet_term(h, ell) - logdet_oracle(h, ell)) < \
+            LOGDET_ORACLE_TOL
+
+    @settings(deadline=None)
+    @given(square_fraction_matrices())
+    def test_det_exact_matches_cofactor_reference(self, rows):
+        assert det_exact(rows) == det_direct(rows)
 
     def test_det_direct_exact_on_fractions(self):
         rows = [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]

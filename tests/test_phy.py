@@ -327,14 +327,6 @@ class TestRunTrial:
 
 
 class TestCampaign:
-    def test_worker_count_does_not_change_results(self):
-        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
-        serial = run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem,
-                              [20.0, 40.0], 8, master_seed=2, workers=1)
-        parallel = run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem,
-                                [20.0, 40.0], 8, master_seed=2, workers=4)
-        assert serial == parallel
-
     def test_trial_seeds_unique_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(200)]
         assert len(set(seeds)) == 200
