@@ -15,8 +15,7 @@ cache/time-sharing convex envelope.
 from __future__ import annotations
 
 import enum
-import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,8 +99,7 @@ class TradeoffCurve:
             raise RangeError(
                 f"mu {mu} outside curve span [{self.mu_min}, {self.mu_max}]"
             )
-        mus = [p.mu for p in self.points]
-        idx = bisect_right(mus, mu) - 1
+        idx = bisect_right(self.points, mu, key=lambda p: p.mu) - 1
         if idx == len(self.points) - 1:
             return self.points[-1].ndt
         p, q = self.points[idx], self.points[idx + 1]
@@ -210,39 +208,46 @@ def _cross(o: NdtPoint, a: NdtPoint, b: NdtPoint) -> Fraction:
     return (a.mu - o.mu) * (b.ndt - o.ndt) - (a.ndt - o.ndt) * (b.mu - o.mu)
 
 
-def _lower_bound_candidates(config: SystemConfig) -> list[Fraction]:
-    """Points where the active piece of the bound family can change."""
+def _converse_hull(config: SystemConfig):
+    """Upper envelope of the cut lines on [1/M, 1], as (lines, breaks).
+
+    lines[i] = (ell, intercept, slope) is the converse from breaks[i-1] to
+    breaks[i]. Slopes rise strictly with ell, so one stack pass (the
+    convex-hull trick) is O(min(M, K)); dropping the middle of three
+    concurrent lines keeps the smallest maximizing ell left of each break.
+    Every break lies in (1/M, 1]: ell = 1 alone is maximal at 1/M, and the
+    flat line ell = min(M, K) is maximal at 1.
+    """
     m, k = config.num_ens, config.num_users
-    lo, hi = Fraction(1, m), Fraction(1)
-    candidates = {lo, hi}
-    pieces = {}
+    lines: list[tuple[int, Fraction, Fraction]] = []
+    breaks: list[Fraction] = []
     for ell in range(1, min(m, k) + 1):
-        coeff = max(m - ell, 0) * max(k - ell, 0)
-        pieces[ell] = (Fraction(k, ell), Fraction(-coeff, ell))  # intercept, slope
-    for e1, e2 in itertools.combinations(pieces, 2):
-        (i1, s1), (i2, s2) = pieces[e1], pieces[e2]
-        if s1 == s2:
-            continue
-        mu_star = (i2 - i1) / (s1 - s2)
-        if lo <= mu_star <= hi:
-            candidates.add(mu_star)
-    return sorted(candidates)
+        intercept, slope = Fraction(k, ell), Fraction(-(m - ell) * (k - ell), ell)
+        while lines:
+            _, top_intercept, top_slope = lines[-1]
+            overtake = (top_intercept - intercept) / (slope - top_slope)
+            if not breaks or overtake > breaks[-1]:
+                break
+            del lines[-1], breaks[-1]
+        if lines:
+            breaks.append(overtake)
+        lines.append((ell, intercept, slope))
+    return lines, breaks
+
+
+def _hull_at(hull, mu: Fraction) -> tuple[Fraction, int]:
+    """Converse value at mu and the smallest maximizing ell, from the hull."""
+    lines, breaks = hull
+    ell, intercept, slope = lines[bisect_left(breaks, mu)]
+    return intercept + slope * mu, ell
 
 
 def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
     """The exact converse as a piecewise-linear curve over [1/M, 1]."""
-    xs = _lower_bound_candidates(config)
-    pts = [
-        NdtPoint(x, ndt_lower_bound(config, x)[0], "lower-bound") for x in xs
-    ]
-    if len(pts) <= 2:
-        return TradeoffCurve(tuple(pts), "lower")
-    kept = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        if _cross(kept[-1], pts[i], pts[i + 1]) != 0:
-            kept.append(pts[i])
-    kept.append(pts[-1])
-    return TradeoffCurve(tuple(kept), "lower")
+    hull = _converse_hull(config)
+    mus = sorted({Fraction(1, config.num_ens), *hull[1], Fraction(1)})
+    points = [NdtPoint(mu, _hull_at(hull, mu)[0], "lower-bound") for mu in mus]
+    return TradeoffCurve(tuple(points), "lower")
 
 
 @dataclass(frozen=True)
@@ -290,12 +295,14 @@ def tradeoff_sweep(config: SystemConfig, mu_grid,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ArgumentError("mu_grid must be sorted and duplicate-free")
     envelope = convex_envelope(achievable_points(config, csi_mode))
+    for mu in grid[:1] + grid[-1:]:  # the grid is sorted: its ends bound it
+        _check_mu_range(config, mu)
+    hull = _converse_hull(config)
     rows = []
     for mu in grid:
-        _check_mu_range(config, mu)
         upper = envelope.value_at(mu)
         if csi_mode is CsiMode.PERFECT:
-            lower, ell_star = ndt_lower_bound(config, mu)
+            lower, ell_star = _hull_at(hull, mu)
             gap = upper - lower
             rows.append(TradeoffRow(mu, lower, ell_star, upper, gap, gap == 0))
         else:
@@ -312,26 +319,17 @@ def optimality_regions(config: SystemConfig) -> list[tuple[Fraction, Fraction]]:
     vanishes on a cell interior only if it vanishes at both ends.
     """
     envelope = convex_envelope(achievable_points(config, CsiMode.PERFECT))
-    candidates = sorted(
-        set(_lower_bound_candidates(config)) | {p.mu for p in envelope.points}
-    )
-    zero_flags = []
+    converse = lower_bound_curve(config)
+    candidates = sorted({p.mu for p in envelope.points + converse.points})
+    regions: list[tuple[Fraction, Fraction]] = []
+    touching = False
     for mu in candidates:
-        gap = envelope.value_at(mu) - ndt_lower_bound(config, mu)[0]
+        gap = envelope.value_at(mu) - converse.value_at(mu)
         if gap < 0:
             raise ArgumentError(
                 f"achievable envelope below converse at mu={mu}: gap {gap}"
             )
-        zero_flags.append(gap == 0)
-    regions: list[tuple[Fraction, Fraction]] = []
-    start: Fraction | None = None
-    for mu, is_zero in zip(candidates, zero_flags):
-        if is_zero and start is None:
-            start = mu
-        elif not is_zero and start is not None:
-            regions.append((start, prev_mu))
-            start = None
-        prev_mu = mu
-    if start is not None:
-        regions.append((start, candidates[-1]))
+        if gap == 0:  # extend the region ending at the previous mu, or open one
+            regions.append((regions.pop()[0] if touching else mu, mu))
+        touching = gap == 0
     return regions

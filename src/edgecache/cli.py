@@ -201,6 +201,24 @@ def _snr_grid(text: str) -> list[float]:
     return grid
 
 
+def _ell(text: str):
+    """Parse --ell: 'all' or a positive cut parameter."""
+    if text == "all":
+        return text
+    ell = int(text)
+    if ell < 1:
+        raise argparse.ArgumentTypeError(f"ell must be positive, got {ell}")
+    return ell
+
+
+def _seed(text: str) -> int:
+    """Parse --seed: numpy's generators accept only non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_simulate(args, argv: list[str]) -> int:
     mu = as_fraction(args.mu)
     config = validate_config(args.m, args.k, args.n if args.n else args.k,
@@ -269,7 +287,7 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
     if args.ell == "all":
         ells = None
     else:
-        ells = [int(args.ell)]
+        ells = [args.ell]
         limit = min(config.num_ens, config.num_users)
         if not 1 <= ells[0] <= limit:
             raise RangeError(f"ell {ells[0]} outside {{1..{limit}}}")
@@ -361,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated distinct dB values")
     p_sim.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_SNR,
                        help="trials per SNR point")
-    p_sim.add_argument("--seed", type=int, required=True,
+    p_sim.add_argument("--seed", type=_seed, required=True,
                        help="master seed (required for reproducibility)")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(handler=cmd_simulate)
@@ -372,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=int, required=True)
     p_ver.add_argument("--n", type=int, default=None)
     p_ver.add_argument("--l", type=int, default=1200)
-    p_ver.add_argument("--ell", default="all",
+    p_ver.add_argument("--ell", type=_ell, default="all",
                        help="'all' or a single cut parameter")
     p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--seed", type=int, required=True)
+    p_ver.add_argument("--seed", type=_seed, required=True)
     p_ver.add_argument("--tol-reconstruction", type=float,
                        default=RECONSTRUCTION_TOL)
     p_ver.add_argument("--tol-logdet", type=float, default=LOGDET_ORACLE_TOL)
@@ -397,7 +415,7 @@ def main(argv=None) -> int:
     except (FeasibilityError, DemandError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ArgumentError, RangeError, InsufficientDataError, ValueError) as exc:
+    except (ArgumentError, RangeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeCacheError as exc:

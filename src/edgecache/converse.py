@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RangeError, SingularH1Error
+from .errors import ArgumentError, RangeError, SingularH1Error
 from .model import SystemConfig, submatrix
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
@@ -276,6 +276,8 @@ class ConverseReport:
 def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
                     seed: int = 0, time_columns: int = 8) -> list[ConverseReport]:
     """Monte-Carlo verification of the identities for each requested ell."""
+    if trials < 1:
+        raise ArgumentError(f"trials must be at least 1, got {trials}")
     m, k = config.num_ens, config.num_users
     if ells is None:
         ells = range(1, min(m, k) + 1)

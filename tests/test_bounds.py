@@ -1,9 +1,12 @@
 """Tests for the exact-rational bound family, corner points and envelopes."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgecache.bounds import (
     CsiMode,
@@ -33,6 +36,26 @@ F = Fraction
 def cfg(m, k, n=None, mu=None, l=1200):
     return validate_config(m, k, n if n else max(m, k),
                            mu if mu is not None else F(1), l)
+
+
+def cut_line_meets(m, k):
+    """Every mu in [1/M, 1] where two cut lines cross: a superset of the
+    converse's breakpoints, found without building its hull."""
+    lines = [(F(k, ell), F(-(m - ell) * (k - ell), ell))
+             for ell in range(1, min(m, k) + 1)]
+    meets = {(a1 - a2) / (s2 - s1)
+             for (a1, s1), (a2, s2) in itertools.combinations(lines, 2)}
+    return {mu for mu in meets if F(1, m) <= mu <= 1}
+
+
+@st.composite
+def networks_with_grids(draw):
+    """(M, K, grid): a sorted rational grid on [1/M, 1] holding both ends
+    and every crossing of two cut lines."""
+    m, k = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    extra = draw(st.lists(st.fractions(F(1, m), 1, max_denominator=500),
+                          max_size=20))
+    return m, k, sorted({F(1, m), F(1), *cut_line_meets(m, k), *extra})
 
 
 class TestLowerBoundFamily:
@@ -250,6 +273,22 @@ class TestSweepAndRegions:
             (F(1, 2), F(1, 2)), (F(1), F(1)),
         ]
 
+    def test_regions_match_pointwise_gap_up_to_8x8(self):
+        for m in range(1, 9):
+            for k in range(1, 9):
+                c = cfg(m, k)
+                env = convex_envelope(achievable_points(c))
+
+                def gap(mu):
+                    return env.value_at(mu) - ndt_lower_bound(c, mu)[0]
+
+                regions = optimality_regions(c)
+                assert regions[0][0] == F(1, m) and regions[-1][1] == 1
+                for lo, hi in regions:
+                    assert gap(lo) == gap((lo + hi) / 2) == gap(hi) == 0, (m, k)
+                for (_, hi), (lo, _) in zip(regions, regions[1:]):
+                    assert gap((hi + lo) / 2) > 0, (m, k, hi, lo)
+
 
 class TestCurveProperties:
     def test_bound_at_least_one_and_convex_non_increasing(self):
@@ -279,14 +318,15 @@ class TestCurveProperties:
                     assert env.value_at(mu) >= ndt_lower_bound(c, mu)[0], (m, k, mu)
                     mu += F(1, 60)
 
-    def test_lower_bound_curve_matches_pointwise_max(self):
-        for m, k in [(2, 2), (3, 3), (2, 3), (4, 3), (5, 2)]:
-            c = cfg(m, k)
-            curve = lower_bound_curve(c)
-            mu = F(1, m)
-            while mu <= 1:
-                assert curve.value_at(mu) == ndt_lower_bound(c, mu)[0]
-                mu += F(1, 48)
+    @given(networks_with_grids())
+    def test_lower_bound_curve_matches_pointwise_max(self, case):
+        m, k, grid = case
+        c = cfg(m, k)
+        curve = lower_bound_curve(c)
+        assert {p.mu for p in curve.points} <= set(grid)
+        for row in tradeoff_sweep(c, grid).rows:
+            assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
+            assert curve.value_at(row.mu) == row.lower
 
     def test_ndt_point_validation(self):
         with pytest.raises(ArgumentError):

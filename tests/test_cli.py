@@ -192,6 +192,11 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path):
+        # the later --seed overrides the valid one in ARGS
+        code = main(self.ARGS + ["--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+
     def test_workers_flag_removed(self, tmp_path):
         code = main(self.ARGS + ["--workers", "2",
                                  "--out", str(tmp_path / "x.csv")])
@@ -240,6 +245,40 @@ class TestVerifyConverseCommand:
                      "--trials", "50", "--seed", "0",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("ell", ["foo", "0", "1.5", ""])
+    def test_malformed_ell_rejected_at_parser(self, tmp_path, monkeypatch, ell):
+        def no_handler(*args, **kwargs):
+            raise AssertionError("the handler ran on a malformed --ell")
+
+        monkeypatch.setattr("edgecache.cli.cmd_verify_converse", no_handler)
+        code = main(["verify-converse", "--m", "2", "--k", "2", "--ell", ell,
+                     "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ["--trials", "0"],
+        ["--trials", "-3"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_count_or_seed_writes_no_report(self, tmp_path, args):
+        out = tmp_path / "v.json"
+        code = main(["verify-converse", "--m", "2", "--k", "2", "--seed", "0",
+                     *args, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMain:
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path,
+                                                       monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("edgecache.cli.cmd_bounds", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["bounds", "--m", "2", "--k", "2",
+                  "--out", str(tmp_path / "b.csv")])
 
 
 class TestManifests:

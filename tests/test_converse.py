@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from edgecache.converse import (
@@ -274,7 +274,6 @@ class TestLogDet:
         assert abs(logdet_term(h, ell) - logdet_oracle(h, ell)) < \
             LOGDET_ORACLE_TOL
 
-    @settings(deadline=None)
     @given(square_fraction_matrices())
     def test_det_exact_matches_cofactor_reference(self, rows):
         assert det_exact(rows) == det_direct(rows)
