@@ -31,11 +31,9 @@ from .caching import (  # noqa: F401
     verify_cache_budget,
 )
 from .model import (  # noqa: F401
-    ChannelRealization,
     DemandVector,
     FileLibrary,
     SystemConfig,
-    sample_channel,
     submatrix,
     validate_config,
 )

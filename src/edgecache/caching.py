@@ -10,13 +10,16 @@ Three placements cover the feasible range of the fractional cache size:
   the per-EN budget mu*N*L is met.
 
 Placement happens before any demand or channel is known, so allocations
-never depend on either. Fragments are contiguous bit slices, which keeps
-reconstruction tests bit-exact.
+never depend on either, and one delivery assignment serves every channel
+trial of a campaign. Fragments are contiguous bit slices, which keeps
+reconstruction tests bit-exact; an EN stores read-only views of the
+library's bits, not copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +43,10 @@ class Fragment:
 
 @dataclass(frozen=True)
 class CachedFragment:
-    """A fragment together with the bits an EN actually stores for it."""
+    """A fragment together with the bits an EN stores for it.
+
+    `bits` is a read-only view into the library file, not a copy.
+    """
 
     fragment: Fragment
     bits: np.ndarray
@@ -64,22 +70,28 @@ class CacheAllocation:
         """Total stored bits at EN `en` (1-based)."""
         return sum(cf.fragment.num_bits for cf in self.per_en_content[en - 1])
 
+    @cached_property
+    def _by_file(self) -> tuple[dict[int, tuple[CachedFragment, ...]], ...]:
+        """Per EN, file index -> its stored fragments in content order."""
+        index = []
+        for content in self.per_en_content:
+            by_file: dict[int, list[CachedFragment]] = {}
+            for cf in content:
+                by_file.setdefault(cf.fragment.file_index, []).append(cf)
+            index.append({n: tuple(cfs) for n, cfs in by_file.items()})
+        return tuple(index)
+
     def en_file_bits(self, en: int, file_index: int) -> int:
-        return sum(
-            cf.fragment.num_bits
-            for cf in self.per_en_content[en - 1]
-            if cf.fragment.file_index == file_index
-        )
+        return sum(cf.fragment.num_bits
+                   for cf in self.cached_fragments(en, file_index))
 
     def cached_fragments(self, en: int, file_index: int) -> tuple[CachedFragment, ...]:
-        return tuple(
-            cf for cf in self.per_en_content[en - 1]
-            if cf.fragment.file_index == file_index
-        )
+        return self._by_file[en - 1].get(file_index, ())
 
 
 def _frozen(bits: np.ndarray) -> np.ndarray:
-    out = np.array(bits, dtype=np.uint8, copy=True)
+    """Read-only view of library bits, not a copy."""
+    out = np.asarray(bits, dtype=np.uint8).view()
     out.flags.writeable = False
     return out
 

@@ -56,6 +56,7 @@ from .model import DemandVector, FileLibrary, as_fraction, validate_config
 from .phy import (
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
+    MIN_TRIALS_PER_SNR,
     Scheme,
     estimate_ndt,
     run_campaign,
@@ -219,6 +220,15 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _trials(text: str) -> int:
+    """Parse simulate --trials: the slope fit needs this many per SNR point."""
+    trials = int(text)
+    if trials < MIN_TRIALS_PER_SNR:
+        raise argparse.ArgumentTypeError(
+            f"need >= {MIN_TRIALS_PER_SNR} trials per SNR point, got {trials}")
+    return trials
+
+
 def cmd_simulate(args, argv: list[str]) -> int:
     mu = as_fraction(args.mu)
     config = validate_config(args.m, args.k, args.n if args.n else args.k,
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr-grid", type=_snr_grid,
                        default=",".join(f"{s:g}" for s in DEFAULT_SNR_GRID_DB),
                        help="comma-separated distinct dB values")
-    p_sim.add_argument("--trials", type=int, default=DEFAULT_TRIALS_PER_SNR,
+    p_sim.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS_PER_SNR,
                        help="trials per SNR point")
     p_sim.add_argument("--seed", type=_seed, required=True,
                        help="master seed (required for reproducibility)")

@@ -1,4 +1,4 @@
-"""System parameters, channel model, file library and demand vectors.
+"""System parameters, file library and demand vectors.
 
 Conventions used throughout the package: M edge nodes (ENs) serve K
 single-antenna users over a shared real-valued AWGN channel. The library
@@ -80,35 +80,6 @@ def validate_config(num_ens, num_users, library_size, frac_cache,
     if mu > 1:
         raise FeasibilityError(f"frac_cache {mu} > 1: cache larger than the library")
     return SystemConfig(num_ens, num_users, library_size, mu, file_bits)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One K x M matrix of channel coefficients plus the seed that drew it."""
-
-    coefficients: np.ndarray
-    seed: int
-
-    @property
-    def num_users(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def num_ens(self) -> int:
-        return self.coefficients.shape[1]
-
-
-def sample_channel(config: SystemConfig, seed: int) -> ChannelRealization:
-    """Draw a K x M matrix of i.i.d. standard-normal coefficients.
-
-    Deterministic for a fixed seed; entries are always finite.
-    """
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((config.num_users, config.num_ens))
-    if not np.all(np.isfinite(coeffs)):
-        raise ArgumentError("channel sampling produced a non-finite entry")
-    coeffs.flags.writeable = False
-    return ChannelRealization(coeffs, seed)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 DEFAULT_SNR_GRID_DB = (20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_TRIALS_PER_SNR = 200
+MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
 
 
 class Scheme(enum.Enum):
@@ -320,13 +321,18 @@ def _ia_solve(rng: np.random.Generator, power: float):
 
 def run_trial_detailed(config: SystemConfig, allocation: CacheAllocation,
                        scheme: Scheme, demand: DemandVector, snr_db: float,
-                       seed: int) -> tuple[TrialResult, dict]:
+                       seed: int, *, assignment: DeliveryAssignment | None = None,
+                       ) -> tuple[TrialResult, dict]:
     """One Monte-Carlo trial; also returns per-scheme internals.
 
     The details dict carries the channel draw(s), precoder or alignment
     solution, per-EN ensemble transmit power and, for the alignment scheme,
     the measured collinearity error, so tests and reports can audit the
     power and alignment contracts trial by trial.
+
+    TDMA serves `assignment`, which must be `assignment_for_demand(
+    allocation, demand)`; when it is None the trial builds it. The other
+    schemes ignore it.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
@@ -357,7 +363,8 @@ def run_trial_detailed(config: SystemConfig, allocation: CacheAllocation,
         )
     elif scheme is Scheme.TDMA:
         h = rng_main.standard_normal((k, config.num_ens))
-        assignment = assignment_for_demand(allocation, demand)
+        if assignment is None:
+            assignment = assignment_for_demand(allocation, demand)
         delta, schedule = tdma_delivery(h, assignment, allocation.file_bits, power)
         sum_rate = k / delta
         per_user = tuple(sum_rate / k for _ in range(k))
@@ -399,8 +406,10 @@ def run_trial_detailed(config: SystemConfig, allocation: CacheAllocation,
 
 def run_trial(config: SystemConfig, allocation: CacheAllocation,
               scheme: Scheme, demand: DemandVector, snr_db: float,
-              seed: int) -> TrialResult:
-    return run_trial_detailed(config, allocation, scheme, demand, snr_db, seed)[0]
+              seed: int, *, assignment: DeliveryAssignment | None = None,
+              ) -> TrialResult:
+    return run_trial_detailed(config, allocation, scheme, demand, snr_db, seed,
+                              assignment=assignment)[0]
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -416,11 +425,19 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
 
     Each trial has its own seed derived from (master seed, trial index), so
     results do not depend on execution order; the returned list is ordered
-    by (snr index, trial index).
+    by (snr index, trial index). Placement and demand are fixed for the
+    campaign, so TDMA's delivery assignment is built once, after the same
+    checks a trial makes, and shared by every trial.
     """
+    assignment = None
+    if scheme is Scheme.TDMA:
+        _check_compatibility(config, allocation, scheme)
+        demand.validate(config)
+        assignment = assignment_for_demand(allocation, demand)
     return [
         run_trial(config, allocation, scheme, demand, snr,
-                  trial_seed(master_seed, si * trials_per_snr + ti))
+                  trial_seed(master_seed, si * trials_per_snr + ti),
+                  assignment=assignment)
         for si, snr in enumerate(snr_grid_db)
         for ti in range(trials_per_snr)
     ]
@@ -430,7 +447,7 @@ def estimate_ndt(trials) -> EmpiricalNdt:
     """Least-squares DoF slope of mean sum-rate against log2(P).
 
     Needs at least 3 distinct SNR points spanning 20 dB or more, with at
-    least 50 trials each.
+    least MIN_TRIALS_PER_SNR trials each.
     """
     groups: dict[float, list[float]] = {}
     for t in trials:
@@ -444,10 +461,10 @@ def estimate_ndt(trials) -> EmpiricalNdt:
         raise InsufficientDataError(
             f"SNR grid spans {snrs[-1] - snrs[0]:.1f} dB, need >= 20"
         )
-    short = [s for s in snrs if len(groups[s]) < 50]
+    short = [s for s in snrs if len(groups[s]) < MIN_TRIALS_PER_SNR]
     if short:
         raise InsufficientDataError(
-            f"fewer than 50 trials at SNR points {short}"
+            f"fewer than {MIN_TRIALS_PER_SNR} trials at SNR points {short}"
         )
     x = np.array([math.log2(snr_db_to_power(s)) for s in snrs])
     y = np.array([float(np.mean(groups[s])) for s in snrs])

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgecache.caching import (
     CachedFragment,
+    DeliveryAssignment,
     Fragment,
     assignment_for_demand,
     full_placement,
@@ -42,6 +45,97 @@ def reconstruct(allocation, assignment, user, file_bits):
     out = np.concatenate(chunks)
     assert out.size == file_bits
     return out
+
+
+def scan_cached(allocation, en, file_index):
+    """Reference lookup: a linear scan of the EN's whole content."""
+    return tuple(cf for cf in allocation.per_en_content[en - 1]
+                 if cf.fragment.file_index == file_index)
+
+
+def scan_assignment(allocation, demand):
+    """Reference assignment built on `scan_cached` alone."""
+    ens = range(1, allocation.num_ens + 1)
+
+    def covers(en, frag):
+        return any(cf.fragment.start_bit <= frag.start_bit
+                   and cf.fragment.end_bit >= frag.end_bit
+                   for cf in scan_cached(allocation, en, frag.file_index))
+
+    unicast, cooperative = {}, {}
+    for user, file_index in enumerate(demand.demands, start=1):
+        for en in ens:
+            exclusive = []
+            for cf in scan_cached(allocation, en, file_index):
+                frag = cf.fragment
+                if all(covers(other, frag) for other in ens):
+                    if frag not in cooperative.get(user, ()):
+                        cooperative[user] = cooperative.get(user, ()) + (frag,)
+                else:
+                    exclusive.append(frag)
+            if exclusive:
+                unicast[(en, user)] = tuple(exclusive)
+    outstanding = tuple(
+        sum(f.num_bits for f in cooperative.get(user, ()))
+        + sum(f.num_bits for (_, k), frags in unicast.items() if k == user
+              for f in frags)
+        for user in range(1, len(demand.demands) + 1)
+    )
+    return DeliveryAssignment(unicast, cooperative, outstanding)
+
+
+@st.composite
+def placements(draw):
+    """A split, full or shared placement of a small library, with a demand."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, m))
+    n = draw(st.integers(k, 8))
+    l = m * draw(st.integers(1, 4))
+    kinds = ["split", "full"] + (["shared"] if m > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "split":
+        mu = F(1, m)
+    elif kind == "full":
+        mu = F(1)
+    else:
+        den = draw(st.integers(2, 12))
+        t = F(draw(st.integers(1, den - 1)), den)
+        mu = F(1, m) + (1 - F(1, m)) * t
+    cfg, lib = make(m, k, n, mu, l, seed=draw(st.integers(0, 3)))
+    placement = {"split": split_placement, "full": full_placement,
+                 "shared": shared_placement}[kind]
+    demand = DemandVector(tuple(draw(st.lists(st.integers(1, n),
+                                              min_size=k, max_size=k))))
+    return cfg, placement(lib, cfg), demand
+
+
+@given(placements())
+def test_indexed_lookups_match_linear_scan(case):
+    cfg, alloc, demand = case
+    for en in range(1, cfg.num_ens + 1):
+        for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
+            got, want = alloc.cached_fragments(en, n), scan_cached(alloc, en, n)
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+            assert alloc.en_file_bits(en, n) == \
+                sum(cf.fragment.num_bits for cf in want)
+    assert assignment_for_demand(alloc, demand) == scan_assignment(alloc, demand)
+
+
+@pytest.mark.parametrize("placement,mu", [
+    (split_placement, F(1, 3)),
+    (full_placement, F(1)),
+    (shared_placement, F(1, 2)),
+])
+def test_placement_stores_read_only_views_of_the_library(placement, mu):
+    cfg, lib = make(3, 2, 3, mu, 12)
+    alloc = placement(lib, cfg)
+    for content in alloc.per_en_content:
+        for cf in content:
+            assert np.shares_memory(cf.bits, lib.file(cf.fragment.file_index))
+            assert not cf.bits.flags.writeable
+            with pytest.raises(ValueError):
+                cf.bits[0] = 1 - cf.bits[0]
 
 
 class TestSplitPlacement:

@@ -168,6 +168,24 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("trials", ["0", "-3", "49"])
+    def test_too_few_trials_rejected_at_parser(self, tmp_path, monkeypatch,
+                                               trials):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign ran with too few trials")
+
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_campaign)
+        # the later --trials overrides the valid one in ARGS
+        code = main(self.ARGS + ["--trials", trials,
+                                 "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_minimum_trials_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(self.ARGS + ["--trials", "50", "--out", str(out)]) == EXIT_OK
+        assert all(int(r["trials"]) == 50 for r in read_rows(out))
+
     def test_seed_required(self, tmp_path):
         code = main(["simulate", "--m", "2", "--k", "2", "--mu", "1",
                      "--scheme", "zf", "--out", str(tmp_path / "x.csv")])

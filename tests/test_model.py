@@ -1,4 +1,4 @@
-"""Tests for system configuration, channel sampling and submatrix slicing."""
+"""Tests for system configuration, library, demands and submatrix slicing."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from edgecache.model import (
     DemandVector,
     FileLibrary,
     as_fraction,
-    sample_channel,
     submatrix,
     validate_config,
 )
@@ -78,44 +77,6 @@ def test_as_fraction_rejects_junk():
         as_fraction("3/0")
     with pytest.raises(ArgumentError):
         as_fraction(object())
-
-
-class TestSampleChannel:
-    def test_deterministic_for_fixed_seed(self):
-        cfg = validate_config(2, 2, 2, Fraction(1, 2), 1200)
-        a = sample_channel(cfg, seed=7)
-        b = sample_channel(cfg, seed=7)
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-
-    def test_shape_and_finiteness(self):
-        cfg = validate_config(3, 3, 3, Fraction(1, 3), 999)
-        ch = sample_channel(cfg, seed=1)
-        assert ch.coefficients.shape == (3, 3)
-        assert np.all(np.isfinite(ch.coefficients))
-
-    def test_distinct_seeds_differ(self):
-        cfg = validate_config(3, 2, 3, Fraction(1, 2), 300)
-        base = sample_channel(cfg, seed=0).coefficients
-        for seed in range(1, 101):
-            other = sample_channel(cfg, seed=seed).coefficients
-            assert np.any(other != base)
-
-    def test_standard_normal_moments(self):
-        # 1e4 draws; each matrix entry gets its own 1e4-sample moment check
-        cfg = validate_config(2, 2, 2, Fraction(1, 2), 1200)
-        stack = np.stack([
-            sample_channel(cfg, seed=s).coefficients for s in range(10_000)
-        ])
-        means = stack.mean(axis=0)
-        variances = stack.var(axis=0)
-        assert np.abs(means).max() < 0.05
-        assert np.abs(variances - 1.0).max() < 0.05
-
-    def test_coefficients_are_read_only(self):
-        cfg = validate_config(2, 2, 2, Fraction(1, 2), 1200)
-        ch = sample_channel(cfg, seed=3)
-        with pytest.raises(ValueError):
-            ch.coefficients[0, 0] = 5.0
 
 
 class TestSubmatrix:

@@ -344,6 +344,37 @@ class TestCampaign:
             ]))
         assert all(b > a for a, b in zip(means, means[1:]))
 
+    @pytest.mark.parametrize("scheme,calls", [
+        (Scheme.TDMA, 1),
+        (Scheme.ZERO_FORCING, 0),
+        (Scheme.IA_XCHANNEL_2X2, 0),
+        (Scheme.HYBRID_SHARE, 0),
+    ])
+    def test_assignment_built_once_per_campaign(self, monkeypatch, scheme,
+                                                calls):
+        seen = []
+
+        def counting(allocation, demand):
+            seen.append(demand)
+            return assignment_for_demand(allocation, demand)
+
+        monkeypatch.setattr("edgecache.phy.assignment_for_demand", counting)
+        cfg, alloc, dem = setup_scheme(scheme)
+        run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
+        assert len(seen) == calls
+
+    def test_tdma_campaign_matches_self_assigning_trials(self):
+        # shared placement: both unicast and cooperative fragments
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2), m=3, k=3, n=4)
+        trials = run_campaign(cfg, alloc, Scheme.TDMA, dem, SNR_GRID, 4,
+                              master_seed=8)
+        assert trials == [
+            run_trial(cfg, alloc, Scheme.TDMA, dem, snr,
+                      trial_seed(8, si * 4 + ti))
+            for si, snr in enumerate(SNR_GRID)
+            for ti in range(4)
+        ]
+
 
 class TestEstimateNdt:
     @staticmethod
