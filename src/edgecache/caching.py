@@ -197,20 +197,29 @@ class DeliveryAssignment:
 
     `unicast` maps (en, user) to fragments EN `en` alone owes user `user`
     (the X-channel messages); `cooperative` maps a user to fragments every
-    EN caches and can beamform jointly.
+    EN caches and can beamform jointly. The per-user table behind
+    `fragments_for_user` is built on first use, so neither map may change
+    once the assignment is built.
     """
 
     unicast: dict[tuple[int, int], tuple[Fragment, ...]]
     cooperative: dict[int, tuple[Fragment, ...]]
     outstanding_bits: tuple[int, ...]
 
-    def fragments_for_user(self, user: int) -> list[tuple[Fragment, int | None]]:
+    @cached_property
+    def _by_user(self) -> dict[int, tuple[tuple[Fragment, int | None], ...]]:
+        """User -> its (fragment, serving EN) pairs sorted by start bit."""
+        pairs: dict[int, list[tuple[Fragment, int | None]]] = {}
+        for user, frags in self.cooperative.items():
+            pairs.setdefault(user, []).extend((f, None) for f in frags)
+        for (en, user), frags in self.unicast.items():
+            pairs.setdefault(user, []).extend((f, en) for f in frags)
+        return {user: tuple(sorted(p, key=lambda item: item[0].start_bit))
+                for user, p in pairs.items()}
+
+    def fragments_for_user(self, user: int) -> tuple[tuple[Fragment, int | None], ...]:
         """All (fragment, serving EN) pairs for a user; EN None = cooperative."""
-        pairs = [(f, None) for f in self.cooperative.get(user, ())]
-        for (en, k), frags in self.unicast.items():
-            if k == user:
-                pairs.extend((f, en) for f in frags)
-        return sorted(pairs, key=lambda item: item[0].start_bit)
+        return self._by_user.get(user, ())
 
 
 def assignment_for_demand(allocation: CacheAllocation,

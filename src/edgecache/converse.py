@@ -10,8 +10,9 @@ verified here at double precision:
 * the submatrix reconstruction identity built from the corner blocks H1
   (ell x ell, invertible almost surely), H2 and H3;
 * the log-det residual term log det(I + Ht Ht^T) with Ht = H2 H1^-1, which
-  is power independent, against an exact-rational oracle that evaluates it
-  as det(G^T G) / det(H1)^2 with G = [H1; H2] (Sylvester's identity);
+  is power independent, against an exact oracle that evaluates it as
+  det(G^T G) / det(H1)^2 with G = [H1; H2] (Sylvester's identity), both
+  determinants in integers;
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
 Entropy inequalities themselves are not estimated; only these deterministic
@@ -114,13 +115,14 @@ def build_submatrices(h: np.ndarray, ell: int) -> SubmatrixTriple:
     return SubmatrixTriple(h1, h2, h3, ell)
 
 
-def _solve_h1(h1: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_h1(h1: np.ndarray, *rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve H1 z = b for each right-hand side b; H1's condition is tested once."""
     if np.linalg.cond(h1) > H1_COND_LIMIT:
         raise SingularH1Error(
             f"H1 condition number exceeds {H1_COND_LIMIT:g}; redraw the channel"
         )
     try:
-        return np.linalg.solve(h1, rhs)
+        return [np.linalg.solve(h1, b) for b in rhs]
     except np.linalg.LinAlgError as exc:
         raise SingularH1Error("H1 is singular") from exc
 
@@ -143,8 +145,9 @@ def reconstruction_residual(h: np.ndarray, ell: int, x: np.ndarray,
     y_top, y_bot = y[:ell], y[ell:]
     n_top, n_bot = noise[:ell], noise[ell:]
     y_tilde = y_top - h[:ell, :known] @ x[:known]
-    left = y_bot + blocks.h2 @ _solve_h1(blocks.h1, n_top)
-    right = blocks.h3 @ np.vstack([x[:known], _solve_h1(blocks.h1, y_tilde)])
+    folded_noise, inverted = _solve_h1(blocks.h1, n_top, y_tilde)
+    left = y_bot + blocks.h2 @ folded_noise
+    right = blocks.h3 @ np.vstack([x[:known], inverted])
     right = right + n_bot
     scale = np.linalg.norm(left)
     diff = np.linalg.norm(left - right)
@@ -156,7 +159,8 @@ def folded_channel(h: np.ndarray, ell: int) -> np.ndarray:
     blocks = build_submatrices(h, ell)
     if blocks.h2.shape[0] == 0:
         return np.empty((0, ell))
-    return _solve_h1(blocks.h1.T, blocks.h2.T).T
+    (solved,) = _solve_h1(blocks.h1.T, blocks.h2.T)
+    return solved.T
 
 
 def logdet_term(h: np.ndarray, ell: int) -> float:
@@ -173,29 +177,30 @@ def logdet_term(h: np.ndarray, ell: int) -> float:
     return float(np.sum(np.log1p(svals ** 2)))
 
 
-def det_exact(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fraction.
+def det_bareiss(rows) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
 
-    Pivots on the first nonzero entry of each column, so no comparison of
-    magnitudes is needed; a column without a pivot makes the matrix singular.
+    Bareiss's integer-preserving Gaussian elimination: every step divides
+    exactly by the previous pivot, so entries stay integers whose size grows
+    only linearly with the step. Pivots on the first nonzero entry of each
+    column; a column without a pivot makes the matrix singular.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    n = len(work)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
+    work = list(rows)
+    sign, prev = 1, 1
+    while work:
+        pivot = next((r for r, row in enumerate(work) if row[0]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pivot_value = work[col][col]
-        det *= pivot_value
-        for r in range(col + 1, n):
-            f = work[r][col] / pivot_value
-            if f:
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return det
+            return 0
+        if pivot:
+            work[0], work[pivot] = work[pivot], work[0]
+            sign = -sign
+        top = work[0]
+        p = top[0]
+        # eliminate column 0 and drop it with the pivot row
+        work = [[(p * v - row[0] * w) // prev for v, w in zip(row[1:], top[1:])]
+                for row in work[1:]]
+        prev = p
+    return sign * prev
 
 
 def logdet_oracle(h: np.ndarray, ell: int) -> float:
@@ -203,24 +208,28 @@ def logdet_oracle(h: np.ndarray, ell: int) -> float:
 
     With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
     det(I + Ht^T Ht) = det(G^T G) / det(H1)^2, so no inverse is formed.
-    Every float coefficient is a dyadic rational, so both determinants are
-    computed without rounding; only the final logarithm is floating point.
-    This keeps the oracle honest on draws where Ht is huge and any
-    fixed-precision determinant would cancel catastrophically.
+    Every float coefficient is a dyadic rational, so one power of two turns
+    G into an integer matrix; the scale cancels in the ratio, because both
+    determinants are ell x ell. Both are taken exactly in integers and only
+    the final logarithm is floating point. This keeps the oracle honest on
+    draws where Ht is huge and any fixed-precision determinant would cancel
+    catastrophically.
     """
     blocks = build_submatrices(h, ell)
     if blocks.h2.shape[0] == 0:
         return 0.0
     if np.linalg.cond(blocks.h1) > H1_COND_LIMIT:
         raise SingularH1Error("H1 condition number too large; redraw the channel")
-    g = [[Fraction(x) for x in row]
-         for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
-    det_h1 = det_exact(g[:ell])
+    ratios = [[x.as_integer_ratio() for x in row]
+              for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
+    scale = max(d for row in ratios for _, d in row)  # a power of two
+    g = [[n * (scale // d) for n, d in row] for row in ratios]
+    det_h1 = det_bareiss(g[:ell])
     if det_h1 == 0:
         raise SingularH1Error("H1 is exactly singular in the oracle path")
     gram = [[sum(row[i] * row[j] for row in g) for j in range(ell)]
             for i in range(ell)]
-    det = det_exact(gram) / det_h1 ** 2
+    det = Fraction(det_bareiss(gram), det_h1 ** 2)
     return math.log(det.numerator) - math.log(det.denominator)
 
 

@@ -227,19 +227,22 @@ def test_hybrid_time_cache_sharing():
 
 
 def test_converse_identity_suite():
+    # 1000 trials per cut up to 4x4, then every other M, K <= 8 at 50
     t0 = time.monotonic()
     ok = True
     worst = {"recon": 0.0, "oracle": 0.0, "cov": 0.0}
-    for m in (2, 3, 4):
-        for k in (2, 3, 4):
-            cfg = validate_config(m, k, max(m, k), F(1), 1200)
-            for rep in verify_converse(cfg, trials=1000, seed=20240808):
-                ok = ok and report_passes(rep)
-                worst["recon"] = max(worst["recon"],
-                                     rep.max_reconstruction_residual)
-                worst["oracle"] = max(worst["oracle"],
-                                      rep.max_logdet_oracle_error)
-                worst["cov"] = max(worst["cov"], rep.noise_cov_error)
+    sizes = [(m, k, 1000) for m in (2, 3, 4) for k in (2, 3, 4)]
+    sizes += [(m, k, 50) for m in range(2, 9) for k in range(2, 9)
+              if max(m, k) > 4]
+    for m, k, trials in sizes:
+        cfg = validate_config(m, k, max(m, k), F(1), 1200)
+        for rep in verify_converse(cfg, trials=trials, seed=20240808):
+            ok = ok and report_passes(rep)
+            worst["recon"] = max(worst["recon"],
+                                 rep.max_reconstruction_residual)
+            worst["oracle"] = max(worst["oracle"],
+                                  rep.max_logdet_oracle_error)
+            worst["cov"] = max(worst["cov"], rep.noise_cov_error)
     ok = ok and worst["recon"] < RECONSTRUCTION_TOL
     ok = ok and worst["oracle"] < LOGDET_ORACLE_TOL
     ok = ok and worst["cov"] < NOISE_COV_TOL

@@ -122,6 +122,26 @@ def test_indexed_lookups_match_linear_scan(case):
     assert assignment_for_demand(alloc, demand) == scan_assignment(alloc, demand)
 
 
+def scan_fragments_for_user(assignment, user):
+    """Reference per-user list: a scan of both maps, sorted by start bit."""
+    pairs = [(f, None) for f in assignment.cooperative.get(user, ())]
+    for (en, k), frags in assignment.unicast.items():
+        if k == user:
+            pairs.extend((f, en) for f in frags)
+    return sorted(pairs, key=lambda item: item[0].start_bit)
+
+
+@given(placements())
+def test_user_table_matches_scan_and_is_built_once(case):
+    cfg, alloc, demand = case
+    assignment = assignment_for_demand(alloc, demand)
+    for user in range(0, cfg.num_users + 2):  # 0 and K+1 are owed nothing
+        got = assignment.fragments_for_user(user)
+        assert isinstance(got, tuple)  # callers cannot reorder a shared table
+        assert list(got) == scan_fragments_for_user(assignment, user)
+        assert assignment.fragments_for_user(user) is got
+
+
 @pytest.mark.parametrize("placement,mu", [
     (split_placement, F(1, 3)),
     (full_placement, F(1)),

@@ -286,6 +286,30 @@ class TestVerifyConverseCommand:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    def test_report_schema_is_pinned(self, tmp_path):
+        """The report's exact key sets, at the top, per check and per tolerance.
+
+        The benchmark checks every report against its checked-in reference
+        (`perfbench/reference/`) and rejects any change to these keys. A
+        change to any set here therefore belongs in a benchmark change that
+        regenerates that reference.
+        """
+        out = tmp_path / "v.json"
+        main(["verify-converse", "--m", "3", "--k", "2", "--ell", "all",
+              "--trials", "50", "--seed", "0", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"num_ens", "num_users", "master_seed",
+                            "tolerances", "checks", "pass"}
+        assert set(doc["tolerances"]) == {"reconstruction", "logdet_oracle",
+                                          "noise_cov"}
+        assert len(doc["checks"]) == 2
+        for check in doc["checks"]:
+            assert set(check) == {
+                "ell", "trials", "lambda_max", "max_reconstruction_residual",
+                "max_logdet", "max_logdet_oracle_error", "noise_cov_error",
+                "noise_cov_samples", "pass",
+            }
+
 
 class TestMain:
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path,

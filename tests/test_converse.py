@@ -12,7 +12,7 @@ from edgecache.converse import (
     H1_COND_LIMIT,
     LOGDET_ORACLE_TOL,
     build_submatrices,
-    det_exact,
+    det_bareiss,
     folded_channel,
     lambda_constant,
     logdet_oracle,
@@ -30,10 +30,59 @@ from edgecache.model import validate_config
 F = Fraction
 
 
+def det_exact(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over Fraction.
+
+    Reference for det_bareiss: the same first-nonzero pivoting, but every
+    entry is a reduced rational, so nothing relies on exact integer
+    division.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pivot_value = work[col][col]
+        det *= pivot_value
+        for r in range(col + 1, n):
+            f = work[r][col] / pivot_value
+            if f:
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return det
+
+
+def fraction_oracle(h, ell):
+    """logdet_oracle over Fraction entries, as it was before integer scaling.
+
+    det(G^T G) / det(H1)^2 with both determinants taken by det_exact; the
+    same guards and the same final logarithm.
+    """
+    blocks = build_submatrices(h, ell)
+    if blocks.h2.shape[0] == 0:
+        return 0.0
+    if np.linalg.cond(blocks.h1) > H1_COND_LIMIT:
+        raise SingularH1Error("H1 condition number too large")
+    g = [[Fraction(x) for x in row]
+         for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
+    det_h1 = det_exact(g[:ell])
+    if det_h1 == 0:
+        raise SingularH1Error("H1 is exactly singular")
+    gram = [[sum(row[i] * row[j] for row in g) for j in range(ell)]
+            for i in range(ell)]
+    det = det_exact(gram) / det_h1 ** 2
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
 def det_direct(rows):
     """Cofactor-expansion determinant over the elements as given.
 
-    Reference for det_exact, independent of elimination and of LAPACK;
+    Reference for det_exact and det_bareiss, independent of elimination
+    and of LAPACK;
     works elementwise, so Fraction entries yield an exact determinant.
     Costs O(n!), so keep n small.
     """
@@ -65,6 +114,54 @@ def square_fraction_matrices(draw, max_n=5):
         scale = draw(small_fractions)
         rows[-1] = [scale * v for v in rows[0]]  # exactly singular
     return rows
+
+
+# small values make exactly singular draws common; huge ones exercise the
+# growth of Bareiss's intermediate integers
+integer_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2 ** 200), 2 ** 200),
+)
+
+
+@st.composite
+def square_integer_matrices(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(integer_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows[0][0] = 0  # first column needs a row swap, or has no pivot
+    if n > 1 and draw(st.booleans()):
+        rows[1][1] = rows[0][1] * rows[1][0]  # may zero the second pivot
+        rows[0][0] = 1
+    if n > 1 and draw(st.booleans()):
+        scale = draw(st.integers(-3, 3))
+        rows[-1] = [scale * v for v in rows[0]]  # exactly singular
+    return rows
+
+
+@st.composite
+def dyadic_channels(draw):
+    """A regular channel draw with per-row power-of-two scales and zeros.
+
+    The whole matrix is scaled by 2^e0 (|e0| <= 200) and each row below the
+    cut by a further 2^e_r, so the entries' denominators differ widely while
+    H1's conditioning is unchanged; some entries are set to exactly 0. e_r
+    stays above -16, because a far smaller H2 rounds the log-det to 0.0.
+    """
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 7))
+    ell = draw(st.integers(1, min(m, k - 1)))  # H2 is never empty
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    h = sample_regular_channel(np.random.default_rng(seed), k, m, ell)
+    h = h * 2.0 ** draw(st.integers(-200, 200))
+    for r in range(ell, k):
+        h[r] *= 2.0 ** draw(st.integers(-16, 200))
+    zeros = draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                    st.integers(0, m - 1)), max_size=4))
+    for r, c in zeros:
+        h[r, c] = 0.0
+    return h, ell
 
 
 class TestLambdaConstant:
@@ -277,6 +374,31 @@ class TestLogDet:
     @given(square_fraction_matrices())
     def test_det_exact_matches_cofactor_reference(self, rows):
         assert det_exact(rows) == det_direct(rows)
+
+    @given(square_integer_matrices())
+    def test_det_bareiss_matches_references(self, rows):
+        det = det_bareiss(rows)
+        assert type(det) is int
+        assert det == det_exact(rows) == det_direct(rows)
+
+    @given(dyadic_channels())
+    def test_oracle_matches_fraction_reference_bit_for_bit(self, draw):
+        h, ell = draw
+        try:
+            expected = fraction_oracle(h, ell)
+        except SingularH1Error:
+            with pytest.raises(SingularH1Error):
+                logdet_oracle(h, ell)
+            return
+        assert logdet_oracle(h, ell) == expected
+
+    def test_oracle_is_exactly_invariant_to_dyadic_scaling(self):
+        rng = np.random.default_rng(27)
+        for ell in (1, 3, 5):
+            h = sample_regular_channel(rng, 6, 5, ell)
+            value = logdet_oracle(h, ell)
+            for e in (-200, -1, 1, 200):
+                assert logdet_oracle(h * 2.0 ** e, ell) == value
 
     def test_det_direct_exact_on_fractions(self):
         rows = [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]
