@@ -34,7 +34,6 @@ from .model import (  # noqa: F401
     DemandVector,
     FileLibrary,
     SystemConfig,
-    submatrix,
     validate_config,
 )
 from .phy import (  # noqa: F401

@@ -56,6 +56,8 @@ from .model import DemandVector, FileLibrary, as_fraction, validate_config
 from .phy import (
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
+    MIN_SNR_POINTS,
+    MIN_SNR_SPAN_DB,
     MIN_TRIALS_PER_SNR,
     Scheme,
     estimate_ndt,
@@ -187,7 +189,7 @@ _SCHEME_CSI = {
 
 
 def _snr_grid(text: str) -> list[float]:
-    """Parse --snr-grid: comma-separated, finite and pairwise distinct dB."""
+    """Parse --snr-grid: finite, distinct dB values the slope fit can use."""
     try:
         grid = [float(s) for s in text.split(",")]
     except ValueError:
@@ -199,6 +201,13 @@ def _snr_grid(text: str) -> list[float]:
     dupes = sorted({s for s in grid if grid.count(s) > 1})
     if dupes:
         raise argparse.ArgumentTypeError(f"duplicate SNR values {dupes}")
+    if len(grid) < MIN_SNR_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"need >= {MIN_SNR_POINTS} SNR points, got {len(grid)}")
+    if max(grid) - min(grid) < MIN_SNR_SPAN_DB:
+        raise argparse.ArgumentTypeError(
+            f"SNR grid spans {max(grid) - min(grid):.1f} dB, "
+            f"need >= {MIN_SNR_SPAN_DB:g}")
     return grid
 
 

@@ -15,8 +15,9 @@ verified here at double precision:
   determinants in integers;
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
-Entropy inequalities themselves are not estimated; only these deterministic
-pieces are.
+Each channel draw is sliced once into a `Cut`, whose H1 conditioning is
+tested once; every check reads that cut. Entropy inequalities themselves
+are not estimated; only these deterministic pieces are.
 """
 
 from __future__ import annotations
@@ -28,20 +29,28 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArgumentError, RangeError, SingularH1Error
-from .model import SystemConfig, submatrix
+from .model import SystemConfig
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
 RECONSTRUCTION_TOL = 1e-9
 LOGDET_ORACLE_TOL = 1e-10
 NOISE_COV_TOL = 0.05
 NOISE_COV_SAMPLES = 100_000
+TIME_COLUMNS = 8  # channel uses per reconstruction draw
 MAX_REDRAWS = 16
 
 
 @dataclass(frozen=True)
-class SubmatrixTriple:
-    """Corner blocks of the channel matrix for a cut parameter ell."""
+class Cut:
+    """A channel draw sliced at cut parameter ell, with a usable H1.
 
+    H1 (ell x ell) holds rows 1..ell and the last ell columns, H2 rows
+    ell+1..K of the same columns and H3 rows ell+1..K of every column; all
+    three are views of h. `build_submatrices` tests H1's conditioning
+    before it makes a Cut, so every check reading one may solve with H1.
+    """
+
+    h: np.ndarray   # K x M
     h1: np.ndarray  # ell x ell
     h2: np.ndarray  # (K-ell) x ell
     h3: np.ndarray  # (K-ell) x M
@@ -98,37 +107,20 @@ def variance_bound_check(h: np.ndarray, ell: int, power: float, trials: int,
     return VarianceCheck(holds, worst, bound, empirical)
 
 
-def build_submatrices(h: np.ndarray, ell: int) -> SubmatrixTriple:
-    """Corner blocks H1, H2, H3 for the reconstruction identity."""
+def build_submatrices(h: np.ndarray, ell: int) -> Cut:
+    """Slice h at ell; SingularH1Error unless H1 is well conditioned."""
     k, m = h.shape
     if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
         raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
-    col_start = max(m - ell, 0) + 1
-    h1 = submatrix(h, (1, ell), (col_start, m))
-    if ell < k:
-        h2 = submatrix(h, (ell + 1, k), (col_start, m))
-        h3 = submatrix(h, (ell + 1, k), (1, m))
-    else:
-        h2 = np.empty((0, ell))
-        h3 = np.empty((0, m))
-    assert h1.shape == (ell, ell)
-    return SubmatrixTriple(h1, h2, h3, ell)
-
-
-def _solve_h1(h1: np.ndarray, *rhs: np.ndarray) -> list[np.ndarray]:
-    """Solve H1 z = b for each right-hand side b; H1's condition is tested once."""
-    if np.linalg.cond(h1) > H1_COND_LIMIT:
+    h1 = h[:ell, m - ell:]
+    if not np.linalg.cond(h1) <= H1_COND_LIMIT:  # a NaN condition fails too
         raise SingularH1Error(
             f"H1 condition number exceeds {H1_COND_LIMIT:g}; redraw the channel"
         )
-    try:
-        return [np.linalg.solve(h1, b) for b in rhs]
-    except np.linalg.LinAlgError as exc:
-        raise SingularH1Error("H1 is singular") from exc
+    return Cut(h, h1, h[ell:, m - ell:], h[ell:], ell)
 
 
-def reconstruction_residual(h: np.ndarray, ell: int, x: np.ndarray,
-                            noise: np.ndarray) -> float:
+def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray) -> float:
     """Relative Frobenius mismatch of the two sides of the identity.
 
     Left side: the bottom channel outputs plus the folded top noise
@@ -136,41 +128,36 @@ def reconstruction_residual(h: np.ndarray, ell: int, x: np.ndarray,
     the interference-cancelled, H1-inverted top outputs, plus the bottom
     noise. Algebraically zero; numerically limited by the H1 solve.
     """
+    h, ell = cut.h, cut.ell
     k, m = h.shape
-    blocks = build_submatrices(h, ell)
     if ell == k:
         return 0.0  # degenerate cut: both sides are empty
-    known = max(m - ell, 0)
+    known = m - ell
     y = h @ x + noise
     y_top, y_bot = y[:ell], y[ell:]
     n_top, n_bot = noise[:ell], noise[ell:]
     y_tilde = y_top - h[:ell, :known] @ x[:known]
-    folded_noise, inverted = _solve_h1(blocks.h1, n_top, y_tilde)
-    left = y_bot + blocks.h2 @ folded_noise
-    right = blocks.h3 @ np.vstack([x[:known], inverted])
+    left = y_bot + cut.h2 @ np.linalg.solve(cut.h1, n_top)
+    right = cut.h3 @ np.vstack([x[:known], np.linalg.solve(cut.h1, y_tilde)])
     right = right + n_bot
     scale = np.linalg.norm(left)
     diff = np.linalg.norm(left - right)
     return float(diff / scale) if scale > 0 else float(diff)
 
 
-def folded_channel(h: np.ndarray, ell: int) -> np.ndarray:
+def folded_channel(cut: Cut) -> np.ndarray:
     """Ht = H2 H1^-1, the matrix folding top noise into the bottom outputs."""
-    blocks = build_submatrices(h, ell)
-    if blocks.h2.shape[0] == 0:
-        return np.empty((0, ell))
-    (solved,) = _solve_h1(blocks.h1.T, blocks.h2.T)
-    return solved.T
+    return np.linalg.solve(cut.h1.T, cut.h2.T).T
 
 
-def logdet_term(h: np.ndarray, ell: int) -> float:
+def logdet_term(cut: Cut) -> float:
     """log det(I + Ht Ht^T), finite and independent of any power level.
 
     Computed as sum log(1 + sigma_i^2) over the singular values of Ht,
     which stays accurate even when Ht is large (forming the Gram matrix
     explicitly would square its dynamic range).
     """
-    ht = folded_channel(h, ell)
+    ht = folded_channel(cut)
     if ht.shape[0] == 0:
         return 0.0
     svals = np.linalg.svd(ht, compute_uv=False)
@@ -203,7 +190,7 @@ def det_bareiss(rows) -> int:
     return sign * prev
 
 
-def logdet_oracle(h: np.ndarray, ell: int) -> float:
+def logdet_oracle(cut: Cut) -> float:
     """Exact log det(I + Ht Ht^T) from two ell x ell determinants.
 
     With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
@@ -215,13 +202,11 @@ def logdet_oracle(h: np.ndarray, ell: int) -> float:
     draws where Ht is huge and any fixed-precision determinant would cancel
     catastrophically.
     """
-    blocks = build_submatrices(h, ell)
-    if blocks.h2.shape[0] == 0:
+    ell = cut.ell
+    if cut.h2.shape[0] == 0:
         return 0.0
-    if np.linalg.cond(blocks.h1) > H1_COND_LIMIT:
-        raise SingularH1Error("H1 condition number too large; redraw the channel")
     ratios = [[x.as_integer_ratio() for x in row]
-              for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
+              for row in np.vstack([cut.h1, cut.h2]).tolist()]
     scale = max(d for row in ratios for _, d in row)  # a power of two
     g = [[n * (scale // d) for n, d in row] for row in ratios]
     det_h1 = det_bareiss(g[:ell])
@@ -233,7 +218,7 @@ def logdet_oracle(h: np.ndarray, ell: int) -> float:
     return math.log(det.numerator) - math.log(det.denominator)
 
 
-def noise_cov_check(h: np.ndarray, ell: int, trials: int, seed: int = 0,
+def noise_cov_check(cut: Cut, trials: int, seed: int = 0,
                     normalized: bool = False) -> float:
     """Max entry error between the empirical covariance of Ht n and Ht Ht^T.
 
@@ -242,26 +227,26 @@ def noise_cov_check(h: np.ndarray, ell: int, trials: int, seed: int = 0,
     identity while keeping the absolute error comparable across draws (the
     raw entries of Ht are ratio distributed and can be arbitrarily large).
     """
-    ht = folded_channel(h, ell)
+    ht = folded_channel(cut)
     if ht.shape[0] == 0:
         return 0.0
     if normalized:
         ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
     rng = np.random.default_rng(seed)
-    n_top = rng.standard_normal((ell, trials))
+    n_top = rng.standard_normal((cut.ell, trials))
     folded = ht @ n_top
     empirical = folded @ folded.T / trials
     return float(np.abs(empirical - ht @ ht.T).max())
 
 
 def sample_regular_channel(rng: np.random.Generator, num_users: int,
-                           num_ens: int, ell: int) -> np.ndarray:
-    """Standard-normal K x M draw with a well-conditioned H1 block."""
+                           num_ens: int, ell: int) -> Cut:
+    """Standard-normal K x M draw, cut at ell, with a well-conditioned H1."""
     for _ in range(MAX_REDRAWS + 1):
-        h = rng.standard_normal((num_users, num_ens))
-        blocks = build_submatrices(h, ell)
-        if np.linalg.cond(blocks.h1) <= H1_COND_LIMIT:
-            return h
+        try:
+            return build_submatrices(rng.standard_normal((num_users, num_ens)), ell)
+        except SingularH1Error:
+            pass
     raise SingularH1Error(
         f"no well-conditioned H1 after {MAX_REDRAWS} redraws (RNG misuse?)"
     )
@@ -283,7 +268,7 @@ class ConverseReport:
 
 
 def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
-                    seed: int = 0, time_columns: int = 8) -> list[ConverseReport]:
+                    seed: int = 0) -> list[ConverseReport]:
     """Monte-Carlo verification of the identities for each requested ell."""
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
@@ -298,20 +283,20 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
         worst_logdet = 0.0
         worst_oracle = 0.0
         for _ in range(trials):
-            h = sample_regular_channel(rng, k, m, ell)
-            x = rng.standard_normal((m, time_columns))
-            noise = rng.standard_normal((k, time_columns))
-            lam = max(lam, lambda_constant(h, ell))
+            cut = sample_regular_channel(rng, k, m, ell)
+            x = rng.standard_normal((m, TIME_COLUMNS))
+            noise = rng.standard_normal((k, TIME_COLUMNS))
+            lam = max(lam, lambda_constant(cut.h, ell))
             worst_residual = max(
-                worst_residual, reconstruction_residual(h, ell, x, noise)
+                worst_residual, reconstruction_residual(cut, x, noise)
             )
-            value = logdet_term(h, ell)
+            value = logdet_term(cut)
             worst_logdet = max(worst_logdet, abs(value))
-            worst_oracle = max(worst_oracle, abs(value - logdet_oracle(h, ell)))
-        cov_h = sample_regular_channel(
+            worst_oracle = max(worst_oracle, abs(value - logdet_oracle(cut)))
+        cov_cut = sample_regular_channel(
             np.random.default_rng((seed, ell, 1)), k, m, ell
         )
-        cov_err = noise_cov_check(cov_h, ell, NOISE_COV_SAMPLES, seed=(seed + 1),
+        cov_err = noise_cov_check(cov_cut, NOISE_COV_SAMPLES, seed=(seed + 1),
                                   normalized=True)
         reports.append(
             ConverseReport(

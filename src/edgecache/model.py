@@ -136,19 +136,3 @@ class FileLibrary:
             raise RangeError(f"file index {index} outside [1, {self.num_files}]")
         return self.files[index - 1]
 
-
-def submatrix(matrix: np.ndarray, row_range: tuple[int, int],
-              col_range: tuple[int, int]) -> np.ndarray:
-    """Extract the 1-based inclusive block rows [a:b] x cols [c:d].
-
-    Entry (i, j) of the result is matrix[a+i-1, c+j-1], matching the
-    analytical sub-matrix notation used by the converse machinery.
-    """
-    a, b = row_range
-    c, d = col_range
-    rows, cols = matrix.shape
-    if not (1 <= a <= b <= rows):
-        raise RangeError(f"row range [{a}:{b}] invalid for {rows} rows")
-    if not (1 <= c <= d <= cols):
-        raise RangeError(f"col range [{c}:{d}] invalid for {cols} cols")
-    return matrix[a - 1:b, c - 1:d].copy()

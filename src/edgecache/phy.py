@@ -42,6 +42,8 @@ MAX_RESAMPLES = 16
 DEFAULT_SNR_GRID_DB = (20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_TRIALS_PER_SNR = 200
 MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
+MIN_SNR_POINTS = 3  # distinct SNR points the slope fit needs
+MIN_SNR_SPAN_DB = 20.0  # and the span they must cover
 
 
 class Scheme(enum.Enum):
@@ -126,13 +128,13 @@ class IaSolution:
     to user k+1; receive_bases[k] has columns [desired from EN1 | desired
     from EN2 | aligned interference direction] seen by user k+1 (amplitudes
     not included); amplitudes[m] is the symbol scaling of EN m+1 that meets
-    its own per-slot power budget.
+    its own per-slot power budget. The aligned interference direction is
+    all ones in every solution.
     """
 
     beams: np.ndarray          # (2, 2, 3)
     receive_bases: np.ndarray  # (2, 3, 3)
     amplitudes: np.ndarray     # (2,)
-    reference: np.ndarray      # (3,) aligned interference direction
 
 
 def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
@@ -171,7 +173,7 @@ def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
             raise AlignmentDegeneracyError(
                 f"receive basis of user {k + 1} is rank deficient"
             )
-    return IaSolution(beams, bases, amplitudes, ref)
+    return IaSolution(beams, bases, amplitudes)
 
 
 def ia_alignment_error(h_slots: np.ndarray, solution: IaSolution) -> float:
@@ -194,6 +196,10 @@ def _interference_null_basis(reference: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
+# every alignment solution uses the all-ones reference direction
+_IA_NULL_BASIS = _interference_null_basis(np.ones(EXTENSION_SLOTS))
+
+
 def ia_message_sinrs(solution: IaSolution) -> np.ndarray:
     """Per-message SINRs, indexed [user, sending EN].
 
@@ -203,11 +209,10 @@ def ia_message_sinrs(solution: IaSolution) -> np.ndarray:
     factor of the resulting 2x2 Gram matrix, so that log2(1 + SINR) summed
     over messages equals the plane's exact log-det rate.
     """
-    q_null = _interference_null_basis(solution.reference)
     sinrs = np.empty((2, 2))
     for k in range(2):
         scaled = solution.receive_bases[k][:, :2] * solution.amplitudes
-        g = q_null.T @ scaled
+        g = _IA_NULL_BASIS.T @ scaled
         gram = np.eye(2) + g.T @ g
         chol = np.linalg.cholesky(gram)
         sinrs[k] = np.diag(chol) ** 2 - 1.0
@@ -446,20 +451,21 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
 def estimate_ndt(trials) -> EmpiricalNdt:
     """Least-squares DoF slope of mean sum-rate against log2(P).
 
-    Needs at least 3 distinct SNR points spanning 20 dB or more, with at
-    least MIN_TRIALS_PER_SNR trials each.
+    Needs at least MIN_SNR_POINTS distinct SNR points spanning
+    MIN_SNR_SPAN_DB or more, with at least MIN_TRIALS_PER_SNR trials each.
     """
     groups: dict[float, list[float]] = {}
     for t in trials:
         groups.setdefault(t.snr_db, []).append(t.achieved_sum_rate)
-    if len(groups) < 3:
+    if len(groups) < MIN_SNR_POINTS:
         raise InsufficientDataError(
-            f"need >= 3 distinct SNR points, got {len(groups)}"
+            f"need >= {MIN_SNR_POINTS} distinct SNR points, got {len(groups)}"
         )
     snrs = sorted(groups)
-    if snrs[-1] - snrs[0] < 20.0:
+    if snrs[-1] - snrs[0] < MIN_SNR_SPAN_DB:
         raise InsufficientDataError(
-            f"SNR grid spans {snrs[-1] - snrs[0]:.1f} dB, need >= 20"
+            f"SNR grid spans {snrs[-1] - snrs[0]:.1f} dB, "
+            f"need >= {MIN_SNR_SPAN_DB:g}"
         )
     short = [s for s in snrs if len(groups[s]) < MIN_TRIALS_PER_SNR]
     if short:

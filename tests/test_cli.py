@@ -197,6 +197,8 @@ class TestSimulateCommand:
         "20,nan,40",
         "20,40,inf",
         "20,,40",
+        "20,40",        # two points: the slope fit needs three
+        "20,25,30",     # spans 10 dB: the slope fit needs 20
     ])
     def test_bad_snr_grid_rejected_before_any_trial(self, tmp_path,
                                                     monkeypatch, grid):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgecache import converse
 from edgecache.converse import (
     H1_COND_LIMIT,
     LOGDET_ORACLE_TOL,
@@ -26,6 +27,7 @@ from edgecache.converse import (
 )
 from edgecache.errors import RangeError, SingularH1Error
 from edgecache.model import validate_config
+from test_model import submatrix
 
 F = Fraction
 
@@ -56,19 +58,17 @@ def det_exact(rows) -> Fraction:
     return det
 
 
-def fraction_oracle(h, ell):
+def fraction_oracle(cut):
     """logdet_oracle over Fraction entries, as it was before integer scaling.
 
     det(G^T G) / det(H1)^2 with both determinants taken by det_exact; the
     same guards and the same final logarithm.
     """
-    blocks = build_submatrices(h, ell)
-    if blocks.h2.shape[0] == 0:
+    ell = cut.ell
+    if cut.h2.shape[0] == 0:
         return 0.0
-    if np.linalg.cond(blocks.h1) > H1_COND_LIMIT:
-        raise SingularH1Error("H1 condition number too large")
     g = [[Fraction(x) for x in row]
-         for row in np.vstack([blocks.h1, blocks.h2]).tolist()]
+         for row in np.vstack([cut.h1, cut.h2]).tolist()]
     det_h1 = det_exact(g[:ell])
     if det_h1 == 0:
         raise SingularH1Error("H1 is exactly singular")
@@ -153,7 +153,7 @@ def dyadic_channels(draw):
     k = draw(st.integers(2, 7))
     ell = draw(st.integers(1, min(m, k - 1)))  # H2 is never empty
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    h = sample_regular_channel(np.random.default_rng(seed), k, m, ell)
+    h = sample_regular_channel(np.random.default_rng(seed), k, m, ell).h
     h = h * 2.0 ** draw(st.integers(-200, 200))
     for r in range(ell, k):
         h[r] *= 2.0 ** draw(st.integers(-16, 200))
@@ -264,12 +264,32 @@ class TestSubmatrices:
         np.testing.assert_array_equal(blocks.h3, h[2:, :])
 
     def test_h1_always_square(self):
+        # the paper's 1-based blocks: H1 = rows 1..ell x cols M-ell+1..M,
+        # H2 = rows ell+1..K x the same cols, H3 = rows ell+1..K x cols 1..M
         rng = np.random.default_rng(12)
         for m in (2, 3, 4, 5):
             for k in (2, 3, 4, 5):
                 h = rng.standard_normal((k, m))
                 for ell in range(1, min(m, k) + 1):
-                    assert build_submatrices(h, ell).h1.shape == (ell, ell)
+                    cut = build_submatrices(h, ell)
+                    assert cut.h1.shape == (ell, ell)
+                    np.testing.assert_array_equal(
+                        cut.h1, submatrix(h, (1, ell), (m - ell + 1, m)))
+                    if ell == k:
+                        assert cut.h2.shape == (0, ell)
+                        assert cut.h3.shape == (0, m)
+                        continue
+                    np.testing.assert_array_equal(
+                        cut.h2, submatrix(h, (ell + 1, k), (m - ell + 1, m)))
+                    np.testing.assert_array_equal(
+                        cut.h3, submatrix(h, (ell + 1, k), (1, m)))
+
+    def test_blocks_are_views_of_the_draw(self):
+        h = np.random.default_rng(28).standard_normal((4, 3))
+        cut = build_submatrices(h, 2)
+        assert cut.h is h
+        for block in (cut.h1, cut.h2, cut.h3):
+            assert np.shares_memory(block, h)
 
     def test_ell_out_of_range(self):
         with pytest.raises(RangeError):
@@ -285,16 +305,17 @@ class TestReconstructionIdentity:
             noise = rng.standard_normal((3, 6))
             for ell in (1, 2):
                 try:
-                    res = reconstruction_residual(h, ell, x, noise)
+                    cut = build_submatrices(h, ell)
                 except SingularH1Error:
                     continue
-                assert res < 1e-9
+                assert reconstruction_residual(cut, x, noise) < 1e-9
 
     def test_noiseless_residual_negligible(self):
         rng = np.random.default_rng(14)
         h = rng.standard_normal((3, 3))
         x = rng.standard_normal((3, 4))
-        res = reconstruction_residual(h, 1, x, np.zeros((3, 4)))
+        res = reconstruction_residual(build_submatrices(h, 1), x,
+                                      np.zeros((3, 4)))
         assert res < 1e-12
 
     def test_degenerate_cut_is_empty_identity(self):
@@ -302,15 +323,17 @@ class TestReconstructionIdentity:
         h = rng.standard_normal((2, 3))
         x = rng.standard_normal((3, 4))
         noise = rng.standard_normal((2, 4))
-        assert reconstruction_residual(h, 2, x, noise) == 0.0
+        assert reconstruction_residual(build_submatrices(h, 2), x, noise) == 0.0
 
     def test_singular_h1_rejected(self):
         h = np.eye(3)
         h[0, 2] = 0.0  # H1 for ell=1 is the scalar h_{1,3} = 0
-        x = np.zeros((3, 2))
-        noise = np.zeros((3, 2))
         with pytest.raises(SingularH1Error):
-            reconstruction_residual(h, 1, x, noise)
+            build_submatrices(h, 1)
+        h = np.ones((3, 3))
+        h[1, 2] += 1e-12  # H1 for ell=2 is [[1, 1], [1, 1 + 1e-12]]
+        with pytest.raises(SingularH1Error):
+            build_submatrices(h, 2)
 
     def test_regular_sampler_rejects_rarely(self):
         # a rejected H1 must be a < 1-in-1e5 event over standard-normal draws
@@ -324,52 +347,52 @@ class TestReconstructionIdentity:
 
 class TestLogDet:
     def test_empty_block_is_zero(self):
-        h = np.random.default_rng(17).standard_normal((2, 4))
-        assert logdet_term(h, 2) == 0.0
-        assert logdet_oracle(h, 2) == 0.0
+        cut = build_submatrices(
+            np.random.default_rng(17).standard_normal((2, 4)), 2)
+        assert logdet_term(cut) == 0.0
+        assert logdet_oracle(cut) == 0.0
 
     def test_scalar_folded_channel(self):
         # M=K=2, ell=1: Ht = h_{2,2} / h_{1,2}
         h = np.array([[3.0, 2.0], [1.0, 4.0]])
         expected = math.log(1.0 + (4.0 / 2.0) ** 2)
-        assert logdet_term(h, 1) == pytest.approx(expected, rel=1e-14)
+        assert logdet_term(build_submatrices(h, 1)) == \
+            pytest.approx(expected, rel=1e-14)
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(18)
         for _ in range(300):
-            h = rng.standard_normal((3, 3))
             try:
-                main = logdet_term(h, 1)
-                oracle = logdet_oracle(h, 1)
+                cut = build_submatrices(rng.standard_normal((3, 3)), 1)
             except SingularH1Error:
                 continue
-            assert abs(main - oracle) < 1e-10
+            assert abs(logdet_term(cut) - logdet_oracle(cut)) < 1e-10
 
     def test_power_free_and_repeatable(self):
         import inspect
 
         params = inspect.signature(logdet_term).parameters
-        assert "power" not in params and len(params) == 2
-        h = np.random.default_rng(19).standard_normal((4, 4))
-        assert logdet_term(h, 2) == logdet_term(h, 2)
+        assert "power" not in params and len(params) == 1
+        cut = build_submatrices(np.random.default_rng(19).standard_normal((4, 4)), 2)
+        assert logdet_term(cut) == logdet_term(cut)
 
     def test_oracle_hand_case(self):
         # G = [3, 2]^T after picking column 2: det G^T G = 20, det H1^2 = 4
-        assert logdet_oracle(np.array([[3.0, 2.0], [1.0, 4.0]]), 1) == \
-            math.log(5)
+        cut = build_submatrices(np.array([[3.0, 2.0], [1.0, 4.0]]), 1)
+        assert logdet_oracle(cut) == math.log(5)
 
     def test_oracle_rejects_exactly_singular_h1(self, monkeypatch):
         # the conditioning guard is bypassed so the exact check must fire
         monkeypatch.setattr("edgecache.converse.H1_COND_LIMIT", math.inf)
         h = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 4.0], [5.0, 6.0, 7.0]])
+        cut = build_submatrices(h, 2)  # H1 = [[1, 2], [2, 4]]
         with pytest.raises(SingularH1Error):
-            logdet_oracle(h, 2)  # H1 = [[1, 2], [2, 4]]
+            logdet_oracle(cut)
 
     @pytest.mark.parametrize("ell", [1, 6])
     def test_oracle_agreement_at_12x12(self, ell):
-        h = sample_regular_channel(np.random.default_rng(26), 12, 12, ell)
-        assert abs(logdet_term(h, ell) - logdet_oracle(h, ell)) < \
-            LOGDET_ORACLE_TOL
+        cut = sample_regular_channel(np.random.default_rng(26), 12, 12, ell)
+        assert abs(logdet_term(cut) - logdet_oracle(cut)) < LOGDET_ORACLE_TOL
 
     @given(square_fraction_matrices())
     def test_det_exact_matches_cofactor_reference(self, rows):
@@ -385,20 +408,25 @@ class TestLogDet:
     def test_oracle_matches_fraction_reference_bit_for_bit(self, draw):
         h, ell = draw
         try:
-            expected = fraction_oracle(h, ell)
+            cut = build_submatrices(h, ell)
+        except SingularH1Error:
+            return  # the zeros made H1 ill-conditioned: neither oracle runs
+        try:
+            expected = fraction_oracle(cut)
         except SingularH1Error:
             with pytest.raises(SingularH1Error):
-                logdet_oracle(h, ell)
+                logdet_oracle(cut)
             return
-        assert logdet_oracle(h, ell) == expected
+        assert logdet_oracle(cut) == expected
 
     def test_oracle_is_exactly_invariant_to_dyadic_scaling(self):
         rng = np.random.default_rng(27)
         for ell in (1, 3, 5):
-            h = sample_regular_channel(rng, 6, 5, ell)
-            value = logdet_oracle(h, ell)
+            cut = sample_regular_channel(rng, 6, 5, ell)
+            value = logdet_oracle(cut)
             for e in (-200, -1, 1, 200):
-                assert logdet_oracle(h * 2.0 ** e, ell) == value
+                scaled = build_submatrices(cut.h * 2.0 ** e, ell)
+                assert logdet_oracle(scaled) == value
 
     def test_det_direct_exact_on_fractions(self):
         rows = [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]
@@ -413,24 +441,27 @@ class TestLogDet:
 
 class TestNoiseCovariance:
     def test_empirical_covariance_converges(self):
-        h = sample_regular_channel(np.random.default_rng(21), 3, 3, 2)
-        assert noise_cov_check(h, 2, 100_000, seed=22) < 0.05
+        cut = sample_regular_channel(np.random.default_rng(21), 3, 3, 2)
+        assert noise_cov_check(cut, 100_000, seed=22) < 0.05
 
     def test_degenerate_cut_zero(self):
-        h = np.random.default_rng(23).standard_normal((2, 2))
-        assert noise_cov_check(h, 2, 1000, seed=0) == 0.0
+        cut = build_submatrices(
+            np.random.default_rng(23).standard_normal((2, 2)), 2)
+        assert noise_cov_check(cut, 1000, seed=0) == 0.0
 
     def test_zero_h2_block_exact(self):
         # H2 (rows 2..3 of col 3) all zero while H1 = [3] stays invertible
         h = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 0.0], [6.0, 7.0, 0.0]])
-        assert noise_cov_check(h, 1, 1000, seed=0) == 0.0
-        np.testing.assert_array_equal(folded_channel(h, 1), np.zeros((2, 1)))
+        cut = build_submatrices(h, 1)
+        assert noise_cov_check(cut, 1000, seed=0) == 0.0
+        np.testing.assert_array_equal(folded_channel(cut), np.zeros((2, 1)))
 
     def test_normalized_mode_bounds_scale(self):
         h = np.random.default_rng(24).standard_normal((4, 2))
         h[0, 1] = 1e-4  # raw folded entries are huge
-        raw = noise_cov_check(h, 1, 100_000, seed=25)
-        unit = noise_cov_check(h, 1, 100_000, seed=25, normalized=True)
+        cut = build_submatrices(h, 1)
+        raw = noise_cov_check(cut, 100_000, seed=25)
+        unit = noise_cov_check(cut, 100_000, seed=25, normalized=True)
         assert raw > unit
         assert unit < 0.05
 
@@ -451,3 +482,22 @@ class TestVerifyConverse:
         (rep,) = verify_converse(cfg, ells=[1], trials=50, seed=0)
         assert report_passes(rep)
         assert not report_passes(rep, reconstruction_tol=1e-30)
+
+    def test_h1_conditioned_once_per_draw(self, monkeypatch):
+        calls = {"cond": 0, "cut": 0}
+        cond, build = np.linalg.cond, converse.build_submatrices
+
+        def counted_cond(*args, **kwargs):
+            calls["cond"] += 1
+            return cond(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            calls["cut"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        monkeypatch.setattr(converse, "build_submatrices", counted_build)
+        cfg = validate_config(6, 6, 6, F(1), 1200)
+        verify_converse(cfg, trials=50, seed=0)
+        # 6 cuts x (50 trials + 1 noise-covariance draw); no redraw at seed 0
+        assert calls == {"cond": 306, "cut": 306}

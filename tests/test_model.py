@@ -1,4 +1,5 @@
-"""Tests for system configuration, library, demands and submatrix slicing."""
+"""Tests for system configuration, library and demands, and for the
+1-based block reference the converse's cut is checked against."""
 
 from fractions import Fraction
 
@@ -15,9 +16,26 @@ from edgecache.model import (
     DemandVector,
     FileLibrary,
     as_fraction,
-    submatrix,
     validate_config,
 )
+
+
+def submatrix(matrix: np.ndarray, row_range: tuple[int, int],
+              col_range: tuple[int, int]) -> np.ndarray:
+    """Extract the 1-based inclusive block rows [a:b] x cols [c:d].
+
+    Entry (i, j) of the result is matrix[a+i-1, c+j-1], the paper's
+    sub-matrix notation. Reference for the plain slices of
+    `converse.build_submatrices`.
+    """
+    a, b = row_range
+    c, d = col_range
+    rows, cols = matrix.shape
+    if not (1 <= a <= b <= rows):
+        raise RangeError(f"row range [{a}:{b}] invalid for {rows} rows")
+    if not (1 <= c <= d <= cols):
+        raise RangeError(f"col range [{c}:{d}] invalid for {cols} cols")
+    return matrix[a - 1:b, c - 1:d].copy()
 
 
 class TestValidateConfig:
