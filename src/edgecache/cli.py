@@ -119,9 +119,14 @@ def _format_regions(regions) -> str:
     return " u ".join(parts) if parts else "(none)"
 
 
+def _config(args, mu):
+    """Validate the shared network flags; only an omitted --n means N = K."""
+    n = args.k if args.n is None else args.n
+    return validate_config(args.m, args.k, n, mu, args.l)
+
+
 def cmd_bounds(args, argv: list[str]) -> int:
-    config = validate_config(args.m, args.k, args.n if args.n else args.k,
-                             Fraction(1), args.l)
+    config = _config(args, Fraction(1))
     csi = CsiMode(args.csi)
     step = as_fraction(args.grid_step) if args.grid_step else None
     grid = default_mu_grid(config, step)
@@ -238,10 +243,18 @@ def _trials(text: str) -> int:
     return trials
 
 
+def _tolerance(text: str) -> float:
+    """Parse a --tol-* flag: a finite positive float, so reports stay JSON."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
 def cmd_simulate(args, argv: list[str]) -> int:
     mu = as_fraction(args.mu)
-    config = validate_config(args.m, args.k, args.n if args.n else args.k,
-                             mu, args.l)
+    config = _config(args, mu)
     library = FileLibrary.random(config, seed=args.seed)
     allocation = _build_allocation(config, library)
     scheme = Scheme(args.scheme)
@@ -301,8 +314,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 
 def cmd_verify_converse(args, argv: list[str]) -> int:
-    config = validate_config(args.m, args.k, args.n if args.n else args.k,
-                             Fraction(1), args.l)
+    config = _config(args, Fraction(1))
     if args.ell == "all":
         ells = None
     else:
@@ -368,14 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--m", type=int, required=True, help="number of ENs")
+    network.add_argument("--k", type=int, required=True, help="number of users")
+    network.add_argument("--n", type=int, default=None,
+                         help="library size (default: K)")
+    network.add_argument("--l", type=int, default=1200,
+                         help="file size in bits (default: 1200)")
 
-    p_bounds = sub.add_parser("bounds", help="sweep the exact tradeoff curves")
-    p_bounds.add_argument("--m", type=int, required=True, help="number of ENs")
-    p_bounds.add_argument("--k", type=int, required=True, help="number of users")
-    p_bounds.add_argument("--n", type=int, default=None,
-                          help="library size (default: K)")
-    p_bounds.add_argument("--l", type=int, default=1200,
-                          help="file size in bits (default: 1200)")
+    p_bounds = sub.add_parser("bounds", parents=[network],
+                              help="sweep the exact tradeoff curves")
     p_bounds.add_argument("--csi", choices=[m.value for m in CsiMode],
                           default="perfect")
     p_bounds.add_argument("--grid-step", default=None,
@@ -385,11 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also write a JSON copy of the table")
     p_bounds.set_defaults(handler=cmd_bounds)
 
-    p_sim = sub.add_parser("simulate", help="run a Monte-Carlo delivery campaign")
-    p_sim.add_argument("--m", type=int, required=True)
-    p_sim.add_argument("--k", type=int, required=True)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--l", type=int, default=1200)
+    p_sim = sub.add_parser("simulate", parents=[network],
+                           help="run a Monte-Carlo delivery campaign")
     p_sim.add_argument("--mu", required=True, help="fractional cache size p/q")
     p_sim.add_argument("--scheme", choices=[s.value for s in Scheme],
                        required=True)
@@ -403,20 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_ver = sub.add_parser("verify-converse",
+    p_ver = sub.add_parser("verify-converse", parents=[network],
                            help="check the converse identities numerically")
-    p_ver.add_argument("--m", type=int, required=True)
-    p_ver.add_argument("--k", type=int, required=True)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--l", type=int, default=1200)
     p_ver.add_argument("--ell", type=_ell, default="all",
                        help="'all' or a single cut parameter")
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--seed", type=_seed, required=True)
-    p_ver.add_argument("--tol-reconstruction", type=float,
+    p_ver.add_argument("--tol-reconstruction", type=_tolerance,
                        default=RECONSTRUCTION_TOL)
-    p_ver.add_argument("--tol-logdet", type=float, default=LOGDET_ORACLE_TOL)
-    p_ver.add_argument("--tol-noise-cov", type=float, default=NOISE_COV_TOL)
+    p_ver.add_argument("--tol-logdet", type=_tolerance,
+                       default=LOGDET_ORACLE_TOL)
+    p_ver.add_argument("--tol-noise-cov", type=_tolerance,
+                       default=NOISE_COV_TOL)
     p_ver.add_argument("--out", required=True, help="output JSON path")
     p_ver.set_defaults(handler=cmd_verify_converse)
     return parser

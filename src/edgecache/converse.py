@@ -228,7 +228,7 @@ def noise_cov_check(cut: Cut, trials: int, seed: int = 0,
     raw entries of Ht are ratio distributed and can be arbitrarily large).
     """
     ht = folded_channel(cut)
-    if ht.shape[0] == 0:
+    if not ht.any():  # empty or exactly zero: both covariances vanish
         return 0.0
     if normalized:
         ht = ht / np.linalg.svd(ht, compute_uv=False)[0]

@@ -63,6 +63,8 @@ class TrialResult:
     per_user_rates: tuple[float, ...]
     delivery_time_per_bit: float
     seed: int
+    peak_en_power: float  # largest per-EN ensemble transmit power used
+    alignment_error: float | None  # ia_alignment_error; None without alignment
 
 
 @dataclass(frozen=True)
@@ -244,16 +246,14 @@ def ia_rates(solution: IaSolution) -> np.ndarray:
 
 
 def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
-                  file_bits: int, power: float) -> tuple[float, list]:
+                  file_bits: int, power: float) -> float:
     """Serve users one at a time with no CSI at the transmitters.
 
     Each owed fragment is sent by the EN that caches it; fragments every EN
     holds go to a round-robin EN (a CSI-free choice). The link runs at
-    log2(1 + h_km^2 P). Returns (delivery time per bit, schedule) where the
-    schedule lists (user, en, bits, rate) entries in transmission order.
+    log2(1 + h_km^2 P). Returns the delivery time per bit.
     """
     num_users, num_ens = h.shape
-    schedule = []
     total_uses = 0.0
     for user in range(1, num_users + 1):
         for frag, en in assignment.fragments_for_user(user):
@@ -264,9 +264,8 @@ def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
                 raise SingularChannelError(
                     f"dead link EN {en} -> user {user}: rate is zero"
                 )
-            schedule.append((user, en, frag.num_bits, rate))
             total_uses += frag.num_bits / rate
-    return total_uses / file_bits, schedule
+    return total_uses / file_bits
 
 
 def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
@@ -297,43 +296,39 @@ def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
             )
 
 
-def _zf_solve(config: SystemConfig, rng: np.random.Generator, power: float):
-    k, m = config.num_users, config.num_ens
+def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...], solver,
+                power: float):
+    """Draw standard-normal channels of `shape` until `solver` accepts one.
+
+    `solver(h, power)` is `zf_precode` or `ia_beamformers`. A draw it
+    rejects with SingularChannelError (AlignmentDegeneracyError included)
+    is replaced by the next draw from the same generator; returns the
+    accepted draw and the solver's output.
+    """
     for _ in range(MAX_RESAMPLES + 1):
-        h = rng.standard_normal((k, m))
+        h = rng.standard_normal(shape)
         try:
-            w = zf_precode(h, power)
+            return h, solver(h, power)
         except SingularChannelError:
             continue
-        return h, w
     raise SingularChannelError(
-        f"no full-rank channel after {MAX_RESAMPLES} resamples (RNG misuse?)"
+        f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
+        "(RNG misuse?)"
     )
 
 
-def _ia_solve(rng: np.random.Generator, power: float):
-    for _ in range(MAX_RESAMPLES + 1):
-        h_slots = rng.standard_normal((EXTENSION_SLOTS, 2, 2))
-        try:
-            sol = ia_beamformers(h_slots, power)
-        except SingularChannelError:
-            continue
-        return h_slots, sol
-    raise SingularChannelError(
-        f"no usable extension channel after {MAX_RESAMPLES} resamples"
-    )
+def run_trial(config: SystemConfig, allocation: CacheAllocation,
+              scheme: Scheme, demand: DemandVector, snr_db: float,
+              seed: int, *, assignment: DeliveryAssignment | None = None,
+              ) -> TrialResult:
+    """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
-
-def run_trial_detailed(config: SystemConfig, allocation: CacheAllocation,
-                       scheme: Scheme, demand: DemandVector, snr_db: float,
-                       seed: int, *, assignment: DeliveryAssignment | None = None,
-                       ) -> tuple[TrialResult, dict]:
-    """One Monte-Carlo trial; also returns per-scheme internals.
-
-    The details dict carries the channel draw(s), precoder or alignment
-    solution, per-EN ensemble transmit power and, for the alignment scheme,
-    the measured collinearity error, so tests and reports can audit the
-    power and alignment contracts trial by trial.
+    The result carries the trial's own margins, so callers can audit the
+    power and alignment contracts trial by trial: `peak_en_power` is the
+    largest per-EN ensemble transmit power the trial used (per slot for the
+    alignment scheme, the larger of the two phases for the hybrid), and
+    `alignment_error` is the worst collinearity error of the aligned
+    interference, None for schemes that align nothing.
 
     TDMA serves `assignment`, which must be `assignment_for_demand(
     allocation, demand)`; when it is None the trial builds it. The other
@@ -345,76 +340,40 @@ def run_trial_detailed(config: SystemConfig, allocation: CacheAllocation,
     k = config.num_users
     rng_main = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     rng_ext = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    details: dict = {}
+    peak_power, alignment_error = 0.0, None
 
-    if scheme is Scheme.ZERO_FORCING:
-        h, w = _zf_solve(config, rng_main, power)
-        rates = np.log2(1.0 + zf_sinrs(h, w))
-        sum_rate = float(rates.sum())
-        delta = k / sum_rate
-        per_user = tuple(float(r) for r in rates)
-        details.update(channel=h, precoder=w, per_en_power=zf_per_en_power(w))
-    elif scheme is Scheme.IA_XCHANNEL_2X2:
-        h_slots, sol = _ia_solve(rng_ext, power)
-        rates = ia_rates(sol)
-        sum_rate = float(rates.sum())
-        delta = k / sum_rate
-        per_user = tuple(float(r) for r in rates)
-        details.update(
-            slot_channels=h_slots,
-            ia_solution=sol,
-            per_en_power=ia_per_en_power(sol).max(axis=1),
-            alignment_error=ia_alignment_error(h_slots, sol),
-        )
-    elif scheme is Scheme.TDMA:
+    if scheme is Scheme.TDMA:
         h = rng_main.standard_normal((k, config.num_ens))
         if assignment is None:
             assignment = assignment_for_demand(allocation, demand)
-        delta, schedule = tdma_delivery(h, assignment, allocation.file_bits, power)
-        sum_rate = k / delta
-        per_user = tuple(sum_rate / k for _ in range(k))
-        details.update(
-            channel=h,
-            schedule=schedule,
-            per_en_power=np.full(config.num_ens, power),
-        )
-    elif scheme is Scheme.HYBRID_SHARE:
-        h, w = _zf_solve(config, rng_main, power)
-        h_slots, sol = _ia_solve(rng_ext, power)
-        zf_rate = float(np.log2(1.0 + zf_sinrs(h, w)).sum())
-        ia_rate = float(ia_rates(sol).sum())
+        delta = tdma_delivery(h, assignment, allocation.file_bits, power)
+        peak_power = power
+    if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
+        h, w = _solve_draw(rng_main, (k, config.num_ens), zf_precode, power)
+        rates = zf_user_rates = np.log2(1.0 + zf_sinrs(h, w))
+        peak_power = float(zf_per_en_power(w).max())
+    if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
+        h_slots, sol = _solve_draw(rng_ext, (EXTENSION_SLOTS, 2, 2),
+                                   ia_beamformers, power)
+        rates = ia_user_rates = ia_rates(sol)
+        peak_power = max(peak_power, float(ia_per_en_power(sol).max()))
+        alignment_error = ia_alignment_error(h_slots, sol)
+    if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
         # Time-shared delivery: split prefix over the X-channel, replicated
         # tail via cooperative ZF; delta adds the two phases' uses per bit.
-        delta = k * split_frac / ia_rate + k * (1.0 - split_frac) / zf_rate
+        delta = (k * split_frac / float(ia_user_rates.sum())
+                 + k * (1.0 - split_frac) / float(zf_user_rates.sum()))
+
+    if scheme in (Scheme.TDMA, Scheme.HYBRID_SHARE):
         sum_rate = k / delta
-        per_user = tuple(sum_rate / k for _ in range(k))
-        details.update(
-            channel=h,
-            precoder=w,
-            slot_channels=h_slots,
-            ia_solution=sol,
-            split_fraction=split_frac,
-            sub_rates={"zf": zf_rate, "ia": ia_rate},
-            per_en_power=np.maximum(
-                zf_per_en_power(w), ia_per_en_power(sol).max(axis=1)
-            ),
-            alignment_error=ia_alignment_error(h_slots, sol),
-        )
-    else:  # pragma: no cover - exhaustive over Scheme
-        raise UnsupportedError(f"unknown scheme {scheme!r}")
-
-    result = TrialResult(scheme, float(snr_db), sum_rate, per_user,
-                         float(delta), seed)
-    return result, details
-
-
-def run_trial(config: SystemConfig, allocation: CacheAllocation,
-              scheme: Scheme, demand: DemandVector, snr_db: float,
-              seed: int, *, assignment: DeliveryAssignment | None = None,
-              ) -> TrialResult:
-    return run_trial_detailed(config, allocation, scheme, demand, snr_db, seed,
-                              assignment=assignment)[0]
+        per_user = (sum_rate / k,) * k
+    else:
+        sum_rate = float(rates.sum())
+        delta = k / sum_rate
+        per_user = tuple(float(r) for r in rates)
+    return TrialResult(scheme, float(snr_db), sum_rate, per_user,
+                       float(delta), seed, peak_power, alignment_error)
 
 
 def trial_seed(master_seed: int, index: int) -> int:

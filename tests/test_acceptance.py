@@ -40,8 +40,7 @@ from edgecache.phy import (
     Scheme,
     estimate_ndt,
     run_campaign,
-    run_trial_detailed,
-    trial_seed,
+    snr_db_to_power,
 )
 
 F = Fraction
@@ -147,14 +146,10 @@ def test_zero_forcing_achievability():
     trials = run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID,
                           TRIALS, MASTER_SEED)
     est = estimate_ndt(trials)
-    power_ok = True
-    for si, snr in enumerate(SNR_GRID):
-        power = 10 ** (snr / 10)
-        for ti in range(TRIALS):
-            seed = trial_seed(MASTER_SEED, si * TRIALS + ti)
-            _, det = run_trial_detailed(cfg, alloc, Scheme.ZERO_FORCING,
-                                        dem, snr, seed)
-            power_ok = power_ok and det["per_en_power"].max() <= power * (1 + 1e-6)
+    power_ok = all(
+        t.peak_en_power <= snr_db_to_power(t.snr_db) * (1 + 1e-6)
+        for t in trials
+    )
     ok = 0.95 <= est.ndt_estimate <= 1.08 and power_ok
     report("ZF achievability", ok, time.monotonic() - t0, 30.0,
            f"ndt estimate {est.ndt_estimate:.4f} in [0.95, 1.08], power kept")
@@ -167,13 +162,7 @@ def test_ia_achievability():
                           TRIALS, MASTER_SEED)
     est = estimate_ndt(trials)
     target = 4.0 / 3.0
-    worst_alignment = 0.0
-    for si, snr in enumerate(SNR_GRID):
-        for ti in range(TRIALS):
-            seed = trial_seed(MASTER_SEED, si * TRIALS + ti)
-            _, det = run_trial_detailed(cfg, alloc, Scheme.IA_XCHANNEL_2X2,
-                                        dem, snr, seed)
-            worst_alignment = max(worst_alignment, det["alignment_error"])
+    worst_alignment = max(t.alignment_error for t in trials)
     ok = (target * 0.92 <= est.dof_estimate <= target * 1.08
           and worst_alignment < 1e-10)
     report("IA achievability", ok, time.monotonic() - t0, 60.0,

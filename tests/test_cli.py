@@ -288,6 +288,22 @@ class TestVerifyConverseCommand:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--tol-reconstruction", "--tol-logdet",
+                                      "--tol-noise-cov"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "0",
+                                       "tight"])
+    def test_bad_tolerance_rejected_before_any_trial(self, tmp_path,
+                                                     monkeypatch, flag, value):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran with a rejected tolerance")
+
+        monkeypatch.setattr("edgecache.cli.verify_converse", no_trials)
+        # `=` so that argparse reads "-1e-9" as a value, not as a flag
+        code = main(["verify-converse", "--m", "2", "--k", "2", "--seed", "0",
+                     f"{flag}={value}", "--out", str(tmp_path / "v.json")])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_schema_is_pinned(self, tmp_path):
         """The report's exact key sets, at the top, per check and per tolerance.
 
@@ -314,6 +330,21 @@ class TestVerifyConverseCommand:
 
 
 class TestMain:
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["bounds"],
+        ["simulate", "--mu", "1", "--scheme", "zf", "--trials", "50",
+         "--seed", "0"],
+        ["verify-converse", "--trials", "50", "--seed", "0"],
+    ])
+    def test_non_positive_library_size_is_usage_error(self, tmp_path,
+                                                      command, n):
+        # only an omitted --n defaults to K; an explicit one is validated
+        code = main([*command, "--m", "2", "--k", "2", "--n", n,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path,
                                                        monkeypatch):
         def broken(*args, **kwargs):

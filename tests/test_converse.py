@@ -1,6 +1,7 @@
 """Tests for the numerical verification of the converse identities."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,9 @@ class TestNoiseCovariance:
         cut = build_submatrices(h, 1)
         assert noise_cov_check(cut, 1000, seed=0) == 0.0
         np.testing.assert_array_equal(folded_channel(cut), np.zeros((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by Ht's zero norm
+            assert noise_cov_check(cut, 1000, seed=0, normalized=True) == 0.0
 
     def test_normalized_mode_bounds_scale(self):
         h = np.random.default_rng(24).standard_normal((4, 2))

@@ -22,6 +22,7 @@ from edgecache.errors import (
 from edgecache.model import DemandVector, FileLibrary, validate_config
 from edgecache.phy import (
     EXTENSION_SLOTS,
+    MAX_RESAMPLES,
     Scheme,
     TrialResult,
     awgn_channel,
@@ -33,13 +34,14 @@ from edgecache.phy import (
     ia_xchannel_2x2,
     run_campaign,
     run_trial,
-    run_trial_detailed,
+    snr_db_to_power,
     tdma_delivery,
     trial_seed,
     zf_per_en_power,
     zf_precode,
     zf_sinrs,
 )
+from edgecache.phy import _solve_draw
 
 F = Fraction
 SNR_GRID = [20.0, 30.0, 40.0, 50.0, 60.0]
@@ -61,6 +63,20 @@ def setup_scheme(scheme, mu=None, m=2, k=2, n=2, l=1200, seed=1):
     else:
         alloc = shared_placement(lib, cfg)
     return cfg, alloc, DemandVector.worst_case(cfg)
+
+
+def zf_draw(seed, power):
+    """A 2x2 trial's first (seed, 0) draw and its zero-forcing precoder."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    h = rng.standard_normal((2, 2))
+    return h, zf_precode(h, power)
+
+
+def extension_draw(seed, power):
+    """A trial's first (seed, 1) slot draw and its alignment solution."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    h_slots = rng.standard_normal((EXTENSION_SLOTS, 2, 2))
+    return h_slots, ia_beamformers(h_slots, power)
 
 
 class TestZeroForcing:
@@ -230,11 +246,12 @@ class TestTdma:
         cfg, alloc, _ = setup_scheme(Scheme.TDMA, m=2, k=1, n=1, mu=F(1, 2))
         assignment = assignment_for_demand(alloc, DemandVector((1,)))
         h = np.array([[2.0, 0.5]])
-        delta, schedule = tdma_delivery(h, assignment, cfg.file_bits, power=100.0)
+        delta = tdma_delivery(h, assignment, cfg.file_bits, power=100.0)
         r1 = math.log2(1 + 4.0 * 100)
         r2 = math.log2(1 + 0.25 * 100)
         assert delta == pytest.approx(0.5 / r1 + 0.5 / r2)
-        assert len(schedule) == 2
+        # one transmission per EN, each over its own link
+        assert [en for _, en in assignment.fragments_for_user(1)] == [1, 2]
 
     def test_single_user_ndt_approaches_baseline(self):
         # one user on a dedicated link is the ideal reference system
@@ -250,8 +267,8 @@ class TestTdma:
         h4 = np.vstack([h2, h2])
         a2 = assignment_for_demand(alloc2, DemandVector((1, 2)))
         a4 = assignment_for_demand(alloc4, DemandVector((1, 2, 1, 2)))
-        d2, _ = tdma_delivery(h2, a2, cfg2.file_bits, power=50.0)
-        d4, _ = tdma_delivery(h4, a4, cfg4.file_bits, power=50.0)
+        d2 = tdma_delivery(h2, a2, cfg2.file_bits, power=50.0)
+        d4 = tdma_delivery(h4, a4, cfg4.file_bits, power=50.0)
         assert d4 == pytest.approx(2 * d2)
 
     def test_dead_link_raises(self):
@@ -294,10 +311,11 @@ class TestRunTrial:
         # sum rate must be at least 0.9 * 2*log2(1 + P*g) for the post-ZF
         # gain g realized by the constructed precoder
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
-        result, details = run_trial_detailed(
-            cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0, seed=5
-        )
-        g = np.diag(details["channel"] @ details["precoder"]).min() ** 2 / 1e4
+        result = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0, seed=5)
+        h, w = zf_draw(5, 1e4)
+        assert result.achieved_sum_rate == float(
+            np.log2(1.0 + zf_sinrs(h, w)).sum())
+        g = np.diag(h @ w).min() ** 2 / 1e4
         oracle = 2 * math.log2(1 + 1e4 * g)
         assert result.achieved_sum_rate >= 0.9 * oracle
 
@@ -320,10 +338,80 @@ class TestRunTrial:
         for snr in (20.0, 40.0):
             power = 10 ** (snr / 10)
             for idx in range(25):
-                _, details = run_trial_detailed(
-                    cfg, alloc, scheme, dem, snr, trial_seed(31, idx)
-                )
-                assert details["per_en_power"].max() <= power * (1 + 1e-6)
+                result = run_trial(cfg, alloc, scheme, dem, snr,
+                                   trial_seed(31, idx))
+                assert result.peak_en_power <= power * (1 + 1e-6)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_margins_match_helpers_on_own_draws(self, scheme):
+        # the margins must come from the very draws the trial's rates use:
+        # the (seed, 0) substream for ZF, TDMA and the hybrid's tail, the
+        # (seed, 1) substream for the alignment extension
+        cfg, alloc, dem = setup_scheme(scheme)
+        for snr in (20.0, 40.0, 60.0):
+            power = snr_db_to_power(snr)
+            for seed in (0, 7, trial_seed(3, 11)):
+                result = run_trial(cfg, alloc, scheme, dem, snr, seed)
+                peaks, alignment = [], None
+                if scheme is Scheme.TDMA:
+                    peaks.append(power)
+                if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
+                    _, w = zf_draw(seed, power)
+                    peaks.append(float(zf_per_en_power(w).max()))
+                if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
+                    h_slots, sol = extension_draw(seed, power)
+                    peaks.append(float(ia_per_en_power(sol).max()))
+                    alignment = ia_alignment_error(h_slots, sol)
+                assert result.peak_en_power == max(peaks)
+                assert result.alignment_error == alignment
+                if alignment is not None:
+                    assert alignment < 1e-10
+
+
+class TestSolveDraw:
+    """The one redraw loop every trial's channel draws go through."""
+
+    @staticmethod
+    def failing(times, error=SingularChannelError):
+        calls = []
+
+        def solver(h, power):
+            calls.append(h)
+            if len(calls) <= times:
+                raise error("rejected draw")
+            return power
+
+        return solver, calls
+
+    @pytest.mark.parametrize("error", [SingularChannelError,
+                                       AlignmentDegeneracyError])
+    @pytest.mark.parametrize("times", [0, 1, 3, MAX_RESAMPLES])
+    def test_redraws_with_the_rng_of_n_plus_one_draws(self, times, error):
+        solver, calls = self.failing(times, error)
+        rng = np.random.default_rng(17)
+        h, out = _solve_draw(rng, (3, 2, 2), solver, 9.0)
+        reference = np.random.default_rng(17)
+        draws = [reference.standard_normal((3, 2, 2))
+                 for _ in range(times + 1)]
+        assert out == 9.0
+        assert len(calls) == times + 1
+        np.testing.assert_array_equal(h, draws[-1])
+        for seen, drawn in zip(calls, draws):
+            np.testing.assert_array_equal(seen, drawn)
+        # the generator is left where n + 1 draws leave it
+        assert rng.standard_normal() == reference.standard_normal()
+
+    def test_gives_up_after_max_resamples(self):
+        solver, calls = self.failing(MAX_RESAMPLES + 1)
+        with pytest.raises(SingularChannelError, match="resamples"):
+            _solve_draw(np.random.default_rng(0), (2, 2), solver, 1.0)
+        assert len(calls) == MAX_RESAMPLES + 1
+
+    def test_other_errors_propagate_without_redraw(self):
+        solver, calls = self.failing(1, ArgumentError)
+        with pytest.raises(ArgumentError):
+            _solve_draw(np.random.default_rng(0), (2, 2), solver, 1.0)
+        assert len(calls) == 1
 
 
 class TestCampaign:
@@ -384,7 +472,9 @@ class TestEstimateNdt:
             rate = rate_fn(10 ** (snr / 10))
             trials.extend(
                 TrialResult(Scheme.ZERO_FORCING, snr, rate,
-                            (rate / k,) * k, k / rate, seed=i)
+                            (rate / k,) * k, k / rate, seed=i,
+                            peak_en_power=10 ** (snr / 10),
+                            alignment_error=None)
                 for i in range(per_point)
             )
         return trials
