@@ -15,8 +15,8 @@ cache/time-sharing convex envelope.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ArgumentError, EmptyInputError, RangeError, UnsupportedError
@@ -62,56 +62,57 @@ class CsiMode(enum.Enum):
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Piecewise-linear NDT curve given by breakpoints increasing in mu."""
+    """Piecewise-linear NDT curve given by breakpoints increasing in mu.
+
+    `ells[i]` is the converse cut that segment i follows (a one-point curve
+    is one flat segment); envelopes leave `ells` empty.
+    """
 
     points: tuple[NdtPoint, ...]
-    kind: str  # "lower" | "upper"
+    ells: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("lower", "upper"):
-            raise ArgumentError(f"kind must be 'lower' or 'upper', got {self.kind!r}")
         if not self.points:
             raise EmptyInputError("a curve needs at least one breakpoint")
-        mus = [p.mu for p in self.points]
-        if any(b <= a for a, b in zip(mus, mus[1:])):
+        if any(q.mu <= p.mu for p, q in zip(self.points, self.points[1:])):
             raise ArgumentError("breakpoints must be strictly increasing in mu")
-        slopes = [
-            (q.ndt - p.ndt) / (q.mu - p.mu)
-            for p, q in zip(self.points, self.points[1:])
-        ]
+        slopes = self._slopes
+        if self.ells and len(self.ells) != len(slopes):
+            raise ArgumentError(f"need {len(slopes)} ells, got {len(self.ells)}")
         if any(s > 0 for s in slopes):
             raise ArgumentError("curve must be non-increasing in mu")
         if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
             raise ArgumentError("curve must be convex in mu")
 
-    @property
-    def mu_min(self) -> Fraction:
-        return self.points[0].mu
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        pts = self.points
+        return tuple(
+            (q.ndt - p.ndt) / (q.mu - p.mu) for p, q in zip(pts, pts[1:])
+        ) or (Fraction(0),)
 
-    @property
-    def mu_max(self) -> Fraction:
-        return self.points[-1].mu
+    def _walk(self, grid: list[Fraction]) -> list[tuple[Fraction, int]]:
+        """(value, segment index) at each mu of a sorted grid, in one pass.
+
+        Only the grid's ends are checked against the span. A breakpoint
+        belongs to the segment on its left: its smallest maximizing cut.
+        """
+        pts, slopes = self.points, self._slopes
+        lo, hi = pts[0].mu, pts[-1].mu
+        for mu in grid[:1] + grid[-1:]:
+            if not lo <= mu <= hi:
+                raise RangeError(f"mu {mu} outside curve span [{lo}, {hi}]")
+        intercepts = [p.ndt - slope * p.mu for p, slope in zip(pts, slopes)]
+        walked, i, last = [], 0, len(slopes) - 1
+        for mu in grid:
+            while i < last and mu > pts[i + 1].mu:
+                i += 1
+            walked.append((intercepts[i] + slopes[i] * mu, i))
+        return walked
 
     def value_at(self, mu) -> Fraction:
-        """Exact chord interpolation between the bracketing breakpoints."""
-        mu = as_fraction(mu)
-        if not self.mu_min <= mu <= self.mu_max:
-            raise RangeError(
-                f"mu {mu} outside curve span [{self.mu_min}, {self.mu_max}]"
-            )
-        idx = bisect_right(self.points, mu, key=lambda p: p.mu) - 1
-        if idx == len(self.points) - 1:
-            return self.points[-1].ndt
-        p, q = self.points[idx], self.points[idx + 1]
-        alpha = (q.mu - mu) / (q.mu - p.mu)
-        return alpha * p.ndt + (1 - alpha) * q.ndt
-
-
-def _check_mu_range(config: SystemConfig, mu: Fraction) -> None:
-    if not Fraction(1, config.num_ens) <= mu <= 1:
-        raise RangeError(
-            f"mu {mu} outside feasible range [1/{config.num_ens}, 1]"
-        )
+        """Exact value at one mu of the curve's span."""
+        return self._walk([as_fraction(mu)])[0][0]
 
 
 def ndt_lower_bound_at(config: SystemConfig, mu, ell: int) -> Fraction:
@@ -120,7 +121,8 @@ def ndt_lower_bound_at(config: SystemConfig, mu, ell: int) -> Fraction:
     if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
         raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
     mu = as_fraction(mu)
-    _check_mu_range(config, mu)
+    if not Fraction(1, m) <= mu <= 1:
+        raise RangeError(f"mu {mu} outside feasible range [1/{m}, 1]")
     return Fraction(k - max(m - ell, 0) * max(k - ell, 0) * mu, ell)
 
 
@@ -188,38 +190,32 @@ def convex_envelope(points) -> TradeoffCurve:
     lowest survives; collinear interior points are dropped so the breakpoint
     list is canonical (invariant to input order and duplication).
     """
-    by_mu: dict[Fraction, NdtPoint] = {}
-    for p in points:
-        kept = by_mu.get(p.mu)
-        if kept is None or p.ndt < kept.ndt:
-            by_mu[p.mu] = p
-    if not by_mu:
-        raise EmptyInputError("convex_envelope needs at least one point")
-    ordered = [by_mu[mu] for mu in sorted(by_mu)]
     hull: list[NdtPoint] = []
-    for p in ordered:
+    for p in sorted(points, key=lambda p: (p.mu, p.ndt)):
+        if hull and hull[-1].mu == p.mu:
+            continue  # the lowest point at this mu came first
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    return TradeoffCurve(tuple(hull), "upper")
+    if not hull:
+        raise EmptyInputError("convex_envelope needs at least one point")
+    return TradeoffCurve(tuple(hull))
 
 
 def _cross(o: NdtPoint, a: NdtPoint, b: NdtPoint) -> Fraction:
     return (a.mu - o.mu) * (b.ndt - o.ndt) - (a.ndt - o.ndt) * (b.mu - o.mu)
 
 
-def _converse_hull(config: SystemConfig):
-    """Upper envelope of the cut lines on [1/M, 1], as (lines, breaks).
+def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
+    """The exact converse over [1/M, 1]: the upper envelope of the cut lines.
 
-    lines[i] = (ell, intercept, slope) is the converse from breaks[i-1] to
-    breaks[i]. Slopes rise strictly with ell, so one stack pass (the
-    convex-hull trick) is O(min(M, K)); dropping the middle of three
-    concurrent lines keeps the smallest maximizing ell left of each break.
-    Every break lies in (1/M, 1]: ell = 1 alone is maximal at 1/M, and the
-    flat line ell = min(M, K) is maximal at 1.
+    Slopes rise strictly with ell, so one stack pass (the convex-hull trick)
+    is O(min(M, K)); dropping the middle of three concurrent lines keeps the
+    smallest maximizing ell left of each break. ell = 1 alone is maximal at
+    1/M; a line that only touches at mu = 1 (the flat ell = M = K) is cut.
     """
     m, k = config.num_ens, config.num_users
-    lines: list[tuple[int, Fraction, Fraction]] = []
+    lines: list[tuple[int, Fraction, Fraction]] = []  # (ell, intercept, slope)
     breaks: list[Fraction] = []
     for ell in range(1, min(m, k) + 1):
         intercept, slope = Fraction(k, ell), Fraction(-(m - ell) * (k - ell), ell)
@@ -232,22 +228,12 @@ def _converse_hull(config: SystemConfig):
         if lines:
             breaks.append(overtake)
         lines.append((ell, intercept, slope))
-    return lines, breaks
-
-
-def _hull_at(hull, mu: Fraction) -> tuple[Fraction, int]:
-    """Converse value at mu and the smallest maximizing ell, from the hull."""
-    lines, breaks = hull
-    ell, intercept, slope = lines[bisect_left(breaks, mu)]
-    return intercept + slope * mu, ell
-
-
-def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
-    """The exact converse as a piecewise-linear curve over [1/M, 1]."""
-    hull = _converse_hull(config)
-    mus = sorted({Fraction(1, config.num_ens), *hull[1], Fraction(1)})
-    points = [NdtPoint(mu, _hull_at(hull, mu)[0], "lower-bound") for mu in mus]
-    return TradeoffCurve(tuple(points), "lower")
+    if breaks and breaks[-1] == 1:
+        del lines[-1], breaks[-1]
+    mus = sorted({Fraction(1, m), *breaks, Fraction(1)})
+    points = [NdtPoint(mu, intercept + slope * mu, "lower-bound")
+              for mu, (_, intercept, slope) in zip(mus, [lines[0], *lines])]
+    return TradeoffCurve(tuple(points), tuple(ell for ell, _, _ in lines))
 
 
 @dataclass(frozen=True)
@@ -294,19 +280,17 @@ def tradeoff_sweep(config: SystemConfig, mu_grid,
     grid = [as_fraction(mu) for mu in mu_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ArgumentError("mu_grid must be sorted and duplicate-free")
-    envelope = convex_envelope(achievable_points(config, csi_mode))
-    for mu in grid[:1] + grid[-1:]:  # the grid is sorted: its ends bound it
-        _check_mu_range(config, mu)
-    hull = _converse_hull(config)
+    # the envelope spans the feasible range [1/M, 1]: its walk checks the grid
+    uppers = convex_envelope(achievable_points(config, csi_mode))._walk(grid)
+    if csi_mode is not CsiMode.PERFECT:
+        rows = [TradeoffRow(mu, None, None, upper, None, None)
+                for mu, (upper, _) in zip(grid, uppers)]
+        return TradeoffTable(config, csi_mode, tuple(rows))
+    converse = lower_bound_curve(config)
     rows = []
-    for mu in grid:
-        upper = envelope.value_at(mu)
-        if csi_mode is CsiMode.PERFECT:
-            lower, ell_star = _hull_at(hull, mu)
-            gap = upper - lower
-            rows.append(TradeoffRow(mu, lower, ell_star, upper, gap, gap == 0))
-        else:
-            rows.append(TradeoffRow(mu, None, None, upper, None, None))
+    for mu, (upper, _), (lower, seg) in zip(grid, uppers, converse._walk(grid)):
+        gap = upper - lower
+        rows.append(TradeoffRow(mu, lower, converse.ells[seg], upper, gap, gap == 0))
     return TradeoffTable(config, csi_mode, tuple(rows))
 
 
@@ -323,13 +307,12 @@ def optimality_regions(config: SystemConfig) -> list[tuple[Fraction, Fraction]]:
     candidates = sorted({p.mu for p in envelope.points + converse.points})
     regions: list[tuple[Fraction, Fraction]] = []
     touching = False
-    for mu in candidates:
-        gap = envelope.value_at(mu) - converse.value_at(mu)
-        if gap < 0:
+    for row in tradeoff_sweep(config, candidates).rows:
+        if row.gap < 0:
             raise ArgumentError(
-                f"achievable envelope below converse at mu={mu}: gap {gap}"
+                f"achievable envelope below converse at mu={row.mu}: gap {row.gap}"
             )
-        if gap == 0:  # extend the region ending at the previous mu, or open one
-            regions.append((regions.pop()[0] if touching else mu, mu))
-        touching = gap == 0
+        if row.tight:  # extend the region ending at the previous mu, or open one
+            regions.append((regions.pop()[0] if touching else row.mu, row.mu))
+        touching = row.tight
     return regions

@@ -56,6 +56,7 @@ from .model import DemandVector, FileLibrary, as_fraction, validate_config
 from .phy import (
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
+    MAX_SNR_DB,
     MIN_SNR_POINTS,
     MIN_SNR_SPAN_DB,
     MIN_TRIALS_PER_SNR,
@@ -99,10 +100,15 @@ def _write_manifest(out: Path, argv: list[str], config, master_seed,
 def replay_manifest(manifest_path, out_path) -> int:
     """Re-run the command recorded in a manifest with a new output path."""
     data = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    argv = list(data["command"])
-    if "--out" not in argv:
+    out_flags = ("--out", "--ou", "--o")  # argparse also reads these prefixes
+    argv = []
+    for arg in data["command"]:  # split a `--out=PATH` into flag and value
+        argv += arg.split("=", 1) if arg.split("=")[0] in out_flags else [arg]
+    outs = [i for i, arg in enumerate(argv) if arg in out_flags]
+    if not outs:
         raise ArgumentError("manifest command has no --out argument")
-    argv[argv.index("--out") + 1] = str(out_path)
+    for i in outs:
+        argv[i + 1] = str(out_path)
     return main(argv)
 
 
@@ -200,9 +206,10 @@ def _snr_grid(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a list of numbers: {text!r}") from None
-    bad = [s for s in grid if not math.isfinite(s)]
+    bad = [s for s in grid if not (math.isfinite(s) and s <= MAX_SNR_DB)]
     if bad:
-        raise argparse.ArgumentTypeError(f"non-finite SNR values {bad}")
+        raise argparse.ArgumentTypeError(
+            f"SNR values {bad} must be finite and at most {MAX_SNR_DB:g} dB")
     dupes = sorted({s for s in grid if grid.count(s) > 1})
     if dupes:
         raise argparse.ArgumentTypeError(f"duplicate SNR values {dupes}")

@@ -6,12 +6,12 @@ deliberately not simulated since the delivery-time metric is a high-SNR
 rate-slope object. The Monte-Carlo averaging is over channel draws, and the
 empirical NDT is the ratio K / slope of mean sum-rate against log2(P).
 
-Every trial owns two independent RNG substreams derived from its seed: one
-for the full-interval channel draw (zero-forcing, TDMA and the replicated
-part of the hybrid) and one for the slot-varying 3-symbol extension used by
-the X-channel alignment scheme. Trials with the same seed therefore see the
-same channels regardless of the scheme, which pairs corner-scheme and
-hybrid campaigns for sharp time-sharing comparisons.
+Every trial owns two independent RNG substreams derived from its seed:
+(seed, 0) for the full-interval channel draw (zero-forcing, TDMA and the
+replicated part of the hybrid), (seed, 1) for the alignment scheme's
+slot-varying 3-symbol extension; a trial builds only those it draws from.
+Trials with the same seed thus see the same channels whatever the scheme,
+pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -44,6 +44,7 @@ DEFAULT_TRIALS_PER_SNR = 200
 MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
 MIN_SNR_POINTS = 3  # distinct SNR points the slope fit needs
 MIN_SNR_SPAN_DB = 20.0  # and the span they must cover
+MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
 
 
 class Scheme(enum.Enum):
@@ -296,6 +297,16 @@ def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
             )
 
 
+def _substream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def _live(rates: np.ndarray) -> np.ndarray:
+    if rates.sum() <= 0.0:
+        raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
+    return rates
+
+
 def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...], solver,
                 power: float):
     """Draw standard-normal channels of `shape` until `solver` accepts one.
@@ -338,24 +349,22 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     demand.validate(config)
     power = snr_db_to_power(snr_db)
     k = config.num_users
-    rng_main = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    rng_ext = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     peak_power, alignment_error = 0.0, None
 
     if scheme is Scheme.TDMA:
-        h = rng_main.standard_normal((k, config.num_ens))
+        h = _substream(seed, 0).standard_normal((k, config.num_ens))
         if assignment is None:
             assignment = assignment_for_demand(allocation, demand)
         delta = tdma_delivery(h, assignment, allocation.file_bits, power)
         peak_power = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
-        h, w = _solve_draw(rng_main, (k, config.num_ens), zf_precode, power)
-        rates = zf_user_rates = np.log2(1.0 + zf_sinrs(h, w))
+        h, w = _solve_draw(_substream(seed, 0), (k, config.num_ens), zf_precode, power)
+        rates = zf_user_rates = _live(np.log2(1.0 + zf_sinrs(h, w)))
         peak_power = float(zf_per_en_power(w).max())
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots, sol = _solve_draw(rng_ext, (EXTENSION_SLOTS, 2, 2),
+        h_slots, sol = _solve_draw(_substream(seed, 1), (EXTENSION_SLOTS, 2, 2),
                                    ia_beamformers, power)
-        rates = ia_user_rates = ia_rates(sol)
+        rates = ia_user_rates = _live(ia_rates(sol))
         peak_power = max(peak_power, float(ia_per_en_power(sol).max()))
         alignment_error = ia_alignment_error(h_slots, sol)
     if scheme is Scheme.HYBRID_SHARE:

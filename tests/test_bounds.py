@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from edgecache.bounds import (
     CsiMode,
     NdtPoint,
+    TradeoffCurve,
     achievable_points,
     convex_envelope,
     corner_point_xchannel,
@@ -46,6 +48,18 @@ def cut_line_meets(m, k):
     meets = {(a1 - a2) / (s2 - s1)
              for (a1, s1), (a2, s2) in itertools.combinations(lines, 2)}
     return {mu for mu in meets if F(1, m) <= mu <= 1}
+
+
+def chord_value(curve, mu):
+    """Reference evaluation: bisect for the bracketing breakpoints, then
+    interpolate along their chord."""
+    points = curve.points
+    idx = bisect_right(points, mu, key=lambda p: p.mu) - 1
+    if idx == len(points) - 1:
+        return points[-1].ndt
+    p, q = points[idx], points[idx + 1]
+    alpha = (q.mu - mu) / (q.mu - p.mu)
+    return alpha * p.ndt + (1 - alpha) * q.ndt
 
 
 @st.composite
@@ -209,6 +223,15 @@ class TestConvexEnvelope:
         with pytest.raises(EmptyInputError):
             convex_envelope([])
 
+    def test_lowest_point_at_a_shared_mu_survives(self):
+        first = NdtPoint(F(1, 2), F(3, 2))
+        twin = NdtPoint(F(1, 2), F(3, 2), "zf-corner")
+        for pts in ([NdtPoint(F(1, 2), F(2)), first, twin, NdtPoint(F(1), F(1))],
+                    [NdtPoint(F(1), F(1)), first, NdtPoint(F(1, 2), F(2)), twin]):
+            env = convex_envelope(pts)
+            # of equal points the first one given is kept, provenance included
+            assert env.points == (first, NdtPoint(F(1), F(1)))
+
     def test_exact_arithmetic_on_2x2_line(self):
         env = convex_envelope(achievable_points(cfg(2, 2)))
         rng = random.Random(23)
@@ -249,9 +272,26 @@ class TestSweepAndRegions:
             assert row.gap is None
             assert row.upper == F(2)
 
+    @pytest.mark.parametrize("mode", list(CsiMode))
+    @pytest.mark.parametrize("grid", [[F(1, 4), F(1)], [F(1, 2), F(3, 2)],
+                                      [F(0)], [F(1, 2), F(3, 4), F(1), F(2)]])
+    def test_grid_outside_feasible_range_rejected(self, mode, grid):
+        with pytest.raises(RangeError):
+            tradeoff_sweep(cfg(2, 2), grid, mode)
+
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ArgumentError):
             tradeoff_sweep(cfg(2, 2), [F(1), F(1, 2)])
+
+    @pytest.mark.parametrize("m,step,expect", [
+        (2, F(1, 3), [F(1, 2), F(5, 6), F(1)]),
+        (2, F(1, 2), [F(1, 2), F(1)]),
+        (2, F(2), [F(1, 2), F(1)]),
+        (3, F(1, 4), [F(1, 3), F(7, 12), F(5, 6), F(1)]),
+        (1, F(1, 7), [F(1)]),
+    ])
+    def test_grid_steps_from_one_over_m_and_ends_at_one(self, m, step, expect):
+        assert default_mu_grid(cfg(m, 2), step) == expect
 
     def test_default_grid_hits_breakpoints(self):
         grid = default_mu_grid(cfg(3, 3))
@@ -323,10 +363,37 @@ class TestCurveProperties:
         m, k, grid = case
         c = cfg(m, k)
         curve = lower_bound_curve(c)
+        envelope = convex_envelope(achievable_points(c))
         assert {p.mu for p in curve.points} <= set(grid)
         for row in tradeoff_sweep(c, grid).rows:
             assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
-            assert curve.value_at(row.mu) == row.lower
+            assert curve.value_at(row.mu) == chord_value(curve, row.mu) == row.lower
+            assert row.upper == chord_value(envelope, row.mu)
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 4), (2, 2), (3, 3), (5, 3),
+                                     (12, 5)])
+    def test_converse_ells_follow_its_segments(self, m, k):
+        c = cfg(m, k)
+        curve = lower_bound_curve(c)
+        assert len(curve.ells) == max(len(curve.points) - 1, 1)
+        for i, ell in enumerate(curve.ells):
+            right = curve.points[min(i + 1, len(curve.points) - 1)]
+            # the segment's right end is where its cut is the smallest maximizer
+            assert ndt_lower_bound(c, right.mu) == (right.ndt, ell)
+
+    @pytest.mark.parametrize("ells", [(1,), (1, 2, 3), (1, 2, 3, 4)])
+    def test_curve_rejects_ells_of_wrong_length(self, ells):
+        points = (NdtPoint(F(1, 3), F(5, 3)), NdtPoint(F(2, 3), F(7, 6)),
+                  NdtPoint(F(1), F(1)))
+        assert TradeoffCurve(points, (1, 2)).ells == (1, 2)
+        with pytest.raises(ArgumentError):
+            TradeoffCurve(points, ells)
+
+    def test_one_point_curve_is_one_flat_segment(self):
+        point = (NdtPoint(F(1), F(2)),)
+        assert TradeoffCurve(point, (1,)).value_at(1) == 2
+        with pytest.raises(ArgumentError):
+            TradeoffCurve(point, (1, 1))
 
     def test_ndt_point_validation(self):
         with pytest.raises(ArgumentError):

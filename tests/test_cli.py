@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from edgecache.cli import (
     main,
     replay_manifest,
 )
+from edgecache.phy import MAX_SNR_DB
 
 F = Fraction
 
@@ -94,6 +96,67 @@ class TestBoundsCommand:
         assert doc["rows"][0]["mu"] == "1/2"
         assert doc["rows"][0]["tight"] is True
 
+    @pytest.mark.parametrize("args,csv_sha,json_sha,first_line", [
+        pytest.param(
+            ["--m", "30", "--k", "30", "--grid-step", "1/1800"],
+            "e3dea01d5b53dce7101a290086667d600d27e146f888c754960d6a40dd0d04cb",
+            "264bcc2ce71bb944355e5def2e0690e6a09d908e6be8a34e6f818657ab607121",
+            "tight regions (lower = upper): {1/30} u {1}", id="30x30"),
+        pytest.param(
+            ["--m", "2", "--k", "2"],
+            "f369deacfd8e92cc58ce2d642d72c11af712a88707dc27cf40a407812b97bf12",
+            "2bc466c378a10958c5e1aeb01a0dae55baed498585b92e3a000d74c24ac7d940",
+            "tight regions (lower = upper): [1/2, 1]", id="2x2-perfect"),
+        pytest.param(
+            ["--m", "2", "--k", "2", "--csi", "delayed"],
+            "babe1178d9f9c47d366e57808fb8c90268c72a205e8c94933d7553a57b36c6a7",
+            "ba9aa13cbecdf61909539d3db9fb96a2e33b93cc098b2ca97bc0b7ef09dff018",
+            "delayed CSI: achievability only, no converse emitted",
+            id="2x2-delayed"),
+        pytest.param(
+            ["--m", "2", "--k", "2", "--csi", "nocsi"],
+            "55f3246c2c48147a0dc557c7b10709880e2f68b293fc6c267eaa6875f29ae82a",
+            "840f371cfe8f952a526b0b3c899fc373e5dbaf5389e85a81fdad7b65c4795a71",
+            "nocsi CSI: achievability only, no converse emitted",
+            id="2x2-nocsi"),
+        pytest.param(
+            ["--m", "3", "--k", "3"],
+            "2c1661f903c49864d0ce4a13cbd6a36bedfed2a0389be2b82639fff34c13bf66",
+            "bccbb1c6495fd96c33f6dddf06439d80bc712005bbea172ab5d62742db04b6da",
+            "tight regions (lower = upper): {1/3} u [2/3, 1]", id="3x3"),
+        pytest.param(
+            ["--m", "2", "--k", "3"],
+            "5fb32efcda8109e7eefa9d99ee7f0a6f1b90f59589e473446a8ac5e7c936c8ea",
+            "80ae25c246db6d317e1d3a9330d9a0b570f40d6441ac379743dfc60a1696999c",
+            "tight regions (lower = upper): {1/2} u {1}", id="2x3"),
+        pytest.param(
+            ["--m", "1", "--k", "4"],
+            "6d14e7a5a2dbe1a2168aa1fc8f81face76d80ace2372966ccd15595b608eeec2",
+            "c3344791b2efadf17741f3d5ce7d70bb9c03a6eb64849d1e5bf0d8760f38add7",
+            "tight regions (lower = upper): {1}", id="1x4"),
+        pytest.param(
+            ["--m", "7", "--k", "1"],
+            "9d896785c2d4da935f8da476c6993b85425a2e0e9c1e0962338366583456979e",
+            "e3f8a0239d5912600616284bd6ef986a6d24482388d560ab23d71542d46a0885",
+            "tight regions (lower = upper): [1/7, 1]", id="7x1"),
+        pytest.param(  # a step that does not divide 1 - 1/M
+            ["--m", "12", "--k", "5", "--grid-step", "1/97"],
+            "42de7dcb60447a159ce9b1214a51793ce6940b0d21e322feda1a123fc8f0f80d",
+            "68033858f388295d145defdab6df786ce782861afec4cc5103da0d2635054320",
+            "tight regions (lower = upper): {1/12} u {1}", id="12x5"),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, args, csv_sha,
+                                     json_sha, first_line):
+        """The exact CSV and JSON bytes and the printed first line.
+
+        The 30x30 digests are the benchmark's `bounds-sweep` reference.
+        """
+        out = tmp_path / "b.csv"
+        assert main(["bounds", *args, "--json", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == first_line
+        assert digest(out) == csv_sha
+        assert digest(out.with_suffix(".json")) == json_sha
+
     def test_rational_round_trip_lossless(self, tmp_path):
         out = tmp_path / "b.csv"
         main(["bounds", "--m", "3", "--k", "3", "--out", str(out)])
@@ -132,6 +195,19 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "a.manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["config"]["frac_cache"] == "1"
+        replayed = tmp_path / "c.csv"
+        assert replay_manifest(tmp_path / "a.manifest.json", replayed) == EXIT_OK
+        assert digest(replayed) == manifest["output_digests"]["a.csv"]
+
+    @pytest.mark.parametrize("out_args", [
+        lambda out: [f"--out={out}"],
+        lambda out: ["--ou", out],   # argparse accepts unique prefixes
+        lambda out: [f"--o={out}"],
+    ], ids=["equals", "prefix", "prefix-equals"])
+    def test_manifest_replay_finds_other_out_spellings(self, tmp_path, out_args):
+        out = tmp_path / "a.csv"
+        assert main(self.ARGS + out_args(str(out))) == EXIT_OK
+        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
         replayed = tmp_path / "c.csv"
         assert replay_manifest(tmp_path / "a.manifest.json", replayed) == EXIT_OK
         assert digest(replayed) == manifest["output_digests"]["a.csv"]
@@ -199,6 +275,9 @@ class TestSimulateCommand:
         "20,,40",
         "20,40",        # two points: the slope fit needs three
         "20,25,30",     # spans 10 dB: the slope fit needs 20
+        "20,40,4000",   # the power overflows a float
+        "20,40,3080",   # finite power, but the SINRs overflow to NaN rates
+        "20,40,1500.5",  # just above MAX_SNR_DB
     ])
     def test_bad_snr_grid_rejected_before_any_trial(self, tmp_path,
                                                     monkeypatch, grid):
@@ -211,6 +290,28 @@ class TestSimulateCommand:
         code = main(self.ARGS + ["--snr-grid", grid, "--out", str(out)])
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme,mu", [("zf", "1"), ("ia", "1/2"),
+                                           ("hybrid", "3/4"), ("tdma", "1/2")])
+    def test_snr_at_the_limit_gives_finite_output(self, tmp_path, scheme, mu):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--m", "2", "--k", "2", "--mu", mu,
+                     "--scheme", scheme, "--trials", "50", "--seed", "0",
+                     f"--snr-grid=20,40,{MAX_SNR_DB}", "--out", str(out)])
+        assert code == EXIT_OK
+        for row in read_rows(out):
+            assert all(math.isfinite(float(row[col]))
+                       for col in ("mean_sum_rate", "mean_delta"))
+
+    @pytest.mark.parametrize("scheme,mu", [("zf", "1"), ("ia", "1/2"),
+                                           ("hybrid", "3/4"), ("tdma", "1/2")])
+    def test_zero_sum_rate_is_unsupported(self, tmp_path, scheme, mu):
+        # at -400 dB every log2(1 + SINR) rounds to 0: no bit gets through
+        code = main(["simulate", "--m", "2", "--k", "2", "--mu", mu,
+                     "--scheme", scheme, "--trials", "50", "--seed", "0",
+                     "--snr-grid=-400,20,40", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_UNSUPPORTED
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_rejected(self, tmp_path):
         # the later --seed overrides the valid one in ARGS

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edgecache import phy
 from edgecache.caching import (
     assignment_for_demand,
     full_placement,
@@ -366,6 +367,32 @@ class TestRunTrial:
                 assert result.alignment_error == alignment
                 if alignment is not None:
                     assert alignment < 1e-10
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_zero_sum_rate_is_a_singular_channel(self, scheme):
+        # at -400 dB every log2(1 + SINR) rounds to 0: no bit gets through
+        cfg, alloc, dem = setup_scheme(scheme)
+        with pytest.raises(SingularChannelError):
+            run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
+
+    @pytest.mark.parametrize("scheme,substreams", [
+        (Scheme.ZERO_FORCING, [0]),
+        (Scheme.TDMA, [0]),
+        (Scheme.IA_XCHANNEL_2X2, [1]),
+        (Scheme.HYBRID_SHARE, [0, 1]),
+    ])
+    def test_builds_only_the_substreams_it_draws_from(self, monkeypatch,
+                                                      scheme, substreams):
+        built, substream = [], phy._substream
+
+        def recording(seed, index):
+            built.append(index)
+            return substream(seed, index)
+
+        monkeypatch.setattr(phy, "_substream", recording)
+        cfg, alloc, dem = setup_scheme(scheme)
+        run_trial(cfg, alloc, scheme, dem, 40.0, seed=9)
+        assert built == substreams
 
 
 class TestSolveDraw:
