@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -137,7 +138,7 @@ def cmd_bounds(args, argv: list[str]) -> int:
     step = as_fraction(args.grid_step) if args.grid_step else None
     grid = default_mu_grid(config, step)
     table = tradeoff_sweep(config, grid, csi)
-    out = Path(args.out)
+    out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -250,6 +251,24 @@ def _trials(text: str) -> int:
     return trials
 
 
+def _out_path(text: str) -> Path:
+    """Parse --out: a file path the run will be able to write, or exit 2.
+
+    Missing parent directories are created when the output is written; the
+    nearest one that exists must be a writable directory.
+    """
+    out = Path(text)
+    if out.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = out.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: {str(parent)!r} is not a writable directory")
+    return out
+
+
 def _tolerance(text: str) -> float:
     """Parse a --tol-* flag: a finite positive float, so reports stay JSON."""
     tol = float(text)
@@ -271,7 +290,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
                           args.trials, args.seed)
     estimate = estimate_ndt(trials)
 
-    out = Path(args.out)
+    out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -356,7 +375,7 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
             "noise_cov_samples": rep.noise_cov_samples,
             "pass": ok,
         })
-    out = Path(args.out)
+    out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "num_ens": config.num_ens,
@@ -401,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="perfect")
     p_bounds.add_argument("--grid-step", default=None,
                           help="rational step p/q (default: 1/(12*M*K))")
-    p_bounds.add_argument("--out", required=True, help="output CSV path")
+    p_bounds.add_argument("--out", type=_out_path, required=True,
+                          help="output CSV path")
     p_bounds.add_argument("--json", action="store_true",
                           help="also write a JSON copy of the table")
     p_bounds.set_defaults(handler=cmd_bounds)
@@ -418,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials per SNR point")
     p_sim.add_argument("--seed", type=_seed, required=True,
                        help="master seed (required for reproducibility)")
-    p_sim.add_argument("--out", required=True, help="output CSV path")
+    p_sim.add_argument("--out", type=_out_path, required=True,
+                       help="output CSV path")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_ver = sub.add_parser("verify-converse", parents=[network],
@@ -433,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=LOGDET_ORACLE_TOL)
     p_ver.add_argument("--tol-noise-cov", type=_tolerance,
                        default=NOISE_COV_TOL)
-    p_ver.add_argument("--out", required=True, help="output JSON path")
+    p_ver.add_argument("--out", type=_out_path, required=True,
+                       help="output JSON path")
     p_ver.set_defaults(handler=cmd_verify_converse)
     return parser
 

@@ -13,6 +13,13 @@ slot-varying 3-symbol extension; a trial builds only those it draws from.
 Trials with the same seed thus see the same channels whatever the scheme,
 pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
+A campaign runs each SNR point as one array program: every trial's draws
+are stacked along a leading trial axis and the precoder, alignment, SINR
+and rate formulas run once on the stack. The formulas take that axis
+(`...`) and are the ones a single draw uses, and each trial still draws
+from its own substreams, so a campaign's results equal those of
+`run_trial`, the one-trial reference, bit for bit.
+
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
 interference direction and the receive basis is singular. The simulator
@@ -92,6 +99,11 @@ def awgn_channel(x: np.ndarray, h: np.ndarray, seed: int,
     return y + rng.standard_normal(y.shape)
 
 
+def _zf_accepts(h: np.ndarray) -> np.ndarray:
+    """Whether each K x M draw of `h` (..., K, M) has full row rank."""
+    return np.linalg.matrix_rank(h) >= h.shape[-2]
+
+
 def zf_precode(h: np.ndarray, power: float) -> np.ndarray:
     """Zero-forcing precoder for a K x M channel with M >= K.
 
@@ -103,24 +115,29 @@ def zf_precode(h: np.ndarray, power: float) -> np.ndarray:
     k, m = h.shape
     if m < k:
         raise ArgumentError(f"zero-forcing needs M >= K, got M={m}, K={k}")
-    if np.linalg.matrix_rank(h) < k:
+    if not _zf_accepts(h):
         raise SingularChannelError("channel matrix is row-rank deficient")
+    return _zf_weights(h, power)
+
+
+def _zf_weights(h: np.ndarray, power: float) -> np.ndarray:
+    """`zf_precode` of each accepted draw in a (..., K, M) stack, unchecked."""
     w0 = np.linalg.pinv(h)
-    per_en = (w0 ** 2).sum(axis=1)  # ensemble power per EN for unit symbols
-    return w0 * math.sqrt(power / per_en.max())
+    scale = np.sqrt(power / zf_per_en_power(w0).max(axis=-1))
+    return w0 * scale[..., None, None]
 
 
 def zf_sinrs(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Post-equalization SINR per user for precoder w (unit noise power)."""
     g = h @ w
-    desired = np.diag(g) ** 2
-    interference = (g ** 2).sum(axis=1) - desired
+    desired = np.diagonal(g, axis1=-2, axis2=-1) ** 2
+    interference = (g ** 2).sum(axis=-1) - desired
     return desired / (1.0 + interference)
 
 
 def zf_per_en_power(w: np.ndarray) -> np.ndarray:
     """Ensemble average transmit power per EN under unit-power symbols."""
-    return (w ** 2).sum(axis=1)
+    return (w ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,8 @@ class IaSolution:
     from EN2 | aligned interference direction] seen by user k+1 (amplitudes
     not included); amplitudes[m] is the symbol scaling of EN m+1 that meets
     its own per-slot power budget. The aligned interference direction is
-    all ones in every solution.
+    all ones in every solution. A campaign stacks solutions along leading
+    trial axes, which every field then carries in front of these shapes.
     """
 
     beams: np.ndarray          # (2, 2, 3)
@@ -157,38 +175,57 @@ def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
         )
     if np.abs(h_slots).min() < 1e-12:
         raise SingularChannelError("a slot coefficient is numerically zero")
-    ref = np.ones(EXTENSION_SLOTS)
-    beams = np.empty((2, 2, EXTENSION_SLOTS))
-    # Messages for user 2 land on `ref` at user 1 and vice versa.
-    beams[0, 1] = ref / h_slots[:, 0, 0]
-    beams[1, 1] = ref / h_slots[:, 0, 1]
-    beams[0, 0] = ref / h_slots[:, 1, 0]
-    beams[1, 0] = ref / h_slots[:, 1, 1]
-    beams /= np.linalg.norm(beams, axis=2, keepdims=True)
-    slot_power = (beams ** 2).sum(axis=1)  # (en, slot), unit-power symbols
-    amplitudes = np.sqrt(power / slot_power.max(axis=1))
-    bases = np.empty((2, EXTENSION_SLOTS, EXTENSION_SLOTS))
+    if not _ia_accepts(h_slots):
+        raise AlignmentDegeneracyError("a receive basis is rank deficient")
+    return _ia_solution(h_slots, power)
+
+
+def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
+    """`ia_beamformers` of each draw in a (..., 3, 2, 2) stack, unchecked."""
+    lead = h_slots.shape[:-3]
+    beams = np.empty(lead + (2, 2, EXTENSION_SLOTS))
+    # Messages for user 2 land on the all-ones reference at user 1 and
+    # vice versa.
+    for m in range(2):
+        for k in range(2):
+            beams[..., m, k, :] = 1.0 / h_slots[..., :, 1 - k, m]
+    beams /= np.linalg.norm(beams, axis=-1, keepdims=True)
+    slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
+    amplitudes = np.sqrt(power / slot_power.max(axis=-1))
+    bases = np.ones(lead + (2, EXTENSION_SLOTS, EXTENSION_SLOTS))
     for k in range(2):
-        desired = [h_slots[:, k, m] * beams[m, k] for m in range(2)]
-        bases[k] = np.column_stack(desired + [ref])
-        svals = np.linalg.svd(bases[k], compute_uv=False)
-        if svals[-1] <= svals[0] * 1e-9:
-            raise AlignmentDegeneracyError(
-                f"receive basis of user {k + 1} is rank deficient"
-            )
+        for m in range(2):
+            bases[..., k, :, m] = h_slots[..., :, k, m] * beams[..., m, k, :]
     return IaSolution(beams, bases, amplitudes)
 
 
-def ia_alignment_error(h_slots: np.ndarray, solution: IaSolution) -> float:
-    """Worst relative collinearity error of the aligned interference pair."""
+def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
+    """Whether each slot draw of a (..., 3, 2, 2) stack admits the alignment.
+
+    A draw is usable when no coefficient is numerically zero and both
+    users' receive bases are well conditioned.
+    """
+    nonzero = np.abs(h_slots).min(axis=(-3, -2, -1)) >= 1e-12
+    # rejected draws are swapped for finite ones before the SVD sees them
+    finite = np.where(nonzero[..., None, None, None], h_slots, 1.0)
+    svals = np.linalg.svd(_ia_solution(finite, 1.0).receive_bases,
+                          compute_uv=False)
+    return nonzero & (svals[..., -1] > svals[..., 0] * 1e-9).all(axis=-1)
+
+
+def ia_alignment_error(h_slots: np.ndarray, solution: IaSolution):
+    """Worst relative collinearity error of the aligned interference pair.
+
+    One value per draw of a (..., 3, 2, 2) stack and its stacked solution.
+    """
     worst = 0.0
     for k in range(2):
         other = 1 - k
-        v1 = h_slots[:, k, 0] * solution.beams[0, other]
-        v2 = h_slots[:, k, 1] * solution.beams[1, other]
-        sine = np.linalg.norm(np.cross(v1, v2))
-        sine /= np.linalg.norm(v1) * np.linalg.norm(v2)
-        worst = max(worst, float(sine))
+        v1 = h_slots[..., :, k, 0] * solution.beams[..., 0, other, :]
+        v2 = h_slots[..., :, k, 1] * solution.beams[..., 1, other, :]
+        sine = np.linalg.norm(np.cross(v1, v2), axis=-1)
+        sine /= np.linalg.norm(v1, axis=-1) * np.linalg.norm(v2, axis=-1)
+        worst = np.maximum(worst, sine)
     return worst
 
 
@@ -212,19 +249,18 @@ def ia_message_sinrs(solution: IaSolution) -> np.ndarray:
     factor of the resulting 2x2 Gram matrix, so that log2(1 + SINR) summed
     over messages equals the plane's exact log-det rate.
     """
-    sinrs = np.empty((2, 2))
-    for k in range(2):
-        scaled = solution.receive_bases[k][:, :2] * solution.amplitudes
-        g = _IA_NULL_BASIS.T @ scaled
-        gram = np.eye(2) + g.T @ g
-        chol = np.linalg.cholesky(gram)
-        sinrs[k] = np.diag(chol) ** 2 - 1.0
-    return sinrs
+    scaled = (solution.receive_bases[..., :2]
+              * solution.amplitudes[..., None, None, :])
+    g = _IA_NULL_BASIS.T @ scaled
+    gram = np.eye(2) + np.swapaxes(g, -1, -2) @ g
+    chol = np.linalg.cholesky(gram)
+    return np.diagonal(chol, axis1=-2, axis2=-1) ** 2 - 1.0
 
 
 def ia_per_en_power(solution: IaSolution) -> np.ndarray:
     """Per-slot ensemble transmit power of each EN, shape (en, slot)."""
-    return solution.amplitudes[:, None] ** 2 * (solution.beams ** 2).sum(axis=1)
+    return (solution.amplitudes[..., None] ** 2
+            * (solution.beams ** 2).sum(axis=-2))
 
 
 def ia_xchannel_2x2(h_slots: np.ndarray, symbols: np.ndarray, power: float,
@@ -243,30 +279,38 @@ def ia_xchannel_2x2(h_slots: np.ndarray, symbols: np.ndarray, power: float,
 def ia_rates(solution: IaSolution) -> np.ndarray:
     """Per-user rates in bits per channel use (2 messages over 3 slots)."""
     sinrs = ia_message_sinrs(solution)
-    return np.log2(1.0 + sinrs).sum(axis=1) / EXTENSION_SLOTS
+    return np.log2(1.0 + sinrs).sum(axis=-1) / EXTENSION_SLOTS
 
 
 def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
-                  file_bits: int, power: float) -> float:
+                  file_bits: int, power: float):
     """Serve users one at a time with no CSI at the transmitters.
 
     Each owed fragment is sent by the EN that caches it; fragments every EN
     holds go to a round-robin EN (a CSI-free choice). The link runs at
-    log2(1 + h_km^2 P). Returns the delivery time per bit.
+    log2(1 + h_km^2 P). Returns the delivery time per bit, one per draw
+    of a (..., K, M) stack.
     """
-    num_users, num_ens = h.shape
-    total_uses = 0.0
-    for user in range(1, num_users + 1):
-        for frag, en in assignment.fragments_for_user(user):
-            if en is None:
-                en = (user - 1) % num_ens + 1
-            rate = math.log2(1.0 + h[user - 1, en - 1] ** 2 * power)
-            if rate <= 0.0:
-                raise SingularChannelError(
-                    f"dead link EN {en} -> user {user}: rate is zero"
-                )
-            total_uses += frag.num_bits / rate
-    return total_uses / file_bits
+    num_users, num_ens = h.shape[-2:]
+    links = [
+        (user - 1, (user - 1) % num_ens if en is None else en - 1, frag.num_bits)
+        for user in range(1, num_users + 1)
+        for frag, en in assignment.fragments_for_user(user)
+    ]
+    users, ens, bits = (np.array(column) for column in zip(*links))
+    gains = 1.0 + h[..., users, ens] ** 2 * power
+    # math.log2, not np.log2: the two differ in the last bit on some inputs
+    rates = np.array([math.log2(g) for g in gains.ravel().tolist()])
+    rates = rates.reshape(gains.shape)
+    dead = np.flatnonzero(rates <= 0.0)
+    if dead.size:
+        link = dead[0] % len(links)  # the first draw's first dead link
+        raise SingularChannelError(
+            f"dead link EN {ens[link] + 1} -> user {users[link] + 1}: "
+            "rate is zero"
+        )
+    # cumsum adds the fragments' channel uses one after another, in order
+    return np.cumsum(bits / rates, axis=-1)[..., -1] / file_bits
 
 
 def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
@@ -314,7 +358,8 @@ def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...], solver,
     `solver(h, power)` is `zf_precode` or `ia_beamformers`. A draw it
     rejects with SingularChannelError (AlignmentDegeneracyError included)
     is replaced by the next draw from the same generator; returns the
-    accepted draw and the solver's output.
+    accepted draw and the solver's output. `_draw_stack` is the same loop
+    for a stack of trials.
     """
     for _ in range(MAX_RESAMPLES + 1):
         h = rng.standard_normal(shape)
@@ -326,6 +371,88 @@ def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...], solver,
         f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
         "(RNG misuse?)"
     )
+
+
+def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
+                accepts) -> np.ndarray | None:
+    """Each trial's accepted draw from its (seed, index) substream, stacked.
+
+    `accepts` is `_zf_accepts` or `_ia_accepts`, the test the solvers of
+    `_solve_draw` apply. A rejected draw is replaced by the next draw from
+    its trial's own generator, at most MAX_RESAMPLES times, so every
+    generator is used exactly as `_solve_draw` uses it. Returns None when
+    some trial has no accepted draw.
+    """
+    rngs = [_substream(seed, index) for seed in seeds]
+    h = np.stack([rng.standard_normal(shape) for rng in rngs])
+    todo = np.flatnonzero(~accepts(h))
+    for _ in range(MAX_RESAMPLES):
+        if not todo.size:
+            break
+        h[todo] = np.stack([rngs[i].standard_normal(shape) for i in todo])
+        todo = todo[~accepts(h[todo])]
+    return None if todo.size else h
+
+
+def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
+                   scheme: Scheme, assignment: DeliveryAssignment | None,
+                   snr_db: float, seeds: list[int]) -> list[TrialResult] | None:
+    """`run_trial` for every seed at one SNR point, as one array program.
+
+    Returns None when some trial would fail (no accepted draw, or a zero
+    sum rate), so that the caller can rerun the point trial by trial and
+    raise that trial's error; TDMA's dead links raise here, in trial order.
+    """
+    power = snr_db_to_power(snr_db)
+    k, num_ens = config.num_users, config.num_ens
+    peaks, alignment = np.zeros(len(seeds)), [None] * len(seeds)
+    phase_sums = []  # each delivery phase's sum rate per trial
+
+    if scheme is Scheme.TDMA:
+        h = np.stack([_substream(seed, 0).standard_normal((k, num_ens))
+                      for seed in seeds])
+        deltas = tdma_delivery(h, assignment, allocation.file_bits, power)
+        peaks[:] = power
+    if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
+        h = _draw_stack(seeds, 0, (k, num_ens), _zf_accepts)
+        if h is None:
+            return None
+        w = _zf_weights(h, power)
+        rates = np.log2(1.0 + zf_sinrs(h, w))
+        zf_sums = rates.sum(axis=-1)
+        phase_sums.append(zf_sums)
+        peaks = zf_per_en_power(w).max(axis=-1)
+    if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
+        h_slots = _draw_stack(seeds, 1, (EXTENSION_SLOTS, 2, 2), _ia_accepts)
+        if h_slots is None:
+            return None
+        sol = _ia_solution(h_slots, power)
+        rates = ia_rates(sol)
+        ia_sums = rates.sum(axis=-1)
+        phase_sums.append(ia_sums)
+        peaks = np.maximum(peaks, ia_per_en_power(sol).max(axis=(-2, -1)))
+        alignment = ia_alignment_error(h_slots, sol).tolist()
+    if any((sums <= 0.0).any() for sums in phase_sums):
+        return None
+    if scheme is Scheme.HYBRID_SHARE:
+        split_frac = allocation.split_bits / allocation.file_bits
+        deltas = (k * split_frac / ia_sums
+                  + k * (1.0 - split_frac) / zf_sums)
+
+    if scheme in (Scheme.TDMA, Scheme.HYBRID_SHARE):
+        sum_rates = k / deltas
+        per_user = [(rate / k,) * k for rate in sum_rates.tolist()]
+    else:
+        sum_rates = phase_sums[0]
+        deltas = k / sum_rates
+        per_user = list(map(tuple, rates.tolist()))
+    return [
+        TrialResult(scheme, float(snr_db), rate, user_rates, delta, seed,
+                    peak, error)
+        for rate, user_rates, delta, seed, peak, error in zip(
+            sum_rates.tolist(), per_user, deltas.tolist(), seeds,
+            peaks.tolist(), alignment)
+    ]
 
 
 def run_trial(config: SystemConfig, allocation: CacheAllocation,
@@ -355,7 +482,7 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
         h = _substream(seed, 0).standard_normal((k, config.num_ens))
         if assignment is None:
             assignment = assignment_for_demand(allocation, demand)
-        delta = tdma_delivery(h, assignment, allocation.file_bits, power)
+        delta = float(tdma_delivery(h, assignment, allocation.file_bits, power))
         peak_power = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
         h, w = _solve_draw(_substream(seed, 0), (k, config.num_ens), zf_precode, power)
@@ -366,7 +493,7 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
                                    ia_beamformers, power)
         rates = ia_user_rates = _live(ia_rates(sol))
         peak_power = max(peak_power, float(ia_per_en_power(sol).max()))
-        alignment_error = ia_alignment_error(h_slots, sol)
+        alignment_error = float(ia_alignment_error(h_slots, sol))
     if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
         # Time-shared delivery: split prefix over the X-channel, replicated
@@ -398,22 +525,31 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
 
     Each trial has its own seed derived from (master seed, trial index), so
     results do not depend on execution order; the returned list is ordered
-    by (snr index, trial index). Placement and demand are fixed for the
-    campaign, so TDMA's delivery assignment is built once, after the same
-    checks a trial makes, and shared by every trial.
+    by (snr index, trial index) and equals `run_trial`'s for those seeds.
+    The checks a trial makes run once, and placement and demand are fixed
+    for the campaign, so TDMA's delivery assignment is built once and
+    shared by every trial. Each SNR point runs as one batch; a point where
+    some trial fails is rerun trial by trial, so the error raised is that
+    of the first failing trial.
     """
+    _check_compatibility(config, allocation, scheme)
+    demand.validate(config)
     assignment = None
     if scheme is Scheme.TDMA:
-        _check_compatibility(config, allocation, scheme)
-        demand.validate(config)
         assignment = assignment_for_demand(allocation, demand)
-    return [
-        run_trial(config, allocation, scheme, demand, snr,
-                  trial_seed(master_seed, si * trials_per_snr + ti),
-                  assignment=assignment)
-        for si, snr in enumerate(snr_grid_db)
-        for ti in range(trials_per_snr)
-    ]
+    trials: list[TrialResult] = []
+    if trials_per_snr < 1:
+        return trials
+    for si, snr in enumerate(snr_grid_db):
+        seeds = [trial_seed(master_seed, si * trials_per_snr + ti)
+                 for ti in range(trials_per_snr)]
+        point = _run_snr_point(config, allocation, scheme, assignment, snr,
+                               seeds)
+        if point is None:
+            point = [run_trial(config, allocation, scheme, demand, snr, seed,
+                               assignment=assignment) for seed in seeds]
+        trials += point
+    return trials
 
 
 def estimate_ndt(trials) -> EmpiricalNdt:

@@ -446,6 +446,36 @@ class TestMain:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    @pytest.mark.parametrize("command", [
+        ["bounds"],
+        ["simulate", "--mu", "1", "--scheme", "zf", "--trials", "50",
+         "--seed", "0"],
+        ["verify-converse", "--trials", "50", "--seed", "0"],
+    ], ids=["bounds", "simulate", "verify-converse"])
+    def test_unwritable_out_rejected_before_any_work(self, tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran with an unwritable --out")
+
+        for work in ("tradeoff_sweep", "run_campaign", "verify_converse"):
+            monkeypatch.setattr(f"edgecache.cli.{work}", no_work)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "x.csv" if where == "under-a-file" else tmp_path
+        code = main([*command, "--m", "2", "--k", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_missing_out_directories_are_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "x.csv"
+        assert main(["bounds", "--m", "2", "--k", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.exists()
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path,
                                                        monkeypatch):
         def broken(*args, **kwargs):

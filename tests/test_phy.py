@@ -1,12 +1,16 @@
 """Tests for the Monte-Carlo delivery simulator."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecache import phy
+from edgecache.cli import EXIT_UNSUPPORTED, main
 from edgecache.caching import (
     assignment_for_demand,
     full_placement,
@@ -24,6 +28,7 @@ from edgecache.model import DemandVector, FileLibrary, validate_config
 from edgecache.phy import (
     EXTENSION_SLOTS,
     MAX_RESAMPLES,
+    MAX_SNR_DB,
     Scheme,
     TrialResult,
     awgn_channel,
@@ -241,6 +246,32 @@ class TestInterferenceAlignment:
         # two messages over three channel uses
         assert rates.sum() < 2 * math.log2(1 + 1e4)
 
+    def test_stacked_formulas_match_the_per_user_loops(self):
+        # the formulas run on a stack of draws; per-user loops over one
+        # draw at a time are the reference
+        h = np.random.default_rng(15).standard_normal((200, 3, 2, 2))
+        h = h[phy._ia_accepts(h)]
+        stacked = phy._ia_solution(h, power=1e3)
+        sinrs = phy.ia_message_sinrs(stacked)
+        errors = ia_alignment_error(h, stacked)
+        for i, h_slots in enumerate(h):
+            sol = ia_beamformers(h_slots, power=1e3)
+            loop_sinrs = np.empty((2, 2))
+            worst = 0.0
+            for k in range(2):
+                scaled = sol.receive_bases[k][:, :2] * sol.amplitudes
+                g = phy._IA_NULL_BASIS.T @ scaled
+                chol = np.linalg.cholesky(np.eye(2) + g.T @ g)
+                loop_sinrs[k] = np.diag(chol) ** 2 - 1.0
+                v1 = h_slots[:, k, 0] * sol.beams[0, 1 - k]
+                v2 = h_slots[:, k, 1] * sol.beams[1, 1 - k]
+                sine = np.linalg.norm(np.cross(v1, v2))
+                worst = max(worst, sine / (np.linalg.norm(v1)
+                                           * np.linalg.norm(v2)))
+            np.testing.assert_array_equal(sinrs[i], loop_sinrs)
+            # a 1-D norm is a BLAS dot product, rounded differently
+            assert abs(errors[i] - worst) <= 1e-15
+
 
 class TestTdma:
     def test_single_user_single_link_rate(self):
@@ -272,12 +303,51 @@ class TestTdma:
         d4 = tdma_delivery(h4, a4, cfg4.file_bits, power=50.0)
         assert d4 == pytest.approx(2 * d2)
 
+    @staticmethod
+    def fragment_loop(h, assignment, file_bits, power):
+        """One draw's delivery time, one fragment after another."""
+        num_users, num_ens = h.shape
+        total_uses = 0.0
+        for user in range(1, num_users + 1):
+            for frag, en in assignment.fragments_for_user(user):
+                if en is None:
+                    en = (user - 1) % num_ens + 1
+                rate = math.log2(1.0 + h[user - 1, en - 1] ** 2 * power)
+                total_uses += frag.num_bits / rate
+        return total_uses / file_bits
+
+    # np.log2 and math.log2 disagree most often just above 1, so low SNRs
+    # get their own share of the examples
+    @settings(max_examples=100)
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["split", "full", "shared"]), st.integers(1, 8),
+           st.one_of(st.floats(-40.0, 10.0), st.floats(10.0, MAX_SNR_DB)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stacked_delivery_matches_the_fragment_loop(
+            self, m, k, placement, draws, snr, seed):
+        mu = {"split": F(1, m), "full": F(1),
+              "shared": F(1, m) + (1 - F(1, m)) / 3}[placement]
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=mu, m=m, k=k, n=k + 1)
+        assignment = assignment_for_demand(alloc, dem)
+        h = np.random.default_rng(seed).standard_normal((draws, k, m))
+        power = snr_db_to_power(snr)
+        stacked = tdma_delivery(h, assignment, cfg.file_bits, power)
+        assert [float(d).hex() for d in stacked] == [
+            self.fragment_loop(one, assignment, cfg.file_bits, power).hex()
+            for one in h]
+
     def test_dead_link_raises(self):
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2))
         assignment = assignment_for_demand(alloc, dem)
         h = np.array([[0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularChannelError):
+        with pytest.raises(SingularChannelError, match="EN 1 -> user 1"):
             tdma_delivery(h, assignment, cfg.file_bits, power=10.0)
+        # in a stack of draws, the first draw with a dead link names its
+        # first dead link, as trials run one by one would
+        later = np.array([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularChannelError, match="EN 2 -> user 2"):
+            tdma_delivery(np.stack([np.ones((2, 2)), later, h]), assignment,
+                          cfg.file_bits, power=10.0)
 
 
 class TestRunTrial:
@@ -374,6 +444,15 @@ class TestRunTrial:
         cfg, alloc, dem = setup_scheme(scheme)
         with pytest.raises(SingularChannelError):
             run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
+        # a campaign raises its first failing trial's error, here that of
+        # the first trial of its second SNR point
+        with pytest.raises(SingularChannelError) as single:
+            run_trial(cfg, alloc, scheme, dem, -400.0, seed=trial_seed(3, 4))
+        with pytest.raises(SingularChannelError) as campaign:
+            run_campaign(cfg, alloc, scheme, dem, [20.0, -400.0, 40.0], 4,
+                         master_seed=3)
+        assert type(campaign.value) is type(single.value)
+        assert str(campaign.value) == str(single.value)
 
     @pytest.mark.parametrize("scheme,substreams", [
         (Scheme.ZERO_FORCING, [0]),
@@ -490,6 +569,149 @@ class TestCampaign:
             for ti in range(4)
         ]
 
+
+
+def exact(value):
+    """A TrialResult field with every float as its exact bit pattern."""
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def outcome(run):
+    """Each trial's fields bit for bit, or the error the run raised."""
+    try:
+        trials = run()
+    except SingularChannelError as exc:
+        return type(exc), str(exc)
+    return [tuple(exact(getattr(t, f.name)) for f in dataclasses.fields(t))
+            for t in trials]
+
+
+def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
+    """`run_campaign` that must not fall back to running trial by trial."""
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the batch fell back to run_trial")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phy, "run_trial", no_fallback)
+        return run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
+
+
+def trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr, master):
+    return [run_trial(cfg, alloc, scheme, dem, snr,
+                      trial_seed(master, si * per_snr + ti))
+            for si, snr in enumerate(grid) for ti in range(per_snr)]
+
+
+snr_grids = st.lists(
+    st.one_of(st.just(MAX_SNR_DB),
+              st.floats(-20.0, MAX_SNR_DB, allow_nan=False)),
+    min_size=1, max_size=3, unique=True)
+campaigns = st.tuples(snr_grids, st.integers(1, 6),
+                      st.integers(0, 2 ** 32 - 1))
+
+
+class TestBatchedCampaign:
+    """The batched campaign against `run_trial`, the one-trial reference."""
+
+    @staticmethod
+    def assert_matches_trials(scheme, setup, campaign):
+        grid, per_snr, master = campaign
+        cfg, alloc, dem = setup
+        assert outcome(lambda: batched(cfg, alloc, scheme, dem, grid,
+                                       per_snr, master)) == outcome(
+            lambda: trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr,
+                                   master))
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 4).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, m))), campaigns)
+    def test_zero_forcing(self, network, campaign):
+        m, k = network
+        self.assert_matches_trials(
+            Scheme.ZERO_FORCING,
+            setup_scheme(Scheme.ZERO_FORCING, m=m, k=k, n=k), campaign)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE]),
+           campaigns)
+    def test_alignment_and_hybrid(self, scheme, campaign):
+        self.assert_matches_trials(scheme, setup_scheme(scheme), campaign)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["split", "full", "shared"]), campaigns)
+    def test_tdma(self, m, k, placement, campaign):
+        mu = {"split": F(1, m), "full": F(1),
+              "shared": F(1, m) + (1 - F(1, m)) / 3}[placement]
+        setup = setup_scheme(Scheme.TDMA, mu=mu, m=m, k=k, n=k + 1)
+        self.assert_matches_trials(Scheme.TDMA, setup, campaign)
+
+
+def reject_first_draws(monkeypatch, predicate, index, shape, rejections):
+    """Make `phy.<predicate>` reject each chosen seed's first n draws.
+
+    `rejections` maps a trial seed to n; the patched test is the one both
+    `_solve_draw`'s solvers and the batch call, for one draw or a stack.
+    """
+    original = getattr(phy, predicate)
+    rejected = set()
+    for seed, n in rejections.items():
+        rng = phy._substream(seed, index)
+        rejected |= {rng.standard_normal(shape).tobytes() for _ in range(n)}
+
+    def patched(h):
+        draws = h.reshape((-1,) + shape)
+        hit = np.array([d.tobytes() in rejected for d in draws])
+        return original(h) & ~hit.reshape(h.shape[:h.ndim - len(shape)])
+
+    monkeypatch.setattr(phy, predicate, patched)
+
+
+class TestBatchedRedraws:
+    CASES = [
+        (Scheme.ZERO_FORCING, "_zf_accepts", 0, (2, 2)),
+        (Scheme.IA_XCHANNEL_2X2, "_ia_accepts", 1, (EXTENSION_SLOTS, 2, 2)),
+        (Scheme.HYBRID_SHARE, "_zf_accepts", 0, (2, 2)),
+        (Scheme.HYBRID_SHARE, "_ia_accepts", 1, (EXTENSION_SLOTS, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("scheme,predicate,index,shape", CASES)
+    def test_redraws_consume_the_draws_of_one_trial(self, monkeypatch, scheme,
+                                                    predicate, index, shape):
+        cfg, alloc, dem = setup_scheme(scheme)
+        grid, per_snr, master = [20.0, 40.0], 6, 5
+        chosen = {1: 1, 4: 3, 9: MAX_RESAMPLES}  # trial index -> rejections
+        before = run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
+        reject_first_draws(monkeypatch, predicate, index, shape,
+                           {trial_seed(master, i): n for i, n in chosen.items()})
+        after = batched(cfg, alloc, scheme, dem, grid, per_snr, master)
+        assert outcome(lambda: after) == outcome(
+            lambda: trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr,
+                                   master))
+        changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+        assert changed == sorted(chosen)
+
+    @pytest.mark.parametrize("scheme,predicate,index,shape", CASES)
+    def test_running_out_of_resamples(self, monkeypatch, tmp_path, scheme,
+                                      predicate, index, shape):
+        cfg, alloc, dem = setup_scheme(scheme)
+        reject_first_draws(monkeypatch, predicate, index, shape,
+                           {trial_seed(0, 7): MAX_RESAMPLES + 1})
+        with pytest.raises(SingularChannelError, match="resamples") as single:
+            run_trial(cfg, alloc, scheme, dem, 20.0, trial_seed(0, 7))
+        with pytest.raises(SingularChannelError) as campaign:
+            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 50, master_seed=0)
+        assert type(campaign.value) is type(single.value)
+        assert str(campaign.value) == str(single.value)
+        mu = {Scheme.ZERO_FORCING: "1", Scheme.IA_XCHANNEL_2X2: "1/2",
+              Scheme.HYBRID_SHARE: "3/4"}[scheme]
+        code = main(["simulate", "--m", "2", "--k", "2", "--mu", mu,
+                     "--scheme", scheme.value, "--trials", "50", "--seed", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_UNSUPPORTED
+        assert list(tmp_path.iterdir()) == []
 
 class TestEstimateNdt:
     @staticmethod
