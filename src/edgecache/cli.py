@@ -255,13 +255,17 @@ def _out_path(text: str) -> Path:
     """Parse --out: a file path the run will be able to write, or exit 2.
 
     Missing parent directories are created when the output is written; the
-    nearest one that exists must be a writable directory.
+    nearest ancestor that exists (a symlink counts, dangling or not) must be
+    a writable directory, and an existing output a writable file.
     """
     out = Path(text)
     if out.is_dir():
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if os.path.lexists(out) and not (out.is_file()
+                                     and os.access(out, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
     parent = out.parent
-    while not parent.exists():
+    while not os.path.lexists(parent) and parent != parent.parent:
         parent = parent.parent
     if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
         raise argparse.ArgumentTypeError(

@@ -18,7 +18,8 @@ are stacked along a leading trial axis and the precoder, alignment, SINR
 and rate formulas run once on the stack. The formulas take that axis
 (`...`) and are the ones a single draw uses, and each trial still draws
 from its own substreams, so a campaign's results equal those of
-`run_trial`, the one-trial reference, bit for bit.
+`run_trial`, the one-trial reference, bit for bit. Each point's first
+trial runs through `run_trial` itself.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -180,8 +181,8 @@ def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
     return _ia_solution(h_slots, power)
 
 
-def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
-    """`ia_beamformers` of each draw in a (..., 3, 2, 2) stack, unchecked."""
+def _ia_bases(h_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit beams and receive bases of each draw in a (..., 3, 2, 2) stack."""
     lead = h_slots.shape[:-3]
     beams = np.empty(lead + (2, 2, EXTENSION_SLOTS))
     # Messages for user 2 land on the all-ones reference at user 1 and
@@ -190,12 +191,18 @@ def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
         for k in range(2):
             beams[..., m, k, :] = 1.0 / h_slots[..., :, 1 - k, m]
     beams /= np.linalg.norm(beams, axis=-1, keepdims=True)
-    slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
-    amplitudes = np.sqrt(power / slot_power.max(axis=-1))
     bases = np.ones(lead + (2, EXTENSION_SLOTS, EXTENSION_SLOTS))
     for k in range(2):
         for m in range(2):
             bases[..., k, :, m] = h_slots[..., :, k, m] * beams[..., m, k, :]
+    return beams, bases
+
+
+def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
+    """`ia_beamformers` of each draw in a (..., 3, 2, 2) stack, unchecked."""
+    beams, bases = _ia_bases(h_slots)
+    slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
+    amplitudes = np.sqrt(power / slot_power.max(axis=-1))
     return IaSolution(beams, bases, amplitudes)
 
 
@@ -208,8 +215,7 @@ def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
     nonzero = np.abs(h_slots).min(axis=(-3, -2, -1)) >= 1e-12
     # rejected draws are swapped for finite ones before the SVD sees them
     finite = np.where(nonzero[..., None, None, None], h_slots, 1.0)
-    svals = np.linalg.svd(_ia_solution(finite, 1.0).receive_bases,
-                          compute_uv=False)
+    svals = np.linalg.svd(_ia_bases(finite)[1], compute_uv=False)
     return nonzero & (svals[..., -1] > svals[..., 0] * 1e-9).all(axis=-1)
 
 
@@ -528,9 +534,11 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     by (snr index, trial index) and equals `run_trial`'s for those seeds.
     The checks a trial makes run once, and placement and demand are fixed
     for the campaign, so TDMA's delivery assignment is built once and
-    shared by every trial. Each SNR point runs as one batch; a point where
-    some trial fails is rerun trial by trial, so the error raised is that
-    of the first failing trial.
+    shared by every trial. Each SNR point runs its first trial through
+    `run_trial`, the one-trial reference, so every campaign exercises that
+    path and a per-trial profile keeps one sample per point. The other
+    trials run as one batch; a batch where some trial fails is rerun trial
+    by trial, so the error raised is that of the first failing trial.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
@@ -543,12 +551,14 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     for si, snr in enumerate(snr_grid_db):
         seeds = [trial_seed(master_seed, si * trials_per_snr + ti)
                  for ti in range(trials_per_snr)]
-        point = _run_snr_point(config, allocation, scheme, assignment, snr,
-                               seeds)
-        if point is None:
-            point = [run_trial(config, allocation, scheme, demand, snr, seed,
-                               assignment=assignment) for seed in seeds]
-        trials += point
+        trials.append(run_trial(config, allocation, scheme, demand, snr,
+                                seeds[0], assignment=assignment))
+        rest = seeds[1:] and _run_snr_point(config, allocation, scheme,
+                                            assignment, snr, seeds[1:])
+        if rest is None:
+            rest = [run_trial(config, allocation, scheme, demand, snr, seed,
+                              assignment=assignment) for seed in seeds[1:]]
+        trials += rest
     return trials
 
 

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -446,7 +448,9 @@ class TestMain:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    @pytest.mark.parametrize("where", [
+        "under-a-file", "a-directory", "under-a-dangling-symlink",
+        "a-read-only-file"])
     @pytest.mark.parametrize("command", [
         ["bounds"],
         ["simulate", "--mu", "1", "--scheme", "zf", "--trials", "50",
@@ -462,13 +466,24 @@ class TestMain:
         for work in ("tradeoff_sweep", "run_campaign", "verify_converse"):
             monkeypatch.setattr(f"edgecache.cli.{work}", no_work)
         blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        out = blocker / "x.csv" if where == "under-a-file" else tmp_path
+        blocker.write_text("kept")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        out = {"under-a-file": blocker / "x.csv", "a-directory": tmp_path,
+               "under-a-dangling-symlink": link / "x.csv",
+               "a-read-only-file": blocker}[where]
+        blocker.chmod(0o444)
+        # the superuser may write any file, so access reports the mode bits
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            real_access(path, mode)
+            and not (mode & os.W_OK and Path(path) == blocker)))
         code = main([*command, "--m", "2", "--k", "2", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "error:" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [blocker]
+        assert sorted(tmp_path.iterdir()) == [blocker, link]
+        assert blocker.read_text() == "kept"
 
     def test_missing_out_directories_are_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "x.csv"

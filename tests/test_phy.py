@@ -589,12 +589,19 @@ def outcome(run):
 
 
 def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
-    """`run_campaign` that must not fall back to running trial by trial."""
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("the batch fell back to run_trial")
+    """`run_campaign` that must not fall back to running trial by trial.
+
+    Only each SNR point's first trial may run through `run_trial`.
+    """
+    firsts = {trial_seed(master, si * per_snr) for si in range(len(grid))}
+
+    def first_only(config, allocation, scheme, demand, snr_db, seed, **kw):
+        if seed not in firsts:
+            raise AssertionError("the batch fell back to run_trial")
+        return run_trial(config, allocation, scheme, demand, snr_db, seed, **kw)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(phy, "run_trial", no_fallback)
+        patch.setattr(phy, "run_trial", first_only)
         return run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
 
 
@@ -682,7 +689,8 @@ class TestBatchedRedraws:
                                                     predicate, index, shape):
         cfg, alloc, dem = setup_scheme(scheme)
         grid, per_snr, master = [20.0, 40.0], 6, 5
-        chosen = {1: 1, 4: 3, 9: MAX_RESAMPLES}  # trial index -> rejections
+        # trial index -> rejections; trial 6 is the second point's first
+        chosen = {1: 1, 4: 3, 6: 2, 9: MAX_RESAMPLES}
         before = run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
         reject_first_draws(monkeypatch, predicate, index, shape,
                            {trial_seed(master, i): n for i, n in chosen.items()})
