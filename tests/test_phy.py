@@ -438,21 +438,27 @@ class TestRunTrial:
                 if alignment is not None:
                     assert alignment < 1e-10
 
+    # SNRs where, with master seed 3, trial 0 gets bits through and a
+    # later trial of the same point does not
+    MIXED_SNR_DB = {Scheme.ZERO_FORCING: -139.0, Scheme.IA_XCHANNEL_2X2: -153.0,
+                    Scheme.TDMA: -146.0, Scheme.HYBRID_SHARE: -139.0}
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_sum_rate_is_a_singular_channel(self, scheme):
         # at -400 dB every log2(1 + SINR) rounds to 0: no bit gets through
         cfg, alloc, dem = setup_scheme(scheme)
         with pytest.raises(SingularChannelError):
             run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
-        # a campaign raises its first failing trial's error, here that of
-        # the first trial of its second SNR point
-        with pytest.raises(SingularChannelError) as single:
-            run_trial(cfg, alloc, scheme, dem, -400.0, seed=trial_seed(3, 4))
-        with pytest.raises(SingularChannelError) as campaign:
-            run_campaign(cfg, alloc, scheme, dem, [20.0, -400.0, 40.0], 4,
-                         master_seed=3)
-        assert type(campaign.value) is type(single.value)
-        assert str(campaign.value) == str(single.value)
+        # a campaign raises its first failing trial's error: at -400 dB
+        # that of its second point's first trial, at the mixed SNR one
+        # that the batch of the point's later trials finds
+        mixed = self.MIXED_SNR_DB[scheme]
+        run_trial(cfg, alloc, scheme, dem, mixed, seed=trial_seed(3, 0))
+        for grid, per_snr in ([20.0, -400.0, 40.0], 4), ([mixed], 12):
+            args = (cfg, alloc, scheme, dem, grid, per_snr, 3)
+            expected = outcome(lambda: trial_by_trial(*args))
+            assert isinstance(expected, tuple)  # an error, not trials
+            assert outcome(lambda: run_campaign(*args)) == expected
 
     @pytest.mark.parametrize("scheme,substreams", [
         (Scheme.ZERO_FORCING, [0]),
