@@ -15,6 +15,7 @@ cache/time-sharing convex envelope.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -255,12 +256,26 @@ class TradeoffTable:
     rows: tuple[TradeoffRow, ...]
 
 
+# A cap on the grid's rows, about 8x the 118,801 of the 100x100 default
+# grid: a finer step is refused before any grid point is built.
+MAX_GRID_ROWS = 1_000_000
+
+
 def default_mu_grid(config: SystemConfig, step=None) -> list[Fraction]:
-    """Grid over [1/M, 1]; the default step 1/(12*M*K) hits every known corner."""
+    """Grid over [1/M, 1]; the default step 1/(12*M*K) hits every known corner.
+
+    A step that gives more than MAX_GRID_ROWS rows is an ArgumentError.
+    """
     m, k = config.num_ens, config.num_users
     step = Fraction(1, 12 * m * k) if step is None else as_fraction(step)
     if step <= 0:
         raise ArgumentError(f"grid step must be positive, got {step}")
+    rows = math.ceil((1 - Fraction(1, m)) / step) + 1
+    if rows > MAX_GRID_ROWS:
+        raise ArgumentError(
+            f"grid step {step} gives {rows} rows at M={m}, "
+            f"more than the {MAX_GRID_ROWS} allowed"
+        )
     grid = []
     mu = Fraction(1, m)
     while mu < 1:

@@ -19,7 +19,10 @@ and rate formulas run once on the stack. The formulas take that axis
 (`...`) and are the ones a single draw uses, and each trial still draws
 from its own substreams, so a campaign's results equal those of
 `run_trial`, the one-trial reference, bit for bit. Each point's first
-trial runs through `run_trial` itself.
+trial runs through `run_trial` itself. The batch seeds its trials in bulk
+too: `trial_seeds` and `_first_draws` redo numpy's `SeedSequence` and
+PCG64 seeding on arrays of seeds, and each point checks them against
+numpy's own objects.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -30,6 +33,7 @@ draws the three extension slots independently for exactly this reason.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -351,6 +355,139 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (numpy/random/src/pcg64), redone on arrays of seeds
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 entropy words numpy makes of a non-negative int, low first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """numpy's running hash constant over `count` hashes, as a column.
+
+    Hash i xors its value with entry i and multiplies it by entry i + 1.
+    The constants do not depend on the data, so one hash step serves a
+    whole row of seeds. The cached array is read-only.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, first: int) -> np.ndarray:
+    """numpy's `hashmix` of each row of `values`, hashes first, first + 1, ...
+
+    uint32 array arithmetic wraps, without numpy's overflow warnings.
+    """
+    values = values ^ consts[first:first + len(values)]
+    values *= consts[first + 1:first + 1 + len(values)]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+def _seed_sequence_words(rows: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence(row).generate_state(n_words)` for each row.
+
+    `rows` is a (T, L) uint32 array, one seed's entropy words per row. A
+    row shorter than the pool is zero-padded on the right, which is what
+    numpy's `hashmix(0)` on the empty pool slots amounts to; words beyond
+    the pool go through numpy's extra mixing loop. Each of numpy's loops
+    over pool words runs as one array step where its hashes do not depend
+    on each other. Returns an (n_words, T) uint32 array.
+    """
+    entropy = np.zeros((max(rows.shape[1], _POOL_SIZE), len(rows)), np.uint32)
+    entropy[:rows.shape[1]] = rows.T
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], consts, 0)
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        hashed = _hashmix(pool[[src] * len(others)], consts, used)
+        pool[others] = _mix(pool[others], hashed)
+        used += len(others)
+    for word in entropy[_POOL_SIZE:]:
+        hashed = _hashmix(np.tile(word, (_POOL_SIZE, 1)), consts, used)
+        pool = _mix(pool, hashed)
+        used += _POOL_SIZE
+    consts = _hash_constants(_INIT_B, _MULT_B, n_words)
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], consts, 0)
+
+
+def _uint64(words: np.ndarray) -> np.ndarray:
+    """Pairs of rows of uint32 words, low word first, as uint64 rows."""
+    return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
+
+
+def _pcg64_states(seeds: list[int], index: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of `_substream(seed, index)` for each seed.
+
+    Each seed is below 2**64 (one entropy word, or two from 2**32 on) and
+    the index below 2**32 (one word). SeedSequence's 4 uint64 words seed
+    PCG64 through its `srandom` step, done here in Python ints.
+    """
+    seed_array = np.array(seeds, dtype=np.uint64)
+    lo = (seed_array & _MASK32).astype(np.uint32)
+    hi = (seed_array >> 32).astype(np.uint32)
+    one_word = hi == 0
+    rows = np.column_stack([lo, np.where(one_word, index, hi),
+                            np.where(one_word, 0, index)]).astype(np.uint32)
+    words = _uint64(_seed_sequence_words(rows, 8))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*words.tolist()):
+        # srandom(initstate, initseq): from state 0, one LCG step, add
+        # initstate, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _first_draws(seeds: list[int], index: int,
+                 shape: tuple[int, ...]) -> np.ndarray:
+    """Each seed's first `shape` draw from its (seed, index) substream.
+
+    One generator, `_substream` of the first seed, draws for every trial:
+    it is set to each trial's bulk PCG64 state in turn. The first seed's
+    bulk state must equal numpy's, or a numpy whose seeding changed would
+    silently change every draw.
+    """
+    states = _pcg64_states(seeds, index)
+    rng = _substream(seeds[0], index)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    if (state["state"]["state"], state["state"]["inc"]) != states[0]:
+        raise RuntimeError(
+            f"bulk PCG64 seeding of substream ({seeds[0]}, {index}) "
+            "differs from numpy's"
+        )
+    draws = np.empty((len(seeds),) + shape)
+    for row, (value, inc) in zip(draws, states):
+        state["state"] = {"state": value, "inc": inc}
+        bit_generator.state = state
+        rng.standard_normal(out=row)
+    return draws
+
+
 def _live(rates: np.ndarray) -> np.ndarray:
     if rates.sum() <= 0.0:
         raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
@@ -384,14 +521,18 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
     `accepts` is `_zf_accepts` or `_ia_accepts`, the test the solvers of
-    `_solve_draw` apply. A rejected draw is replaced by the next draw from
-    its trial's own generator, at most MAX_RESAMPLES times, so every
-    generator is used exactly as `_solve_draw` uses it. Returns None when
-    some trial has no accepted draw.
+    `_solve_draw` apply. The first draws come from `_first_draws`. A
+    rejected draw is replaced by the next draw from its trial's own
+    generator, rebuilt by `_substream` past its first draw, at most
+    MAX_RESAMPLES times, so every generator is used exactly as
+    `_solve_draw` uses it. Returns None when some trial has no accepted
+    draw.
     """
-    rngs = [_substream(seed, index) for seed in seeds]
-    h = np.stack([rng.standard_normal(shape) for rng in rngs])
+    h = _first_draws(seeds, index, shape)
     todo = np.flatnonzero(~accepts(h))
+    rngs = {i: _substream(seeds[i], index) for i in todo}
+    for rng in rngs.values():
+        rng.standard_normal(shape)  # the first draw, taken in bulk
     for _ in range(MAX_RESAMPLES):
         if not todo.size:
             break
@@ -415,8 +556,7 @@ def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
     phase_sums = []  # each delivery phase's sum rate per trial
 
     if scheme is Scheme.TDMA:
-        h = np.stack([_substream(seed, 0).standard_normal((k, num_ens))
-                      for seed in seeds])
+        h = _first_draws(seeds, 0, (k, num_ens))
         deltas = tdma_delivery(h, assignment, allocation.file_bits, power)
         peaks[:] = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
@@ -524,6 +664,24 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
+    """`trial_seed(master_seed, i)` for i in range(start, start + count).
+
+    One array pass per entropy-row length: an index below 2**32 is one
+    word after the master seed's, a larger one (below 2**64) two.
+    """
+    index = np.arange(start, start + count, dtype=np.uint64)
+    lo, hi = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
+    head = np.array(_words(master_seed), np.uint32)
+    split = int(np.searchsorted(index, 2 ** 32))
+    seeds = []
+    for tail in ([lo[:split]], [lo[split:], hi[split:]]):
+        if len(tail[0]):
+            rows = np.column_stack([np.tile(head, (len(tail[0]), 1)), *tail])
+            seeds += _uint64(_seed_sequence_words(rows, 2))[0].tolist()
+    return seeds
+
+
 def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                  scheme: Scheme, demand: DemandVector, snr_grid_db,
                  trials_per_snr: int, master_seed: int) -> list[TrialResult]:
@@ -539,6 +697,8 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     path and a per-trial profile keeps one sample per point. The other
     trials run as one batch; a batch where some trial fails is rerun trial
     by trial, so the error raised is that of the first failing trial.
+    `trial_seeds` computes every trial's seed in one array pass, and each
+    point's first seed is checked against `trial_seed`, numpy's own.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
@@ -548,9 +708,16 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     trials: list[TrialResult] = []
     if trials_per_snr < 1:
         return trials
-    for si, snr in enumerate(snr_grid_db):
-        seeds = [trial_seed(master_seed, si * trials_per_snr + ti)
-                 for ti in range(trials_per_snr)]
+    grid = list(snr_grid_db)
+    campaign_seeds = trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
+    for si, snr in enumerate(grid):
+        base = si * trials_per_snr
+        seeds = campaign_seeds[base:base + trials_per_snr]
+        if seeds[0] != trial_seed(master_seed, base):
+            raise RuntimeError(
+                f"bulk trial seeds of master seed {master_seed} differ "
+                "from numpy's SeedSequence"
+            )
         trials.append(run_trial(config, allocation, scheme, demand, snr,
                                 seeds[0], assignment=assignment))
         rest = seeds[1:] and _run_snr_point(config, allocation, scheme,

@@ -18,6 +18,9 @@ from edgecache.cli import (
     main,
     replay_manifest,
 )
+from edgecache.bounds import MAX_GRID_ROWS, default_mu_grid
+from edgecache.errors import ArgumentError
+from edgecache.model import validate_config
 from edgecache.phy import MAX_SNR_DB
 
 F = Fraction
@@ -88,6 +91,32 @@ class TestBoundsCommand:
         assert main(["bounds", "--m", "2", "--out", "x.csv"]) == EXIT_USAGE
         assert main(["bounds", "--m", "2", "--k", "2", "--grid-step", "zebra",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("m,step", [(2, "1/100000000"), (2, "1/2000000"),
+                                        (100, "1/1010102")])
+    def test_grid_over_the_row_cap_builds_nothing(self, tmp_path, monkeypatch,
+                                                  m, step):
+        class NoStep(F):
+            def __add__(self, other):
+                raise AssertionError("a grid point past the first was built")
+
+        # default_mu_grid's loop starts at Fraction(1, M) and adds the step
+        monkeypatch.setattr("edgecache.bounds.Fraction", NoStep)
+        code = main(["bounds", "--m", str(m), "--k", "2", "--grid-step", step,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m,step", [(2, F(1, 3)), (3, F(1, 4)),
+                                        (3, F(2, 3)), (1, F(1, 7))])
+    def test_grid_row_cap_counts_the_rows_built(self, monkeypatch, m, step):
+        config = validate_config(m, 2, 2, F(1), 6)
+        rows = len(default_mu_grid(config, step))
+        monkeypatch.setattr("edgecache.bounds.MAX_GRID_ROWS", rows)
+        assert len(default_mu_grid(config, step)) == rows
+        monkeypatch.setattr("edgecache.bounds.MAX_GRID_ROWS", rows - 1)
+        with pytest.raises(ArgumentError, match=f"gives {rows} rows"):
+            default_mu_grid(config, step)
 
     def test_json_flag_writes_copy(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -314,6 +343,36 @@ class TestSimulateCommand:
                      "--snr-grid=-400,20,40", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_UNSUPPORTED
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bits", ["2", "4"])
+    def test_unrealizable_mu_rejected_before_any_trial(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       bits):
+        # the hybrid split rounds up to a multiple of M bits: at --l 2 or 4
+        # every EN stores 1/2 of each file, not the 2/3 asked for
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a trial ran on an unrealizable mu")
+
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_campaign)
+        code = main(["simulate", "--m", "2", "--k", "2", "--mu", "2/3",
+                     "--scheme", "hybrid", "--l", bits, "--trials", "50",
+                     "--seed", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "mu = 1/2 per EN, not 2/3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "2", "--k", "2", "--mu", "2/3", "--scheme", "hybrid"],
+        ["--m", "2", "--k", "2", "--mu", "3/4", "--scheme", "hybrid"],
+        ["--m", "6", "--k", "6", "--n", "400", "--l", "48000", "--mu", "1/2",
+         "--scheme", "tdma", "--snr-grid", "20,40,60"],
+    ], ids=["hybrid-2/3", "hybrid-3/4", "library-config"])
+    def test_realizable_mu_runs(self, tmp_path, args):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *args, "--trials", "50", "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.with_suffix(".summary.json").read_text())[
+            "mu"] == args[args.index("--mu") + 1]
 
     def test_negative_seed_rejected(self, tmp_path):
         # the later --seed overrides the valid one in ARGS

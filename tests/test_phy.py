@@ -43,6 +43,7 @@ from edgecache.phy import (
     snr_db_to_power,
     tdma_delivery,
     trial_seed,
+    trial_seeds,
     zf_per_en_power,
     zf_precode,
     zf_sinrs,
@@ -622,7 +623,7 @@ snr_grids = st.lists(
               st.floats(-20.0, MAX_SNR_DB, allow_nan=False)),
     min_size=1, max_size=3, unique=True)
 campaigns = st.tuples(snr_grids, st.integers(1, 6),
-                      st.integers(0, 2 ** 32 - 1))
+                      st.integers(0, 2 ** 200))
 
 
 class TestBatchedCampaign:
@@ -726,6 +727,81 @@ class TestBatchedRedraws:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_UNSUPPORTED
         assert list(tmp_path.iterdir()) == []
+
+# word-count edges of numpy's entropy: 1, 2, 3, 4 and 5+ uint32 words
+EDGE_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+                2 ** 96 - 1, 2 ** 96, 2 ** 128, 2 ** 256]
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+class TestBulkSeeding:
+    """The array pass that seeds a point's trials, against numpy's objects."""
+
+    @pytest.mark.parametrize("master", EDGE_MASTERS)
+    @pytest.mark.parametrize("start,count", [(0, 3), (2 ** 32 - 2, 4),
+                                             (2 ** 32, 2), (2 ** 40, 1)])
+    def test_trial_seeds_at_word_edges(self, master, start, count):
+        assert trial_seeds(master, start, count) == [
+            trial_seed(master, i) for i in range(start, start + count)]
+
+    @settings(max_examples=60)
+    @given(st.one_of(st.sampled_from(EDGE_MASTERS), st.integers(0, 2 ** 256)),
+           st.one_of(st.integers(0, 2 ** 48),
+                     st.integers(2 ** 32 - 12, 2 ** 32 + 12)),
+           st.integers(0, 12))
+    def test_trial_seeds_equal_numpys(self, master, start, count):
+        assert trial_seeds(master, start, count) == [
+            trial_seed(master, i) for i in range(start, start + count)]
+
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
+                              st.integers(0, 2 ** 64 - 1)),
+                    min_size=1, max_size=8),
+           st.sampled_from([0, 1]),
+           st.sampled_from([(2, 2), (3, 4), (EXTENSION_SLOTS, 2, 2)]))
+    def test_first_draws_equal_numpys(self, seeds, index, shape):
+        draws = phy._first_draws(seeds, index, shape)
+        assert draws.shape == (len(seeds),) + shape
+        for seed, draw in zip(seeds, draws):
+            expected = phy._substream(seed, index).standard_normal(shape)
+            assert draw.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pcg64_states_at_word_edges(self, index):
+        assert phy._pcg64_states(EDGE_SEEDS, index) == [
+            tuple(phy._substream(seed, index).bit_generator.state["state"]
+                  .values())
+            for seed in EDGE_SEEDS]
+
+    def test_a_wrong_trial_seed_fails_loudly(self, monkeypatch):
+        bulk = phy.trial_seeds
+
+        def second_point_off(master, start, count):
+            seeds = bulk(master, start, count)
+            seeds[4] ^= 1  # the second SNR point's first trial
+            return seeds
+
+        monkeypatch.setattr(phy, "trial_seeds", second_point_off)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID, 4, 0)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("field", [0, 1])  # PCG64 state, increment
+    def test_a_wrong_pcg64_state_fails_loudly(self, monkeypatch, scheme, field):
+        bulk = phy._pcg64_states
+
+        def first_off(seeds, index):
+            states = bulk(seeds, index)
+            wrong = list(states[0])
+            wrong[field] ^= 2
+            return [tuple(wrong)] + states[1:]
+
+        monkeypatch.setattr(phy, "_pcg64_states", first_off)
+        cfg, alloc, dem = setup_scheme(scheme)
+        with pytest.raises(RuntimeError, match="PCG64"):
+            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, 0)
+
 
 class TestEstimateNdt:
     @staticmethod
