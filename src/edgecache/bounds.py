@@ -1,7 +1,10 @@
 """Delivery-time bounds, achievable points and tradeoff envelopes.
 
 Everything here is exact rational arithmetic over the fractional cache size
-mu. The converse is a family of affine lower bounds on the normalized
+mu. Sweeps run on Python ints: a grid is integer numerators over one
+denominator, and each curve value is an integer pair reduced once, where it
+is emitted; a `Fraction` is built only when a caller asks for one. The
+converse is a family of affine lower bounds on the normalized
 delivery time (NDT), indexed by a cut parameter ell in {1..min(M,K)}:
 
     delta(mu) >= (K - (M-ell)+ (K-ell)+ mu) / ell
@@ -15,7 +18,9 @@ cache/time-sharing convex envelope.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -92,28 +97,49 @@ class TradeoffCurve:
             (q.ndt - p.ndt) / (q.mu - p.mu) for p, q in zip(pts, pts[1:])
         ) or (Fraction(0),)
 
-    def _walk(self, grid: list[Fraction]) -> list[tuple[Fraction, int]]:
-        """(value, segment index) at each mu of a sorted grid, in one pass.
+    @cached_property
+    def _lines(self) -> tuple[tuple[int, int, int], ...]:
+        """Per segment, integers (a, b, c) with value (a + b*mu)/c on it."""
+        lines = []
+        for p, slope in zip(self.points, self._slopes):
+            intercept = p.ndt - slope * p.mu
+            c = math.lcm(intercept.denominator, slope.denominator)
+            lines.append((intercept.numerator * (c // intercept.denominator),
+                          slope.numerator * (c // slope.denominator), c))
+        return tuple(lines)
+
+    def _walk(self, grid: MuGrid) -> list[tuple[int, int, int]]:
+        """(numerator, denominator, segment index) of the value at each mu of
+        a sorted grid, in one pass; each value is reduced.
 
         Only the grid's ends are checked against the span. A breakpoint
         belongs to the segment on its left: its smallest maximizing cut.
         """
-        pts, slopes = self.points, self._slopes
+        pts, nums, den = self.points, grid.numerators, grid.denominator
         lo, hi = pts[0].mu, pts[-1].mu
-        for mu in grid[:1] + grid[-1:]:
-            if not lo <= mu <= hi:
-                raise RangeError(f"mu {mu} outside curve span [{lo}, {hi}]")
-        intercepts = [p.ndt - slope * p.mu for p, slope in zip(pts, slopes)]
-        walked, i, last = [], 0, len(slopes) - 1
-        for mu in grid:
-            while i < last and mu > pts[i + 1].mu:
-                i += 1
-            walked.append((intercepts[i] + slopes[i] * mu, i))
+        for n in nums[:1] + nums[-1:]:
+            if not (lo.numerator * den <= n * lo.denominator
+                    and n * hi.denominator <= hi.numerator * den):
+                raise RangeError(
+                    f"mu {Fraction(n, den)} outside curve span [{lo}, {hi}]")
+        # n/den lies left of an inner breakpoint r iff n <= floor(r * den)
+        stops = [bisect_right(nums, p.mu.numerator * den // p.mu.denominator)
+                 for p in pts[1:len(self._lines)]] + [len(nums)]
+        walked, start = [], 0
+        for seg, ((a, b, c), stop) in enumerate(zip(self._lines, stops)):
+            base, scale = a * den, c * den
+            for n in nums[start:stop]:
+                value = base + b * n
+                g = math.gcd(value, scale)
+                walked.append((value // g, scale // g, seg))
+            start = stop
         return walked
 
     def value_at(self, mu) -> Fraction:
         """Exact value at one mu of the curve's span."""
-        return self._walk([as_fraction(mu)])[0][0]
+        mu = as_fraction(mu)
+        num, den, _ = self._walk(MuGrid((mu.numerator,), mu.denominator))[0]
+        return Fraction(num, den)
 
 
 def ndt_lower_bound_at(config: SystemConfig, mu, ell: int) -> Fraction:
@@ -237,6 +263,40 @@ def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
     return TradeoffCurve(tuple(points), tuple(ell for ell, _, _ in lines))
 
 
+class MuGrid:
+    """A mu grid as integer numerators over one common denominator.
+
+    Indexing and iteration yield each mu as a `Fraction`; sweeps read the ints.
+    """
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: tuple[int, ...], denominator: int):
+        self.numerators, self.denominator = numerators, denominator
+
+    @classmethod
+    def of(cls, mus) -> MuGrid:
+        """The grid of some rationals over the lcm of their denominators."""
+        mus = [as_fraction(mu) for mu in mus]
+        den = math.lcm(*(mu.denominator for mu in mus))
+        return cls(tuple(mu.numerator * (den // mu.denominator) for mu in mus),
+                   den)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MuGrid(self.numerators[index], self.denominator)
+        return Fraction(self.numerators[index], self.denominator)
+
+    def reduced(self) -> list[tuple[int, int]]:
+        """Each mu as a reduced (numerator, denominator) pair."""
+        nums, den = self.numerators, self.denominator
+        gcds = map(math.gcd, nums, itertools.repeat(den))
+        return [(n // g, den // g) for n, g in zip(nums, gcds)]
+
+
 @dataclass(frozen=True)
 class TradeoffRow:
     """One grid point of a sweep; converse columns empty outside perfect CSI."""
@@ -251,9 +311,27 @@ class TradeoffRow:
 
 @dataclass(frozen=True)
 class TradeoffTable:
+    """A sweep's rows as ints; `rows` builds their `Fraction` form on request.
+
+    Each int row is (mu_num, mu_den, lower_num, lower_den, ell_star,
+    upper_num, upper_den), every pair reduced; outside perfect CSI the three
+    converse entries are None.
+    """
+
     config: SystemConfig
     csi_mode: CsiMode
-    rows: tuple[TradeoffRow, ...]
+    int_rows: tuple[tuple, ...]
+
+    @cached_property
+    def rows(self) -> tuple[TradeoffRow, ...]:
+        rows = []
+        for mu_num, mu_den, lo_num, lo_den, ell, up_num, up_den in self.int_rows:
+            upper = Fraction(up_num, up_den)
+            lower = None if ell is None else Fraction(lo_num, lo_den)
+            gap = None if ell is None else upper - lower
+            rows.append(TradeoffRow(Fraction(mu_num, mu_den), lower, ell, upper,
+                                    gap, None if ell is None else gap == 0))
+        return tuple(rows)
 
 
 # A cap on the grid's rows, about 8x the 118,801 of the 100x100 default
@@ -261,51 +339,52 @@ class TradeoffTable:
 MAX_GRID_ROWS = 1_000_000
 
 
-def default_mu_grid(config: SystemConfig, step=None) -> list[Fraction]:
+def default_mu_grid(config: SystemConfig, step=None) -> MuGrid:
     """Grid over [1/M, 1]; the default step 1/(12*M*K) hits every known corner.
 
-    A step that gives more than MAX_GRID_ROWS rows is an ArgumentError.
+    For a step p/q the grid is numerators over lcm(M, q), stepping from 1/M
+    and ending at 1. A step that gives more than MAX_GRID_ROWS rows is an
+    ArgumentError.
     """
     m, k = config.num_ens, config.num_users
     step = Fraction(1, 12 * m * k) if step is None else as_fraction(step)
     if step <= 0:
         raise ArgumentError(f"grid step must be positive, got {step}")
-    rows = math.ceil((1 - Fraction(1, m)) / step) + 1
+    den = math.lcm(m, step.denominator)
+    first, stride = den // m, step.numerator * (den // step.denominator)
+    rows = -(-(den - first) // stride) + 1
     if rows > MAX_GRID_ROWS:
         raise ArgumentError(
             f"grid step {step} gives {rows} rows at M={m}, "
             f"more than the {MAX_GRID_ROWS} allowed"
         )
-    grid = []
-    mu = Fraction(1, m)
-    while mu < 1:
-        grid.append(mu)
-        mu += step
-    grid.append(Fraction(1))
-    return grid
+    return MuGrid((*range(first, den, stride), den), den)
 
 
 def tradeoff_sweep(config: SystemConfig, mu_grid,
                    csi_mode: CsiMode = CsiMode.PERFECT) -> TradeoffTable:
     """Evaluate converse and achievable envelope over a mu grid.
 
-    Delayed and no-CSI modes report achievability only; the converse is
-    proved for perfect CSI and emitting it elsewhere would invent results.
+    The grid is a `MuGrid` or any sorted rationals. Delayed and no-CSI modes
+    report achievability only; the converse is proved for perfect CSI and
+    emitting it elsewhere would invent results.
     """
-    grid = [as_fraction(mu) for mu in mu_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = mu_grid if isinstance(mu_grid, MuGrid) else MuGrid.of(mu_grid)
+    nums = grid.numerators
+    if any(b <= a for a, b in zip(nums, nums[1:])):
         raise ArgumentError("mu_grid must be sorted and duplicate-free")
     # the envelope spans the feasible range [1/M, 1]: its walk checks the grid
     uppers = convex_envelope(achievable_points(config, csi_mode))._walk(grid)
     if csi_mode is not CsiMode.PERFECT:
-        rows = [TradeoffRow(mu, None, None, upper, None, None)
-                for mu, (upper, _) in zip(grid, uppers)]
+        rows = [(mu_num, mu_den, None, None, None, up_num, up_den)
+                for (mu_num, mu_den), (up_num, up_den, _)
+                in zip(grid.reduced(), uppers)]
         return TradeoffTable(config, csi_mode, tuple(rows))
     converse = lower_bound_curve(config)
-    rows = []
-    for mu, (upper, _), (lower, seg) in zip(grid, uppers, converse._walk(grid)):
-        gap = upper - lower
-        rows.append(TradeoffRow(mu, lower, converse.ells[seg], upper, gap, gap == 0))
+    ells = converse.ells
+    rows = [(mu_num, mu_den, lo_num, lo_den, ells[seg], up_num, up_den)
+            for (mu_num, mu_den), (lo_num, lo_den, seg), (up_num, up_den, _)
+            in zip(grid.reduced(), converse._walk(grid), uppers)]
     return TradeoffTable(config, csi_mode, tuple(rows))
 
 

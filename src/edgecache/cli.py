@@ -113,10 +113,41 @@ def replay_manifest(manifest_path, out_path) -> int:
     return main(argv)
 
 
-def _frac_fields(value: Fraction | None) -> tuple:
-    if value is None:
-        return "", ""
-    return value.numerator, value.denominator
+def _bounds_csv(table) -> str:
+    """The bounds CSV, one line per row, straight from the reduced ints."""
+    head = ("mu_num,mu_den,lower_num,lower_den,upper_num,upper_den,"
+            "ell_star,tight\n")
+    if table.csi_mode is not CsiMode.PERFECT:
+        return head + "".join([f"{mn},{md},,,{un},{ud},,\n"
+                               for mn, md, _, _, _, un, ud in table.int_rows])
+    return head + "".join([
+        f"{mn},{md},{ln},{ld},{un},{ud},{ell},{int(ln == un and ld == ud)}\n"
+        for mn, md, ln, ld, ell, un, ud in table.int_rows])
+
+
+def _bounds_json(table) -> str:
+    """The bounds JSON copy: byte for byte what json.dumps(indent=2,
+    sort_keys=True) writes for rows whose rationals are `str(Fraction)`."""
+    if table.csi_mode is not CsiMode.PERFECT:
+        rows = [f"""    {{
+      "ell_star": null,
+      "lower": null,
+      "mu": "{mn}/{md}",
+      "tight": null,
+      "upper": "{un}/{ud}"
+    }}""" for mn, md, _, _, _, un, ud in table.int_rows]
+    else:
+        rows = [f"""    {{
+      "ell_star": {ell},
+      "lower": "{ln}/{ld}",
+      "mu": "{mn}/{md}",
+      "tight": {"true" if ln == un and ld == ud else "false"},
+      "upper": "{un}/{ud}"
+    }}""" for mn, md, ln, ld, ell, un, ud in table.int_rows]
+    text = (f'{{\n  "csi": "{table.csi_mode.value}",\n  "rows": [\n'
+            + ",\n".join(rows) + "\n  ]\n}\n")
+    # str(Fraction) drops a denominator of 1, and '/1"' ends only those
+    return text.replace('/1"', '"')
 
 
 def _format_regions(regions) -> str:
@@ -135,43 +166,15 @@ def _config(args, mu):
 def cmd_bounds(args, argv: list[str]) -> int:
     config = _config(args, Fraction(1))
     csi = CsiMode(args.csi)
-    step = as_fraction(args.grid_step) if args.grid_step else None
-    grid = default_mu_grid(config, step)
+    grid = default_mu_grid(config, args.grid_step)
     table = tradeoff_sweep(config, grid, csi)
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "mu_num", "mu_den", "lower_num", "lower_den",
-            "upper_num", "upper_den", "ell_star", "tight",
-        ])
-        for row in table.rows:
-            writer.writerow([
-                *_frac_fields(row.mu),
-                *_frac_fields(row.lower),
-                *_frac_fields(row.upper),
-                row.ell_star if row.ell_star is not None else "",
-                "" if row.tight is None else int(row.tight),
-            ])
+    out.write_text(_bounds_csv(table), encoding="utf-8", newline="")
     outputs = [out]
     if args.json:
-        json_rows = [
-            {
-                "mu": str(row.mu),
-                "lower": str(row.lower) if row.lower is not None else None,
-                "upper": str(row.upper),
-                "ell_star": row.ell_star,
-                "tight": row.tight,
-            }
-            for row in table.rows
-        ]
         json_path = out.with_suffix(".json")
-        json_path.write_text(
-            json.dumps({"csi": csi.value, "rows": json_rows},
-                       indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        json_path.write_text(_bounds_json(table), encoding="utf-8", newline="")
         outputs.append(json_path)
     _write_manifest(out, argv, config, None, outputs)
     if csi is CsiMode.PERFECT:
@@ -179,7 +182,7 @@ def cmd_bounds(args, argv: list[str]) -> int:
         print(f"tight regions (lower = upper): {_format_regions(regions)}")
     else:
         print(f"{csi.value} CSI: achievability only, no converse emitted")
-    print(f"wrote {len(table.rows)} rows to {out}")
+    print(f"wrote {len(table.int_rows)} rows to {out}")
     return EXIT_OK
 
 
@@ -222,6 +225,18 @@ def _snr_grid(text: str) -> list[float]:
             f"SNR grid spans {max(grid) - min(grid):.1f} dB, "
             f"need >= {MIN_SNR_SPAN_DB:g}")
     return grid
+
+
+def _grid_step(text: str) -> Fraction:
+    """Parse bounds --grid-step: a positive rational such as 1/24 or 0.05."""
+    try:
+        step = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational p/q: {text!r}") from None
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"grid step must be positive, got {text!r}")
+    return step
 
 
 def _ell(text: str):
@@ -432,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="sweep the exact tradeoff curves")
     p_bounds.add_argument("--csi", choices=[m.value for m in CsiMode],
                           default="perfect")
-    p_bounds.add_argument("--grid-step", default=None,
+    p_bounds.add_argument("--grid-step", type=_grid_step, default=None,
                           help="rational step p/q (default: 1/(12*M*K))")
     p_bounds.add_argument("--out", type=_out_path, required=True,
                           help="output CSV path")

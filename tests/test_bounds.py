@@ -1,12 +1,17 @@
 """Tests for the exact-rational bound family, corner points and envelopes."""
 
+import csv
+import io
 import itertools
+import json
 import random
+import tempfile
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edgecache.bounds import (
@@ -24,6 +29,7 @@ from edgecache.bounds import (
     optimality_regions,
     tradeoff_sweep,
 )
+from edgecache.cli import main
 from edgecache.errors import (
     ArgumentError,
     EmptyInputError,
@@ -70,6 +76,108 @@ def networks_with_grids(draw):
     extra = draw(st.lists(st.fractions(F(1, m), 1, max_denominator=500),
                           max_size=20))
     return m, k, sorted({F(1, m), F(1), *cut_line_meets(m, k), *extra})
+
+
+def fraction_grid(m, step):
+    """Reference grid: Fraction steps from 1/M while below 1, then 1."""
+    grid, mu = [], F(1, m)
+    while mu < 1:
+        grid.append(mu)
+        mu += step
+    return grid + [F(1)]
+
+
+def fraction_walk(curve, grid):
+    """Reference walk in Fractions: (intercept + slope * mu, segment)."""
+    pts = curve.points
+    slopes = [(q.ndt - p.ndt) / (q.mu - p.mu)
+              for p, q in zip(pts, pts[1:])] or [F(0)]
+    walked, i = [], 0
+    for mu in grid:
+        while i < len(slopes) - 1 and mu > pts[i + 1].mu:
+            i += 1
+        walked.append((pts[i].ndt + slopes[i] * (mu - pts[i].mu), i))
+    return walked
+
+
+def reference_files(c, step, csi):
+    """The bounds CSV and JSON bytes from a Fraction sweep, csv.writer and
+    json.dumps, with each row checked against the per-point references."""
+    m, k = c.num_ens, c.num_users
+    grid = fraction_grid(m, F(1, 12 * m * k) if step is None else step)
+    envelope = convex_envelope(achievable_points(c, csi))
+    uppers = [value for value, _ in fraction_walk(envelope, grid)]
+    rows = []  # (mu, lower, ell_star, upper)
+    if csi is CsiMode.PERFECT:
+        converse = lower_bound_curve(c)
+        for mu, upper, (lower, seg) in zip(grid, uppers,
+                                           fraction_walk(converse, grid)):
+            assert (lower, converse.ells[seg]) == ndt_lower_bound(c, mu)
+            assert lower == chord_value(converse, mu)
+            rows.append((mu, lower, converse.ells[seg], upper))
+    else:
+        rows = [(mu, None, None, upper) for mu, upper in zip(grid, uppers)]
+    assert uppers == [chord_value(envelope, mu) for mu in grid]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["mu_num", "mu_den", "lower_num", "lower_den",
+                     "upper_num", "upper_den", "ell_star", "tight"])
+    for mu, lower, ell, upper in rows:
+        writer.writerow([mu.numerator, mu.denominator,
+                         *(("", "") if lower is None else
+                           (lower.numerator, lower.denominator)),
+                         upper.numerator, upper.denominator,
+                         "" if ell is None else ell,
+                         "" if lower is None else int(lower == upper)])
+    doc = {"csi": csi.value, "rows": [
+        {"mu": str(mu), "lower": None if lower is None else str(lower),
+         "upper": str(upper), "ell_star": ell,
+         "tight": None if lower is None else lower == upper}
+        for mu, lower, ell, upper in rows]}
+    return (text.getvalue().encode(),
+            (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
+@st.composite
+def bounds_runs(draw):
+    """(M, K, step or None, CSI mode): a `bounds` run of at most ~90 rows;
+    the degraded modes exist only at 2x2."""
+    csi = draw(st.sampled_from(list(CsiMode)))
+    m, k = ((draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+            if csi is CsiMode.PERFECT else (2, 2))
+    step = draw(st.builds(F, st.integers(1, 6), st.integers(1, 90)))
+    return m, k, step, csi
+
+
+class TestBoundsFilesMatchTheFractionReference:
+    @given(bounds_runs())
+    @example((12, 5, F(1, 97), CsiMode.PERFECT))    # does not divide 11/12
+    @example((3, 4, F(3, 7), CsiMode.PERFECT))      # p > 1
+    @example((5, 2, F(2), CsiMode.PERFECT))         # wider than 1 - 1/M
+    @example((1, 4, F(1, 7), CsiMode.PERFECT))      # M = 1: the grid is {1}
+    @example((7, 1, F(2, 9), CsiMode.PERFECT))      # K = 1
+    @example((3, 3, None, CsiMode.PERFECT))         # default 1/(12MK)
+    @example((2, 2, F(1, 10), CsiMode.DELAYED))
+    @example((2, 2, None, CsiMode.NO_CSI))
+    def test_csv_and_json_bytes(self, run):
+        m, k, step, csi = run
+        c = cfg(m, k)
+        csv_bytes, json_bytes = reference_files(c, step, csi)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "b.csv"
+            flags = [] if step is None else ["--grid-step", str(step)]
+            assert main(["bounds", "--m", str(m), "--k", str(k), "--csi",
+                         csi.value, *flags, "--json", "--out", str(out)]) == 0
+            assert out.read_bytes() == csv_bytes
+            assert out.with_suffix(".json").read_bytes() == json_bytes
+        table = tradeoff_sweep(c, default_mu_grid(c, step), csi)
+        for row in table.rows:
+            if csi is CsiMode.PERFECT:
+                assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
+                assert row.gap == row.upper - row.lower
+                assert row.tight is (row.gap == 0)
+            else:
+                assert row.lower is row.ell_star is row.gap is row.tight is None
 
 
 class TestLowerBoundFamily:
@@ -291,7 +399,7 @@ class TestSweepAndRegions:
         (1, F(1, 7), [F(1)]),
     ])
     def test_grid_steps_from_one_over_m_and_ends_at_one(self, m, step, expect):
-        assert default_mu_grid(cfg(m, 2), step) == expect
+        assert list(default_mu_grid(cfg(m, 2), step)) == expect
 
     def test_default_grid_hits_breakpoints(self):
         grid = default_mu_grid(cfg(3, 3))

@@ -96,15 +96,33 @@ class TestBoundsCommand:
                                         (100, "1/1010102")])
     def test_grid_over_the_row_cap_builds_nothing(self, tmp_path, monkeypatch,
                                                   m, step):
-        class NoStep(F):
-            def __add__(self, other):
-                raise AssertionError("a grid point past the first was built")
+        def no_numerators(*args):
+            raise AssertionError("a grid numerator was built")
 
-        # default_mu_grid's loop starts at Fraction(1, M) and adds the step
-        monkeypatch.setattr("edgecache.bounds.Fraction", NoStep)
+        # default_mu_grid builds its numerators with range(): under the cap
+        # the patch stops it, over the cap the refusal comes first
+        monkeypatch.setattr("edgecache.bounds.range", no_numerators,
+                            raising=False)
+        with pytest.raises(AssertionError, match="grid numerator"):
+            default_mu_grid(validate_config(m, 2, 2, F(1), 6), F(1, 2))
         code = main(["bounds", "--m", str(m), "--k", "2", "--grid-step", step,
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("step", ["", "0", "0/5", "-1/2", "zebra", "1/0",
+                                      "nan", "inf", "1/2/3"])
+    def test_grid_step_must_be_a_positive_rational(self, tmp_path, capsys,
+                                                   monkeypatch, step):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran with a bad --grid-step")
+
+        for work in ("default_mu_grid", "tradeoff_sweep"):
+            monkeypatch.setattr(f"edgecache.cli.{work}", no_work)
+        code = main(["bounds", "--m", "2", "--k", "2", f"--grid-step={step}",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "--grid-step" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("m,step", [(2, F(1, 3)), (3, F(1, 4)),
