@@ -398,15 +398,18 @@ def optimality_regions(config: SystemConfig) -> list[tuple[Fraction, Fraction]]:
     """
     envelope = convex_envelope(achievable_points(config, CsiMode.PERFECT))
     converse = lower_bound_curve(config)
-    candidates = sorted({p.mu for p in envelope.points + converse.points})
+    grid = MuGrid.of(sorted({p.mu for p in envelope.points + converse.points}))
     regions: list[tuple[Fraction, Fraction]] = []
     touching = False
-    for row in tradeoff_sweep(config, candidates).rows:
-        if row.gap < 0:
+    for mu, (lo_num, lo_den, _), (up_num, up_den, _) in zip(
+            grid, converse._walk(grid), envelope._walk(grid)):
+        gap = Fraction(up_num, up_den) - Fraction(lo_num, lo_den)
+        if gap < 0:
             raise ArgumentError(
-                f"achievable envelope below converse at mu={row.mu}: gap {row.gap}"
+                f"achievable envelope below converse at mu={mu}: gap {gap}"
             )
-        if row.tight:  # extend the region ending at the previous mu, or open one
-            regions.append((regions.pop()[0] if touching else row.mu, row.mu))
-        touching = row.tight
+        tight = gap == 0
+        if tight:  # extend the region ending at the previous mu, or open one
+            regions.append((regions.pop()[0] if touching else mu, mu))
+        touching = tight
     return regions

@@ -18,6 +18,18 @@ verified here at double precision:
 Each channel draw is sliced once into a `Cut`, whose H1 conditioning is
 tested once; every check reads that cut. Entropy inequalities themselves
 are not estimated; only these deterministic pieces are.
+
+`verify_converse` runs each cut as one array program over chunks of
+`TRIAL_CHUNK` trials. A chunk reads its trials' channels, inputs and noise
+from one `standard_normal` call, in the order a per-draw loop draws them
+(numpy's normal stream does not depend on how it is split into calls).
+All the chunk's H1s are conditioned in one stacked test; a rejected draw
+is redrawn from the next K*M values, which shifts every later trial of
+the chunk by K*M, and the chunk draws those values on top. `Cut`,
+`build_submatrices`, `lambda_constant`, `reconstruction_residual`,
+`folded_channel` and `logdet_term` take a leading trial axis, and for one
+draw return what the per-draw computation returns, bit for bit. The exact
+`logdet_oracle` runs once per draw.
 """
 
 from __future__ import annotations
@@ -38,36 +50,54 @@ NOISE_COV_TOL = 0.05
 NOISE_COV_SAMPLES = 100_000
 TIME_COLUMNS = 8  # channel uses per reconstruction draw
 MAX_REDRAWS = 16
+TRIAL_CHUNK = 64  # trials per array program; bounds memory for any --trials
 
 
 @dataclass(frozen=True)
 class Cut:
-    """A channel draw sliced at cut parameter ell, with a usable H1.
+    """A channel draw, or a stack of them, sliced at cut parameter ell.
 
     H1 (ell x ell) holds rows 1..ell and the last ell columns, H2 rows
     ell+1..K of the same columns and H3 rows ell+1..K of every column; all
     three are views of h. `build_submatrices` tests H1's conditioning
     before it makes a Cut, so every check reading one may solve with H1.
+    A stack puts its draws on a leading axis; `cut[t]` is draw t's Cut.
     """
 
-    h: np.ndarray   # K x M
-    h1: np.ndarray  # ell x ell
-    h2: np.ndarray  # (K-ell) x ell
-    h3: np.ndarray  # (K-ell) x M
+    h: np.ndarray   # ... x K x M
+    h1: np.ndarray  # ... x ell x ell
+    h2: np.ndarray  # ... x (K-ell) x ell
+    h3: np.ndarray  # ... x (K-ell) x M
     ell: int
 
+    def __getitem__(self, t) -> Cut:
+        return Cut(self.h[t], self.h1[t], self.h2[t], self.h3[t], self.ell)
 
-def lambda_constant(h: np.ndarray, ell: int) -> float:
+
+def _per_draw(values):
+    """One float for one draw, an array over a stack's leading axes."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of each matrix over the last two axes.
+
+    A stacked (1, n) @ (n, 1) product, which matches `np.linalg.norm`'s
+    ravel-and-dot bit for bit where an elementwise sum of squares does not.
+    """
+    flat = a.reshape(a.shape[:-2] + (1, -1))
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+
+
+def lambda_constant(h: np.ndarray, ell: int):
     """Variance constant over the first ell receivers, literal expression."""
-    k = h.shape[0]
+    k = h.shape[-2]
     if not isinstance(ell, int) or not 1 <= ell <= k:
         raise RangeError(f"ell {ell!r} outside {{1..{k}}}")
-    best = -math.inf
-    for row in h[:ell]:
-        squares = float((row ** 2).sum())
-        cross = float(np.outer(row, row).sum()) - squares  # ordered m != m~
-        best = max(best, squares + cross)
-    return best
+    rows = h[..., :ell, :]
+    squares = (rows ** 2).sum(axis=-1)
+    cross = (rows[..., :, None] * rows[..., None, :]).sum(axis=(-2, -1)) - squares
+    return _per_draw((squares + cross).max(axis=-1))  # ordered m != m~ terms
 
 
 @dataclass(frozen=True)
@@ -107,20 +137,25 @@ def variance_bound_check(h: np.ndarray, ell: int, power: float, trials: int,
     return VarianceCheck(holds, worst, bound, empirical)
 
 
+def _h1_usable(h1: np.ndarray) -> np.ndarray:
+    """Per draw, whether H1 passes the conditioning test."""
+    return np.linalg.cond(h1) <= H1_COND_LIMIT  # a NaN condition fails too
+
+
 def build_submatrices(h: np.ndarray, ell: int) -> Cut:
-    """Slice h at ell; SingularH1Error unless H1 is well conditioned."""
-    k, m = h.shape
+    """Slice h at ell; SingularH1Error unless every H1 is well conditioned."""
+    k, m = h.shape[-2:]
     if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
         raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
-    h1 = h[:ell, m - ell:]
-    if not np.linalg.cond(h1) <= H1_COND_LIMIT:  # a NaN condition fails too
+    h1 = h[..., :ell, m - ell:]
+    if not _h1_usable(h1).all():
         raise SingularH1Error(
             f"H1 condition number exceeds {H1_COND_LIMIT:g}; redraw the channel"
         )
-    return Cut(h, h1, h[ell:, m - ell:], h[ell:], ell)
+    return Cut(h, h1, h[..., ell:, m - ell:], h[..., ell:, :], ell)
 
 
-def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray) -> float:
+def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray):
     """Relative Frobenius mismatch of the two sides of the identity.
 
     Left side: the bottom channel outputs plus the folded top noise
@@ -129,28 +164,28 @@ def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray) -> float
     noise. Algebraically zero; numerically limited by the H1 solve.
     """
     h, ell = cut.h, cut.ell
-    k, m = h.shape
+    k, m = h.shape[-2:]
     if ell == k:
-        return 0.0  # degenerate cut: both sides are empty
+        return _per_draw(np.zeros(h.shape[:-2]))  # both sides are empty
     known = m - ell
     y = h @ x + noise
-    y_top, y_bot = y[:ell], y[ell:]
-    n_top, n_bot = noise[:ell], noise[ell:]
-    y_tilde = y_top - h[:ell, :known] @ x[:known]
+    y_top, y_bot = y[..., :ell, :], y[..., ell:, :]
+    n_top, n_bot = noise[..., :ell, :], noise[..., ell:, :]
+    y_tilde = y_top - h[..., :ell, :known] @ x[..., :known, :]
     left = y_bot + cut.h2 @ np.linalg.solve(cut.h1, n_top)
-    right = cut.h3 @ np.vstack([x[:known], np.linalg.solve(cut.h1, y_tilde)])
-    right = right + n_bot
-    scale = np.linalg.norm(left)
-    diff = np.linalg.norm(left - right)
-    return float(diff / scale) if scale > 0 else float(diff)
+    top = np.linalg.solve(cut.h1, y_tilde)
+    right = cut.h3 @ np.concatenate([x[..., :known, :], top], axis=-2) + n_bot
+    scale, diff = _frobenius(left), _frobenius(left - right)
+    return _per_draw(diff / np.where(scale > 0, scale, 1.0))
 
 
 def folded_channel(cut: Cut) -> np.ndarray:
     """Ht = H2 H1^-1, the matrix folding top noise into the bottom outputs."""
-    return np.linalg.solve(cut.h1.T, cut.h2.T).T
+    return np.swapaxes(np.linalg.solve(np.swapaxes(cut.h1, -1, -2),
+                                       np.swapaxes(cut.h2, -1, -2)), -1, -2)
 
 
-def logdet_term(cut: Cut) -> float:
+def logdet_term(cut: Cut):
     """log det(I + Ht Ht^T), finite and independent of any power level.
 
     Computed as sum log(1 + sigma_i^2) over the singular values of Ht,
@@ -158,10 +193,10 @@ def logdet_term(cut: Cut) -> float:
     explicitly would square its dynamic range).
     """
     ht = folded_channel(cut)
-    if ht.shape[0] == 0:
-        return 0.0
+    if ht.shape[-2] == 0:
+        return _per_draw(np.zeros(ht.shape[:-2]))
     svals = np.linalg.svd(ht, compute_uv=False)
-    return float(np.sum(np.log1p(svals ** 2)))
+    return _per_draw(np.log1p(svals ** 2).sum(axis=-1))
 
 
 def det_bareiss(rows) -> int:
@@ -239,17 +274,40 @@ def noise_cov_check(cut: Cut, trials: int, seed: int = 0,
     return float(np.abs(empirical - ht @ ht.T).max())
 
 
+def _regular_draws(rng: np.random.Generator, num_users: int, num_ens: int,
+                   ell: int, count: int, extra: int) -> tuple[Cut, np.ndarray]:
+    """`count` regular K x M draws, each followed by `extra` stream values.
+
+    Reads the stream as `count` calls of (channel, redrawn while H1 fails,
+    then `extra` values) would: a draw rejected at index i moves i's
+    channel and everything after it on by K*M values, drawn on top. Returns
+    the stacked cut and the (count, extra) values after each channel.
+    """
+    size = num_users * num_ens
+    per = size + extra
+    values = rng.standard_normal(count * per)
+    starts = np.arange(count) * per
+    attempts = np.ones(count, dtype=int)
+    while True:
+        draws = values[starts[:, None] + np.arange(per)]
+        h = draws[:, :size].reshape(count, num_users, num_ens)
+        try:
+            return build_submatrices(h, ell), draws[:, size:]
+        except SingularH1Error:
+            first = int(np.argmin(_h1_usable(h[:, :ell, num_ens - ell:])))
+        if attempts[first] > MAX_REDRAWS:
+            raise SingularH1Error(
+                f"no well-conditioned H1 after {MAX_REDRAWS} redraws (RNG misuse?)"
+            )
+        attempts[first] += 1
+        starts[first:] += size
+        values = np.concatenate([values, rng.standard_normal(size)])
+
+
 def sample_regular_channel(rng: np.random.Generator, num_users: int,
                            num_ens: int, ell: int) -> Cut:
     """Standard-normal K x M draw, cut at ell, with a well-conditioned H1."""
-    for _ in range(MAX_REDRAWS + 1):
-        try:
-            return build_submatrices(rng.standard_normal((num_users, num_ens)), ell)
-        except SingularH1Error:
-            pass
-    raise SingularH1Error(
-        f"no well-conditioned H1 after {MAX_REDRAWS} redraws (RNG misuse?)"
-    )
+    return _regular_draws(rng, num_users, num_ens, ell, 1, 0)[0][0]
 
 
 @dataclass(frozen=True)
@@ -276,23 +334,28 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     if ells is None:
         ells = range(1, min(m, k) + 1)
     reports = []
+    inputs = m * TIME_COLUMNS
     for ell in ells:
         rng = np.random.default_rng((seed, ell))
         lam = -math.inf
         worst_residual = 0.0
         worst_logdet = 0.0
         worst_oracle = 0.0
-        for _ in range(trials):
-            cut = sample_regular_channel(rng, k, m, ell)
-            x = rng.standard_normal((m, TIME_COLUMNS))
-            noise = rng.standard_normal((k, TIME_COLUMNS))
-            lam = max(lam, lambda_constant(cut.h, ell))
+        for done in range(0, trials, TRIAL_CHUNK):
+            count = min(TRIAL_CHUNK, trials - done)
+            cut, rest = _regular_draws(rng, k, m, ell, count,
+                                       inputs + k * TIME_COLUMNS)
+            x = rest[:, :inputs].reshape(count, m, TIME_COLUMNS)
+            noise = rest[:, inputs:].reshape(count, k, TIME_COLUMNS)
+            lam = max(lam, float(lambda_constant(cut.h, ell).max()))
             worst_residual = max(
-                worst_residual, reconstruction_residual(cut, x, noise)
+                worst_residual, float(reconstruction_residual(cut, x, noise).max())
             )
-            value = logdet_term(cut)
-            worst_logdet = max(worst_logdet, abs(value))
-            worst_oracle = max(worst_oracle, abs(value - logdet_oracle(cut)))
+            values = logdet_term(cut)
+            worst_logdet = max(worst_logdet, float(np.abs(values).max()))
+            for t, value in enumerate(values.tolist()):
+                worst_oracle = max(worst_oracle,
+                                   abs(value - logdet_oracle(cut[t])))
         cov_cut = sample_regular_channel(
             np.random.default_rng((seed, ell, 1)), k, m, ell
         )

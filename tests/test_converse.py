@@ -13,6 +13,9 @@ from edgecache import converse
 from edgecache.converse import (
     H1_COND_LIMIT,
     LOGDET_ORACLE_TOL,
+    NOISE_COV_SAMPLES,
+    TIME_COLUMNS,
+    ConverseReport,
     build_submatrices,
     det_bareiss,
     folded_channel,
@@ -77,6 +80,95 @@ def fraction_oracle(cut):
             for i in range(ell)]
     det = det_exact(gram) / det_h1 ** 2
     return math.log(det.numerator) - math.log(det.denominator)
+
+
+def reference_lambda(h, ell):
+    """lambda_constant of one draw as a loop over its first ell rows."""
+    best = -math.inf
+    for row in h[:ell]:
+        squares = float((row ** 2).sum())
+        cross = float(np.outer(row, row).sum()) - squares
+        best = max(best, squares + cross)
+    return best
+
+
+def reference_residual(cut, x, noise):
+    """reconstruction_residual of one draw with np.linalg.norm."""
+    h, ell = cut.h, cut.ell
+    k, m = h.shape
+    if ell == k:
+        return 0.0
+    known = m - ell
+    y = h @ x + noise
+    y_tilde = y[:ell] - h[:ell, :known] @ x[:known]
+    left = y[ell:] + cut.h2 @ np.linalg.solve(cut.h1, noise[:ell])
+    right = cut.h3 @ np.vstack([x[:known], np.linalg.solve(cut.h1, y_tilde)])
+    right = right + noise[ell:]
+    scale = np.linalg.norm(left)
+    diff = np.linalg.norm(left - right)
+    return float(diff / scale) if scale > 0 else float(diff)
+
+
+def reference_logdet(cut):
+    """logdet_term of one draw from the transposed-solve Ht."""
+    ht = np.linalg.solve(cut.h1.T, cut.h2.T).T
+    if ht.shape[0] == 0:
+        return 0.0
+    return float(np.sum(np.log1p(np.linalg.svd(ht, compute_uv=False) ** 2)))
+
+
+def reference_sample(rng, num_users, num_ens, ell, redraws=None):
+    """One K x M draw at a time, redrawn while its H1 fails the test.
+
+    Appends the number of rejected draws to `redraws`, when given.
+    """
+    for rejected in range(converse.MAX_REDRAWS + 1):
+        try:
+            cut = build_submatrices(rng.standard_normal((num_users, num_ens)),
+                                    ell)
+        except SingularH1Error:
+            continue
+        if redraws is not None:
+            redraws.append(rejected)
+        return cut
+    raise SingularH1Error(
+        f"no well-conditioned H1 after {converse.MAX_REDRAWS} redraws"
+        " (RNG misuse?)"
+    )
+
+
+def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
+    """verify_converse as a loop over single draws: the reference for the
+    chunked array program, which must return equal reports."""
+    m, k = config.num_ens, config.num_users
+    if ells is None:
+        ells = range(1, min(m, k) + 1)
+    reports = []
+    for ell in ells:
+        rng = np.random.default_rng((seed, ell))
+        lam, worst_residual, worst_logdet, worst_oracle = -math.inf, 0.0, 0.0, 0.0
+        for _ in range(trials):
+            cut = reference_sample(rng, k, m, ell, redraws)
+            x = rng.standard_normal((m, TIME_COLUMNS))
+            noise = rng.standard_normal((k, TIME_COLUMNS))
+            lam = max(lam, reference_lambda(cut.h, ell))
+            worst_residual = max(worst_residual,
+                                 reference_residual(cut, x, noise))
+            value = reference_logdet(cut)
+            worst_logdet = max(worst_logdet, abs(value))
+            worst_oracle = max(worst_oracle, abs(value - logdet_oracle(cut)))
+        cov_cut = reference_sample(np.random.default_rng((seed, ell, 1)), k, m,
+                                   ell)
+        cov_err = noise_cov_check(cov_cut, NOISE_COV_SAMPLES, seed=(seed + 1),
+                                  normalized=True)
+        reports.append(ConverseReport(ell, trials, lam, worst_residual,
+                                      worst_logdet, worst_oracle, cov_err,
+                                      NOISE_COV_SAMPLES, config))
+    return reports
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def det_direct(rows):
@@ -163,6 +255,23 @@ def dyadic_channels(draw):
     for r, c in zeros:
         h[r, c] = 0.0
     return h, ell
+
+
+@st.composite
+def channel_stacks(draw):
+    """T draws of a K x M channel with inputs and noise, scaled by a power
+    of two, some entries zeroed so that some H1s are singular."""
+    m, k = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    ell = draw(st.integers(1, min(m, k)))
+    t, cols = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal((t, k, m)) * 2.0 ** draw(st.integers(-30, 30))
+    zeros = draw(st.lists(st.tuples(st.integers(0, t - 1), st.integers(0, k - 1),
+                                    st.integers(0, m - 1)), max_size=6))
+    for idx in zeros:
+        h[idx] = 0.0
+    return (h, rng.standard_normal((t, m, cols)),
+            rng.standard_normal((t, k, cols)), ell)
 
 
 class TestLambdaConstant:
@@ -488,16 +597,17 @@ class TestVerifyConverse:
         assert not report_passes(rep, reconstruction_tol=1e-30)
 
     def test_h1_conditioned_once_per_draw(self, monkeypatch):
+        # both take stacks: count the matrices, not the calls
         calls = {"cond": 0, "cut": 0}
         cond, build = np.linalg.cond, converse.build_submatrices
 
-        def counted_cond(*args, **kwargs):
-            calls["cond"] += 1
-            return cond(*args, **kwargs)
+        def counted_cond(h1, *args, **kwargs):
+            calls["cond"] += math.prod(np.shape(h1)[:-2])
+            return cond(h1, *args, **kwargs)
 
-        def counted_build(*args, **kwargs):
-            calls["cut"] += 1
-            return build(*args, **kwargs)
+        def counted_build(h, ell):
+            calls["cut"] += math.prod(h.shape[:-2])
+            return build(h, ell)
 
         monkeypatch.setattr(np.linalg, "cond", counted_cond)
         monkeypatch.setattr(converse, "build_submatrices", counted_build)
@@ -505,3 +615,99 @@ class TestVerifyConverse:
         verify_converse(cfg, trials=50, seed=0)
         # 6 cuts x (50 trials + 1 noise-covariance draw); no redraw at seed 0
         assert calls == {"cond": 306, "cut": 306}
+
+
+class TestChunkedMatchesPerDraw:
+    """verify_converse against the per-draw loop it replaced."""
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (6, 6), (8, 5), (4, 7), (2, 9),
+                                      (1, 3), (2, 1)])
+    def test_shapes(self, m, k):
+        cfg = validate_config(m, k, k, F(1), 1200)
+        expected = reference_verify(cfg, trials=70, seed=3)
+        assert repr(verify_converse(cfg, trials=70, seed=3)) == repr(expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7, converse.TRIAL_CHUNK])
+    def test_redraws_inside_a_chunk(self, monkeypatch, chunk):
+        # at this limit 18% of the 3x3 draws are rejected at ell = 2 and
+        # 39% at ell = 3; the 1x1 H1s at ell = 1 never are
+        monkeypatch.setattr(converse, "H1_COND_LIMIT", 8.0)
+        monkeypatch.setattr(converse, "TRIAL_CHUNK", chunk)
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        redraws = []
+        expected = reference_verify(cfg, trials=40, seed=5, redraws=redraws)
+        assert sum(redraws) > 20
+        assert repr(verify_converse(cfg, trials=40, seed=5)) == repr(expected)
+
+    def test_redraw_limit_is_exact(self, monkeypatch):
+        monkeypatch.setattr(converse, "H1_COND_LIMIT", 8.0)
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        redraws = []
+        reference_verify(cfg, ells=[3], trials=40, seed=5, redraws=redraws)
+        longest = max(redraws)
+        assert longest >= 2
+        # a draw needing every allowed redraw passes ...
+        monkeypatch.setattr(converse, "MAX_REDRAWS", longest)
+        expected = reference_verify(cfg, ells=[3], trials=40, seed=5)
+        assert repr(verify_converse(cfg, ells=[3], trials=40, seed=5)) == \
+            repr(expected)
+        # ... and one redraw fewer fails it
+        monkeypatch.setattr(converse, "MAX_REDRAWS", longest - 1)
+        with pytest.raises(SingularH1Error):
+            verify_converse(cfg, ells=[3], trials=40, seed=5)
+
+    @pytest.mark.parametrize("limit, max_redraws", [(0.5, 16), (4.0, 1)])
+    def test_redraws_exhausted(self, monkeypatch, limit, max_redraws):
+        # 0.5 rejects every draw; at 4.0 and one redraw 12 trials pass
+        # before one runs out
+        monkeypatch.setattr(converse, "H1_COND_LIMIT", limit)
+        monkeypatch.setattr(converse, "MAX_REDRAWS", max_redraws)
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        with pytest.raises(SingularH1Error) as expected:
+            reference_verify(cfg, ells=[2], trials=50, seed=0)
+        with pytest.raises(SingularH1Error) as raised:
+            verify_converse(cfg, ells=[2], trials=50, seed=0)
+        assert str(raised.value) == str(expected.value)
+
+    @given(channel_stacks())
+    def test_stack_returns_its_one_draw_floats(self, case):
+        h, x, noise, ell = case
+        lams = [lambda_constant(one, ell) for one in h]
+        assert lams == [reference_lambda(one, ell) for one in h]
+        assert bits(lambda_constant(h, ell)) == bits(lams)
+        usable = []
+        for t, one in enumerate(h):
+            try:
+                build_submatrices(one, ell)
+                usable.append(t)
+            except SingularH1Error:
+                pass
+        if len(usable) < len(h):
+            with pytest.raises(SingularH1Error):
+                build_submatrices(h, ell)
+        if not usable:
+            return
+        h, x, noise = h[usable], x[usable], noise[usable]
+        cut = build_submatrices(h, ell)
+        singles = [build_submatrices(one, ell) for one in h]
+        for t, one in enumerate(singles):
+            assert repr(cut[t]) == repr(one)
+        residuals = [reconstruction_residual(one, x[t], noise[t])
+                     for t, one in enumerate(singles)]
+        assert residuals == [reference_residual(one, x[t], noise[t])
+                             for t, one in enumerate(singles)]
+        assert bits(reconstruction_residual(cut, x, noise)) == bits(residuals)
+        folded = [folded_channel(one) for one in singles]
+        assert bits(folded_channel(cut)) == bits(folded)
+        logdets = [logdet_term(one) for one in singles]
+        assert logdets == [reference_logdet(one) for one in singles]
+        assert bits(logdet_term(cut)) == bits(logdets)
+
+    def test_one_draw_calls_return_floats(self):
+        rng = np.random.default_rng(29)
+        for k, ell in ((4, 2), (2, 2)):  # the second cut is degenerate
+            cut = sample_regular_channel(rng, k, 3, ell)
+            x, noise = np.ones((3, 2)), np.ones((k, 2))
+            for value in (lambda_constant(cut.h, ell), logdet_term(cut),
+                          reconstruction_residual(cut, x, noise)):
+                assert type(value) is float
