@@ -298,20 +298,8 @@ class MuGrid:
 
 
 @dataclass(frozen=True)
-class TradeoffRow:
-    """One grid point of a sweep; converse columns empty outside perfect CSI."""
-
-    mu: Fraction
-    lower: Fraction | None
-    ell_star: int | None
-    upper: Fraction
-    gap: Fraction | None
-    tight: bool | None
-
-
-@dataclass(frozen=True)
 class TradeoffTable:
-    """A sweep's rows as ints; `rows` builds their `Fraction` form on request.
+    """A sweep's rows as ints.
 
     Each int row is (mu_num, mu_den, lower_num, lower_den, ell_star,
     upper_num, upper_den), every pair reduced; outside perfect CSI the three
@@ -321,17 +309,6 @@ class TradeoffTable:
     config: SystemConfig
     csi_mode: CsiMode
     int_rows: tuple[tuple, ...]
-
-    @cached_property
-    def rows(self) -> tuple[TradeoffRow, ...]:
-        rows = []
-        for mu_num, mu_den, lo_num, lo_den, ell, up_num, up_den in self.int_rows:
-            upper = Fraction(up_num, up_den)
-            lower = None if ell is None else Fraction(lo_num, lo_den)
-            gap = None if ell is None else upper - lower
-            rows.append(TradeoffRow(Fraction(mu_num, mu_den), lower, ell, upper,
-                                    gap, None if ell is None else gap == 0))
-        return tuple(rows)
 
 
 # A cap on the grid's rows, about 8x the 118,801 of the 100x100 default

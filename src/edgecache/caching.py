@@ -204,7 +204,6 @@ class DeliveryAssignment:
 
     unicast: dict[tuple[int, int], tuple[Fragment, ...]]
     cooperative: dict[int, tuple[Fragment, ...]]
-    outstanding_bits: tuple[int, ...]
 
     @cached_property
     def _by_user(self) -> dict[int, tuple[tuple[Fragment, int | None], ...]]:
@@ -244,13 +243,11 @@ def assignment_for_demand(allocation: CacheAllocation,
                     exclusive.append(frag)
             if exclusive:
                 unicast[(en, user)] = tuple(exclusive)
-    assignment = DeliveryAssignment(unicast, cooperative, ())
-    outstanding = []
+    assignment = DeliveryAssignment(unicast, cooperative)
     for user, file_index in enumerate(demand.demands, start=1):
         frags = [frag for frag, _ in assignment.fragments_for_user(user)]
         _check_partition(frags, user, file_index, allocation.file_bits)
-        outstanding.append(sum(f.num_bits for f in frags))
-    return DeliveryAssignment(unicast, cooperative, tuple(outstanding))
+    return assignment
 
 
 def _covers(allocation: CacheAllocation, en: int, frag: Fragment) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -23,8 +24,6 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -36,14 +35,6 @@ from .bounds import (
     optimality_regions,
     tradeoff_sweep,
 )
-from .caching import full_placement, shared_placement, split_placement
-from .converse import (
-    LOGDET_ORACLE_TOL,
-    NOISE_COV_TOL,
-    RECONSTRUCTION_TOL,
-    report_passes,
-    verify_converse,
-)
 from .errors import (
     ArgumentError,
     DemandError,
@@ -53,18 +44,40 @@ from .errors import (
     RangeError,
     UnsupportedError,
 )
-from .model import DemandVector, FileLibrary, as_fraction, validate_config
-from .phy import (
+from .model import (
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
+    LOGDET_ORACLE_TOL,
     MAX_SNR_DB,
     MIN_SNR_POINTS,
     MIN_SNR_SPAN_DB,
     MIN_TRIALS_PER_SNR,
+    NOISE_COV_TOL,
+    RECONSTRUCTION_TOL,
+    DemandVector,
+    FileLibrary,
     Scheme,
-    estimate_ndt,
-    run_campaign,
+    as_fraction,
+    validate_config,
 )
+
+
+def _on_first_call(module: str, name: str):
+    """A global standing in for `module.name` that imports it when called:
+    numpy and the layers on it load only when a command needs them."""
+    def stand_in(*args, **kwargs):
+        real = getattr(importlib.import_module(module, __package__), name)
+        return real(*args, **kwargs)
+    return stand_in
+
+
+split_placement = _on_first_call(".caching", "split_placement")
+full_placement = _on_first_call(".caching", "full_placement")
+shared_placement = _on_first_call(".caching", "shared_placement")
+run_campaign = _on_first_call(".phy", "run_campaign")
+estimate_ndt = _on_first_call(".phy", "estimate_ndt")
+verify_converse = _on_first_call(".converse", "verify_converse")
+report_passes = _on_first_call(".converse", "report_passes")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -298,6 +311,7 @@ def _tolerance(text: str) -> float:
 
 
 def cmd_simulate(args, argv: list[str]) -> int:
+    import numpy as np  # only simulate needs it: bounds starts without it
     mu = as_fraction(args.mu)
     config = _config(args, mu)
     library = FileLibrary.random(config, seed=args.seed)

@@ -41,12 +41,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArgumentError, RangeError, SingularH1Error
-from .model import SystemConfig
+from .model import LOGDET_ORACLE_TOL, NOISE_COV_TOL, RECONSTRUCTION_TOL, SystemConfig
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
-RECONSTRUCTION_TOL = 1e-9
-LOGDET_ORACLE_TOL = 1e-10
-NOISE_COV_TOL = 0.05
 NOISE_COV_SAMPLES = 100_000
 TIME_COLUMNS = 8  # channel uses per reconstruction draw
 MAX_REDRAWS = 16
@@ -253,24 +250,24 @@ def logdet_oracle(cut: Cut) -> float:
     return math.log(det.numerator) - math.log(det.denominator)
 
 
-def noise_cov_check(cut: Cut, trials: int, seed: int = 0,
+def noise_cov_check(cut: Cut, noise: np.ndarray,
                     normalized: bool = False) -> float:
     """Max entry error between the empirical covariance of Ht n and Ht Ht^T.
 
-    With `normalized` the folding matrix is rescaled to unit spectral norm
-    first. The covariance law is scale equivariant, so this checks the same
-    identity while keeping the absolute error comparable across draws (the
-    raw entries of Ht are ratio distributed and can be arbitrarily large).
+    The noise n is the leading `ell` rows of `noise`, a standard-normal
+    (rows >= ell, samples) block. With `normalized` the folding matrix is
+    rescaled to unit spectral norm first. The covariance law is scale
+    equivariant, so this checks the same identity while keeping the
+    absolute error comparable across draws (the raw entries of Ht are ratio
+    distributed and can be arbitrarily large).
     """
     ht = folded_channel(cut)
     if not ht.any():  # empty or exactly zero: both covariances vanish
         return 0.0
     if normalized:
         ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
-    rng = np.random.default_rng(seed)
-    n_top = rng.standard_normal((cut.ell, trials))
-    folded = ht @ n_top
-    empirical = folded @ folded.T / trials
+    folded = ht @ noise[:cut.ell]
+    empirical = folded @ folded.T / noise.shape[1]
     return float(np.abs(empirical - ht @ ht.T).max())
 
 
@@ -327,15 +324,24 @@ class ConverseReport:
 
 def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
                     seed: int = 0) -> list[ConverseReport]:
-    """Monte-Carlo verification of the identities for each requested ell."""
+    """Monte-Carlo verification of the identities for each requested ell.
+
+    Every cut's noise check folds the leading rows of one noise block from
+    `default_rng(seed + 1)`, the values a draw of its own would hold. Cuts
+    run from the largest ell down as the block shrinks to their rows.
+    """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
     m, k = config.num_ens, config.num_users
-    if ells is None:
-        ells = range(1, min(m, k) + 1)
-    reports = []
+    ells = range(1, min(m, k) + 1) if ells is None else list(ells)
+    cuts = sorted(set(ells), reverse=True)
+    # the cuts that fold noise: a cut at ell = K folds none
+    rows = max([ell for ell in cuts if 1 <= ell <= min(m, k - 1)], default=0)
+    cov_noise = np.random.default_rng(seed + 1).standard_normal(
+        (rows, NOISE_COV_SAMPLES))
+    reports = {}
     inputs = m * TIME_COLUMNS
-    for ell in ells:
+    for ell in cuts:
         rng = np.random.default_rng((seed, ell))
         lam = -math.inf
         worst_residual = 0.0
@@ -356,25 +362,22 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             for t, value in enumerate(values.tolist()):
                 worst_oracle = max(worst_oracle,
                                    abs(value - logdet_oracle(cut[t])))
-        cov_cut = sample_regular_channel(
-            np.random.default_rng((seed, ell, 1)), k, m, ell
+        cov_cut = sample_regular_channel(np.random.default_rng((seed, ell, 1)),
+                                         k, m, ell)
+        # no view of the block outlives a check, so it can shrink in place
+        cov_noise.resize((min(ell, rows), NOISE_COV_SAMPLES), refcheck=False)
+        reports[ell] = ConverseReport(
+            ell=ell,
+            trials=trials,
+            lambda_max=lam,
+            max_reconstruction_residual=worst_residual,
+            max_logdet=worst_logdet,
+            max_logdet_oracle_error=worst_oracle,
+            noise_cov_error=noise_cov_check(cov_cut, cov_noise, normalized=True),
+            noise_cov_samples=NOISE_COV_SAMPLES,
+            config=config,
         )
-        cov_err = noise_cov_check(cov_cut, NOISE_COV_SAMPLES, seed=(seed + 1),
-                                  normalized=True)
-        reports.append(
-            ConverseReport(
-                ell=ell,
-                trials=trials,
-                lambda_max=lam,
-                max_reconstruction_residual=worst_residual,
-                max_logdet=worst_logdet,
-                max_logdet_oracle_error=worst_oracle,
-                noise_cov_error=cov_err,
-                noise_cov_samples=NOISE_COV_SAMPLES,
-                config=config,
-            )
-        )
-    return reports
+    return [reports[ell] for ell in ells]
 
 
 def report_passes(report: ConverseReport,

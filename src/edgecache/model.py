@@ -10,16 +10,41 @@ and constant within a transmission interval.
 The fractional cache size mu is kept as an exact rational everywhere, never
 a float, so downstream bound maximisation and envelope corner matching are
 exact.
+
+The schemes, SNR and trial limits and converse tolerances live here too,
+so the command-line parser reads them without numpy.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, DemandError, FeasibilityError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+DEFAULT_SNR_GRID_DB = (20.0, 30.0, 40.0, 50.0, 60.0)
+DEFAULT_TRIALS_PER_SNR = 200
+MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
+MIN_SNR_POINTS = 3  # distinct SNR points the slope fit needs
+MIN_SNR_SPAN_DB = 20.0  # and the span they must cover
+MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
+RECONSTRUCTION_TOL = 1e-9
+LOGDET_ORACLE_TOL = 1e-10
+NOISE_COV_TOL = 0.05
+
+
+class Scheme(enum.Enum):
+    """Edge transmission policies the simulator implements."""
+
+    ZERO_FORCING = "zf"
+    IA_XCHANNEL_2X2 = "ia"
+    TDMA = "tdma"
+    HYBRID_SHARE = "hybrid"
 
 
 def as_fraction(value) -> Fraction:
@@ -114,6 +139,7 @@ class FileLibrary:
 
     @classmethod
     def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
+        import numpy as np  # only the library's bits need it
         rng = np.random.default_rng(seed)
         files = []
         for _ in range(config.library_size):

@@ -32,7 +32,6 @@ draws the three extension slots independently for exactly this reason.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -47,26 +46,17 @@ from .errors import (
     SingularChannelError,
     UnsupportedError,
 )
-from .model import DemandVector, SystemConfig
+from .model import (
+    MIN_SNR_POINTS,
+    MIN_SNR_SPAN_DB,
+    MIN_TRIALS_PER_SNR,
+    DemandVector,
+    Scheme,
+    SystemConfig,
+)
 
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
-DEFAULT_SNR_GRID_DB = (20.0, 30.0, 40.0, 50.0, 60.0)
-DEFAULT_TRIALS_PER_SNR = 200
-MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
-MIN_SNR_POINTS = 3  # distinct SNR points the slope fit needs
-MIN_SNR_SPAN_DB = 20.0  # and the span they must cover
-MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
-
-
-class Scheme(enum.Enum):
-    """Edge transmission policies the simulator implements."""
-
-    ZERO_FORCING = "zf"
-    IA_XCHANNEL_2X2 = "ia"
-    TDMA = "tdma"
-    HYBRID_SHARE = "hybrid"
-
 
 @dataclass(frozen=True)
 class TrialResult:

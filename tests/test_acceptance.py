@@ -42,6 +42,7 @@ from edgecache.phy import (
     run_campaign,
     snr_db_to_power,
 )
+from sweep_rows import fraction_rows
 
 F = Fraction
 SNR_GRID = [20.0, 30.0, 40.0, 50.0, 60.0]
@@ -76,7 +77,7 @@ def test_2x2_tradeoff_exact():
     table = tradeoff_sweep(cfg, grid)
     ok = all(
         row.lower == 2 - row.mu and row.upper == 2 - row.mu and row.tight
-        for row in table.rows
+        for row in fraction_rows(table)
     )
     report("2x2 exact tradeoff", ok, time.monotonic() - t0, 1.0,
            "lower = upper = 2 - mu on the 1/24 grid, tight everywhere")
@@ -94,7 +95,7 @@ def test_3x3_partial_characterization():
     ok = ok and optimality_regions(cfg) == [
         (F(1, 3), F(1, 3)), (F(2, 3), F(1)),
     ]
-    row = tradeoff_sweep(cfg, [F(1, 2)]).rows[0]
+    row = fraction_rows(tradeoff_sweep(cfg, [F(1, 2)]))[0]
     ok = ok and row.gap == F(17, 12) - F(5, 4) == F(1, 6)
     report("3x3 partial characterization", ok, time.monotonic() - t0, 1.0,
            "breakpoints, piecewise converse, regions {1/3} u [2/3,1], gap 1/6")

@@ -37,6 +37,7 @@ from edgecache.errors import (
     UnsupportedError,
 )
 from edgecache.model import validate_config
+from sweep_rows import fraction_rows
 
 F = Fraction
 
@@ -171,7 +172,7 @@ class TestBoundsFilesMatchTheFractionReference:
             assert out.read_bytes() == csv_bytes
             assert out.with_suffix(".json").read_bytes() == json_bytes
         table = tradeoff_sweep(c, default_mu_grid(c, step), csi)
-        for row in table.rows:
+        for row in fraction_rows(table):
             if csi is CsiMode.PERFECT:
                 assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
                 assert row.gap == row.upper - row.lower
@@ -352,7 +353,7 @@ class TestConvexEnvelope:
 class TestSweepAndRegions:
     def test_2x2_tight_everywhere(self):
         table = tradeoff_sweep(cfg(2, 2), [F(1, 2), F(3, 4), F(1)])
-        values = [(r.lower, r.upper, r.tight) for r in table.rows]
+        values = [(r.lower, r.upper, r.tight) for r in fraction_rows(table)]
         assert values == [
             (F(3, 2), F(3, 2), True),
             (F(5, 4), F(5, 4), True),
@@ -361,20 +362,20 @@ class TestSweepAndRegions:
 
     def test_3x3_gap_at_one_half(self):
         table = tradeoff_sweep(cfg(3, 3), [F(1, 2)])
-        row = table.rows[0]
+        row = fraction_rows(table)[0]
         assert row.lower == F(5, 4)
         assert row.upper == F(17, 12)
         assert row.gap == F(1, 6)
         assert row.tight is False
 
     def test_3x3_tight_at_five_sixths(self):
-        row = tradeoff_sweep(cfg(3, 3), [F(5, 6)]).rows[0]
+        row = fraction_rows(tradeoff_sweep(cfg(3, 3), [F(5, 6)]))[0]
         assert row.lower == row.upper == F(13, 12)
         assert row.tight is True
 
     def test_degraded_modes_have_no_converse_columns(self):
         table = tradeoff_sweep(cfg(2, 2), [F(1, 2), F(1)], CsiMode.NO_CSI)
-        for row in table.rows:
+        for row in fraction_rows(table):
             assert row.lower is None
             assert row.ell_star is None
             assert row.gap is None
@@ -473,7 +474,7 @@ class TestCurveProperties:
         curve = lower_bound_curve(c)
         envelope = convex_envelope(achievable_points(c))
         assert {p.mu for p in curve.points} <= set(grid)
-        for row in tradeoff_sweep(c, grid).rows:
+        for row in fraction_rows(tradeoff_sweep(c, grid)):
             assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
             assert curve.value_at(row.mu) == chord_value(curve, row.mu) == row.lower
             assert row.upper == chord_value(envelope, row.mu)

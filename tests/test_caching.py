@@ -75,13 +75,13 @@ def scan_assignment(allocation, demand):
                     exclusive.append(frag)
             if exclusive:
                 unicast[(en, user)] = tuple(exclusive)
-    outstanding = tuple(
-        sum(f.num_bits for f in cooperative.get(user, ()))
-        + sum(f.num_bits for (_, k), frags in unicast.items() if k == user
-              for f in frags)
-        for user in range(1, len(demand.demands) + 1)
-    )
-    return DeliveryAssignment(unicast, cooperative, outstanding)
+    return DeliveryAssignment(unicast, cooperative)
+
+
+def assigned_bits(assignment, num_users):
+    """Bits assigned to each user, over every EN and the cooperative part."""
+    return [sum(f.num_bits for f, _ in assignment.fragments_for_user(user))
+            for user in range(1, num_users + 1)]
 
 
 @st.composite
@@ -289,7 +289,7 @@ class TestAssignment:
         assert assign.unicast[(1, 2)] == (Fragment(2, 0, 4),)
         assert assign.unicast[(2, 2)] == (Fragment(2, 4, 4),)
         assert not assign.cooperative
-        assert assign.outstanding_bits == (8, 8)
+        assert assigned_bits(assign, 2) == [8, 8]
 
     def test_full_marks_all_ens_cooperative(self):
         cfg, lib = make(3, 2, 2, F(1), 8)
@@ -306,7 +306,7 @@ class TestAssignment:
         assert assign.unicast[(1, 1)] == (Fragment(1, 0, 2),)
         assert assign.unicast[(2, 1)] == (Fragment(1, 2, 2),)
         assert assign.cooperative[1] == (Fragment(1, 4, 4),)
-        assert assign.outstanding_bits == (8, 8)
+        assert assigned_bits(assign, 2) == [8, 8]
 
     @pytest.mark.parametrize("placement,mu", [
         (split_placement, F(1, 2)),

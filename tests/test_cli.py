@@ -5,11 +5,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import edgecache
 from edgecache.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -20,8 +23,7 @@ from edgecache.cli import (
 )
 from edgecache.bounds import MAX_GRID_ROWS, default_mu_grid
 from edgecache.errors import ArgumentError
-from edgecache.model import validate_config
-from edgecache.phy import MAX_SNR_DB
+from edgecache.model import MAX_SNR_DB, validate_config
 
 F = Fraction
 
@@ -483,6 +485,26 @@ class TestVerifyConverseCommand:
                      f"{flag}={value}", "--out", str(tmp_path / "v.json")])
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m, k, trials, sha", [
+        (6, 6, 50,
+         "05429d8373b1e6b84396e2ef83620c292b67e6b0da1679e167312e2c2087e338"),
+        (3, 3, 1000,
+         "5d7b53b78d438c7a7f06c0c861cd70ae7af10e62b0a8e980b69e0a51dc5d12fa"),
+    ], ids=["6x6", "3x3"])
+    def test_report_bytes_are_pinned(self, tmp_path, m, k, trials, sha):
+        """The report bytes at one BLAS thread, unchanged since every cut
+        folds one shared noise block; the 6x6 is the benchmark's
+        `converse-verify` call."""
+        out = tmp_path / "v.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+            Path(edgecache.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "edgecache.cli",
+                        "verify-converse", "--m", str(m), "--k", str(k),
+                        "--ell", "all", "--trials", str(trials), "--seed", "0",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        assert digest(out) == sha
 
     def test_report_schema_is_pinned(self, tmp_path):
         """The report's exact key sets, at the top, per check and per tolerance.

@@ -1,6 +1,7 @@
 """Tests for the numerical verification of the converse identities."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -137,6 +138,11 @@ def reference_sample(rng, num_users, num_ens, ell, redraws=None):
     )
 
 
+def normal_rows(seed, rows, samples):
+    """The noise block a check folds: standard normals from one seed."""
+    return np.random.default_rng(seed).standard_normal((rows, samples))
+
+
 def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
     """verify_converse as a loop over single draws: the reference for the
     chunked array program, which must return equal reports."""
@@ -159,7 +165,8 @@ def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
             worst_oracle = max(worst_oracle, abs(value - logdet_oracle(cut)))
         cov_cut = reference_sample(np.random.default_rng((seed, ell, 1)), k, m,
                                    ell)
-        cov_err = noise_cov_check(cov_cut, NOISE_COV_SAMPLES, seed=(seed + 1),
+        cov_err = noise_cov_check(cov_cut, normal_rows(seed + 1, ell,
+                                                       NOISE_COV_SAMPLES),
                                   normalized=True)
         reports.append(ConverseReport(ell, trials, lam, worst_residual,
                                       worst_logdet, worst_oracle, cov_err,
@@ -552,29 +559,31 @@ class TestLogDet:
 class TestNoiseCovariance:
     def test_empirical_covariance_converges(self):
         cut = sample_regular_channel(np.random.default_rng(21), 3, 3, 2)
-        assert noise_cov_check(cut, 100_000, seed=22) < 0.05
+        assert noise_cov_check(cut, normal_rows(22, 2, 100_000)) < 0.05
 
     def test_degenerate_cut_zero(self):
         cut = build_submatrices(
             np.random.default_rng(23).standard_normal((2, 2)), 2)
-        assert noise_cov_check(cut, 1000, seed=0) == 0.0
+        assert noise_cov_check(cut, normal_rows(0, 2, 1000)) == 0.0
 
     def test_zero_h2_block_exact(self):
         # H2 (rows 2..3 of col 3) all zero while H1 = [3] stays invertible
         h = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 0.0], [6.0, 7.0, 0.0]])
         cut = build_submatrices(h, 1)
-        assert noise_cov_check(cut, 1000, seed=0) == 0.0
+        assert noise_cov_check(cut, normal_rows(0, 1, 1000)) == 0.0
         np.testing.assert_array_equal(folded_channel(cut), np.zeros((2, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by Ht's zero norm
-            assert noise_cov_check(cut, 1000, seed=0, normalized=True) == 0.0
+            assert noise_cov_check(cut, normal_rows(0, 1, 1000),
+                                   normalized=True) == 0.0
 
     def test_normalized_mode_bounds_scale(self):
         h = np.random.default_rng(24).standard_normal((4, 2))
         h[0, 1] = 1e-4  # raw folded entries are huge
         cut = build_submatrices(h, 1)
-        raw = noise_cov_check(cut, 100_000, seed=25)
-        unit = noise_cov_check(cut, 100_000, seed=25, normalized=True)
+        noise = normal_rows(25, 1, 100_000)
+        raw = noise_cov_check(cut, noise)
+        unit = noise_cov_check(cut, noise, normalized=True)
         assert raw > unit
         assert unit < 0.05
 
@@ -616,6 +625,20 @@ class TestVerifyConverse:
         # 6 cuts x (50 trials + 1 noise-covariance draw); no redraw at seed 0
         assert calls == {"cond": 306, "cut": 306}
 
+    def test_noise_block_holds_no_more_than_one_cuts_draw(self):
+        # a cut's own (ell, samples) draw and its (K - ell, samples) folded
+        # product hold K rows together; the shared block, shrunk to each
+        # cut's rows, must add nothing to that (unshrunk it peaks at ~10)
+        cfg = validate_config(6, 6, 6, F(1), 1200)
+        verify_converse(cfg, trials=20, seed=0)
+        tracemalloc.start()
+        try:
+            verify_converse(cfg, trials=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (6 + 1) * NOISE_COV_SAMPLES * 8  # K rows, and slack
+
 
 class TestChunkedMatchesPerDraw:
     """verify_converse against the per-draw loop it replaced."""
@@ -626,6 +649,26 @@ class TestChunkedMatchesPerDraw:
         cfg = validate_config(m, k, k, F(1), 1200)
         expected = reference_verify(cfg, trials=70, seed=3)
         assert repr(verify_converse(cfg, trials=70, seed=3)) == repr(expected)
+
+    @pytest.mark.parametrize("ells", [[2], [3, 1], [2, 4, 2], [4, 3]])
+    def test_cuts_in_any_order_share_one_noise_block(self, ells):
+        cfg = validate_config(4, 4, 4, F(1), 1200)  # ell = 4 folds nothing
+        expected = reference_verify(cfg, ells=ells, trials=10, seed=4)
+        assert repr(verify_converse(cfg, ells=ells, trials=10, seed=4)) == \
+            repr(expected)
+
+    @pytest.mark.parametrize("ells", [[1, 10 ** 9], [3, 4]])
+    def test_too_large_ell_refused_before_any_check(self, monkeypatch, ells):
+        # the noise block is sized by the valid cuts only, and the largest
+        # cut runs first
+        def no_check(*args, **kwargs):
+            raise AssertionError("checked with a bad ell")
+
+        monkeypatch.setattr(converse, "noise_cov_check", no_check)
+        monkeypatch.setattr(converse, "lambda_constant", no_check)
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        with pytest.raises(RangeError, match=f"ell {ells[-1]!r} outside"):
+            verify_converse(cfg, ells=ells, trials=10, seed=0)
 
     @pytest.mark.parametrize("chunk", [1, 7, converse.TRIAL_CHUNK])
     def test_redraws_inside_a_chunk(self, monkeypatch, chunk):

@@ -24,11 +24,15 @@ from edgecache.errors import (
     SingularChannelError,
     UnsupportedError,
 )
-from edgecache.model import DemandVector, FileLibrary, validate_config
+from edgecache.model import (
+    MAX_SNR_DB,
+    DemandVector,
+    FileLibrary,
+    validate_config,
+)
 from edgecache.phy import (
     EXTENSION_SLOTS,
     MAX_RESAMPLES,
-    MAX_SNR_DB,
     Scheme,
     TrialResult,
     awgn_channel,
