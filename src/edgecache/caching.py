@@ -13,7 +13,8 @@ Placement happens before any demand or channel is known, so allocations
 never depend on either, and one delivery assignment serves every channel
 trial of a campaign. Fragments are contiguous bit slices, which keeps
 reconstruction tests bit-exact; an EN stores read-only views of the
-library's bits, not copies.
+library's bits, not copies. A placement takes one read-only view per file
+and slices every fragment of that file from it.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _frozen(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _file_views(library: FileLibrary, config: SystemConfig) -> list[np.ndarray]:
+    """One read-only view per file; fragments are slices of these."""
+    return [_frozen(library.file(n)) for n in range(1, config.library_size + 1)]
+
+
 def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
     """Fragment-split placement for mu = 1/M; needs M | L."""
     m, l = config.num_ens, config.file_bits
@@ -106,17 +112,15 @@ def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocati
     if l % m != 0:
         raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
     frag_len = l // m
+    files = _file_views(library, config)
     content = []
     for en in range(1, m + 1):
         start = (en - 1) * frag_len
-        stored = tuple(
-            CachedFragment(
-                Fragment(n, start, frag_len),
-                _frozen(library.file(n)[start:start + frag_len]),
-            )
-            for n in range(1, config.library_size + 1)
-        )
-        content.append(stored)
+        content.append(tuple(
+            CachedFragment(Fragment(n, start, frag_len),
+                           bits[start:start + frag_len])
+            for n, bits in enumerate(files, start=1)
+        ))
     return CacheAllocation(tuple(content), "split", l)
 
 
@@ -126,8 +130,8 @@ def full_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocatio
         raise ArgumentError(f"full placement requires mu = 1, got {config.frac_cache}")
     l = config.file_bits
     stored = tuple(
-        CachedFragment(Fragment(n, 0, l), _frozen(library.file(n)))
-        for n in range(1, config.library_size + 1)
+        CachedFragment(Fragment(n, 0, l), bits)
+        for n, bits in enumerate(_file_views(library, config), start=1)
     )
     return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l)
 
@@ -138,7 +142,8 @@ def shared_placement(library: FileLibrary, config: SystemConfig,
 
     The split prefix length is alpha*L rounded up to the next multiple of M
     (rounding down would grow the replicated tail and break the budget), so
-    per-EN storage never exceeds mu*N*L.
+    per-EN storage never exceeds mu*N*L. Every EN stores the same
+    replicated-tail fragment of a file.
     """
     m, l = config.num_ens, config.file_bits
     mu = config.frac_cache if mu is None else Fraction(mu)
@@ -153,25 +158,19 @@ def shared_placement(library: FileLibrary, config: SystemConfig,
     split_bits = int(-(-split_exact // m)) * m  # ceil to a multiple of M
     frag_len = split_bits // m
     tail = l - split_bits
+    files = _file_views(library, config)
+    tails = [CachedFragment(Fragment(n, split_bits, tail), bits[split_bits:])
+             for n, bits in enumerate(files, start=1)] if tail else None
     content = []
     for en in range(1, m + 1):
+        start = (en - 1) * frag_len
         stored = []
-        for n in range(1, config.library_size + 1):
+        for n, bits in enumerate(files, start=1):
             if frag_len:
-                start = (en - 1) * frag_len
-                stored.append(
-                    CachedFragment(
-                        Fragment(n, start, frag_len),
-                        _frozen(library.file(n)[start:start + frag_len]),
-                    )
-                )
+                stored.append(CachedFragment(Fragment(n, start, frag_len),
+                                             bits[start:start + frag_len]))
             if tail:
-                stored.append(
-                    CachedFragment(
-                        Fragment(n, split_bits, tail),
-                        _frozen(library.file(n)[split_bits:]),
-                    )
-                )
+                stored.append(tails[n - 1])
         content.append(tuple(stored))
     return CacheAllocation(tuple(content), "hybrid", l, alpha=alpha,
                            split_bits=split_bits)

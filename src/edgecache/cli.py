@@ -384,13 +384,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 def cmd_verify_converse(args, argv: list[str]) -> int:
     config = _config(args, Fraction(1))
-    if args.ell == "all":
-        ells = None
-    else:
-        ells = [args.ell]
-        limit = min(config.num_ens, config.num_users)
-        if not 1 <= ells[0] <= limit:
-            raise RangeError(f"ell {ells[0]} outside {{1..{limit}}}")
+    ells = None if args.ell == "all" else [args.ell]
     reports = verify_converse(config, ells, trials=args.trials, seed=args.seed)
     tolerances = {
         "reconstruction": args.tol_reconstruction,

@@ -334,9 +334,12 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
         raise ArgumentError(f"trials must be at least 1, got {trials}")
     m, k = config.num_ens, config.num_users
     ells = range(1, min(m, k) + 1) if ells is None else list(ells)
+    for ell in ells:
+        if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
+            raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
     cuts = sorted(set(ells), reverse=True)
     # the cuts that fold noise: a cut at ell = K folds none
-    rows = max([ell for ell in cuts if 1 <= ell <= min(m, k - 1)], default=0)
+    rows = max([ell for ell in cuts if ell < k], default=0)
     cov_noise = np.random.default_rng(seed + 1).standard_normal(
         (rows, NOISE_COV_SAMPLES))
     reports = {}

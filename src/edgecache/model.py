@@ -13,6 +13,9 @@ exact.
 
 The schemes, SNR and trial limits and converse tolerances live here too,
 so the command-line parser reads them without numpy.
+
+The library's bits come from raw generator words, bit-identical to one
+`integers(0, 2)` call per file, and N*L is capped by MAX_LIBRARY_BITS.
 """
 
 from __future__ import annotations
@@ -131,22 +134,46 @@ class DemandVector:
                 )
 
 
+# A cap on the library's N*L bits (one byte each), about 14x the 19,200,000
+# of the largest library a test or workload draws (sim-library, 400 x 48000):
+# a larger library is refused before any bit is drawn.
+MAX_LIBRARY_BITS = 2**28
+
+
 @dataclass(frozen=True)
 class FileLibrary:
-    """N files of exactly L bits each, stored as read-only 0/1 uint8 arrays."""
+    """N files of exactly L bits each, stored as read-only 0/1 uint8 arrays.
+
+    The files are rows of one read-only block, one byte per bit.
+    """
 
     files: tuple[np.ndarray, ...]
 
     @classmethod
     def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
+        """The bits of N calls `rng.integers(0, 2, L, dtype=np.uint8)` on
+        `rng = default_rng(seed)`, drawn as raw generator words.
+
+        At range 2 numpy's bounded uint8 draw takes the top bit of each
+        byte of its uint32 stream, low byte first, four bytes per uint32
+        and `ceil(L/4)` uint32s per call. PCG64 cuts each uint64 into its
+        low then its high uint32 and carries a spare half over to the next
+        call, so the N calls read one run of `N*ceil(L/4)` uint32s.
+        """
+        n, l = config.library_size, config.file_bits
+        if n * l > MAX_LIBRARY_BITS:
+            raise ArgumentError(
+                f"a library of {n} x {l} bits exceeds the {MAX_LIBRARY_BITS} "
+                "bits allowed"
+            )
         import numpy as np  # only the library's bits need it
-        rng = np.random.default_rng(seed)
-        files = []
-        for _ in range(config.library_size):
-            bits = rng.integers(0, 2, size=config.file_bits, dtype=np.uint8)
-            bits.flags.writeable = False
-            files.append(bits)
-        return cls(tuple(files))
+        row = -(-l // 4) * 4  # bytes of the uint32s one file reads
+        raw = np.random.default_rng(seed).bit_generator.random_raw(
+            -(-n * row // 8))
+        block = raw.astype("<u8", copy=False).view(np.uint8)
+        np.right_shift(block, 7, out=block)  # in place: no second copy
+        block.flags.writeable = False
+        return cls(tuple(block[:n * row].reshape(n, row)[:, :l]))
 
     @property
     def num_files(self) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgecache.caching import (
+    CacheAllocation,
     CachedFragment,
     DeliveryAssignment,
     Fragment,
@@ -85,12 +86,13 @@ def assigned_bits(assignment, num_users):
 
 
 @st.composite
-def placements(draw):
-    """A split, full or shared placement of a small library, with a demand."""
+def placed_libraries(draw, max_chunks=4):
+    """A split, full or shared placement function, a config it accepts and
+    a small library, with L = M * (1..max_chunks)."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, m))
     n = draw(st.integers(k, 8))
-    l = m * draw(st.integers(1, 4))
+    l = m * draw(st.integers(1, max_chunks))
     kinds = ["split", "full"] + (["shared"] if m > 1 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "split":
@@ -104,6 +106,14 @@ def placements(draw):
     cfg, lib = make(m, k, n, mu, l, seed=draw(st.integers(0, 3)))
     placement = {"split": split_placement, "full": full_placement,
                  "shared": shared_placement}[kind]
+    return placement, cfg, lib
+
+
+@st.composite
+def placements(draw):
+    """A split, full or shared placement of a small library, with a demand."""
+    placement, cfg, lib = draw(placed_libraries())
+    k, n = cfg.num_users, cfg.library_size
     demand = DemandVector(tuple(draw(st.lists(st.integers(1, n),
                                               min_size=k, max_size=k))))
     return cfg, placement(lib, cfg), demand
@@ -156,6 +166,90 @@ def test_placement_stores_read_only_views_of_the_library(placement, mu):
             assert not cf.bits.flags.writeable
             with pytest.raises(ValueError):
                 cf.bits[0] = 1 - cf.bits[0]
+
+
+def reference_split(library, config):
+    """The per-fragment split loop: one library lookup per fragment."""
+    m, l = config.num_ens, config.file_bits
+    frag_len = l // m
+    content = []
+    for en in range(1, m + 1):
+        start = (en - 1) * frag_len
+        content.append(tuple(
+            CachedFragment(Fragment(n, start, frag_len),
+                           library.file(n)[start:start + frag_len])
+            for n in range(1, config.library_size + 1)
+        ))
+    return CacheAllocation(tuple(content), "split", l)
+
+
+def reference_full(library, config):
+    l = config.file_bits
+    stored = tuple(CachedFragment(Fragment(n, 0, l), library.file(n))
+                   for n in range(1, config.library_size + 1))
+    return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l)
+
+
+def reference_shared(library, config):
+    """The per-fragment hybrid loop: a fresh tail fragment at every EN."""
+    m, l, mu = config.num_ens, config.file_bits, config.frac_cache
+    alpha = (1 - mu) / (1 - F(1, m))
+    split_bits = int(-(-(alpha * l) // m)) * m
+    frag_len, tail = split_bits // m, l - split_bits
+    content = []
+    for en in range(1, m + 1):
+        stored = []
+        for n in range(1, config.library_size + 1):
+            if frag_len:
+                start = (en - 1) * frag_len
+                stored.append(CachedFragment(
+                    Fragment(n, start, frag_len),
+                    library.file(n)[start:start + frag_len]))
+            if tail:
+                stored.append(CachedFragment(
+                    Fragment(n, split_bits, tail),
+                    library.file(n)[split_bits:]))
+        content.append(tuple(stored))
+    return CacheAllocation(tuple(content), "hybrid", l, alpha=alpha,
+                           split_bits=split_bits)
+
+
+REFERENCE_PLACEMENTS = {split_placement: reference_split,
+                        full_placement: reference_full,
+                        shared_placement: reference_shared}
+
+
+def layout(allocation):
+    """Per EN, each stored fragment's (file, start, length) and bytes."""
+    return [[(cf.fragment.file_index, cf.fragment.start_bit,
+              cf.fragment.num_bits, cf.bits.tobytes()) for cf in content]
+            for content in allocation.per_en_content]
+
+
+def assert_same_placement(placement, cfg, lib):
+    got = placement(lib, cfg)
+    want = REFERENCE_PLACEMENTS[placement](lib, cfg)
+    assert layout(got) == layout(want)
+    assert (got.policy, got.file_bits, got.alpha, got.split_bits) == \
+        (want.policy, want.file_bits, want.alpha, want.split_bits)
+
+
+@given(placed_libraries(max_chunks=40))
+def test_placement_matches_per_fragment_reference(case):
+    assert_same_placement(*case)
+
+
+@pytest.mark.parametrize("m,l,mu,split_bits", [
+    (3, 6, F(1, 3) + F(1, 100), 6),   # the split rounds up to L: no tail
+    (6, 36, F(1, 6) + F(1, 1000), 36),
+    (2, 100, F(99, 100), 2),          # the tail is all but M bits
+    (6, 600, F(599, 600), 6),
+    (4, 8, F(5, 8), 4),
+])
+def test_hybrid_edges_match_per_fragment_reference(m, l, mu, split_bits):
+    cfg, lib = make(m, 1, 5, mu, l, seed=m)
+    assert shared_placement(lib, cfg).split_bits == split_bits
+    assert_same_placement(shared_placement, cfg, lib)
 
 
 class TestSplitPlacement:

@@ -394,6 +394,34 @@ class TestSimulateCommand:
         assert json.loads(out.with_suffix(".summary.json").read_text())[
             "mu"] == args[args.index("--mu") + 1]
 
+    def test_library_workload_bytes_are_pinned(self, tmp_path):
+        """The benchmark's `sim-library` call at seed 0, with its reference
+        digests."""
+        out = tmp_path / "tdma.csv"
+        assert main(["simulate", "--m", "6", "--k", "6", "--n", "400",
+                     "--l", "48000", "--mu", "1/2", "--scheme", "tdma",
+                     "--snr-grid", "20,40,60", "--trials", "50", "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert digest(out) == ("e00c02bd8330e42ed2e861f94eb1d9ef"
+                               "e35824b79a5da19ae47e5ac0947c036e")
+        assert digest(out.with_suffix(".summary.json")) == (
+            "0a12f261c39aa8daf62fd34d68c491ea"
+            "cd29bfb4dc88b5f5f8c1df6c57ad0226")
+
+    def test_library_over_the_cap_draws_nothing(self, tmp_path, monkeypatch,
+                                                capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a library over the cap was drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_draw)
+        code = main(["simulate", "--m", "2", "--k", "2", "--n", "100000",
+                     "--l", "1200000", "--mu", "1/2", "--scheme", "tdma",
+                     "--trials", "50", "--seed", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "100000 x 1200000 bits exceeds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_rejected(self, tmp_path):
         # the later --seed overrides the valid one in ARGS
         code = main(self.ARGS + ["--seed", "-1", "--out", str(tmp_path / "x.csv")])

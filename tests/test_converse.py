@@ -670,6 +670,16 @@ class TestChunkedMatchesPerDraw:
         with pytest.raises(RangeError, match=f"ell {ells[-1]!r} outside"):
             verify_converse(cfg, ells=ells, trials=10, seed=0)
 
+    @pytest.mark.parametrize("ell", [-1, 0, 2.0, "3"])
+    def test_bad_ell_refused_before_the_noise_block(self, monkeypatch, ell):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew with a bad ell")
+
+        monkeypatch.setattr(converse.np.random, "default_rng", no_draw)
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        with pytest.raises(RangeError, match=f"ell {ell!r} outside"):
+            verify_converse(cfg, ells=[1, ell], trials=10, seed=0)
+
     @pytest.mark.parametrize("chunk", [1, 7, converse.TRIAL_CHUNK])
     def test_redraws_inside_a_chunk(self, monkeypatch, chunk):
         # at this limit 18% of the 3x3 draws are rejected at ell = 2 and

@@ -1,10 +1,13 @@
 """Tests for system configuration, library and demands, and for the
 1-based block reference the converse's cut is checked against."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgecache.errors import (
     ArgumentError,
@@ -13,6 +16,7 @@ from edgecache.errors import (
     RangeError,
 )
 from edgecache.model import (
+    MAX_LIBRARY_BITS,
     DemandVector,
     FileLibrary,
     as_fraction,
@@ -170,3 +174,78 @@ class TestDemandAndLibrary:
         b = FileLibrary.random(cfg, seed=4)
         for n in (1, 2):
             np.testing.assert_array_equal(a.file(n), b.file(n))
+
+
+def integers_library(n, l, seed):
+    """Reference library: one `integers(0, 2)` call per file, in order."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 2, size=l, dtype=np.uint8) for _ in range(n)]
+
+
+def library(n, l, seed):
+    return FileLibrary.random(validate_config(1, 1, n, Fraction(1), l), seed)
+
+
+@st.composite
+def library_sizes(draw, rem, odd_total):
+    """(N, L, seed) with L = rem mod 4 and L <= 200. A file reads
+    c = ceil(L/4) uint32s; an odd N*c leaves the last uint64's high half
+    unread, and with N >= 3 and c odd a file starts on a high half."""
+    if odd_total:
+        n = draw(st.sampled_from([3, 5, 7]))
+        c = 2 * draw(st.integers(0, 24)) + 1
+    else:
+        n = draw(st.integers(1, 8))
+        c = draw(st.integers(1, 50))
+        if n * c % 2:
+            c += 1 if c < 50 else -1
+    l = 4 * c if rem == 0 else 4 * (c - 1) + rem
+    return n, l, draw(st.integers(0, 2**32))
+
+
+class TestRawLibraryDraw:
+    @pytest.mark.parametrize("odd_total", [False, True])
+    @pytest.mark.parametrize("rem", [0, 1, 2, 3])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_bits_match_one_integers_call_per_file(self, rem, odd_total, data):
+        n, l, seed = data.draw(library_sizes(rem, odd_total))
+        lib = library(n, l, seed)
+        assert lib.num_files == n
+        for got, want in zip(lib.files, integers_library(n, l, seed)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,l", [(1, 1), (3, 5), (2, 8), (7, 13), (400, 48)])
+    def test_files_are_read_only_rows_of_one_block(self, n, l):
+        lib = library(n, l, seed=2)
+        block = lib.files[0].base
+        for f in lib.files:
+            assert f.shape == (l,) and f.nbytes == l and f.dtype == np.uint8
+            assert not f.flags.writeable
+            assert f.base is block
+        with pytest.raises(ValueError):
+            lib.files[-1][0] = 1
+
+    def test_draw_holds_no_second_copy(self):
+        # a page over the N*L bits and the cost that does not grow with L:
+        # the generator and one array header per file, measured at L = 4
+        def draw_peak(n, l):
+            library(n, l, seed=0)
+            tracemalloc.start()
+            try:
+                library(n, l, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n, l = 40, 4800
+        fixed = draw_peak(n, 4) - n * 4
+        assert draw_peak(n, l) < n * l + fixed + 4096
+
+    def test_library_cap_counts_every_bit(self, monkeypatch):
+        assert 13 * 400 * 48000 < MAX_LIBRARY_BITS  # sim-library's library
+        monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40)
+        assert library(3, 40, seed=0).num_files == 3
+        monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40 - 1)
+        with pytest.raises(ArgumentError, match="3 x 40 bits exceeds"):
+            library(3, 40, seed=0)
