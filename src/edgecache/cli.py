@@ -48,6 +48,8 @@ from .model import (
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
     LOGDET_ORACLE_TOL,
+    MAX_CAMPAIGN_TRIALS,
+    MAX_LINKS,
     MAX_SNR_DB,
     MIN_SNR_POINTS,
     MIN_SNR_SPAN_DB,
@@ -174,6 +176,12 @@ def _config(args, mu):
     """Validate the shared network flags; only an omitted --n means N = K."""
     n = args.k if args.n is None else args.n
     return validate_config(args.m, args.k, n, mu, args.l)
+
+
+def _capped(size: int, cap: int, what: str) -> None:
+    """Refuse a run whose `what` is over its cap, before any work."""
+    if size > cap:
+        raise ArgumentError(f"{what} is {size}, more than the {cap} allowed")
 
 
 def cmd_bounds(args, argv: list[str]) -> int:
@@ -314,6 +322,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
     import numpy as np  # only simulate needs it: bounds starts without it
     mu = as_fraction(args.mu)
     config = _config(args, mu)
+    _capped(args.k * args.m, MAX_LINKS, "K*M")
+    _capped(args.trials * len(args.snr_grid), MAX_CAMPAIGN_TRIALS,
+            "trials x SNR points")
     library = FileLibrary.random(config, seed=args.seed)
     allocation = _build_allocation(config, library)
     # the hybrid placement rounds its split up to a multiple of M bits, so
@@ -384,6 +395,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 def cmd_verify_converse(args, argv: list[str]) -> int:
     config = _config(args, Fraction(1))
+    _capped(args.k * args.m, MAX_LINKS, "K*M")
     ells = None if args.ell == "all" else [args.ell]
     reports = verify_converse(config, ells, trials=args.trials, seed=args.seed)
     tolerances = {

@@ -13,16 +13,19 @@ slot-varying 3-symbol extension; a trial builds only those it draws from.
 Trials with the same seed thus see the same channels whatever the scheme,
 pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
-A campaign runs each SNR point as one array program: every trial's draws
-are stacked along a leading trial axis and the precoder, alignment, SINR
+One scheme stage runs every trial: the draws of an SNR point's trials
+are stacked along a leading trial axis, and the precoder, alignment, SINR
 and rate formulas run once on the stack. The formulas take that axis
-(`...`) and are the ones a single draw uses, and each trial still draws
-from its own substreams, so a campaign's results equal those of
-`run_trial`, the one-trial reference, bit for bit. Each point's first
-trial runs through `run_trial` itself. The batch seeds its trials in bulk
-too: `trial_seeds` and `_first_draws` redo numpy's `SeedSequence` and
-PCG64 seeding on arrays of seeds, and each point checks them against
-numpy's own objects.
+(`...`) and are the ones the checked one-draw API (`zf_precode`,
+`ia_beamformers`) uses. The stage's two callers differ only in their
+draws. `run_trial`, the one-trial reference, feeds it one draw per
+substream from numpy's own `SeedSequence` and generator. A campaign seeds
+its trials in bulk: `trial_seeds` and `_first_draws` redo numpy's
+`SeedSequence` and PCG64 seeding on arrays of seeds, and each point checks
+them against numpy's own objects. A campaign's results equal `run_trial`'s
+bit for bit, and each point's first trial runs through `run_trial` itself.
+Both draw loops take the same acceptance tests, `_zf_accepts` and
+`_ia_accepts`.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -478,28 +481,19 @@ def _first_draws(seeds: list[int], index: int,
     return draws
 
 
-def _live(rates: np.ndarray) -> np.ndarray:
-    if rates.sum() <= 0.0:
-        raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
-    return rates
+def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
+                accepts) -> np.ndarray:
+    """Draw standard-normal channels of `shape` until `accepts` takes one.
 
-
-def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...], solver,
-                power: float):
-    """Draw standard-normal channels of `shape` until `solver` accepts one.
-
-    `solver(h, power)` is `zf_precode` or `ia_beamformers`. A draw it
-    rejects with SingularChannelError (AlignmentDegeneracyError included)
-    is replaced by the next draw from the same generator; returns the
-    accepted draw and the solver's output. `_draw_stack` is the same loop
-    for a stack of trials.
+    `accepts` is `_zf_accepts` or `_ia_accepts`, or None for a draw taken
+    as it comes. A rejected draw is replaced by the next draw from the same
+    generator, at most MAX_RESAMPLES times; returns the accepted draw.
+    `_draw_stack` is the same loop for a stack of trials.
     """
     for _ in range(MAX_RESAMPLES + 1):
         h = rng.standard_normal(shape)
-        try:
-            return h, solver(h, power)
-        except SingularChannelError:
-            continue
+        if accepts is None or accepts(h):
+            return h
     raise SingularChannelError(
         f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
         "(RNG misuse?)"
@@ -510,15 +504,16 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
                 accepts) -> np.ndarray | None:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
-    `accepts` is `_zf_accepts` or `_ia_accepts`, the test the solvers of
-    `_solve_draw` apply. The first draws come from `_first_draws`. A
-    rejected draw is replaced by the next draw from its trial's own
-    generator, rebuilt by `_substream` past its first draw, at most
-    MAX_RESAMPLES times, so every generator is used exactly as
+    `accepts` is the one `_solve_draw` takes. The first draws come from
+    `_first_draws`. A rejected draw is replaced by the next draw from its
+    trial's own generator, rebuilt by `_substream` past its first draw, at
+    most MAX_RESAMPLES times, so every generator is used exactly as
     `_solve_draw` uses it. Returns None when some trial has no accepted
     draw.
     """
     h = _first_draws(seeds, index, shape)
+    if accepts is None:
+        return h
     todo = np.flatnonzero(~accepts(h))
     rngs = {i: _substream(seeds[i], index) for i in todo}
     for rng in rngs.values():
@@ -531,14 +526,22 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
     return None if todo.size else h
 
 
-def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
+def _trial_results(config: SystemConfig, allocation: CacheAllocation,
                    scheme: Scheme, assignment: DeliveryAssignment | None,
-                   snr_db: float, seeds: list[int]) -> list[TrialResult] | None:
-    """`run_trial` for every seed at one SNR point, as one array program.
+                   snr_db: float, seeds: list[int],
+                   draw) -> list[TrialResult] | None:
+    """The scheme stage: each seed's trial at one SNR point, as one array
+    program.
 
-    Returns None when some trial would fail (no accepted draw, or a zero
-    sum rate), so that the caller can rerun the point trial by trial and
-    raise that trial's error; TDMA's dead links raise here, in trial order.
+    `draw(index, shape, accepts)` returns each trial's accepted draw from
+    its (seed, index) substream, stacked as (T, *shape), or None when some
+    trial has none. Returns None when some trial would fail (no accepted
+    draw, or a zero sum rate); TDMA's dead links raise here, in trial
+    order. The results carry each trial's own margins: `peak_en_power` is
+    the largest per-EN ensemble transmit power it used (per slot for the
+    alignment scheme, the larger of the two phases for the hybrid), and
+    `alignment_error` the worst collinearity error of the aligned
+    interference, None for schemes that align nothing.
     """
     power = snr_db_to_power(snr_db)
     k, num_ens = config.num_users, config.num_ens
@@ -546,11 +549,11 @@ def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
     phase_sums = []  # each delivery phase's sum rate per trial
 
     if scheme is Scheme.TDMA:
-        h = _first_draws(seeds, 0, (k, num_ens))
+        h = draw(0, (k, num_ens), None)
         deltas = tdma_delivery(h, assignment, allocation.file_bits, power)
         peaks[:] = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
-        h = _draw_stack(seeds, 0, (k, num_ens), _zf_accepts)
+        h = draw(0, (k, num_ens), _zf_accepts)
         if h is None:
             return None
         w = _zf_weights(h, power)
@@ -559,7 +562,7 @@ def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
         phase_sums.append(zf_sums)
         peaks = zf_per_en_power(w).max(axis=-1)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots = _draw_stack(seeds, 1, (EXTENSION_SLOTS, 2, 2), _ia_accepts)
+        h_slots = draw(1, (EXTENSION_SLOTS, 2, 2), _ia_accepts)
         if h_slots is None:
             return None
         sol = _ia_solution(h_slots, power)
@@ -572,6 +575,8 @@ def _run_snr_point(config: SystemConfig, allocation: CacheAllocation,
         return None
     if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
+        # Time-shared delivery: split prefix over the X-channel, replicated
+        # tail via cooperative ZF; delta adds the two phases' uses per bit.
         deltas = (k * split_frac / ia_sums
                   + k * (1.0 - split_frac) / zf_sums)
 
@@ -597,12 +602,10 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
               ) -> TrialResult:
     """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
-    The result carries the trial's own margins, so callers can audit the
-    power and alignment contracts trial by trial: `peak_en_power` is the
-    largest per-EN ensemble transmit power the trial used (per slot for the
-    alignment scheme, the larger of the two phases for the hybrid), and
-    `alignment_error` is the worst collinearity error of the aligned
-    interference, None for schemes that align nothing.
+    The scheme stage is the campaign's, fed a stack of one draw per
+    substream that numpy's own `SeedSequence` and generator make, so this
+    is the reference for the campaign's bulk seeding and batching. A zero
+    sum rate is a SingularChannelError.
 
     TDMA serves `assignment`, which must be `assignment_for_demand(
     allocation, demand)`; when it is None the trial builds it. The other
@@ -610,42 +613,17 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
-    power = snr_db_to_power(snr_db)
-    k = config.num_users
-    peak_power, alignment_error = 0.0, None
+    if scheme is Scheme.TDMA and assignment is None:
+        assignment = assignment_for_demand(allocation, demand)
 
-    if scheme is Scheme.TDMA:
-        h = _substream(seed, 0).standard_normal((k, config.num_ens))
-        if assignment is None:
-            assignment = assignment_for_demand(allocation, demand)
-        delta = float(tdma_delivery(h, assignment, allocation.file_bits, power))
-        peak_power = power
-    if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
-        h, w = _solve_draw(_substream(seed, 0), (k, config.num_ens), zf_precode, power)
-        rates = zf_user_rates = _live(np.log2(1.0 + zf_sinrs(h, w)))
-        peak_power = float(zf_per_en_power(w).max())
-    if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots, sol = _solve_draw(_substream(seed, 1), (EXTENSION_SLOTS, 2, 2),
-                                   ia_beamformers, power)
-        rates = ia_user_rates = _live(ia_rates(sol))
-        peak_power = max(peak_power, float(ia_per_en_power(sol).max()))
-        alignment_error = float(ia_alignment_error(h_slots, sol))
-    if scheme is Scheme.HYBRID_SHARE:
-        split_frac = allocation.split_bits / allocation.file_bits
-        # Time-shared delivery: split prefix over the X-channel, replicated
-        # tail via cooperative ZF; delta adds the two phases' uses per bit.
-        delta = (k * split_frac / float(ia_user_rates.sum())
-                 + k * (1.0 - split_frac) / float(zf_user_rates.sum()))
+    def draw(index, shape, accepts):
+        return _solve_draw(_substream(seed, index), shape, accepts)[None]
 
-    if scheme in (Scheme.TDMA, Scheme.HYBRID_SHARE):
-        sum_rate = k / delta
-        per_user = (sum_rate / k,) * k
-    else:
-        sum_rate = float(rates.sum())
-        delta = k / sum_rate
-        per_user = tuple(float(r) for r in rates)
-    return TrialResult(scheme, float(snr_db), sum_rate, per_user,
-                       float(delta), seed, peak_power, alignment_error)
+    trials = _trial_results(config, allocation, scheme, assignment, snr_db,
+                            [seed], draw)
+    if trials is None:
+        raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
+    return trials[0]
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -710,8 +688,9 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
             )
         trials.append(run_trial(config, allocation, scheme, demand, snr,
                                 seeds[0], assignment=assignment))
-        rest = seeds[1:] and _run_snr_point(config, allocation, scheme,
-                                            assignment, snr, seeds[1:])
+        rest = seeds[1:] and _trial_results(
+            config, allocation, scheme, assignment, snr, seeds[1:],
+            functools.partial(_draw_stack, seeds[1:]))
         if rest is None:
             rest = [run_trial(config, allocation, scheme, demand, snr, seed,
                               assignment=assignment) for seed in seeds[1:]]

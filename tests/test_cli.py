@@ -23,13 +23,23 @@ from edgecache.cli import (
 )
 from edgecache.bounds import MAX_GRID_ROWS, default_mu_grid
 from edgecache.errors import ArgumentError
-from edgecache.model import MAX_SNR_DB, validate_config
+from edgecache.model import (
+    MAX_CAMPAIGN_TRIALS,
+    MAX_LINKS,
+    MAX_SNR_DB,
+    FileLibrary,
+    validate_config,
+)
 
 F = Fraction
 
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work ran on a run over a cap")
 
 
 def read_rows(path):
@@ -408,6 +418,31 @@ class TestSimulateCommand:
             "0a12f261c39aa8daf62fd34d68c491ea"
             "cd29bfb4dc88b5f5f8c1df6c57ad0226")
 
+    @pytest.mark.parametrize("scheme,mu,csv_sha,summary_sha", [
+        ("zf", "1",
+         "c971200c7adb379374ee389c4e7e387b922865d690401c7ad0fabcc1809bf5c5",
+         "dda2e37d1f486f18d4017625921669d986ea4fa03dd268425bed34055e66730b"),
+        ("ia", "1/2",
+         "f12920caed6bd2d1619a4bea20a7edf07e9396037c974d3b8cc76e2e67ddb586",
+         "612395237d7568bc7812e0fb6846e852ab9d997891d4f19c4f2a8ae780e2b730"),
+        ("hybrid", "3/4",
+         "34940ed75aa359661dc29db260d38162347419f5e6739848c27dff22a004d1e9",
+         "d9d065b275ac7fbba4118a8e4e0622fa95d965901ec24907138d3b519ec09ddc"),
+        ("tdma", "1/2",
+         "1dcd2eca1f285927b09900c0aab5743911496f7aca28216eba43d1fa10c6a0ec",
+         "371a533c619521eb03208d0a75061b65a46ff13d84d9bcae8e7aa4820aee4bdc"),
+    ])
+    def test_2x2_workload_bytes_are_pinned(self, tmp_path, scheme, mu,
+                                           csv_sha, summary_sha):
+        """The benchmark's `sim-2x2` calls at seed 0, with their reference
+        digests."""
+        out = tmp_path / f"{scheme}.csv"
+        assert main(["simulate", "--m", "2", "--k", "2", "--mu", mu,
+                     "--scheme", scheme, "--trials", "50", "--seed", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert digest(out) == csv_sha
+        assert digest(out.with_suffix(".summary.json")) == summary_sha
+
     def test_library_over_the_cap_draws_nothing(self, tmp_path, monkeypatch,
                                                 capsys):
         def no_draw(*args, **kwargs):
@@ -420,6 +455,45 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
         assert "100000 x 1200000 bits exceeds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_caps_admit_the_largest_runs(self):
+        assert 5 * 5000 <= MAX_CAMPAIGN_TRIALS  # largest campaign profiled
+        assert 8 * 8 <= MAX_LINKS  # the converse acceptance test's 8x8
+
+    @pytest.mark.parametrize("cap,size,what", [
+        ("MAX_LINKS", 3 * 2, "K*M is 6,"),
+        ("MAX_CAMPAIGN_TRIALS", 3 * 50, "trials x SNR points is 150,"),
+    ])
+    def test_caps_refuse_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                         cap, size, what):
+        args = ["simulate", "--m", "3", "--k", "2", "--mu", "1",
+                "--scheme", "zf", "--snr-grid", "20,40,60", "--trials", "50",
+                "--seed", "0"]
+        monkeypatch.setattr(f"edgecache.cli.{cap}", size)
+        assert main(args + ["--out", str(tmp_path / "at.csv")]) == EXIT_OK
+        monkeypatch.setattr(f"edgecache.cli.{cap}", size - 1)
+        monkeypatch.setattr(FileLibrary, "random", no_work)
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
+        over = tmp_path / "over"
+        assert main(args + ["--out", str(over / "x.csv")]) == EXIT_USAGE
+        assert what in capsys.readouterr().err
+        assert not over.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "100000", "--k", "100000", "--trials", "50"],
+        ["--m", "2", "--k", "2", "--trials", str(10 ** 12)],
+    ], ids=["network", "trials"])
+    def test_oversized_run_exits_2_without_a_traceback(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       args):
+        monkeypatch.setattr(FileLibrary, "random", no_work)
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
+        code = main(["simulate", *args, "--mu", "1", "--scheme", "zf",
+                     "--seed", "0", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "allowed" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_rejected(self, tmp_path):
@@ -496,6 +570,30 @@ class TestVerifyConverseCommand:
         code = main(["verify-converse", "--m", "2", "--k", "2", "--seed", "0",
                      *args, "--out", str(out)])
         assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_links_cap_refuses_before_any_work(self, tmp_path, monkeypatch,
+                                               capsys):
+        args = ["verify-converse", "--m", "3", "--k", "2", "--trials", "50",
+                "--seed", "0"]
+        monkeypatch.setattr("edgecache.cli.MAX_LINKS", 3 * 2)
+        assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
+        monkeypatch.setattr("edgecache.cli.MAX_LINKS", 3 * 2 - 1)
+        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        over = tmp_path / "over"
+        assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
+        assert "K*M is 6," in capsys.readouterr().err
+        assert not over.exists()
+
+    def test_oversized_network_exits_2_without_a_traceback(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        code = main(["verify-converse", "--m", "100000", "--k", "100000",
+                     "--trials", "50", "--seed", "0",
+                     "--out", str(tmp_path / "v.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "allowed" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--tol-reconstruction", "--tol-logdet",

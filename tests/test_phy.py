@@ -485,50 +485,95 @@ class TestRunTrial:
         assert built == substreams
 
 
+def zero_coefficient(h_slots):
+    """The slot draw with one coefficient numerically zero."""
+    spoiled = h_slots.copy()
+    spoiled[0, 0, 0] = 0.0
+    return spoiled
+
+
+def constant_slots(h_slots):
+    """The slot draw with its first slot's channel in every slot."""
+    return np.broadcast_to(h_slots[0], h_slots.shape).copy()
+
+
+class Spoiling:
+    """A generator whose first `times` draws come out spoiled by `spoil`."""
+
+    def __init__(self, rng, times, spoil):
+        self.rng, self.times, self.spoil = rng, times, spoil
+        self.draws = []
+
+    def standard_normal(self, shape):
+        h = self.rng.standard_normal(shape)
+        if len(self.draws) < self.times:
+            h = self.spoil(h)
+        self.draws.append(h)
+        return h
+
+
 class TestSolveDraw:
-    """The one redraw loop every trial's channel draws go through."""
+    """The one-trial redraw loop, with the acceptance tests the batch uses."""
 
-    @staticmethod
-    def failing(times, error=SingularChannelError):
-        calls = []
-
-        def solver(h, power):
-            calls.append(h)
-            if len(calls) <= times:
-                raise error("rejected draw")
-            return power
-
-        return solver, calls
+    # a draw `ia_beamformers` refuses with each error
+    SPOILERS = {SingularChannelError: zero_coefficient,
+                AlignmentDegeneracyError: constant_slots}
 
     @pytest.mark.parametrize("error", [SingularChannelError,
                                        AlignmentDegeneracyError])
     @pytest.mark.parametrize("times", [0, 1, 3, MAX_RESAMPLES])
     def test_redraws_with_the_rng_of_n_plus_one_draws(self, times, error):
-        solver, calls = self.failing(times, error)
+        seen = []
+
+        def accepts(h):
+            seen.append(h)
+            return phy._ia_accepts(h)
+
         rng = np.random.default_rng(17)
-        h, out = _solve_draw(rng, (3, 2, 2), solver, 9.0)
+        spoiling = Spoiling(rng, times, self.SPOILERS[error])
+        h = _solve_draw(spoiling, (3, 2, 2), accepts)
         reference = np.random.default_rng(17)
         draws = [reference.standard_normal((3, 2, 2))
                  for _ in range(times + 1)]
-        assert out == 9.0
-        assert len(calls) == times + 1
+        assert len(spoiling.draws) == len(seen) == times + 1
         np.testing.assert_array_equal(h, draws[-1])
-        for seen, drawn in zip(calls, draws):
-            np.testing.assert_array_equal(seen, drawn)
+        for drawn, checked in zip(spoiling.draws, seen):
+            assert drawn is checked
+        # the acceptance test rejects exactly what the checked API refuses
+        for spoiled in spoiling.draws[:-1]:
+            with pytest.raises(SingularChannelError) as refused:
+                ia_beamformers(spoiled, 9.0)
+            assert refused.type is error
         # the generator is left where n + 1 draws leave it
         assert rng.standard_normal() == reference.standard_normal()
 
     def test_gives_up_after_max_resamples(self):
-        solver, calls = self.failing(MAX_RESAMPLES + 1)
+        seen = []
+
+        def never(h):
+            seen.append(h)
+            return False
+
         with pytest.raises(SingularChannelError, match="resamples"):
-            _solve_draw(np.random.default_rng(0), (2, 2), solver, 1.0)
-        assert len(calls) == MAX_RESAMPLES + 1
+            _solve_draw(np.random.default_rng(0), (2, 2), never)
+        assert len(seen) == MAX_RESAMPLES + 1
 
     def test_other_errors_propagate_without_redraw(self):
-        solver, calls = self.failing(1, ArgumentError)
+        seen = []
+
+        def broken(h):
+            seen.append(h)
+            raise ArgumentError("broken acceptance test")
+
         with pytest.raises(ArgumentError):
-            _solve_draw(np.random.default_rng(0), (2, 2), solver, 1.0)
-        assert len(calls) == 1
+            _solve_draw(np.random.default_rng(0), (2, 2), broken)
+        assert len(seen) == 1
+
+    def test_no_acceptance_test_takes_exactly_one_draw(self):
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        h = _solve_draw(rng, (2, 3), None)
+        np.testing.assert_array_equal(h, reference.standard_normal((2, 3)))
+        assert rng.standard_normal() == reference.standard_normal()
 
 
 class TestCampaign:
@@ -567,6 +612,24 @@ class TestCampaign:
         cfg, alloc, dem = setup_scheme(scheme)
         run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_each_point_runs_its_first_trial_through_run_trial(
+            self, monkeypatch, scheme):
+        # perfbench's traced per-trial spans wrap `phy.run_trial` and take
+        # their one sample per SNR point from these calls
+        seen = []
+
+        def recording(config, allocation, scheme, demand, snr_db, seed, **kw):
+            seen.append((snr_db, seed))
+            return run_trial(config, allocation, scheme, demand, snr_db, seed,
+                             **kw)
+
+        monkeypatch.setattr(phy, "run_trial", recording)
+        cfg, alloc, dem = setup_scheme(scheme)
+        run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
+        assert seen == [(snr, trial_seed(2, si * 4))
+                        for si, snr in enumerate(SNR_GRID)]
 
     def test_tdma_campaign_matches_self_assigning_trials(self):
         # shared placement: both unicast and cooperative fragments
