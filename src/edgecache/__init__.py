@@ -23,7 +23,7 @@ _EXPORTS = {
                 "split_placement", "verify_cache_budget"),
     "model": ("DemandVector", "FileLibrary", "Scheme", "SystemConfig",
               "validate_config"),
-    "phy": ("EmpiricalNdt", "TrialResult", "estimate_ndt", "run_campaign",
+    "phy": ("EmpiricalNdt", "PointResult", "estimate_ndt", "run_campaign",
             "run_trial"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -136,8 +136,7 @@ def full_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocatio
     return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l)
 
 
-def shared_placement(library: FileLibrary, config: SystemConfig,
-                     mu=None) -> CacheAllocation:
+def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
     """Cache-sharing hybrid for 1/M < mu < 1.
 
     The split prefix length is alpha*L rounded up to the next multiple of M
@@ -146,7 +145,7 @@ def shared_placement(library: FileLibrary, config: SystemConfig,
     replicated-tail fragment of a file.
     """
     m, l = config.num_ens, config.file_bits
-    mu = config.frac_cache if mu is None else Fraction(mu)
+    mu = config.frac_cache
     if not Fraction(1, m) < mu < 1:
         raise ArgumentError(
             f"shared placement requires 1/{m} < mu < 1, got {mu}"

@@ -340,22 +340,21 @@ def cmd_simulate(args, argv: list[str]) -> int:
     scheme = Scheme(args.scheme)
     demand = DemandVector.worst_case(config)
     snr_grid = args.snr_grid
-    trials = run_campaign(config, allocation, scheme, demand, snr_grid,
+    points = run_campaign(config, allocation, scheme, demand, snr_grid,
                           args.trials, args.seed)
-    estimate = estimate_ndt(trials)
+    estimate = estimate_ndt(points)
 
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["snr_db", "trials", "mean_sum_rate", "mean_delta"])
-        for snr in snr_grid:
-            at_snr = [t for t in trials if t.snr_db == snr]
+        for point in points:
             writer.writerow([
-                repr(float(snr)),
-                len(at_snr),
-                repr(float(np.mean([t.achieved_sum_rate for t in at_snr]))),
-                repr(float(np.mean([t.delivery_time_per_bit for t in at_snr]))),
+                repr(point.snr_db),
+                len(point.seeds),
+                repr(float(np.mean(point.achieved_sum_rate))),
+                repr(float(np.mean(point.delivery_time_per_bit))),
             ])
 
     analytic_lower = ndt_lower_bound(config, mu)[0]

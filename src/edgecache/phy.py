@@ -22,10 +22,10 @@ draws. `run_trial`, the one-trial reference, feeds it one draw per
 substream from numpy's own `SeedSequence` and generator. A campaign seeds
 its trials in bulk: `trial_seeds` and `_first_draws` redo numpy's
 `SeedSequence` and PCG64 seeding on arrays of seeds, and each point checks
-them against numpy's own objects. A campaign's results equal `run_trial`'s
-bit for bit, and each point's first trial runs through `run_trial` itself.
-Both draw loops take the same acceptance tests, `_zf_accepts` and
-`_ia_accepts`.
+them against numpy's own objects. Each point runs as one batch, and its
+first trial also runs through `run_trial`, which must give the batch's
+first row bit for bit. Both draw loops take the same acceptance tests,
+`_zf_accepts` and `_ia_accepts`.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -61,16 +61,18 @@ from .model import (
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 
-@dataclass(frozen=True)
-class TrialResult:
+@dataclass(frozen=True, eq=False)
+class PointResult:
+    """The trials of one SNR point: float64 columns in trial order."""
+
     scheme: Scheme
     snr_db: float
-    achieved_sum_rate: float
-    per_user_rates: tuple[float, ...]
-    delivery_time_per_bit: float
-    seed: int
-    peak_en_power: float  # largest per-EN ensemble transmit power used
-    alignment_error: float | None  # ia_alignment_error; None without alignment
+    seeds: tuple[int, ...]
+    achieved_sum_rate: np.ndarray      # (T,)
+    per_user_rates: np.ndarray         # (T, K)
+    delivery_time_per_bit: np.ndarray  # (T,)
+    peak_en_power: np.ndarray  # (T,) largest per-EN ensemble transmit power
+    alignment_error: np.ndarray | None  # (T,) ia_alignment_error, or None
 
 
 @dataclass(frozen=True)
@@ -529,7 +531,7 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
 def _trial_results(config: SystemConfig, allocation: CacheAllocation,
                    scheme: Scheme, assignment: DeliveryAssignment | None,
                    snr_db: float, seeds: list[int],
-                   draw) -> list[TrialResult] | None:
+                   draw) -> PointResult | None:
     """The scheme stage: each seed's trial at one SNR point, as one array
     program.
 
@@ -537,15 +539,12 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     its (seed, index) substream, stacked as (T, *shape), or None when some
     trial has none. Returns None when some trial would fail (no accepted
     draw, or a zero sum rate); TDMA's dead links raise here, in trial
-    order. The results carry each trial's own margins: `peak_en_power` is
-    the largest per-EN ensemble transmit power it used (per slot for the
-    alignment scheme, the larger of the two phases for the hybrid), and
-    `alignment_error` the worst collinearity error of the aligned
-    interference, None for schemes that align nothing.
+    order. A trial's `peak_en_power` is per slot for the alignment scheme
+    and the larger of the two phases for the hybrid.
     """
     power = snr_db_to_power(snr_db)
     k, num_ens = config.num_users, config.num_ens
-    peaks, alignment = np.zeros(len(seeds)), [None] * len(seeds)
+    peaks, alignment = np.zeros(len(seeds)), None
     phase_sums = []  # each delivery phase's sum rate per trial
 
     if scheme is Scheme.TDMA:
@@ -570,7 +569,7 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
         ia_sums = rates.sum(axis=-1)
         phase_sums.append(ia_sums)
         peaks = np.maximum(peaks, ia_per_en_power(sol).max(axis=(-2, -1)))
-        alignment = ia_alignment_error(h_slots, sol).tolist()
+        alignment = ia_alignment_error(h_slots, sol)
     if any((sums <= 0.0).any() for sums in phase_sums):
         return None
     if scheme is Scheme.HYBRID_SHARE:
@@ -582,30 +581,24 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
 
     if scheme in (Scheme.TDMA, Scheme.HYBRID_SHARE):
         sum_rates = k / deltas
-        per_user = [(rate / k,) * k for rate in sum_rates.tolist()]
+        rates = np.repeat((sum_rates / k)[:, None], k, axis=1)
     else:
         sum_rates = phase_sums[0]
         deltas = k / sum_rates
-        per_user = list(map(tuple, rates.tolist()))
-    return [
-        TrialResult(scheme, float(snr_db), rate, user_rates, delta, seed,
-                    peak, error)
-        for rate, user_rates, delta, seed, peak, error in zip(
-            sum_rates.tolist(), per_user, deltas.tolist(), seeds,
-            peaks.tolist(), alignment)
-    ]
+    return PointResult(scheme, float(snr_db), tuple(seeds), sum_rates, rates,
+                       deltas, peaks, alignment)
 
 
 def run_trial(config: SystemConfig, allocation: CacheAllocation,
               scheme: Scheme, demand: DemandVector, snr_db: float,
               seed: int, *, assignment: DeliveryAssignment | None = None,
-              ) -> TrialResult:
+              ) -> PointResult:
     """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
     The scheme stage is the campaign's, fed a stack of one draw per
     substream that numpy's own `SeedSequence` and generator make, so this
-    is the reference for the campaign's bulk seeding and batching. A zero
-    sum rate is a SingularChannelError.
+    is the reference for the campaign's bulk seeding and batching. Returns
+    the one-row result. A zero sum rate is a SingularChannelError.
 
     TDMA serves `assignment`, which must be `assignment_for_demand(
     allocation, demand)`; when it is None the trial builds it. The other
@@ -619,11 +612,11 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     def draw(index, shape, accepts):
         return _solve_draw(_substream(seed, index), shape, accepts)[None]
 
-    trials = _trial_results(config, allocation, scheme, assignment, snr_db,
-                            [seed], draw)
-    if trials is None:
+    trial = _trial_results(config, allocation, scheme, assignment, snr_db,
+                           [seed], draw)
+    if trial is None:
         raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
-    return trials[0]
+    return trial
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -652,32 +645,31 @@ def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
 
 def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                  scheme: Scheme, demand: DemandVector, snr_grid_db,
-                 trials_per_snr: int, master_seed: int) -> list[TrialResult]:
-    """Monte-Carlo campaign over an SNR grid.
+                 trials_per_snr: int, master_seed: int) -> list[PointResult]:
+    """Monte-Carlo campaign over an SNR grid: one result per grid point.
 
     Each trial has its own seed derived from (master seed, trial index), so
-    results do not depend on execution order; the returned list is ordered
-    by (snr index, trial index) and equals `run_trial`'s for those seeds.
-    The checks a trial makes run once, and placement and demand are fixed
-    for the campaign, so TDMA's delivery assignment is built once and
-    shared by every trial. Each SNR point runs its first trial through
-    `run_trial`, the one-trial reference, so every campaign exercises that
-    path and a per-trial profile keeps one sample per point. The other
-    trials run as one batch; a batch where some trial fails is rerun trial
-    by trial, so the error raised is that of the first failing trial.
-    `trial_seeds` computes every trial's seed in one array pass, and each
-    point's first seed is checked against `trial_seed`, numpy's own.
+    results do not depend on execution order. Placement and demand are
+    fixed for the campaign, so a trial's checks run once and TDMA's
+    delivery assignment is built once. Each point runs as one batch. Its
+    first trial also runs through `run_trial`, the one-trial reference,
+    whose result must equal the batch's first row bit for bit; a per-trial
+    profile keeps that one sample per point. A batch where some trial fails
+    is rerun trial by trial, so the error raised is the first failing
+    trial's. `trial_seeds` computes every seed in one array pass, and each
+    point's first seed is checked against `trial_seed`, numpy's own. A
+    failed check raises RuntimeError.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
     assignment = None
     if scheme is Scheme.TDMA:
         assignment = assignment_for_demand(allocation, demand)
-    trials: list[TrialResult] = []
     if trials_per_snr < 1:
-        return trials
+        return []
     grid = list(snr_grid_db)
     campaign_seeds = trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
+    points = []
     for si, snr in enumerate(grid):
         base = si * trials_per_snr
         seeds = campaign_seeds[base:base + trials_per_snr]
@@ -686,47 +678,55 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                 f"bulk trial seeds of master seed {master_seed} differ "
                 "from numpy's SeedSequence"
             )
-        trials.append(run_trial(config, allocation, scheme, demand, snr,
-                                seeds[0], assignment=assignment))
-        rest = seeds[1:] and _trial_results(
-            config, allocation, scheme, assignment, snr, seeds[1:],
-            functools.partial(_draw_stack, seeds[1:]))
-        if rest is None:
-            rest = [run_trial(config, allocation, scheme, demand, snr, seed,
-                              assignment=assignment) for seed in seeds[1:]]
-        trials += rest
-    return trials
+        first = run_trial(config, allocation, scheme, demand, snr, seeds[0],
+                          assignment=assignment)
+        point = _trial_results(config, allocation, scheme, assignment, snr,
+                               seeds, functools.partial(_draw_stack, seeds))
+        if point is None:
+            for seed in seeds[1:]:
+                run_trial(config, allocation, scheme, demand, snr, seed,
+                          assignment=assignment)
+            raise RuntimeError(
+                f"the batch at {snr} dB fails where each trial alone succeeds")
+        if any(isinstance(column, np.ndarray)
+               and column.tobytes() != getattr(point, name)[:1].tobytes()
+               for name, column in vars(first).items()):
+            raise RuntimeError(
+                f"the batch at {snr} dB differs from run_trial in its first trial")
+        points.append(point)
+    return points
 
 
-def estimate_ndt(trials) -> EmpiricalNdt:
+def estimate_ndt(points) -> EmpiricalNdt:
     """Least-squares DoF slope of mean sum-rate against log2(P).
 
-    Needs at least MIN_SNR_POINTS distinct SNR points spanning
-    MIN_SNR_SPAN_DB or more, with at least MIN_TRIALS_PER_SNR trials each.
+    `points` are `PointResult`s. Needs at least MIN_SNR_POINTS distinct SNR
+    points spanning MIN_SNR_SPAN_DB or more, with at least
+    MIN_TRIALS_PER_SNR trials each.
     """
-    groups: dict[float, list[float]] = {}
-    for t in trials:
-        groups.setdefault(t.snr_db, []).append(t.achieved_sum_rate)
-    if len(groups) < MIN_SNR_POINTS:
+    points = sorted(points, key=lambda p: p.snr_db)
+    snrs = [p.snr_db for p in points]
+    if len(set(snrs)) < len(snrs):
+        raise ArgumentError(f"duplicate SNR points in {snrs}")
+    if len(snrs) < MIN_SNR_POINTS:
         raise InsufficientDataError(
-            f"need >= {MIN_SNR_POINTS} distinct SNR points, got {len(groups)}"
+            f"need >= {MIN_SNR_POINTS} distinct SNR points, got {len(snrs)}"
         )
-    snrs = sorted(groups)
     if snrs[-1] - snrs[0] < MIN_SNR_SPAN_DB:
         raise InsufficientDataError(
             f"SNR grid spans {snrs[-1] - snrs[0]:.1f} dB, "
             f"need >= {MIN_SNR_SPAN_DB:g}"
         )
-    short = [s for s in snrs if len(groups[s]) < MIN_TRIALS_PER_SNR]
+    short = [p.snr_db for p in points if len(p.seeds) < MIN_TRIALS_PER_SNR]
     if short:
         raise InsufficientDataError(
             f"fewer than {MIN_TRIALS_PER_SNR} trials at SNR points {short}"
         )
     x = np.array([math.log2(snr_db_to_power(s)) for s in snrs])
-    y = np.array([float(np.mean(groups[s])) for s in snrs])
+    y = np.array([float(np.mean(p.achieved_sum_rate)) for p in points])
     slope, intercept = np.polyfit(x, y, 1)
     if slope <= 0:
         raise InsufficientDataError(f"non-positive rate slope {slope:.3g}")
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    k = len(trials[0].per_user_rates)
+    k = points[0].per_user_rates.shape[1]
     return EmpiricalNdt(float(slope), k / float(slope), residual, tuple(snrs))

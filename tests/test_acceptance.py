@@ -144,12 +144,12 @@ def test_csi_degradation_ordering():
 def test_zero_forcing_achievability():
     t0 = time.monotonic()
     cfg, alloc, dem = scheme_setup(Scheme.ZERO_FORCING, F(1))
-    trials = run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID,
+    points = run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID,
                           TRIALS, MASTER_SEED)
-    est = estimate_ndt(trials)
+    est = estimate_ndt(points)
     power_ok = all(
-        t.peak_en_power <= snr_db_to_power(t.snr_db) * (1 + 1e-6)
-        for t in trials
+        p.peak_en_power.max() <= snr_db_to_power(p.snr_db) * (1 + 1e-6)
+        for p in points
     )
     ok = 0.95 <= est.ndt_estimate <= 1.08 and power_ok
     report("ZF achievability", ok, time.monotonic() - t0, 30.0,
@@ -159,11 +159,11 @@ def test_zero_forcing_achievability():
 def test_ia_achievability():
     t0 = time.monotonic()
     cfg, alloc, dem = scheme_setup(Scheme.IA_XCHANNEL_2X2, F(1, 2))
-    trials = run_campaign(cfg, alloc, Scheme.IA_XCHANNEL_2X2, dem, SNR_GRID,
+    points = run_campaign(cfg, alloc, Scheme.IA_XCHANNEL_2X2, dem, SNR_GRID,
                           TRIALS, MASTER_SEED)
-    est = estimate_ndt(trials)
+    est = estimate_ndt(points)
     target = 4.0 / 3.0
-    worst_alignment = max(t.alignment_error for t in trials)
+    worst_alignment = max(p.alignment_error.max() for p in points)
     ok = (target * 0.92 <= est.dof_estimate <= target * 1.08
           and worst_alignment < 1e-10)
     report("IA achievability", ok, time.monotonic() - t0, 60.0,
@@ -201,11 +201,10 @@ def test_hybrid_time_cache_sharing():
     }
     ok = True
     detail = []
-    for snr in SNR_GRID:
+    for i, snr in enumerate(SNR_GRID):
         deltas = {
-            scheme: np.mean([t.delivery_time_per_bit for t in trials
-                             if t.snr_db == snr])
-            for scheme, trials in runs.items()
+            scheme: np.mean(points[i].delivery_time_per_bit)
+            for scheme, points in runs.items()
         }
         blend = alpha * deltas[Scheme.IA_XCHANNEL_2X2] \
             + (1 - alpha) * deltas[Scheme.ZERO_FORCING]

@@ -1,0 +1,68 @@
+"""The benchmark's hooks against the code they wrap.
+
+`perfbench/layers.py` names the functions its traced runs wrap and reads
+attributes of the objects they return. A rename in `src` that leaves a
+hook pointing at nothing fails here, before any benchmark run.
+"""
+
+import importlib.util
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import edgecache.cli as cli
+from edgecache import bounds, caching, converse, model, phy
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+F = Fraction
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Tracer:
+    """The part of perfbench's tracer that the result hooks write to."""
+
+    def __init__(self):
+        self.counters = Counter()
+
+
+def test_every_traced_site_exists(layers):
+    sites = layers.sites(cli, bounds, converse, model, phy)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in sites if attr not in vars(owner)]
+    assert sites and missing == []
+
+
+def test_trial_spans_are_named_from_run_trials_arguments(layers):
+    config = model.validate_config(2, 2, 2, F(1), 1200)
+    allocation = caching.full_placement(
+        model.FileLibrary.random(config, seed=0), config)
+    args = (config, allocation, model.Scheme.ZERO_FORCING,
+            model.DemandVector.worst_case(config), 20.0, 1)
+    phy.run_trial(*args)
+    assert layers._trial_name(args) == "phy.trial.zf"
+
+
+@pytest.mark.parametrize("placement,mu", [
+    (caching.split_placement, F(1, 3)),
+    (caching.full_placement, F(1)),
+    (caching.shared_placement, F(1, 2)),
+])
+def test_byte_hooks_read_a_real_library_and_placement(layers, placement, mu):
+    config = model.validate_config(3, 2, 4, mu, 48)
+    library = model.FileLibrary.random(config, seed=1)
+    tracer = Tracer()
+    layers._library_bytes(tracer, library)
+    assert tracer.counters["model.library_bytes"] == 4 * 48  # a byte per bit
+    allocation = placement(library, config)
+    layers._stored_bytes(tracer, allocation)
+    assert tracer.counters["caching.stored_bytes"] == sum(
+        allocation.en_bits(en) for en in range(1, 4))

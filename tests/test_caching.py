@@ -341,7 +341,7 @@ class TestSharedPlacement:
     def test_boundary_mu_rejected(self, mu):
         cfg, lib = make(2, 2, 2, mu, 8)
         with pytest.raises(ArgumentError):
-            shared_placement(lib, cfg, mu)
+            shared_placement(lib, cfg)
 
     def test_alpha_continuity_near_boundaries(self):
         cfg, lib = make(2, 2, 2, F(51, 100), 200)

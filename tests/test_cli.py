@@ -1,16 +1,21 @@
 """Tests for the command-line front end and its file formats."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgecache
 from edgecache.cli import (
@@ -725,6 +730,74 @@ class TestMain:
         with pytest.raises(ValueError, match="internal bug"):
             main(["bounds", "--m", "2", "--k", "2",
                   "--out", str(tmp_path / "b.csv")])
+
+
+def given_flag(flag, values):
+    """`flag` with one of `values` as its argument."""
+    return st.sampled_from(values).map(lambda value: [f"{flag}={value}"])
+
+
+def optional(flag, values):
+    """No `flag`, or `flag` with one of `values` as its argument."""
+    return st.one_of(st.just([]), given_flag(flag, values))
+
+
+# argv at tiny sizes: each flag's choices lead with values that run and end
+# with its boundary values (hypothesis favours the first choices)
+network = st.tuples(
+    given_flag("--m", [2, 1, 3, 0]), given_flag("--k", [2, 1, 3, 0]),
+    optional("--n", [2, 4, 0]), optional("--l", [1200, 12, 6, 0]))
+bounds_argv = st.tuples(
+    st.just(["bounds"]), network,
+    optional("--csi", ["perfect", "nocsi", "delayed"]),
+    optional("--grid-step", ["1/4", "1", "2", "0", "-1/3", "1/0", "nan", ""]),
+    st.sampled_from([[], ["--json"]]))
+snr_points = st.sampled_from(["20", "40", "60", "0", "-139", str(MAX_SNR_DB),
+                              str(MAX_SNR_DB + 1), "nan"])
+simulate_argv = st.tuples(
+    st.just(["simulate"]), network,
+    given_flag("--mu", ["1/2", "1", "3/4", "1/3", "2/3", "0", "3/2"]),
+    given_flag("--scheme", ["tdma", "zf", "ia", "hybrid"]),
+    st.lists(snr_points, min_size=3, max_size=3, unique=True).map(
+        lambda grid: [f"--snr-grid={','.join(grid)}"]),
+    given_flag("--trials", [50, 49]), given_flag("--seed", [0, 3, -1]))
+converse_argv = st.tuples(
+    st.just(["verify-converse"]), network,
+    optional("--ell", ["all", "1", "3", "4", "0"]),
+    given_flag("--trials", [3, 1, 0]), given_flag("--seed", [0, -1]),
+    *(optional(f"--tol-{name}", ["1", "1e-300", "0", "nan"])
+      for name in ("reconstruction", "logdet", "noise-cov")))
+
+
+def flatten(parts):
+    return [arg for part in parts
+            for arg in (flatten(part) if isinstance(part, tuple) else part)]
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=120)
+    @given(st.one_of(simulate_argv, converse_argv, bounds_argv).map(flatten),
+           st.sampled_from(["out.csv", "a/b/out.csv"]))
+    def test_every_exit_is_documented_and_leaves_no_partial_output(
+            self, argv, out_name):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / out_name
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--out", str(out)])
+            written = sorted(p.name for p in Path(tmp).rglob("*")
+                             if p.is_file())
+            report = (json.loads(out.read_text())
+                      if code == EXIT_TOLERANCE else None)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSUPPORTED, EXIT_TOLERANCE)
+        assert "Traceback" not in err.getvalue()
+        if code in (EXIT_USAGE, EXIT_UNSUPPORTED):
+            assert written == []
+        else:
+            # a tolerance breach still writes its report, which says so
+            assert out.name in written and "out.manifest.json" in written
+            assert report is None or report["pass"] is False
 
 
 class TestManifests:

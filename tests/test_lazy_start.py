@@ -28,7 +28,7 @@ SITES = {
     "verify_converse": converse,
     "report_passes": converse,
 }
-# what `edgecache` re-exported when it still imported every module eagerly
+# what `edgecache` re-exports, each name from its own module
 EXPORTS = {
     bounds: ("CsiMode", "NdtPoint", "TradeoffCurve", "achievable_points",
              "convex_envelope", "corner_point_xchannel",
@@ -38,7 +38,7 @@ EXPORTS = {
               "full_placement", "shared_placement", "split_placement",
               "verify_cache_budget"),
     model: ("DemandVector", "FileLibrary", "SystemConfig", "validate_config"),
-    phy: ("EmpiricalNdt", "Scheme", "TrialResult", "estimate_ndt",
+    phy: ("EmpiricalNdt", "PointResult", "Scheme", "estimate_ndt",
           "run_campaign", "run_trial"),
 }
 # Runs in a fresh interpreter: the sites missing from cli at import, then
@@ -97,9 +97,9 @@ class TestLookupSites:
         demand = model.DemandVector.worst_case(config)
         args = (config, allocation, model.Scheme.TDMA, demand,
                 [20.0, 40.0, 60.0], 50, 3)
-        trials = cli.run_campaign(*args)
-        assert trials == phy.run_campaign(*args)
-        assert cli.estimate_ndt(trials) == phy.estimate_ndt(trials)
+        points = cli.run_campaign(*args)
+        assert columns(points) == columns(phy.run_campaign(*args))
+        assert cli.estimate_ndt(points) == phy.estimate_ndt(points)
         reports = cli.verify_converse(config, None, trials=20, seed=1)
         assert repr(reports) == \
             repr(converse.verify_converse(config, None, trials=20, seed=1))
@@ -130,6 +130,12 @@ class TestLookupSites:
         assert calls == ["split_placement", *campaign, "full_placement",
                          *campaign, "shared_placement", *campaign,
                          "verify_converse", "report_passes", "report_passes"]
+
+
+def columns(points):
+    """A campaign's points, with each array column as its bytes."""
+    return [{name: value.tobytes() if hasattr(value, "tobytes") else value
+             for name, value in vars(p).items()} for p in points]
 
 
 def layout(allocation):

@@ -33,8 +33,8 @@ from edgecache.model import (
 from edgecache.phy import (
     EXTENSION_SLOTS,
     MAX_RESAMPLES,
+    PointResult,
     Scheme,
-    TrialResult,
     awgn_channel,
     estimate_ndt,
     ia_alignment_error,
@@ -56,6 +56,9 @@ from edgecache.phy import _solve_draw
 
 F = Fraction
 SNR_GRID = [20.0, 30.0, 40.0, 50.0, 60.0]
+# a PointResult's per-trial columns
+COLUMNS = ("achieved_sum_rate", "per_user_rates", "delivery_time_per_bit",
+           "peak_en_power", "alignment_error")
 
 
 def setup_scheme(scheme, mu=None, m=2, k=2, n=2, l=1200, seed=1):
@@ -376,24 +379,26 @@ class TestRunTrial:
         cfg, alloc, dem = setup_scheme(scheme)
         a = run_trial(cfg, alloc, scheme, dem, 40.0, seed=77)
         b = run_trial(cfg, alloc, scheme, dem, 40.0, seed=77)
-        assert a == b
-        assert a.delivery_time_per_bit == pytest.approx(
-            cfg.num_users / a.achieved_sum_rate
-        )
-        assert sum(a.per_user_rates) == pytest.approx(a.achieved_sum_rate)
-        assert all(r >= 0 for r in a.per_user_rates)
+        assert outcome(lambda: [a]) == outcome(lambda: [b])
+        assert a.seeds == (77,)
+        [rate], [user_rates] = a.achieved_sum_rate, a.per_user_rates
+        [delta] = a.delivery_time_per_bit
+        assert delta == pytest.approx(cfg.num_users / rate)
+        assert user_rates.shape == (cfg.num_users,)
+        assert user_rates.sum() == pytest.approx(rate)
+        assert all(r >= 0 for r in user_rates)
 
     def test_zf_sum_rate_beats_gain_oracle(self):
         # sum rate must be at least 0.9 * 2*log2(1 + P*g) for the post-ZF
         # gain g realized by the constructed precoder
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
-        result = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0, seed=5)
+        [rate] = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0,
+                           seed=5).achieved_sum_rate
         h, w = zf_draw(5, 1e4)
-        assert result.achieved_sum_rate == float(
-            np.log2(1.0 + zf_sinrs(h, w)).sum())
+        assert rate == float(np.log2(1.0 + zf_sinrs(h, w)).sum())
         g = np.diag(h @ w).min() ** 2 / 1e4
         oracle = 2 * math.log2(1 + 1e4 * g)
-        assert result.achieved_sum_rate >= 0.9 * oracle
+        assert rate >= 0.9 * oracle
 
     def test_hybrid_trial_blends_corner_trials(self):
         cfg_h, alloc_h, dem = setup_scheme(Scheme.HYBRID_SHARE)
@@ -404,9 +409,10 @@ class TestRunTrial:
             hyb = run_trial(cfg_h, alloc_h, Scheme.HYBRID_SHARE, dem, 40.0, seed)
             zf = run_trial(cfg_z, alloc_z, Scheme.ZERO_FORCING, dem, 40.0, seed)
             ia = run_trial(cfg_i, alloc_i, Scheme.IA_XCHANNEL_2X2, dem, 40.0, seed)
-            blend = alpha * ia.delivery_time_per_bit \
+            [blend] = alpha * ia.delivery_time_per_bit \
                 + (1 - alpha) * zf.delivery_time_per_bit
-            assert hyb.delivery_time_per_bit == pytest.approx(blend, rel=1e-12)
+            [delta] = hyb.delivery_time_per_bit
+            assert delta == pytest.approx(blend, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_power_constraint_every_trial(self, scheme):
@@ -414,9 +420,9 @@ class TestRunTrial:
         for snr in (20.0, 40.0):
             power = 10 ** (snr / 10)
             for idx in range(25):
-                result = run_trial(cfg, alloc, scheme, dem, snr,
-                                   trial_seed(31, idx))
-                assert result.peak_en_power <= power * (1 + 1e-6)
+                [peak] = run_trial(cfg, alloc, scheme, dem, snr,
+                                   trial_seed(31, idx)).peak_en_power
+                assert peak <= power * (1 + 1e-6)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_margins_match_helpers_on_own_draws(self, scheme):
@@ -438,9 +444,11 @@ class TestRunTrial:
                     h_slots, sol = extension_draw(seed, power)
                     peaks.append(float(ia_per_en_power(sol).max()))
                     alignment = ia_alignment_error(h_slots, sol)
-                assert result.peak_en_power == max(peaks)
-                assert result.alignment_error == alignment
-                if alignment is not None:
+                assert result.peak_en_power.tolist() == [max(peaks)]
+                if alignment is None:
+                    assert result.alignment_error is None
+                else:
+                    assert result.alignment_error.tolist() == [alignment]
                     assert alignment < 1e-10
 
     # SNRs where, with master seed 3, trial 0 gets bits through and a
@@ -456,7 +464,8 @@ class TestRunTrial:
             run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
         # a campaign raises its first failing trial's error: at -400 dB
         # that of its second point's first trial, at the mixed SNR one
-        # that the batch of the point's later trials finds
+        # that the rerun of the point's later trials finds (for TDMA, the
+        # batch itself)
         mixed = self.MIXED_SNR_DB[scheme]
         run_trial(cfg, alloc, scheme, dem, mixed, seed=trial_seed(3, 0))
         for grid, per_snr in ([20.0, -400.0, 40.0], 4), ([mixed], 12):
@@ -585,13 +594,10 @@ class TestCampaign:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_mean_rate_increases_with_snr(self, scheme):
         cfg, alloc, dem = setup_scheme(scheme)
-        trials = run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 60,
+        points = run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 60,
                               master_seed=13)
-        means = []
-        for snr in SNR_GRID:
-            means.append(np.mean([
-                t.achieved_sum_rate for t in trials if t.snr_db == snr
-            ]))
+        assert [p.snr_db for p in points] == SNR_GRID
+        means = [np.mean(p.achieved_sum_rate) for p in points]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     @pytest.mark.parametrize("scheme,calls", [
@@ -631,35 +637,90 @@ class TestCampaign:
         assert seen == [(snr, trial_seed(2, si * 4))
                         for si, snr in enumerate(SNR_GRID)]
 
+    @pytest.mark.parametrize("scheme,name", [
+        (scheme, name) for scheme in Scheme for name in COLUMNS
+        if name != "alignment_error"
+        or scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE)])
+    def test_a_first_trial_one_ulp_off_fails_loudly(self, monkeypatch,
+                                                    scheme, name):
+        # the third point's reference trial differs from the batch's first
+        # row in the last entry of one column only
+        def one_ulp_off(*args, **kw):
+            trial = run_trial(*args, **kw)
+            if trial.snr_db != SNR_GRID[2]:
+                return trial
+            column = getattr(trial, name).copy()
+            column.flat[-1] = np.nextafter(column.flat[-1], np.inf)
+            return dataclasses.replace(trial, **{name: column})
+
+        monkeypatch.setattr(phy, "run_trial", one_ulp_off)
+        cfg, alloc, dem = setup_scheme(scheme)
+        with pytest.raises(RuntimeError, match="at 40.0 dB differs"):
+            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_batch_failing_where_every_trial_succeeds_fails_loudly(
+            self, monkeypatch, scheme):
+        stage, alone = phy._trial_results, []
+
+        def batch_fails(config, allocation, scheme, assignment, snr_db,
+                        seeds, draw):
+            if len(seeds) > 1:
+                return None
+            alone.append(seeds[0])
+            return stage(config, allocation, scheme, assignment, snr_db,
+                         seeds, draw)
+
+        monkeypatch.setattr(phy, "_trial_results", batch_fails)
+        cfg, alloc, dem = setup_scheme(scheme)
+        with pytest.raises(RuntimeError, match="at 20.0 dB fails"):
+            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
+        # the first point's trials each ran alone, every one succeeding
+        assert alone == [trial_seed(2, i) for i in range(4)]
+
     def test_tdma_campaign_matches_self_assigning_trials(self):
         # shared placement: both unicast and cooperative fragments
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2), m=3, k=3, n=4)
-        trials = run_campaign(cfg, alloc, Scheme.TDMA, dem, SNR_GRID, 4,
+        points = run_campaign(cfg, alloc, Scheme.TDMA, dem, SNR_GRID, 4,
                               master_seed=8)
-        assert trials == [
+        assert outcome(lambda: points) == outcome(lambda: [
             run_trial(cfg, alloc, Scheme.TDMA, dem, snr,
                       trial_seed(8, si * 4 + ti))
             for si, snr in enumerate(SNR_GRID)
             for ti in range(4)
-        ]
+        ])
 
 
 
 def exact(value):
-    """A TrialResult field with every float as its exact bit pattern."""
-    if isinstance(value, tuple):
-        return tuple(exact(v) for v in value)
+    """A result field bit for bit: an array's bytes, a float's hex."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
     return float(value).hex() if isinstance(value, float) else value
 
 
 def outcome(run):
-    """Each trial's fields bit for bit, or the error the run raised."""
+    """Each trial's fields bit for bit, or the error the run raised.
+
+    `run` returns `PointResult`s; every row of every column comes out, so
+    a campaign's points and `run_trial`'s one-row results compare trial by
+    trial.
+    """
     try:
-        trials = run()
+        points = run()
     except SingularChannelError as exc:
         return type(exc), str(exc)
-    return [tuple(exact(getattr(t, f.name)) for f in dataclasses.fields(t))
-            for t in trials]
+    trials = []
+    for point in points:
+        columns = [getattr(point, name) for name in COLUMNS]
+        assert all(column is None or (column.dtype == np.float64
+                                      and len(column) == len(point.seeds))
+                   for column in columns)
+        for t, seed in enumerate(point.seeds):
+            trials.append((point.scheme, exact(point.snr_db), seed, *(
+                None if column is None else exact(column[t])
+                for column in columns)))
+    return trials
 
 
 def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
@@ -676,7 +737,9 @@ def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(phy, "run_trial", first_only)
-        return run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
+        points = run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
+    assert [len(p.seeds) for p in points] == [per_snr] * len(grid)
+    return points
 
 
 def trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr, master):
@@ -772,7 +835,8 @@ class TestBatchedRedraws:
         assert outcome(lambda: after) == outcome(
             lambda: trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr,
                                    master))
-        changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+        changed = [i for i, (a, b) in enumerate(zip(
+            outcome(lambda: before), outcome(lambda: after))) if a != b]
         assert changed == sorted(chosen)
 
     @pytest.mark.parametrize("scheme,predicate,index,shape", CASES)
@@ -873,17 +937,16 @@ class TestBulkSeeding:
 class TestEstimateNdt:
     @staticmethod
     def synthetic(rate_fn, snrs=(20.0, 40.0, 60.0), per_point=50, k=2):
-        trials = []
+        points = []
         for snr in snrs:
             rate = rate_fn(10 ** (snr / 10))
-            trials.extend(
-                TrialResult(Scheme.ZERO_FORCING, snr, rate,
-                            (rate / k,) * k, k / rate, seed=i,
-                            peak_en_power=10 ** (snr / 10),
-                            alignment_error=None)
-                for i in range(per_point)
-            )
-        return trials
+            points.append(PointResult(
+                Scheme.ZERO_FORCING, snr, tuple(range(per_point)),
+                np.full(per_point, rate), np.full((per_point, k), rate / k),
+                np.full(per_point, k / rate),
+                peak_en_power=np.full(per_point, 10 ** (snr / 10)),
+                alignment_error=None))
+        return points
 
     def test_exact_line_recovered(self):
         est = estimate_ndt(self.synthetic(lambda p: 2 * math.log2(p)))
@@ -904,6 +967,11 @@ class TestEstimateNdt:
     def test_too_few_trials(self):
         with pytest.raises(InsufficientDataError):
             estimate_ndt(self.synthetic(lambda p: math.log2(p), per_point=10))
+
+    def test_duplicate_snr_points_rejected(self):
+        with pytest.raises(ArgumentError, match="duplicate"):
+            estimate_ndt(self.synthetic(lambda p: math.log2(p),
+                                        snrs=(20.0, 40.0, 40.0, 60.0)))
 
     def test_flat_rates_rejected(self):
         with pytest.raises(InsufficientDataError):
