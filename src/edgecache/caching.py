@@ -1,13 +1,14 @@
 """Concrete caching policies and per-demand delivery assignments.
 
-Three placements cover the feasible range of the fractional cache size:
+Every placement is one layout: the first `split_bits` bits of each file
+are cut into M contiguous equal fragments and EN m stores the m-th, and
+every EN stores the file's tail. Three policies cover the feasible range
+of the fractional cache size:
 
-* split (mu = 1/M): every file is cut into M contiguous equal fragments
-  and EN m stores fragment m of every file;
-* full (mu = 1): every EN replicates the whole library;
-* hybrid (1/M < mu < 1): the first alpha*L bits of every file follow the
-  split rules and the tail is replicated, with alpha = (1-mu)/(1-1/M) so
-  the per-EN budget mu*N*L is met.
+* split (mu = 1/M): `split_bits` = L, so there is no tail;
+* full (mu = 1): `split_bits` = 0, so every EN replicates the whole file;
+* hybrid (1/M < mu < 1): `split_bits` is alpha*L rounded up to a multiple
+  of M, with alpha = (1-mu)/(1-1/M) so the per-EN budget mu*N*L is met.
 
 Placement happens before any demand or channel is known, so allocations
 never depend on either, and one delivery assignment serves every channel
@@ -60,8 +61,8 @@ class CacheAllocation:
     per_en_content: tuple[tuple[CachedFragment, ...], ...]
     policy: str  # "split" | "full" | "hybrid"
     file_bits: int
+    split_bits: int  # per-file prefix cut into M fragments; the tail is replicated
     alpha: Fraction | None = None
-    split_bits: int | None = None  # per-file prefix length placed by split rules
 
     @property
     def num_ens(self) -> int:
@@ -90,16 +91,36 @@ class CacheAllocation:
         return self._by_file[en - 1].get(file_index, ())
 
 
-def _frozen(bits: np.ndarray) -> np.ndarray:
-    """Read-only view of library bits, not a copy."""
-    out = np.asarray(bits, dtype=np.uint8).view()
-    out.flags.writeable = False
-    return out
+def _place(library: FileLibrary, config: SystemConfig, policy: str,
+           split_bits: int, alpha: Fraction | None = None) -> CacheAllocation:
+    """The one layout every placement reads (see the module docstring).
 
-
-def _file_views(library: FileLibrary, config: SystemConfig) -> list[np.ndarray]:
-    """One read-only view per file; fragments are slices of these."""
-    return [_frozen(library.file(n)) for n in range(1, config.library_size + 1)]
+    Each file is one read-only view of the library's bits, not a copy, and
+    every fragment is a slice of it. A file's tail fragment is one object
+    that every EN shares.
+    """
+    m, l = config.num_ens, config.file_bits
+    frag_len = split_bits // m
+    files = []
+    for n in range(1, config.library_size + 1):
+        bits = np.asarray(library.file(n), dtype=np.uint8).view()
+        bits.flags.writeable = False
+        files.append(bits)
+    tails = [CachedFragment(Fragment(n, split_bits, l - split_bits),
+                            bits[split_bits:])
+             for n, bits in enumerate(files, start=1)] if split_bits < l else None
+    content = []
+    for en in range(m):
+        start = en * frag_len
+        stored = []
+        for n, bits in enumerate(files, start=1):
+            if frag_len:
+                stored.append(CachedFragment(Fragment(n, start, frag_len),
+                                             bits[start:start + frag_len]))
+            if tails:
+                stored.append(tails[n - 1])
+        content.append(tuple(stored))
+    return CacheAllocation(tuple(content), policy, l, split_bits, alpha)
 
 
 def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
@@ -111,29 +132,14 @@ def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocati
         )
     if l % m != 0:
         raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
-    frag_len = l // m
-    files = _file_views(library, config)
-    content = []
-    for en in range(1, m + 1):
-        start = (en - 1) * frag_len
-        content.append(tuple(
-            CachedFragment(Fragment(n, start, frag_len),
-                           bits[start:start + frag_len])
-            for n, bits in enumerate(files, start=1)
-        ))
-    return CacheAllocation(tuple(content), "split", l)
+    return _place(library, config, "split", l)
 
 
 def full_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
     """Whole-library replication at every EN; requires mu = 1."""
     if config.frac_cache != 1:
         raise ArgumentError(f"full placement requires mu = 1, got {config.frac_cache}")
-    l = config.file_bits
-    stored = tuple(
-        CachedFragment(Fragment(n, 0, l), bits)
-        for n, bits in enumerate(_file_views(library, config), start=1)
-    )
-    return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l)
+    return _place(library, config, "full", 0)
 
 
 def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
@@ -141,8 +147,7 @@ def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocat
 
     The split prefix length is alpha*L rounded up to the next multiple of M
     (rounding down would grow the replicated tail and break the budget), so
-    per-EN storage never exceeds mu*N*L. Every EN stores the same
-    replicated-tail fragment of a file.
+    per-EN storage never exceeds mu*N*L.
     """
     m, l = config.num_ens, config.file_bits
     mu = config.frac_cache
@@ -153,26 +158,8 @@ def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocat
     if l % m != 0:
         raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
     alpha = (1 - mu) / (1 - Fraction(1, m))
-    split_exact = alpha * l
-    split_bits = int(-(-split_exact // m)) * m  # ceil to a multiple of M
-    frag_len = split_bits // m
-    tail = l - split_bits
-    files = _file_views(library, config)
-    tails = [CachedFragment(Fragment(n, split_bits, tail), bits[split_bits:])
-             for n, bits in enumerate(files, start=1)] if tail else None
-    content = []
-    for en in range(1, m + 1):
-        start = (en - 1) * frag_len
-        stored = []
-        for n, bits in enumerate(files, start=1):
-            if frag_len:
-                stored.append(CachedFragment(Fragment(n, start, frag_len),
-                                             bits[start:start + frag_len]))
-            if tail:
-                stored.append(tails[n - 1])
-        content.append(tuple(stored))
-    return CacheAllocation(tuple(content), "hybrid", l, alpha=alpha,
-                           split_bits=split_bits)
+    split_bits = int(-(-(alpha * l) // m)) * m  # ceil to a multiple of M
+    return _place(library, config, "hybrid", split_bits, alpha)
 
 
 def verify_cache_budget(allocation: CacheAllocation,
@@ -193,73 +180,46 @@ def verify_cache_budget(allocation: CacheAllocation,
 class DeliveryAssignment:
     """Who delivers which bits of each requested file.
 
-    `unicast` maps (en, user) to fragments EN `en` alone owes user `user`
-    (the X-channel messages); `cooperative` maps a user to fragments every
-    EN caches and can beamform jointly. The per-user table behind
-    `fragments_for_user` is built on first use, so neither map may change
-    once the assignment is built.
+    `users[k - 1]` holds user k's (fragment, serving EN) pairs in start-bit
+    order. EN None marks a fragment every EN caches, which the ENs can
+    beamform jointly; any other fragment is a unicast from the one EN that
+    caches it (an X-channel message).
     """
 
-    unicast: dict[tuple[int, int], tuple[Fragment, ...]]
-    cooperative: dict[int, tuple[Fragment, ...]]
-
-    @cached_property
-    def _by_user(self) -> dict[int, tuple[tuple[Fragment, int | None], ...]]:
-        """User -> its (fragment, serving EN) pairs sorted by start bit."""
-        pairs: dict[int, list[tuple[Fragment, int | None]]] = {}
-        for user, frags in self.cooperative.items():
-            pairs.setdefault(user, []).extend((f, None) for f in frags)
-        for (en, user), frags in self.unicast.items():
-            pairs.setdefault(user, []).extend((f, en) for f in frags)
-        return {user: tuple(sorted(p, key=lambda item: item[0].start_bit))
-                for user, p in pairs.items()}
+    users: tuple[tuple[tuple[Fragment, int | None], ...], ...]
 
     def fragments_for_user(self, user: int) -> tuple[tuple[Fragment, int | None], ...]:
         """All (fragment, serving EN) pairs for a user; EN None = cooperative."""
-        return self._by_user.get(user, ())
+        return self.users[user - 1] if 0 < user <= len(self.users) else ()
 
 
 def assignment_for_demand(allocation: CacheAllocation,
                           demand: DemandVector) -> DeliveryAssignment:
-    """Map every requested bit to the EN (or EN set) that caches it."""
-    unicast: dict[tuple[int, int], tuple[Fragment, ...]] = {}
-    cooperative: dict[int, tuple[Fragment, ...]] = {}
+    """Map every requested bit to the EN (or every EN) that caches it.
+
+    A fragment that every EN stores is cooperative; any other stored
+    fragment is a unicast from the EN that stores it. Raises
+    `CoverageError` unless each user's fragments tile its file exactly once.
+    """
+    ens = range(1, allocation.num_ens + 1)
+    users = []
     for user, file_index in enumerate(demand.demands, start=1):
-        for en in range(1, allocation.num_ens + 1):
-            exclusive = []
-            for cf in allocation.cached_fragments(en, file_index):
-                frag = cf.fragment
-                held_by_all = all(
-                    _covers(allocation, other, frag)
-                    for other in range(1, allocation.num_ens + 1)
-                )
-                if held_by_all:
-                    existing = cooperative.get(user, ())
-                    if frag not in existing:
-                        cooperative[user] = existing + (frag,)
-                else:
-                    exclusive.append(frag)
-            if exclusive:
-                unicast[(en, user)] = tuple(exclusive)
-    assignment = DeliveryAssignment(unicast, cooperative)
-    for user, file_index in enumerate(demand.demands, start=1):
-        frags = [frag for frag, _ in assignment.fragments_for_user(user)]
-        _check_partition(frags, user, file_index, allocation.file_bits)
-    return assignment
+        stored = [[cf.fragment for cf in allocation.cached_fragments(en, file_index)]
+                  for en in ens]
+        shared = set(stored[0]).intersection(*stored[1:])
+        pairs = [(frag, None) for frag in shared]
+        pairs += [(frag, en) for en, frags in zip(ens, stored)
+                  for frag in frags if frag not in shared]
+        pairs.sort(key=lambda pair: pair[0].start_bit)
+        _check_partition(pairs, user, file_index, allocation.file_bits)
+        users.append(tuple(pairs))
+    return DeliveryAssignment(tuple(users))
 
 
-def _covers(allocation: CacheAllocation, en: int, frag: Fragment) -> bool:
-    return any(
-        cf.fragment.start_bit <= frag.start_bit
-        and cf.fragment.end_bit >= frag.end_bit
-        for cf in allocation.cached_fragments(en, frag.file_index)
-    )
-
-
-def _check_partition(frags, user, file_index, file_bits) -> None:
-    """Assigned fragments must tile [0, L) exactly once."""
+def _check_partition(pairs, user, file_index, file_bits) -> None:
+    """A user's fragments, in start-bit order, must tile [0, L) exactly once."""
     cursor = 0
-    for frag in sorted(frags, key=lambda f: f.start_bit):
+    for frag, _ in pairs:
         if frag.start_bit != cursor:
             raise CoverageError(
                 f"user {user}: bits [{cursor}, {frag.start_bit}) of file "

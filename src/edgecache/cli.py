@@ -209,10 +209,10 @@ def cmd_bounds(args, argv: list[str]) -> int:
 
 def _build_allocation(config, library):
     mu = config.frac_cache
+    if mu == 1:  # also at M = 1, where 1/M = 1 too
+        return full_placement(library, config)
     if mu == Fraction(1, config.num_ens):
         return split_placement(library, config)
-    if mu == 1:
-        return full_placement(library, config)
     return shared_placement(library, config)
 
 

@@ -250,22 +250,20 @@ def logdet_oracle(cut: Cut) -> float:
     return math.log(det.numerator) - math.log(det.denominator)
 
 
-def noise_cov_check(cut: Cut, noise: np.ndarray,
-                    normalized: bool = False) -> float:
+def noise_cov_check(cut: Cut, noise: np.ndarray) -> float:
     """Max entry error between the empirical covariance of Ht n and Ht Ht^T.
 
     The noise n is the leading `ell` rows of `noise`, a standard-normal
-    (rows >= ell, samples) block. With `normalized` the folding matrix is
-    rescaled to unit spectral norm first. The covariance law is scale
-    equivariant, so this checks the same identity while keeping the
-    absolute error comparable across draws (the raw entries of Ht are ratio
-    distributed and can be arbitrarily large).
+    (rows >= ell, samples) block. The folding matrix is rescaled to unit
+    spectral norm first. The covariance law is scale equivariant, so this
+    checks the same identity while keeping the absolute error comparable
+    across draws (the raw entries of Ht are ratio distributed and can be
+    arbitrarily large).
     """
     ht = folded_channel(cut)
     if not ht.any():  # empty or exactly zero: both covariances vanish
         return 0.0
-    if normalized:
-        ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
+    ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
     folded = ht @ noise[:cut.ell]
     empirical = folded @ folded.T / noise.shape[1]
     return float(np.abs(empirical - ht @ ht.T).max())
@@ -376,7 +374,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             max_reconstruction_residual=worst_residual,
             max_logdet=worst_logdet,
             max_logdet_oracle_error=worst_oracle,
-            noise_cov_error=noise_cov_check(cov_cut, cov_noise, normalized=True),
+            noise_cov_error=noise_cov_check(cov_cut, cov_noise),
             noise_cov_samples=NOISE_COV_SAMPLES,
             config=config,
         )

@@ -66,3 +66,13 @@ def test_byte_hooks_read_a_real_library_and_placement(layers, placement, mu):
     layers._stored_bytes(tracer, allocation)
     assert tracer.counters["caching.stored_bytes"] == sum(
         allocation.en_bits(en) for en in range(1, 4))
+
+
+def test_stored_bytes_reads_the_single_en_allocation(layers):
+    config = model.validate_config(1, 1, 2, F(1), 48)
+    allocation = cli._build_allocation(
+        config, model.FileLibrary.random(config, seed=1))
+    assert allocation.policy == "full"
+    tracer = Tracer()
+    layers._stored_bytes(tracer, allocation)
+    assert tracer.counters["caching.stored_bytes"] == 2 * 48

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from edgecache.caching import (
     CacheAllocation,
     CachedFragment,
-    DeliveryAssignment,
     Fragment,
     assignment_for_demand,
     full_placement,
@@ -55,7 +54,11 @@ def scan_cached(allocation, en, file_index):
 
 
 def scan_assignment(allocation, demand):
-    """Reference assignment built on `scan_cached` alone."""
+    """Reference per-user (fragment, serving EN) pairs, sorted by start bit.
+
+    Built on `scan_cached` alone, with interval-cover semantics: a stored
+    fragment is cooperative when some fragment at every EN contains it.
+    """
     ens = range(1, allocation.num_ens + 1)
 
     def covers(en, frag):
@@ -63,20 +66,18 @@ def scan_assignment(allocation, demand):
                    and cf.fragment.end_bit >= frag.end_bit
                    for cf in scan_cached(allocation, en, frag.file_index))
 
-    unicast, cooperative = {}, {}
-    for user, file_index in enumerate(demand.demands, start=1):
+    users = []
+    for file_index in demand.demands:
+        pairs = []
         for en in ens:
-            exclusive = []
             for cf in scan_cached(allocation, en, file_index):
                 frag = cf.fragment
-                if all(covers(other, frag) for other in ens):
-                    if frag not in cooperative.get(user, ()):
-                        cooperative[user] = cooperative.get(user, ()) + (frag,)
-                else:
-                    exclusive.append(frag)
-            if exclusive:
-                unicast[(en, user)] = tuple(exclusive)
-    return DeliveryAssignment(unicast, cooperative)
+                if not all(covers(other, frag) for other in ens):
+                    pairs.append((frag, en))
+                elif (frag, None) not in pairs:
+                    pairs.append((frag, None))
+        users.append(tuple(sorted(pairs, key=lambda item: item[0].start_bit)))
+    return tuple(users)
 
 
 def assigned_bits(assignment, num_users):
@@ -129,26 +130,19 @@ def test_indexed_lookups_match_linear_scan(case):
             assert all(a is b for a, b in zip(got, want))
             assert alloc.en_file_bits(en, n) == \
                 sum(cf.fragment.num_bits for cf in want)
-    assert assignment_for_demand(alloc, demand) == scan_assignment(alloc, demand)
-
-
-def scan_fragments_for_user(assignment, user):
-    """Reference per-user list: a scan of both maps, sorted by start bit."""
-    pairs = [(f, None) for f in assignment.cooperative.get(user, ())]
-    for (en, k), frags in assignment.unicast.items():
-        if k == user:
-            pairs.extend((f, en) for f in frags)
-    return sorted(pairs, key=lambda item: item[0].start_bit)
+    assert assignment_for_demand(alloc, demand).users == \
+        scan_assignment(alloc, demand)
 
 
 @given(placements())
 def test_user_table_matches_scan_and_is_built_once(case):
     cfg, alloc, demand = case
     assignment = assignment_for_demand(alloc, demand)
+    want = ((),) + scan_assignment(alloc, demand) + ((),)
     for user in range(0, cfg.num_users + 2):  # 0 and K+1 are owed nothing
         got = assignment.fragments_for_user(user)
         assert isinstance(got, tuple)  # callers cannot reorder a shared table
-        assert list(got) == scan_fragments_for_user(assignment, user)
+        assert got == want[user]
         assert assignment.fragments_for_user(user) is got
 
 
@@ -180,14 +174,15 @@ def reference_split(library, config):
                            library.file(n)[start:start + frag_len])
             for n in range(1, config.library_size + 1)
         ))
-    return CacheAllocation(tuple(content), "split", l)
+    return CacheAllocation(tuple(content), "split", l, split_bits=l)
 
 
 def reference_full(library, config):
     l = config.file_bits
     stored = tuple(CachedFragment(Fragment(n, 0, l), library.file(n))
                    for n in range(1, config.library_size + 1))
-    return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l)
+    return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l,
+                           split_bits=0)
 
 
 def reference_shared(library, config):
@@ -378,29 +373,35 @@ class TestAssignment:
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
         assign = assignment_for_demand(alloc, DemandVector((1, 2)))
-        assert assign.unicast[(1, 1)] == (Fragment(1, 0, 4),)
-        assert assign.unicast[(2, 1)] == (Fragment(1, 4, 4),)
-        assert assign.unicast[(1, 2)] == (Fragment(2, 0, 4),)
-        assert assign.unicast[(2, 2)] == (Fragment(2, 4, 4),)
-        assert not assign.cooperative
+        assert assign.fragments_for_user(1) == ((Fragment(1, 0, 4), 1),
+                                                (Fragment(1, 4, 4), 2))
+        assert assign.fragments_for_user(2) == ((Fragment(2, 0, 4), 1),
+                                                (Fragment(2, 4, 4), 2))
         assert assigned_bits(assign, 2) == [8, 8]
 
     def test_full_marks_all_ens_cooperative(self):
         cfg, lib = make(3, 2, 2, F(1), 8)
         alloc = full_placement(lib, cfg)
         assign = assignment_for_demand(alloc, DemandVector((2, 2)))
-        assert not assign.unicast
-        assert assign.cooperative[1] == (Fragment(2, 0, 8),)
-        assert assign.cooperative[2] == (Fragment(2, 0, 8),)
+        assert assign.fragments_for_user(1) == ((Fragment(2, 0, 8), None),)
+        assert assign.fragments_for_user(2) == ((Fragment(2, 0, 8), None),)
 
     def test_hybrid_splits_into_both_kinds(self):
         cfg, lib = make(2, 2, 2, F(3, 4), 8)
         alloc = shared_placement(lib, cfg)
         assign = assignment_for_demand(alloc, DemandVector((1, 2)))
-        assert assign.unicast[(1, 1)] == (Fragment(1, 0, 2),)
-        assert assign.unicast[(2, 1)] == (Fragment(1, 2, 2),)
-        assert assign.cooperative[1] == (Fragment(1, 4, 4),)
+        assert assign.fragments_for_user(1) == ((Fragment(1, 0, 2), 1),
+                                                (Fragment(1, 2, 2), 2),
+                                                (Fragment(1, 4, 4), None))
         assert assigned_bits(assign, 2) == [8, 8]
+
+    def test_single_en_split_and_full_deliver_alike(self):
+        cfg, lib = make(1, 1, 3, F(1), 12)
+        demand = DemandVector((2,))
+        split = assignment_for_demand(split_placement(lib, cfg), demand)
+        full = assignment_for_demand(full_placement(lib, cfg), demand)
+        assert split == full
+        assert split.fragments_for_user(1) == ((Fragment(2, 0, 12), None),)
 
     @pytest.mark.parametrize("placement,mu", [
         (split_placement, F(1, 2)),
@@ -440,3 +441,17 @@ class TestAssignment:
         )
         with pytest.raises(CoverageError):
             assignment_for_demand(gutted, DemandVector((1, 2)))
+
+    def test_overlapping_extra_fragment_raises(self):
+        cfg, lib = make(2, 2, 2, F(1, 2), 8)
+        alloc = split_placement(lib, cfg)
+        # EN1 also stores bit 4 of file 1, which EN2's fragment holds too
+        extra = CachedFragment(Fragment(1, 4, 1), lib.file(1)[4:5])
+        bloated = replace(
+            alloc,
+            per_en_content=(alloc.per_en_content[0] + (extra,),
+                            alloc.per_en_content[1]),
+        )
+        with pytest.raises(CoverageError, match="assigned twice"):
+            assignment_for_demand(bloated, DemandVector((1, 2)))
+        assignment_for_demand(bloated, DemandVector((2, 2)))  # file 1 unasked

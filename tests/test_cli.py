@@ -448,6 +448,26 @@ class TestSimulateCommand:
         assert digest(out) == csv_sha
         assert digest(out.with_suffix(".summary.json")) == summary_sha
 
+    def test_single_en_full_caching_runs_zero_forcing(self, tmp_path):
+        """At M = 1, mu = 1 is both 1/M and full caching; zero-forcing
+        needs the full placement."""
+        assert main(["simulate", "--m", "1", "--k", "1", "--mu", "1",
+                     "--scheme", "zf", "--trials", "50", "--seed", "3",
+                     "--out", str(tmp_path / "zf.csv")]) == EXIT_OK
+
+    def test_single_en_tdma_bytes_are_pinned(self, tmp_path):
+        """M = 1 tdma reads the same delivery table from the full placement
+        as it did from the split one."""
+        out = tmp_path / "tdma.csv"
+        assert main(["simulate", "--m", "1", "--k", "1", "--mu", "1",
+                     "--scheme", "tdma", "--trials", "50", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert digest(out) == ("d608812d28b9dc631f9b7d42f17fb237"
+                               "338e146549ae647e414dbe3979c03184")
+        assert digest(out.with_suffix(".summary.json")) == (
+            "b4eb2f7861f8f881f85522a2d9cf7838"
+            "696ebe3e221768192f08e6b9b70a2617")
+
     def test_library_over_the_cap_draws_nothing(self, tmp_path, monkeypatch,
                                                 capsys):
         def no_draw(*args, **kwargs):

@@ -166,8 +166,7 @@ def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
         cov_cut = reference_sample(np.random.default_rng((seed, ell, 1)), k, m,
                                    ell)
         cov_err = noise_cov_check(cov_cut, normal_rows(seed + 1, ell,
-                                                       NOISE_COV_SAMPLES),
-                                  normalized=True)
+                                                       NOISE_COV_SAMPLES))
         reports.append(ConverseReport(ell, trials, lam, worst_residual,
                                       worst_logdet, worst_oracle, cov_err,
                                       NOISE_COV_SAMPLES, config))
@@ -570,20 +569,20 @@ class TestNoiseCovariance:
         # H2 (rows 2..3 of col 3) all zero while H1 = [3] stays invertible
         h = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 0.0], [6.0, 7.0, 0.0]])
         cut = build_submatrices(h, 1)
-        assert noise_cov_check(cut, normal_rows(0, 1, 1000)) == 0.0
         np.testing.assert_array_equal(folded_channel(cut), np.zeros((2, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by Ht's zero norm
-            assert noise_cov_check(cut, normal_rows(0, 1, 1000),
-                                   normalized=True) == 0.0
+            assert noise_cov_check(cut, normal_rows(0, 1, 1000)) == 0.0
 
     def test_normalized_mode_bounds_scale(self):
         h = np.random.default_rng(24).standard_normal((4, 2))
         h[0, 1] = 1e-4  # raw folded entries are huge
         cut = build_submatrices(h, 1)
         noise = normal_rows(25, 1, 100_000)
-        raw = noise_cov_check(cut, noise)
-        unit = noise_cov_check(cut, noise, normalized=True)
+        ht = folded_channel(cut)
+        folded = ht @ noise[:1]
+        raw = np.abs(folded @ folded.T / noise.shape[1] - ht @ ht.T).max()
+        unit = noise_cov_check(cut, noise)
         assert raw > unit
         assert unit < 0.05
 
