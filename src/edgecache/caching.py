@@ -221,10 +221,10 @@ def _check_partition(pairs, user, file_index, file_bits) -> None:
     cursor = 0
     for frag, _ in pairs:
         if frag.start_bit != cursor:
+            lo, hi = sorted((frag.start_bit, cursor))
             raise CoverageError(
-                f"user {user}: bits [{cursor}, {frag.start_bit}) of file "
-                f"{file_index} are cached nowhere or assigned twice"
-            )
+                f"user {user}: bits [{lo}, {hi}) of file {file_index} are "
+                + ("assigned twice" if lo < cursor else "cached nowhere"))
         cursor = frag.end_bit
     if cursor != file_bits:
         raise CoverageError(

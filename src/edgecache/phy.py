@@ -13,19 +13,18 @@ slot-varying 3-symbol extension; a trial builds only those it draws from.
 Trials with the same seed thus see the same channels whatever the scheme,
 pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
-One scheme stage runs every trial: the draws of an SNR point's trials
-are stacked along a leading trial axis, and the precoder, alignment, SINR
-and rate formulas run once on the stack. The formulas take that axis
-(`...`) and are the ones the checked one-draw API (`zf_precode`,
-`ia_beamformers`) uses. The stage's two callers differ only in their
-draws. `run_trial`, the one-trial reference, feeds it one draw per
-substream from numpy's own `SeedSequence` and generator. A campaign seeds
-its trials in bulk: `trial_seeds` and `_first_draws` redo numpy's
-`SeedSequence` and PCG64 seeding on arrays of seeds, and each point checks
-them against numpy's own objects. Each point runs as one batch, and its
-first trial also runs through `run_trial`, which must give the batch's
-first row bit for bit. Both draw loops take the same acceptance tests,
-`_zf_accepts` and `_ia_accepts`.
+One scheme stage, `_trial_results`, runs every trial: the draws of an
+SNR point's trials are stacked along a leading trial axis, and the
+precoder, alignment, SINR and rate formulas run once on the stack. A
+campaign runs each SNR point as one such batch and seeds its trials in
+bulk: `trial_seeds` and `_first_draws` redo numpy's `SeedSequence` and
+PCG64 seeding on arrays of seeds, and each point checks them against
+numpy's own objects. A failing batch raises what running its trials one
+by one would raise: the lowest failing trial's error, at that trial's
+first failing step. `run_trial`, the one-trial reference the tests hold
+campaigns to, feeds the same stage one draw per substream from numpy's
+own `SeedSequence` and generator. Both draw loops take the same
+acceptance tests, `_zf_accepts` and `_ia_accepts`.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -43,7 +42,6 @@ import numpy as np
 
 from .caching import CacheAllocation, DeliveryAssignment, assignment_for_demand
 from .errors import (
-    AlignmentDegeneracyError,
     ArgumentError,
     InsufficientDataError,
     SingularChannelError,
@@ -89,39 +87,19 @@ def snr_db_to_power(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def awgn_channel(x: np.ndarray, h: np.ndarray, seed: int,
-                 noiseless: bool = False) -> np.ndarray:
-    """y = h @ x plus unit-variance Gaussian noise, deterministic per seed."""
-    y = h @ x
-    if noiseless:
-        return y
-    rng = np.random.default_rng(seed)
-    return y + rng.standard_normal(y.shape)
-
-
 def _zf_accepts(h: np.ndarray) -> np.ndarray:
     """Whether each K x M draw of `h` (..., K, M) has full row rank."""
     return np.linalg.matrix_rank(h) >= h.shape[-2]
 
 
-def zf_precode(h: np.ndarray, power: float) -> np.ndarray:
-    """Zero-forcing precoder for a K x M channel with M >= K.
-
-    The pseudo-inverse is scaled by a single factor chosen so the busiest
-    EN transmits at exactly the power budget under unit-power user symbols;
-    every other EN stays below it. The effective channel h @ w is then a
-    positive multiple of the identity.
-    """
-    k, m = h.shape
-    if m < k:
-        raise ArgumentError(f"zero-forcing needs M >= K, got M={m}, K={k}")
-    if not _zf_accepts(h):
-        raise SingularChannelError("channel matrix is row-rank deficient")
-    return _zf_weights(h, power)
-
-
 def _zf_weights(h: np.ndarray, power: float) -> np.ndarray:
-    """`zf_precode` of each accepted draw in a (..., K, M) stack, unchecked."""
+    """Zero-forcing precoder of each accepted draw in a (..., K, M) stack.
+
+    Each draw's pseudo-inverse is scaled by a single factor chosen so the
+    busiest EN transmits at exactly the power budget under unit-power user
+    symbols; every other EN stays below it. The effective channel h @ w is
+    then a positive multiple of the identity.
+    """
     w0 = np.linalg.pinv(h)
     scale = np.sqrt(power / zf_per_en_power(w0).max(axis=-1))
     return w0 * scale[..., None, None]
@@ -158,28 +136,6 @@ class IaSolution:
     amplitudes: np.ndarray     # (2,)
 
 
-def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
-    """Closed-form alignment for the 2x2 X-channel over a 3-slot extension.
-
-    The two interfering messages at each user are forced onto a common
-    reference direction by inverting the per-slot diagonal channels, so
-    each user zero-forces one interference dimension and decodes its two
-    desired symbols in the remaining plane: 4 symbols per 3 channel uses.
-    Alignment fixes beam directions only, so each beam is normalized to
-    unit norm; the interference stays collinear and the power budget stays
-    conditioned.
-    """
-    if h_slots.shape != (EXTENSION_SLOTS, 2, 2):
-        raise ArgumentError(
-            f"expected ({EXTENSION_SLOTS}, 2, 2) slot channels, got {h_slots.shape}"
-        )
-    if np.abs(h_slots).min() < 1e-12:
-        raise SingularChannelError("a slot coefficient is numerically zero")
-    if not _ia_accepts(h_slots):
-        raise AlignmentDegeneracyError("a receive basis is rank deficient")
-    return _ia_solution(h_slots, power)
-
-
 def _ia_bases(h_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit beams and receive bases of each draw in a (..., 3, 2, 2) stack."""
     lead = h_slots.shape[:-3]
@@ -198,7 +154,16 @@ def _ia_bases(h_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
-    """`ia_beamformers` of each draw in a (..., 3, 2, 2) stack, unchecked."""
+    """Closed-form alignment of each accepted draw in a (..., 3, 2, 2) stack.
+
+    The two interfering messages at each user are forced onto a common
+    reference direction by inverting the per-slot diagonal channels, so
+    each user zero-forces one interference dimension and decodes its two
+    desired symbols in the remaining plane: 4 symbols per 3 channel uses.
+    Alignment fixes beam directions only, so each beam is normalized to
+    unit norm; the interference stays collinear and the power budget stays
+    conditioned.
+    """
     beams, bases = _ia_bases(h_slots)
     slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
     amplitudes = np.sqrt(power / slot_power.max(axis=-1))
@@ -266,19 +231,6 @@ def ia_per_en_power(solution: IaSolution) -> np.ndarray:
     """Per-slot ensemble transmit power of each EN, shape (en, slot)."""
     return (solution.amplitudes[..., None] ** 2
             * (solution.beams ** 2).sum(axis=-2))
-
-
-def ia_xchannel_2x2(h_slots: np.ndarray, symbols: np.ndarray, power: float,
-                    solution: IaSolution | None = None) -> np.ndarray:
-    """Transmit matrix (2 x 3) carrying the 4 messages symbols[m, k]."""
-    if symbols.shape != (2, 2):
-        raise ArgumentError(f"expected (2, 2) message symbols, got {symbols.shape}")
-    sol = ia_beamformers(h_slots, power) if solution is None else solution
-    x = np.zeros((2, EXTENSION_SLOTS))
-    for m in range(2):
-        for k in range(2):
-            x[m] += sol.amplitudes[m] * symbols[m, k] * sol.beams[m, k]
-    return x
 
 
 def ia_rates(solution: IaSolution) -> np.ndarray:
@@ -483,6 +435,13 @@ def _first_draws(seeds: list[int], index: int,
     return draws
 
 
+def _no_draw_error(shape: tuple[int, ...]) -> SingularChannelError:
+    return SingularChannelError(
+        f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
+        "(RNG misuse?)"
+    )
+
+
 def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
                 accepts) -> np.ndarray:
     """Draw standard-normal channels of `shape` until `accepts` takes one.
@@ -496,26 +455,23 @@ def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
         h = rng.standard_normal(shape)
         if accepts is None or accepts(h):
             return h
-    raise SingularChannelError(
-        f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
-        "(RNG misuse?)"
-    )
+    raise _no_draw_error(shape)
 
 
 def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
-                accepts) -> np.ndarray | None:
+                accepts) -> tuple[np.ndarray, int]:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
     `accepts` is the one `_solve_draw` takes. The first draws come from
     `_first_draws`. A rejected draw is replaced by the next draw from its
     trial's own generator, rebuilt by `_substream` past its first draw, at
     most MAX_RESAMPLES times, so every generator is used exactly as
-    `_solve_draw` uses it. Returns None when some trial has no accepted
-    draw.
+    `_solve_draw` uses it. Returns the stack and the index of the first
+    trial with no accepted draw, len(seeds) when every trial has one.
     """
     h = _first_draws(seeds, index, shape)
     if accepts is None:
-        return h
+        return h, len(seeds)
     todo = np.flatnonzero(~accepts(h))
     rngs = {i: _substream(seeds[i], index) for i in todo}
     for rng in rngs.values():
@@ -525,53 +481,61 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
             break
         h[todo] = np.stack([rngs[i].standard_normal(shape) for i in todo])
         todo = todo[~accepts(h[todo])]
-    return None if todo.size else h
+    return h, int(todo[0]) if todo.size else len(seeds)
 
 
 def _trial_results(config: SystemConfig, allocation: CacheAllocation,
                    scheme: Scheme, assignment: DeliveryAssignment | None,
-                   snr_db: float, seeds: list[int],
-                   draw) -> PointResult | None:
+                   snr_db: float, seeds: list[int], draw) -> PointResult:
     """The scheme stage: each seed's trial at one SNR point, as one array
     program.
 
     `draw(index, shape, accepts)` returns each trial's accepted draw from
-    its (seed, index) substream, stacked as (T, *shape), or None when some
-    trial has none. Returns None when some trial would fail (no accepted
-    draw, or a zero sum rate); TDMA's dead links raise here, in trial
-    order. A trial's `peak_en_power` is per slot for the alignment scheme
-    and the larger of the two phases for the hybrid.
+    its (seed, index) substream, stacked as (T, *shape), and the index of
+    the first trial with none. The formulas run on the trials before the
+    first failed draw. When some trial fails, the lowest failing trial's
+    error is raised, for the first step it fails at, in the order one
+    trial takes them: the full-interval draw, the slot draw, a zero sum
+    rate. TDMA's dead links raise in `tdma_delivery`, in trial order. A
+    trial's `peak_en_power` is per slot for the alignment scheme and the
+    larger of the two phases for the hybrid.
     """
     power = snr_db_to_power(snr_db)
     k, num_ens = config.num_users, config.num_ens
-    peaks, alignment = np.zeros(len(seeds)), None
+    full, slots = (k, num_ens), (EXTENSION_SLOTS, 2, 2)
+    failed = {}  # draw shape -> first trial with none accepted, in draw order
+    if scheme in (Scheme.TDMA, Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
+        accepts = None if scheme is Scheme.TDMA else _zf_accepts
+        h, failed[full] = draw(0, full, accepts)
+    if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
+        h_slots, failed[slots] = draw(1, slots, _ia_accepts)
+    drawn = min(failed.values())  # the trials the formulas run on
+    peaks, alignment = np.zeros(drawn), None
     phase_sums = []  # each delivery phase's sum rate per trial
 
     if scheme is Scheme.TDMA:
-        h = draw(0, (k, num_ens), None)
         deltas = tdma_delivery(h, assignment, allocation.file_bits, power)
         peaks[:] = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
-        h = draw(0, (k, num_ens), _zf_accepts)
-        if h is None:
-            return None
+        h = h[:drawn]
         w = _zf_weights(h, power)
         rates = np.log2(1.0 + zf_sinrs(h, w))
         zf_sums = rates.sum(axis=-1)
         phase_sums.append(zf_sums)
         peaks = zf_per_en_power(w).max(axis=-1)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots = draw(1, (EXTENSION_SLOTS, 2, 2), _ia_accepts)
-        if h_slots is None:
-            return None
+        h_slots = h_slots[:drawn]
         sol = _ia_solution(h_slots, power)
         rates = ia_rates(sol)
         ia_sums = rates.sum(axis=-1)
         phase_sums.append(ia_sums)
         peaks = np.maximum(peaks, ia_per_en_power(sol).max(axis=(-2, -1)))
         alignment = ia_alignment_error(h_slots, sol)
+    # a zero sum rate fails a trial that comes before any failed draw
     if any((sums <= 0.0).any() for sums in phase_sums):
-        return None
+        raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
+    if drawn < len(seeds):  # of equal values, min keeps the earlier draw
+        raise _no_draw_error(min(failed, key=failed.get))
     if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
         # Time-shared delivery: split prefix over the X-channel, replicated
@@ -591,32 +555,25 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
 
 def run_trial(config: SystemConfig, allocation: CacheAllocation,
               scheme: Scheme, demand: DemandVector, snr_db: float,
-              seed: int, *, assignment: DeliveryAssignment | None = None,
-              ) -> PointResult:
+              seed: int) -> PointResult:
     """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
-    The scheme stage is the campaign's, fed a stack of one draw per
-    substream that numpy's own `SeedSequence` and generator make, so this
-    is the reference for the campaign's bulk seeding and batching. Returns
-    the one-row result. A zero sum rate is a SingularChannelError.
-
-    TDMA serves `assignment`, which must be `assignment_for_demand(
-    allocation, demand)`; when it is None the trial builds it. The other
-    schemes ignore it.
+    The campaign's scheme stage, fed one draw per substream that numpy's
+    own `SeedSequence` and generator make: the one-trial reference that
+    campaigns, with their bulk seeding and batching, are tested against.
+    Returns the one-row result. A zero sum rate is a SingularChannelError.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
-    if scheme is Scheme.TDMA and assignment is None:
+    assignment = None
+    if scheme is Scheme.TDMA:
         assignment = assignment_for_demand(allocation, demand)
 
     def draw(index, shape, accepts):
-        return _solve_draw(_substream(seed, index), shape, accepts)[None]
+        return _solve_draw(_substream(seed, index), shape, accepts)[None], 1
 
-    trial = _trial_results(config, allocation, scheme, assignment, snr_db,
-                           [seed], draw)
-    if trial is None:
-        raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
-    return trial
+    return _trial_results(config, allocation, scheme, assignment, snr_db,
+                          [seed], draw)
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -651,14 +608,11 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     Each trial has its own seed derived from (master seed, trial index), so
     results do not depend on execution order. Placement and demand are
     fixed for the campaign, so a trial's checks run once and TDMA's
-    delivery assignment is built once. Each point runs as one batch. Its
-    first trial also runs through `run_trial`, the one-trial reference,
-    whose result must equal the batch's first row bit for bit; a per-trial
-    profile keeps that one sample per point. A batch where some trial fails
-    is rerun trial by trial, so the error raised is the first failing
-    trial's. `trial_seeds` computes every seed in one array pass, and each
-    point's first seed is checked against `trial_seed`, numpy's own. A
-    failed check raises RuntimeError.
+    delivery assignment is built once. Each point runs as one batch, which
+    raises the error of the point's first failing trial, the one running
+    the trials one by one would raise. `trial_seeds` computes every seed in
+    one array pass, and each point's first seed is checked against
+    `trial_seed`, numpy's own; a failed check raises RuntimeError.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
@@ -678,22 +632,9 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                 f"bulk trial seeds of master seed {master_seed} differ "
                 "from numpy's SeedSequence"
             )
-        first = run_trial(config, allocation, scheme, demand, snr, seeds[0],
-                          assignment=assignment)
-        point = _trial_results(config, allocation, scheme, assignment, snr,
-                               seeds, functools.partial(_draw_stack, seeds))
-        if point is None:
-            for seed in seeds[1:]:
-                run_trial(config, allocation, scheme, demand, snr, seed,
-                          assignment=assignment)
-            raise RuntimeError(
-                f"the batch at {snr} dB fails where each trial alone succeeds")
-        if any(isinstance(column, np.ndarray)
-               and column.tobytes() != getattr(point, name)[:1].tobytes()
-               for name, column in vars(first).items()):
-            raise RuntimeError(
-                f"the batch at {snr} dB differs from run_trial in its first trial")
-        points.append(point)
+        points.append(_trial_results(config, allocation, scheme, assignment,
+                                     snr, seeds,
+                                     functools.partial(_draw_stack, seeds)))
     return points
 
 

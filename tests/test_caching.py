@@ -430,17 +430,34 @@ class TestAssignment:
     def test_uncovered_bits_raise(self):
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
+
+        def without_file_1(content):
+            return tuple(cf for cf in content if cf.fragment.file_index != 1)
+
         # drop EN2's fragment of file 1: its second half is cached nowhere
         gutted = replace(
             alloc,
             per_en_content=(
                 alloc.per_en_content[0],
-                tuple(cf for cf in alloc.per_en_content[1]
-                      if cf.fragment.file_index != 1),
+                without_file_1(alloc.per_en_content[1]),
             ),
         )
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError) as tail:
             assignment_for_demand(gutted, DemandVector((1, 2)))
+        assert str(tail.value) == (
+            "user 1: bits [4, 8) of file 1 are cached nowhere")
+        # drop EN1's instead: the first half is cached nowhere
+        gutted = replace(
+            alloc,
+            per_en_content=(
+                without_file_1(alloc.per_en_content[0]),
+                alloc.per_en_content[1],
+            ),
+        )
+        with pytest.raises(CoverageError) as head:
+            assignment_for_demand(gutted, DemandVector((2, 1)))
+        assert str(head.value) == (
+            "user 2: bits [0, 4) of file 1 are cached nowhere")
 
     def test_overlapping_extra_fragment_raises(self):
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
@@ -452,6 +469,8 @@ class TestAssignment:
             per_en_content=(alloc.per_en_content[0] + (extra,),
                             alloc.per_en_content[1]),
         )
-        with pytest.raises(CoverageError, match="assigned twice"):
+        with pytest.raises(CoverageError) as overlap:
             assignment_for_demand(bloated, DemandVector((1, 2)))
+        assert str(overlap.value) == (
+            "user 1: bits [4, 5) of file 1 are assigned twice")
         assignment_for_demand(bloated, DemandVector((2, 2)))  # file 1 unasked

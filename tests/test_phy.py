@@ -1,6 +1,5 @@
 """Tests for the Monte-Carlo delivery simulator."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -35,13 +34,10 @@ from edgecache.phy import (
     MAX_RESAMPLES,
     PointResult,
     Scheme,
-    awgn_channel,
     estimate_ndt,
     ia_alignment_error,
-    ia_beamformers,
     ia_per_en_power,
     ia_rates,
-    ia_xchannel_2x2,
     run_campaign,
     run_trial,
     snr_db_to_power,
@@ -49,10 +45,10 @@ from edgecache.phy import (
     trial_seed,
     trial_seeds,
     zf_per_en_power,
-    zf_precode,
     zf_sinrs,
 )
 from edgecache.phy import _solve_draw
+from one_draw import awgn_channel, ia_beamformers, ia_xchannel_2x2, zf_precode
 
 F = Fraction
 SNR_GRID = [20.0, 30.0, 40.0, 50.0, 60.0]
@@ -463,9 +459,8 @@ class TestRunTrial:
         with pytest.raises(SingularChannelError):
             run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
         # a campaign raises its first failing trial's error: at -400 dB
-        # that of its second point's first trial, at the mixed SNR one
-        # that the rerun of the point's later trials finds (for TDMA, the
-        # batch itself)
+        # that of its second point's first trial, at the mixed SNR that of
+        # a later trial of the point's batch
         mixed = self.MIXED_SNR_DB[scheme]
         run_trial(cfg, alloc, scheme, dem, mixed, seed=trial_seed(3, 0))
         for grid, per_snr in ([20.0, -400.0, 40.0], 4), ([mixed], 12):
@@ -619,65 +614,6 @@ class TestCampaign:
         run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_each_point_runs_its_first_trial_through_run_trial(
-            self, monkeypatch, scheme):
-        # perfbench's traced per-trial spans wrap `phy.run_trial` and take
-        # their one sample per SNR point from these calls
-        seen = []
-
-        def recording(config, allocation, scheme, demand, snr_db, seed, **kw):
-            seen.append((snr_db, seed))
-            return run_trial(config, allocation, scheme, demand, snr_db, seed,
-                             **kw)
-
-        monkeypatch.setattr(phy, "run_trial", recording)
-        cfg, alloc, dem = setup_scheme(scheme)
-        run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
-        assert seen == [(snr, trial_seed(2, si * 4))
-                        for si, snr in enumerate(SNR_GRID)]
-
-    @pytest.mark.parametrize("scheme,name", [
-        (scheme, name) for scheme in Scheme for name in COLUMNS
-        if name != "alignment_error"
-        or scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE)])
-    def test_a_first_trial_one_ulp_off_fails_loudly(self, monkeypatch,
-                                                    scheme, name):
-        # the third point's reference trial differs from the batch's first
-        # row in the last entry of one column only
-        def one_ulp_off(*args, **kw):
-            trial = run_trial(*args, **kw)
-            if trial.snr_db != SNR_GRID[2]:
-                return trial
-            column = getattr(trial, name).copy()
-            column.flat[-1] = np.nextafter(column.flat[-1], np.inf)
-            return dataclasses.replace(trial, **{name: column})
-
-        monkeypatch.setattr(phy, "run_trial", one_ulp_off)
-        cfg, alloc, dem = setup_scheme(scheme)
-        with pytest.raises(RuntimeError, match="at 40.0 dB differs"):
-            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_a_batch_failing_where_every_trial_succeeds_fails_loudly(
-            self, monkeypatch, scheme):
-        stage, alone = phy._trial_results, []
-
-        def batch_fails(config, allocation, scheme, assignment, snr_db,
-                        seeds, draw):
-            if len(seeds) > 1:
-                return None
-            alone.append(seeds[0])
-            return stage(config, allocation, scheme, assignment, snr_db,
-                         seeds, draw)
-
-        monkeypatch.setattr(phy, "_trial_results", batch_fails)
-        cfg, alloc, dem = setup_scheme(scheme)
-        with pytest.raises(RuntimeError, match="at 20.0 dB fails"):
-            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
-        # the first point's trials each ran alone, every one succeeding
-        assert alone == [trial_seed(2, i) for i in range(4)]
-
     def test_tdma_campaign_matches_self_assigning_trials(self):
         # shared placement: both unicast and cooperative fragments
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2), m=3, k=3, n=4)
@@ -724,19 +660,15 @@ def outcome(run):
 
 
 def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
-    """`run_campaign` that must not fall back to running trial by trial.
+    """`run_campaign` with `phy.run_trial` patched to raise.
 
-    Only each SNR point's first trial may run through `run_trial`.
+    Each SNR point runs as one batch; no trial runs alone.
     """
-    firsts = {trial_seed(master, si * per_snr) for si in range(len(grid))}
-
-    def first_only(config, allocation, scheme, demand, snr_db, seed, **kw):
-        if seed not in firsts:
-            raise AssertionError("the batch fell back to run_trial")
-        return run_trial(config, allocation, scheme, demand, snr_db, seed, **kw)
+    def alone(*args, **kw):
+        raise AssertionError("the campaign ran a trial through run_trial")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(phy, "run_trial", first_only)
+        patch.setattr(phy, "run_trial", alone)
         points = run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
     assert [len(p.seeds) for p in points] == [per_snr] * len(grid)
     return points
@@ -748,9 +680,12 @@ def trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr, master):
             for si, snr in enumerate(grid) for ti in range(per_snr)]
 
 
+# the low band fails trials at random positions and points: dead TDMA links
+# and zero sum rates
 snr_grids = st.lists(
     st.one_of(st.just(MAX_SNR_DB),
-              st.floats(-20.0, MAX_SNR_DB, allow_nan=False)),
+              st.floats(-20.0, MAX_SNR_DB, allow_nan=False),
+              st.floats(-160.0, -130.0)),
     min_size=1, max_size=3, unique=True)
 campaigns = st.tuples(snr_grids, st.integers(1, 6),
                       st.integers(0, 2 ** 200))
@@ -858,6 +793,28 @@ class TestBatchedRedraws:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_UNSUPPORTED
         assert list(tmp_path.iterdir()) == []
+
+    # (trial with no full-interval draw, trial with no slot draw); at (0, 0)
+    # the formulas run on empty stacks
+    @pytest.mark.parametrize("zf_trial,ia_trial",
+                             [(3, 1), (1, 3), (2, 2), (0, 0)])
+    def test_hybrid_raises_the_lowest_trials_first_failing_draw(
+            self, monkeypatch, zf_trial, ia_trial):
+        cfg, alloc, dem = setup_scheme(Scheme.HYBRID_SHARE)
+        args = (cfg, alloc, Scheme.HYBRID_SHARE, dem, [20.0, 40.0], 6, 5)
+        for predicate, index, shape, trial in (
+                ("_zf_accepts", 0, (2, 2), zf_trial),
+                ("_ia_accepts", 1, (EXTENSION_SLOTS, 2, 2), ia_trial)):
+            reject_first_draws(monkeypatch, predicate, index, shape,
+                               {trial_seed(5, trial): MAX_RESAMPLES + 1})
+        expected = outcome(lambda: trial_by_trial(*args))
+        # a trial draws its full interval before its slots
+        shape = (2, 2) if zf_trial <= ia_trial else (EXTENSION_SLOTS, 2, 2)
+        assert expected == (SingularChannelError,
+                            f"no usable {shape} channel draw after "
+                            f"{MAX_RESAMPLES} resamples (RNG misuse?)")
+        assert outcome(lambda: batched(*args)) == expected
+
 
 # word-count edges of numpy's entropy: 1, 2, 3, 4 and 5+ uint32 words
 EDGE_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
