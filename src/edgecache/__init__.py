@@ -16,8 +16,9 @@ _SUBMODULES = ("bounds", "caching", "converse", "errors", "model", "phy")
 _EXPORTS = {
     "bounds": ("CsiMode", "NdtPoint", "TradeoffCurve", "achievable_points",
                "convex_envelope", "corner_point_xchannel",
-               "corner_point_zero_forcing", "ndt_lower_bound",
-               "ndt_lower_bound_at", "optimality_regions", "tradeoff_sweep"),
+               "corner_point_zero_forcing", "lower_bound_curve",
+               "ndt_lower_bound", "ndt_lower_bound_at", "optimality_regions",
+               "tradeoff_sweep"),
     "caching": ("CacheAllocation", "DeliveryAssignment",
                 "assignment_for_demand", "full_placement", "shared_placement",
                 "split_placement", "verify_cache_budget"),

@@ -80,32 +80,33 @@ class TradeoffCurve:
     def __post_init__(self):
         if not self.points:
             raise EmptyInputError("a curve needs at least one breakpoint")
-        if any(q.mu <= p.mu for p, q in zip(self.points, self.points[1:])):
-            raise ArgumentError("breakpoints must be strictly increasing in mu")
-        slopes = self._slopes
-        if self.ells and len(self.ells) != len(slopes):
-            raise ArgumentError(f"need {len(slopes)} ells, got {len(self.ells)}")
-        if any(s > 0 for s in slopes):
+        lines = self._lines
+        if self.ells and len(self.ells) != len(lines):
+            raise ArgumentError(f"need {len(lines)} ells, got {len(self.ells)}")
+        if any(b > 0 for _, b, _ in lines):
             raise ArgumentError("curve must be non-increasing in mu")
-        if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
+        if any(b2 * c1 < b1 * c2
+               for (_, b1, c1), (_, b2, c2) in zip(lines, lines[1:])):
             raise ArgumentError("curve must be convex in mu")
 
     @cached_property
-    def _slopes(self) -> tuple[Fraction, ...]:
-        pts = self.points
-        return tuple(
-            (q.ndt - p.ndt) / (q.mu - p.mu) for p, q in zip(pts, pts[1:])
-        ) or (Fraction(0),)
-
-    @cached_property
     def _lines(self) -> tuple[tuple[int, int, int], ...]:
-        """Per segment, integers (a, b, c) with value (a + b*mu)/c on it."""
+        """Per segment, coprime integers (a, b, c), c > 0, with value
+        (a + b*mu)/c on it; one point is one flat segment."""
+        ints = [(p.mu.numerator, p.mu.denominator, p.ndt.numerator,
+                 p.ndt.denominator) for p in self.points]
+        if len(ints) == 1:
+            return ((ints[0][2], 0, ints[0][3]),)
         lines = []
-        for p, slope in zip(self.points, self._slopes):
-            intercept = p.ndt - slope * p.mu
-            c = math.lcm(intercept.denominator, slope.denominator)
-            lines.append((intercept.numerator * (c // intercept.denominator),
-                          slope.numerator * (c // slope.denominator), c))
+        for (n, d, a, b), (n2, d2, a2, b2) in zip(ints, ints[1:]):
+            run = (n2 * d - n * d2) * b * b2
+            if run <= 0:
+                raise ArgumentError("breakpoints must be strictly increasing in mu")
+            rise = (a2 * b - a * b2) * d * d2
+            # a/b + rise/run * (mu - n/d), over the denominator b*run*d
+            line = (a * run * d - rise * n * b, rise * b * d, b * run * d)
+            g = math.gcd(*line)
+            lines.append(tuple(v // g for v in line))
         return tuple(lines)
 
     def _walk(self, grid: MuGrid) -> list[tuple[int, int, int]]:
@@ -156,13 +157,9 @@ def ndt_lower_bound_at(config: SystemConfig, mu, ell: int) -> Fraction:
 def ndt_lower_bound(config: SystemConfig, mu) -> tuple[Fraction, int]:
     """Exact max of the bound family and the smallest maximizing ell."""
     mu = as_fraction(mu)
-    best: Fraction | None = None
-    best_ell = 0
-    for ell in range(1, min(config.num_ens, config.num_users) + 1):
-        value = ndt_lower_bound_at(config, mu, ell)
-        if best is None or value > best:
-            best, best_ell = value, ell
-    return best, best_ell
+    return max(((ndt_lower_bound_at(config, mu, ell), ell) for ell
+                in range(1, min(config.num_ens, config.num_users) + 1)),
+               key=lambda pair: pair[0])  # max keeps the first of a tie
 
 
 def corner_point_xchannel(config: SystemConfig) -> NdtPoint:
@@ -236,31 +233,33 @@ def _cross(o: NdtPoint, a: NdtPoint, b: NdtPoint) -> Fraction:
 def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
     """The exact converse over [1/M, 1]: the upper envelope of the cut lines.
 
-    Slopes rise strictly with ell, so one stack pass (the convex-hull trick)
-    is O(min(M, K)); dropping the middle of three concurrent lines keeps the
-    smallest maximizing ell left of each break. ell = 1 alone is maximal at
-    1/M; a line that only touches at mu = 1 (the flat ell = M = K) is cut.
+    Cut ell is (K + b*mu)/ell, b = -(M-ell)(K-ell), with slopes rising in
+    ell: one stack pass (the convex-hull trick) on ints, breaks p/q as int
+    pairs, is O(min(M, K)). Dropping the middle of three concurrent lines
+    keeps the smallest maximizing ell left of each break. ell = 1 alone is
+    maximal at 1/M; a line only touching at mu = 1 (ell = M = K) is cut.
     """
     m, k = config.num_ens, config.num_users
-    lines: list[tuple[int, Fraction, Fraction]] = []  # (ell, intercept, slope)
-    breaks: list[Fraction] = []
+    lines: list[tuple[int, int]] = []  # (ell, b)
+    breaks: list[tuple[int, int]] = []
     for ell in range(1, min(m, k) + 1):
-        intercept, slope = Fraction(k, ell), Fraction(-(m - ell) * (k - ell), ell)
+        b = -(m - ell) * (k - ell)
         while lines:
-            _, top_intercept, top_slope = lines[-1]
-            overtake = (top_intercept - intercept) / (slope - top_slope)
-            if not breaks or overtake > breaks[-1]:
+            top, top_b = lines[-1]
+            p, q = k * (ell - top), b * top - top_b * ell  # overtakes at p/q
+            if not breaks or p * breaks[-1][1] > breaks[-1][0] * q:
                 break
             del lines[-1], breaks[-1]
         if lines:
-            breaks.append(overtake)
-        lines.append((ell, intercept, slope))
-    if breaks and breaks[-1] == 1:
+            breaks.append((p, q))
+        lines.append((ell, b))
+    if breaks and breaks[-1][0] == breaks[-1][1]:
         del lines[-1], breaks[-1]
-    mus = sorted({Fraction(1, m), *breaks, Fraction(1)})
-    points = [NdtPoint(mu, intercept + slope * mu, "lower-bound")
-              for mu, (_, intercept, slope) in zip(mus, [lines[0], *lines])]
-    return TradeoffCurve(tuple(points), tuple(ell for ell, _, _ in lines))
+    mus = [(1, m), *breaks] + [(1, 1)] * (m > 1)
+    points = [NdtPoint(Fraction(p, q), Fraction(k * q + b * p, ell * q),
+                       "lower-bound")
+              for (p, q), (ell, b) in zip(mus, [lines[0], *lines])]
+    return TradeoffCurve(tuple(points), tuple(ell for ell, _ in lines))
 
 
 class MuGrid:
@@ -299,16 +298,18 @@ class MuGrid:
 
 @dataclass(frozen=True)
 class TradeoffTable:
-    """A sweep's rows as ints.
+    """A sweep's rows as ints, and the curves it walked.
 
     Each int row is (mu_num, mu_den, lower_num, lower_den, ell_star,
     upper_num, upper_den), every pair reduced; outside perfect CSI the three
-    converse entries are None.
+    converse entries and the converse are None.
     """
 
     config: SystemConfig
     csi_mode: CsiMode
     int_rows: tuple[tuple, ...]
+    envelope: TradeoffCurve
+    converse: TradeoffCurve | None
 
 
 # A cap on the grid's rows, about 8x the 118,801 of the 100x100 default
@@ -351,21 +352,23 @@ def tradeoff_sweep(config: SystemConfig, mu_grid,
     if any(b <= a for a, b in zip(nums, nums[1:])):
         raise ArgumentError("mu_grid must be sorted and duplicate-free")
     # the envelope spans the feasible range [1/M, 1]: its walk checks the grid
-    uppers = convex_envelope(achievable_points(config, csi_mode))._walk(grid)
+    envelope = convex_envelope(achievable_points(config, csi_mode))
+    uppers = envelope._walk(grid)
     if csi_mode is not CsiMode.PERFECT:
         rows = [(mu_num, mu_den, None, None, None, up_num, up_den)
                 for (mu_num, mu_den), (up_num, up_den, _)
                 in zip(grid.reduced(), uppers)]
-        return TradeoffTable(config, csi_mode, tuple(rows))
+        return TradeoffTable(config, csi_mode, tuple(rows), envelope, None)
     converse = lower_bound_curve(config)
     ells = converse.ells
     rows = [(mu_num, mu_den, lo_num, lo_den, ells[seg], up_num, up_den)
             for (mu_num, mu_den), (lo_num, lo_den, seg), (up_num, up_den, _)
             in zip(grid.reduced(), converse._walk(grid), uppers)]
-    return TradeoffTable(config, csi_mode, tuple(rows))
+    return TradeoffTable(config, csi_mode, tuple(rows), envelope, converse)
 
 
-def optimality_regions(config: SystemConfig) -> list[tuple[Fraction, Fraction]]:
+def optimality_regions(converse: TradeoffCurve, envelope: TradeoffCurve
+                       ) -> list[tuple[Fraction, Fraction]]:
     """Maximal mu-intervals where the converse meets the achievable envelope.
 
     Returned as (lo, hi) pairs with lo == hi for isolated touching points.
@@ -373,20 +376,17 @@ def optimality_regions(config: SystemConfig) -> list[tuple[Fraction, Fraction]]:
     cell of the common refinement the gap is affine and non-negative: it
     vanishes on a cell interior only if it vanishes at both ends.
     """
-    envelope = convex_envelope(achievable_points(config, CsiMode.PERFECT))
-    converse = lower_bound_curve(config)
     grid = MuGrid.of(sorted({p.mu for p in envelope.points + converse.points}))
     regions: list[tuple[Fraction, Fraction]] = []
     touching = False
-    for mu, (lo_num, lo_den, _), (up_num, up_den, _) in zip(
-            grid, converse._walk(grid), envelope._walk(grid)):
-        gap = Fraction(up_num, up_den) - Fraction(lo_num, lo_den)
+    for n, (lo_num, lo_den, _), (up_num, up_den, _) in zip(
+            grid.numerators, converse._walk(grid), envelope._walk(grid)):
+        gap = up_num * lo_den - lo_num * up_den  # (upper - lower) * dens
+        mu = Fraction(n, grid.denominator) if gap <= 0 else None
         if gap < 0:
-            raise ArgumentError(
-                f"achievable envelope below converse at mu={mu}: gap {gap}"
-            )
-        tight = gap == 0
-        if tight:  # extend the region ending at the previous mu, or open one
+            raise ArgumentError(f"achievable envelope below converse at "
+                                f"mu={mu}: gap {Fraction(gap, lo_den * up_den)}")
+        if gap == 0:  # extend the region ending at the previous mu, or open one
             regions.append((regions.pop()[0] if touching else mu, mu))
-        touching = tight
+        touching = gap == 0
     return regions

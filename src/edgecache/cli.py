@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import importlib
 import json
@@ -37,9 +38,7 @@ from .bounds import (
 )
 from .errors import (
     ArgumentError,
-    DemandError,
     EdgeCacheError,
-    FeasibilityError,
     InsufficientDataError,
     RangeError,
     UnsupportedError,
@@ -59,7 +58,6 @@ from .model import (
     DemandVector,
     FileLibrary,
     Scheme,
-    as_fraction,
     validate_config,
 )
 
@@ -87,12 +85,8 @@ EXIT_UNSUPPORTED = 3
 EXIT_TOLERANCE = 4
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_manifest(out: Path, argv: list[str], config, master_seed,
-                    outputs: list[Path]) -> Path:
+                    outputs: list[Path]) -> None:
     manifest = {
         "command": argv,
         "config": {
@@ -105,12 +99,11 @@ def _write_manifest(out: Path, argv: list[str], config, master_seed,
         "master_seed": master_seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "output_digests": {p.name: _sha256(p) for p in outputs},
+        "output_digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in outputs},
     }
-    path = out.with_name(out.stem + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    out.with_name(out.stem + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def replay_manifest(manifest_path, out_path) -> int:
@@ -128,48 +121,40 @@ def replay_manifest(manifest_path, out_path) -> int:
     return main(argv)
 
 
-def _bounds_csv(table) -> str:
-    """The bounds CSV, one line per row, straight from the reduced ints."""
+def _bounds_csv(table) -> list[str]:
+    """The bounds CSV's lines, header first, straight from the reduced ints:
+    the JSON copy reads their fields rather than format each int again."""
     head = ("mu_num,mu_den,lower_num,lower_den,upper_num,upper_den,"
-            "ell_star,tight\n")
+            "ell_star,tight")
     if table.csi_mode is not CsiMode.PERFECT:
-        return head + "".join([f"{mn},{md},,,{un},{ud},,\n"
-                               for mn, md, _, _, _, un, ud in table.int_rows])
-    return head + "".join([
-        f"{mn},{md},{ln},{ld},{un},{ud},{ell},{int(ln == un and ld == ud)}\n"
-        for mn, md, ln, ld, ell, un, ud in table.int_rows])
+        return [head] + [f"{mn},{md},,,{un},{ud},,"
+                         for mn, md, _, _, _, un, ud in table.int_rows]
+    return [head] + [
+        f"{mn},{md},{ln},{ld},{un},{ud},{ell},{int(ln == un and ld == ud)}"
+        for mn, md, ln, ld, ell, un, ud in table.int_rows]
 
 
-def _bounds_json(table) -> str:
-    """The bounds JSON copy: byte for byte what json.dumps(indent=2,
-    sort_keys=True) writes for rows whose rationals are `str(Fraction)`."""
-    if table.csi_mode is not CsiMode.PERFECT:
-        rows = [f"""    {{
-      "ell_star": null,
-      "lower": null,
+def _bounds_json(csi_mode, lines) -> str:
+    """The bounds JSON copy of the CSV's data lines, an empty field a null:
+    byte for byte what json.dumps(indent=2, sort_keys=True) writes for rows
+    whose rationals are `str(Fraction)`."""
+    rows = [f"""    {{
+      "ell_star": {ell or "null"},
+      "lower": {f'"{ln}/{ld}"' if ln else "null"},
       "mu": "{mn}/{md}",
-      "tight": null,
+      "tight": {"true" if tight == "1" else "false" if tight else "null"},
       "upper": "{un}/{ud}"
-    }}""" for mn, md, _, _, _, un, ud in table.int_rows]
-    else:
-        rows = [f"""    {{
-      "ell_star": {ell},
-      "lower": "{ln}/{ld}",
-      "mu": "{mn}/{md}",
-      "tight": {"true" if ln == un and ld == ud else "false"},
-      "upper": "{un}/{ud}"
-    }}""" for mn, md, ln, ld, ell, un, ud in table.int_rows]
-    text = (f'{{\n  "csi": "{table.csi_mode.value}",\n  "rows": [\n'
+    }}""" for mn, md, ln, ld, un, ud, ell, tight
+            in (line.split(",") for line in lines)]
+    text = (f'{{\n  "csi": "{csi_mode.value}",\n  "rows": [\n'
             + ",\n".join(rows) + "\n  ]\n}\n")
     # str(Fraction) drops a denominator of 1, and '/1"' ends only those
     return text.replace('/1"', '"')
 
 
 def _format_regions(regions) -> str:
-    parts = []
-    for lo, hi in regions:
-        parts.append(f"{{{lo}}}" if lo == hi else f"[{lo}, {hi}]")
-    return " u ".join(parts) if parts else "(none)"
+    return " u ".join(f"{{{lo}}}" if lo == hi else f"[{lo}, {hi}]"
+                      for lo, hi in regions) or "(none)"
 
 
 def _config(args, mu):
@@ -191,15 +176,16 @@ def cmd_bounds(args, argv: list[str]) -> int:
     table = tradeoff_sweep(config, grid, csi)
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(_bounds_csv(table), encoding="utf-8", newline="")
+    lines = _bounds_csv(table)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     outputs = [out]
     if args.json:
         json_path = out.with_suffix(".json")
-        json_path.write_text(_bounds_json(table), encoding="utf-8", newline="")
+        json_path.write_text(_bounds_json(csi, lines[1:]), encoding="utf-8", newline="")
         outputs.append(json_path)
     _write_manifest(out, argv, config, None, outputs)
     if csi is CsiMode.PERFECT:
-        regions = optimality_regions(config)
+        regions = optimality_regions(table.converse, table.envelope)
         print(f"tight regions (lower = upper): {_format_regions(regions)}")
     else:
         print(f"{csi.value} CSI: achievability only, no converse emitted")
@@ -248,13 +234,29 @@ def _snr_grid(text: str) -> list[float]:
     return grid
 
 
-def _grid_step(text: str) -> Fraction:
-    """Parse bounds --grid-step: a positive rational such as 1/24 or 0.05."""
+MAX_RATIONAL_DIGITS = 40  # a part; str() of an int stops at 4,300 digits
+
+
+def _rational(text: str) -> Fraction:
+    """Parse a rational flag such as 1/24, 0.05 or 5e-2. Text too long for
+    MAX_RATIONAL_DIGITS a part, or an exponent past it, is refused before
+    any power of ten is built."""
+    cap = MAX_RATIONAL_DIGITS
     try:
-        step = Fraction(text)
+        value = (Fraction(text) if len(text) <= 2 * cap + 1 and abs(
+            int(text.lower().partition("e")[2] or 0)) <= cap else None)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"not a rational p/q: {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) >= 10**cap:
+        raise argparse.ArgumentTypeError(
+            f"more than {cap} digits a part: {text[:24]!r}")
+    return value
+
+
+def _grid_step(text: str) -> Fraction:
+    """Parse bounds --grid-step: a positive rational such as 1/24 or 0.05."""
+    step = _rational(text)
     if step <= 0:
         raise argparse.ArgumentTypeError(f"grid step must be positive, got {text!r}")
     return step
@@ -320,7 +322,7 @@ def _tolerance(text: str) -> float:
 
 def cmd_simulate(args, argv: list[str]) -> int:
     import numpy as np  # only simulate needs it: bounds starts without it
-    mu = as_fraction(args.mu)
+    mu = args.mu
     config = _config(args, mu)
     _capped(args.k * args.m, MAX_LINKS, "K*M")
     _capped(args.trials * len(args.snr_grid), MAX_CAMPAIGN_TRIALS,
@@ -405,12 +407,8 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
     entries = []
     all_pass = True
     for rep in reports:
-        ok = report_passes(
-            rep,
-            reconstruction_tol=tolerances["reconstruction"],
-            logdet_tol=tolerances["logdet_oracle"],
-            noise_tol=tolerances["noise_cov"],
-        )
+        ok = report_passes(rep, args.tol_reconstruction, args.tol_logdet,
+                           args.tol_noise_cov)
         all_pass = all_pass and ok
         entries.append({
             "ell": rep.ell,
@@ -447,7 +445,10 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `main` looks up each handler by
+    name when it runs, so a patched handler still runs."""
     parser = argparse.ArgumentParser(
         prog="edgecache",
         description="Latency-storage tradeoffs of cache-aided wireless networks",
@@ -472,11 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output CSV path")
     p_bounds.add_argument("--json", action="store_true",
                           help="also write a JSON copy of the table")
-    p_bounds.set_defaults(handler=cmd_bounds)
+    p_bounds.set_defaults(handler="cmd_bounds")
 
     p_sim = sub.add_parser("simulate", parents=[network],
                            help="run a Monte-Carlo delivery campaign")
-    p_sim.add_argument("--mu", required=True, help="fractional cache size p/q")
+    p_sim.add_argument("--mu", type=_rational, required=True,
+                       help="fractional cache size p/q")
     p_sim.add_argument("--scheme", choices=[s.value for s in Scheme],
                        required=True)
     p_sim.add_argument("--snr-grid", type=_snr_grid,
@@ -488,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (required for reproducibility)")
     p_sim.add_argument("--out", type=_out_path, required=True,
                        help="output CSV path")
-    p_sim.set_defaults(handler=cmd_simulate)
+    p_sim.set_defaults(handler="cmd_simulate")
 
     p_ver = sub.add_parser("verify-converse", parents=[network],
                            help="check the converse identities numerically")
@@ -504,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=NOISE_COV_TOL)
     p_ver.add_argument("--out", type=_out_path, required=True,
                        help="output JSON path")
-    p_ver.set_defaults(handler=cmd_verify_converse)
+    p_ver.set_defaults(handler="cmd_verify_converse")
     return parser
 
 
@@ -516,10 +518,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args, argv)
-    except (FeasibilityError, DemandError, UnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return globals()[args.handler](args, argv)
     except (ArgumentError, RangeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

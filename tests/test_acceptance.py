@@ -18,6 +18,7 @@ from edgecache.bounds import (
     corner_point_xchannel,
     corner_point_zero_forcing,
     default_mu_grid,
+    lower_bound_curve,
     ndt_lower_bound,
     optimality_regions,
     tradeoff_sweep,
@@ -92,7 +93,7 @@ def test_3x3_partial_characterization():
     for mu in default_mu_grid(cfg):
         expected = max(3 - 4 * mu, F(3 - mu, 2), F(1))
         ok = ok and ndt_lower_bound(cfg, mu)[0] == expected
-    ok = ok and optimality_regions(cfg) == [
+    ok = ok and optimality_regions(lower_bound_curve(cfg), env) == [
         (F(1, 3), F(1, 3)), (F(2, 3), F(1)),
     ]
     row = fraction_rows(tradeoff_sweep(cfg, [F(1, 2)]))[0]

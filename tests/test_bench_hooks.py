@@ -76,3 +76,21 @@ def test_stored_bytes_reads_the_single_en_allocation(layers):
     tracer = Tracer()
     layers._stored_bytes(tracer, allocation)
     assert tracer.counters["caching.stored_bytes"] == 2 * 48
+
+
+def test_one_bounds_call_enters_the_traced_bounds_sites_once(monkeypatch,
+                                                             tmp_path):
+    """The `bounds.sweep` and `bounds.regions` spans time one call each,
+    and the converse they both read is built once."""
+    calls = Counter()
+    for owner, name in ((cli, "tradeoff_sweep"), (cli, "optimality_regions"),
+                        (bounds, "lower_bound_curve")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["bounds", "--m", "30", "--k", "30", "--json",
+                     "--grid-step", "1/1800",
+                     "--out", str(tmp_path / "b.csv")]) == cli.EXIT_OK
+    assert calls == {"tradeoff_sweep": 1, "optimality_regions": 1,
+                     "lower_bound_curve": 1}

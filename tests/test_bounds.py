@@ -37,6 +37,7 @@ from edgecache.errors import (
     UnsupportedError,
 )
 from edgecache.model import validate_config
+from fraction_hull import fraction_lower_bound_curve
 from sweep_rows import fraction_rows
 
 F = Fraction
@@ -45,6 +46,12 @@ F = Fraction
 def cfg(m, k, n=None, mu=None, l=1200):
     return validate_config(m, k, n if n else max(m, k),
                            mu if mu is not None else F(1), l)
+
+
+def regions_of(c):
+    """The tight regions of a config's converse and perfect-CSI envelope."""
+    return optimality_regions(lower_bound_curve(c),
+                              convex_envelope(achievable_points(c)))
 
 
 def cut_line_meets(m, k):
@@ -410,17 +417,22 @@ class TestSweepAndRegions:
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_regions_2x2_full_range(self):
-        assert optimality_regions(cfg(2, 2)) == [(F(1, 2), F(1))]
+        assert regions_of(cfg(2, 2)) == [(F(1, 2), F(1))]
 
     def test_regions_3x3_point_plus_interval(self):
-        assert optimality_regions(cfg(3, 3)) == [
+        assert regions_of(cfg(3, 3)) == [
             (F(1, 3), F(1, 3)), (F(2, 3), F(1)),
         ]
 
     def test_regions_2x3_two_singletons(self):
-        assert optimality_regions(cfg(2, 3)) == [
+        assert regions_of(cfg(2, 3)) == [
             (F(1, 2), F(1, 2)), (F(1), F(1)),
         ]
+
+    def test_regions_refuse_an_envelope_below_the_converse(self):
+        below = TradeoffCurve((NdtPoint(F(1, 2), F(1)), NdtPoint(F(1), F(1))))
+        with pytest.raises(ArgumentError, match="at mu=1/2: gap -1/2"):
+            optimality_regions(lower_bound_curve(cfg(2, 2)), below)
 
     def test_regions_match_pointwise_gap_up_to_8x8(self):
         for m in range(1, 9):
@@ -431,7 +443,7 @@ class TestSweepAndRegions:
                 def gap(mu):
                     return env.value_at(mu) - ndt_lower_bound(c, mu)[0]
 
-                regions = optimality_regions(c)
+                regions = regions_of(c)
                 assert regions[0][0] == F(1, m) and regions[-1][1] == 1
                 for lo, hi in regions:
                     assert gap(lo) == gap((lo + hi) / 2) == gap(hi) == 0, (m, k)
@@ -478,6 +490,17 @@ class TestCurveProperties:
             assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
             assert curve.value_at(row.mu) == chord_value(curve, row.mu) == row.lower
             assert row.upper == chord_value(envelope, row.mu)
+
+    @given(st.integers(1, 64), st.integers(1, 64))
+    @example(30, 30)
+    @example(16, 16)
+    @example(100, 100)
+    @example(1, 7)
+    @example(7, 1)
+    def test_integer_hull_matches_the_fraction_hull(self, m, k):
+        curve = lower_bound_curve(cfg(m, k))
+        reference = fraction_lower_bound_curve(cfg(m, k))
+        assert (curve.points, curve.ells) == (reference.points, reference.ells)
 
     @pytest.mark.parametrize("m,k", [(1, 1), (1, 4), (2, 2), (3, 3), (5, 3),
                                      (12, 5)])

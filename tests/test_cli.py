@@ -23,6 +23,8 @@ from edgecache.cli import (
     EXIT_TOLERANCE,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    MAX_RATIONAL_DIGITS,
+    build_parser,
     main,
     replay_manifest,
 )
@@ -683,6 +685,41 @@ class TestVerifyConverseCommand:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command,text", [
+        pytest.param(["bounds", "--grid-step"], "1e-5000", id="grid-step"),
+        pytest.param(["simulate", "--scheme", "zf", "--seed", "0", "--mu"],
+                     "1e-5000", id="mu"),
+        pytest.param(["bounds", "--grid-step"], "1e-999999999",
+                     id="grid-step-exponent"),
+        pytest.param(["simulate", "--scheme", "zf", "--seed", "0", "--mu"],
+                     "1/" + "7" * 5000, id="mu-text"),
+        pytest.param(["bounds", "--grid-step"],
+                     "1/" + "7" * (MAX_RATIONAL_DIGITS + 1), id="grid-step-den"),
+    ])
+    def test_an_over_long_rational_is_refused_by_its_flag(self, tmp_path,
+                                                          capsys, command,
+                                                          text):
+        """Past the parser, such a value reaches an error message whose
+        str() exceeds Python's 4,300-digit int-to-text limit."""
+        code = main([*command, text, "--m", "2", "--k", "2",
+                     "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert (f"argument {command[-1]}: more than {MAX_RATIONAL_DIGITS} "
+                f"digits a part") in err
+        assert "Traceback" not in err and len(err) < 1000
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,value", [
+        ("1/3", F(1, 3)), ("0.05", F(1, 20)), ("5e-2", F(1, 20)),
+        ("1e-39", F(1, 10 ** 39)), ("9" * 40, F(10 ** 40 - 1)),
+    ])
+    def test_a_rational_at_the_digit_cap_parses(self, text, value):
+        args = build_parser().parse_args(
+            ["simulate", "--m", "2", "--k", "2", "--mu", text, "--scheme",
+             "zf", "--seed", "0", "--out", "x.csv"])
+        assert args.mu == value
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("command", [
         ["bounds"],
@@ -770,13 +807,15 @@ network = st.tuples(
 bounds_argv = st.tuples(
     st.just(["bounds"]), network,
     optional("--csi", ["perfect", "nocsi", "delayed"]),
-    optional("--grid-step", ["1/4", "1", "2", "0", "-1/3", "1/0", "nan", ""]),
+    optional("--grid-step", ["1/4", "1", "2", "0", "-1/3", "1/0", "nan", "",
+                             "1e-5000"]),
     st.sampled_from([[], ["--json"]]))
 snr_points = st.sampled_from(["20", "40", "60", "0", "-139", str(MAX_SNR_DB),
                               str(MAX_SNR_DB + 1), "nan"])
 simulate_argv = st.tuples(
     st.just(["simulate"]), network,
-    given_flag("--mu", ["1/2", "1", "3/4", "1/3", "2/3", "0", "3/2"]),
+    given_flag("--mu", ["1/2", "1", "3/4", "1/3", "2/3", "0", "3/2",
+                        "1e-5000"]),
     given_flag("--scheme", ["tdma", "zf", "ia", "hybrid"]),
     st.lists(snr_points, min_size=3, max_size=3, unique=True).map(
         lambda grid: [f"--snr-grid={','.join(grid)}"]),
@@ -792,6 +831,47 @@ converse_argv = st.tuples(
 def flatten(parts):
     return [arg for part in parts
             for arg in (flatten(part) if isinstance(part, tuple) else part)]
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_a_handler_patched_after_a_first_call_runs(self, tmp_path,
+                                                       monkeypatch):
+        argv = ["bounds", "--m", "2", "--k", "2",
+                "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == EXIT_OK
+        calls = []
+
+        def patched(args, argv):
+            calls.append(argv)
+            return EXIT_TOLERANCE
+
+        monkeypatch.setattr("edgecache.cli.cmd_bounds", patched)
+        assert main(argv) == EXIT_TOLERANCE
+        assert calls == [argv]
+
+    def test_a_patched_limit_still_refuses(self, tmp_path, capsys,
+                                           monkeypatch):
+        build_parser()
+        monkeypatch.setattr("edgecache.cli.MAX_SNR_DB", 30.0)
+        monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
+        code = main(["simulate", "--m", "2", "--k", "2", "--mu", "1",
+                     "--scheme", "zf", "--snr-grid", "0,20,40", "--seed", "0",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert "at most 30 dB" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path):
+        common = ["bounds", "--m", "2", "--k", "2"]
+        assert main([*common, "--json",
+                     "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        assert main([*common, "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+        assert list(manifest["output_digests"]) == ["b.csv"]
+        assert not (tmp_path / "b.json").exists()
 
 
 class TestBoundaryFuzz:
