@@ -14,7 +14,6 @@ downstream tightness checks stay exact.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import importlib
@@ -44,11 +43,14 @@ from .errors import (
     UnsupportedError,
 )
 from .model import (
+    DEFAULT_FILE_BITS,
     DEFAULT_SNR_GRID_DB,
     DEFAULT_TRIALS_PER_SNR,
     LOGDET_ORACLE_TOL,
     MAX_CAMPAIGN_TRIALS,
+    MAX_LIBRARY_BITS,
     MAX_LINKS,
+    MAX_NODES,
     MAX_SNR_DB,
     MIN_SNR_POINTS,
     MIN_SNR_SPAN_DB,
@@ -89,13 +91,7 @@ def _write_manifest(out: Path, argv: list[str], config, master_seed,
                     outputs: list[Path]) -> None:
     manifest = {
         "command": argv,
-        "config": {
-            "num_ens": config.num_ens,
-            "num_users": config.num_users,
-            "library_size": config.library_size,
-            "frac_cache": str(config.frac_cache),
-            "file_bits": config.file_bits,
-        },
+        "config": {**vars(config), "frac_cache": str(config.frac_cache)},
         "master_seed": master_seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -157,20 +153,21 @@ def _format_regions(regions) -> str:
                       for lo, hi in regions) or "(none)"
 
 
-def _config(args, mu):
-    """Validate the shared network flags; only an omitted --n means N = K."""
-    n = args.k if args.n is None else args.n
-    return validate_config(args.m, args.k, n, mu, args.l)
-
-
 def _capped(size: int, cap: int, what: str) -> None:
     """Refuse a run whose `what` is over its cap, before any work."""
     if size > cap:
         raise ArgumentError(f"{what} is {size}, more than the {cap} allowed")
 
 
+def _network(args):
+    """The config of bounds and verify-converse, which read no --n or --l:
+    the bounds and the converse's checks depend on M and K alone."""
+    return validate_config(args.m, args.k, args.k, Fraction(1),
+                           DEFAULT_FILE_BITS)
+
+
 def cmd_bounds(args, argv: list[str]) -> int:
-    config = _config(args, Fraction(1))
+    config = _network(args)
     csi = CsiMode(args.csi)
     grid = default_mu_grid(config, args.grid_step)
     table = tradeoff_sweep(config, grid, csi)
@@ -262,31 +259,36 @@ def _grid_step(text: str) -> Fraction:
     return step
 
 
+MAX_SEED = 2**64 - 1  # numpy takes larger seeds; 64 bits keep --seed short
+MAX_INT_TEXT = 24  # characters an integer flag reads, more than any cap's digits
+
+
+def _int_flag(low: int, cap: str):
+    """The type of an integer flag: an int in [low, the module's `cap`].
+
+    The cap is read at each parse, so a patched limit applies to the cached
+    parser. A text over MAX_INT_TEXT characters is refused unread: int() of
+    a long text is slow, and str() of its value fails past 4,300 digits.
+    """
+    def parse(text: str) -> int:
+        top = globals()[cap]
+        try:
+            value = int(text) if len(text) <= MAX_INT_TEXT else None
+        except ValueError:
+            value = None
+        if value is not None and value > top:
+            raise argparse.ArgumentTypeError(
+                f"{value} is more than the {top} allowed")
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"not an integer in [{low}, {top}]: {text[:MAX_INT_TEXT]!r}")
+        return value
+    return parse
+
+
 def _ell(text: str):
-    """Parse --ell: 'all' or a positive cut parameter."""
-    if text == "all":
-        return text
-    ell = int(text)
-    if ell < 1:
-        raise argparse.ArgumentTypeError(f"ell must be positive, got {ell}")
-    return ell
-
-
-def _seed(text: str) -> int:
-    """Parse --seed: numpy's generators accept only non-negative integers."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _trials(text: str) -> int:
-    """Parse simulate --trials: the slope fit needs this many per SNR point."""
-    trials = int(text)
-    if trials < MIN_TRIALS_PER_SNR:
-        raise argparse.ArgumentTypeError(
-            f"need >= {MIN_TRIALS_PER_SNR} trials per SNR point, got {trials}")
-    return trials
+    """Parse --ell: 'all' or a cut parameter in [1, MAX_NODES]."""
+    return text if text == "all" else _int_flag(1, "MAX_NODES")(text)
 
 
 def _out_path(text: str) -> Path:
@@ -323,7 +325,7 @@ def _tolerance(text: str) -> float:
 def cmd_simulate(args, argv: list[str]) -> int:
     import numpy as np  # only simulate needs it: bounds starts without it
     mu = args.mu
-    config = _config(args, mu)
+    config = validate_config(args.m, args.k, args.n or args.k, mu, args.l)
     _capped(args.k * args.m, MAX_LINKS, "K*M")
     _capped(args.trials * len(args.snr_grid), MAX_CAMPAIGN_TRIALS,
             "trials x SNR points")
@@ -348,16 +350,11 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["snr_db", "trials", "mean_sum_rate", "mean_delta"])
-        for point in points:
-            writer.writerow([
-                repr(point.snr_db),
-                len(point.seeds),
-                repr(float(np.mean(point.achieved_sum_rate))),
-                repr(float(np.mean(point.delivery_time_per_bit))),
-            ])
+    out.write_text("snr_db,trials,mean_sum_rate,mean_delta\n" + "".join(
+        f"{point.snr_db!r},{len(point.seeds)},"
+        f"{float(np.mean(point.achieved_sum_rate))!r},"
+        f"{float(np.mean(point.delivery_time_per_bit))!r}\n"
+        for point in points), encoding="utf-8", newline="")
 
     analytic_lower = ndt_lower_bound(config, mu)[0]
     csi = _SCHEME_CSI[scheme]
@@ -395,32 +392,29 @@ def cmd_simulate(args, argv: list[str]) -> int:
 
 
 def cmd_verify_converse(args, argv: list[str]) -> int:
-    config = _config(args, Fraction(1))
+    config = _network(args)
     _capped(args.k * args.m, MAX_LINKS, "K*M")
     ells = None if args.ell == "all" else [args.ell]
+    _capped(args.trials * (len(ells) if ells else min(args.m, args.k)),
+            MAX_CAMPAIGN_TRIALS, "trials x cuts")
     reports = verify_converse(config, ells, trials=args.trials, seed=args.seed)
     tolerances = {
         "reconstruction": args.tol_reconstruction,
         "logdet_oracle": args.tol_logdet,
         "noise_cov": args.tol_noise_cov,
     }
-    entries = []
-    all_pass = True
-    for rep in reports:
-        ok = report_passes(rep, args.tol_reconstruction, args.tol_logdet,
-                           args.tol_noise_cov)
-        all_pass = all_pass and ok
-        entries.append({
-            "ell": rep.ell,
-            "trials": rep.trials,
-            "lambda_max": rep.lambda_max,
-            "max_reconstruction_residual": rep.max_reconstruction_residual,
-            "max_logdet": rep.max_logdet,
-            "max_logdet_oracle_error": rep.max_logdet_oracle_error,
-            "noise_cov_error": rep.noise_cov_error,
-            "noise_cov_samples": rep.noise_cov_samples,
-            "pass": ok,
-        })
+    entries = [{
+        "ell": rep.ell,
+        "trials": rep.trials,
+        "lambda_max": rep.lambda_max,
+        "max_reconstruction_residual": rep.max_reconstruction_residual,
+        "max_logdet": rep.max_logdet,
+        "max_logdet_oracle_error": rep.max_logdet_oracle_error,
+        "noise_cov_error": rep.noise_cov_error,
+        "noise_cov_samples": rep.noise_cov_samples,
+        "pass": report_passes(rep, *tolerances.values()),
+    } for rep in reports]
+    all_pass = all(entry["pass"] for entry in entries)
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     report_doc = {
@@ -456,12 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     network = argparse.ArgumentParser(add_help=False)
-    network.add_argument("--m", type=int, required=True, help="number of ENs")
-    network.add_argument("--k", type=int, required=True, help="number of users")
-    network.add_argument("--n", type=int, default=None,
-                         help="library size (default: K)")
-    network.add_argument("--l", type=int, default=1200,
-                         help="file size in bits (default: 1200)")
+    nodes = _int_flag(1, "MAX_NODES")
+    network.add_argument("--m", type=nodes, required=True, help="number of ENs")
+    network.add_argument("--k", type=nodes, required=True,
+                         help="number of users")
+    seed = _int_flag(0, "MAX_SEED")
 
     p_bounds = sub.add_parser("bounds", parents=[network],
                               help="sweep the exact tradeoff curves")
@@ -477,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[network],
                            help="run a Monte-Carlo delivery campaign")
+    p_sim.add_argument("--n", type=_int_flag(1, "MAX_LIBRARY_BITS"),
+                       help="library size (default: K)")
+    p_sim.add_argument("--l", type=_int_flag(1, "MAX_LIBRARY_BITS"),
+                       default=DEFAULT_FILE_BITS,
+                       help=f"file size in bits (default: {DEFAULT_FILE_BITS})")
     p_sim.add_argument("--mu", type=_rational, required=True,
                        help="fractional cache size p/q")
     p_sim.add_argument("--scheme", choices=[s.value for s in Scheme],
@@ -484,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr-grid", type=_snr_grid,
                        default=",".join(f"{s:g}" for s in DEFAULT_SNR_GRID_DB),
                        help="comma-separated distinct dB values")
-    p_sim.add_argument("--trials", type=_trials, default=DEFAULT_TRIALS_PER_SNR,
+    p_sim.add_argument("--trials", default=DEFAULT_TRIALS_PER_SNR,
+                       type=_int_flag(MIN_TRIALS_PER_SNR, "MAX_CAMPAIGN_TRIALS"),
                        help="trials per SNR point")
-    p_sim.add_argument("--seed", type=_seed, required=True,
+    p_sim.add_argument("--seed", type=seed, required=True,
                        help="master seed (required for reproducibility)")
     p_sim.add_argument("--out", type=_out_path, required=True,
                        help="output CSV path")
@@ -496,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="check the converse identities numerically")
     p_ver.add_argument("--ell", type=_ell, default="all",
                        help="'all' or a single cut parameter")
-    p_ver.add_argument("--trials", type=int, default=1000)
-    p_ver.add_argument("--seed", type=_seed, required=True)
+    p_ver.add_argument("--trials", type=_int_flag(1, "MAX_CAMPAIGN_TRIALS"),
+                       default=1000)
+    p_ver.add_argument("--seed", type=seed, required=True)
     p_ver.add_argument("--tol-reconstruction", type=_tolerance,
                        default=RECONSTRUCTION_TOL)
     p_ver.add_argument("--tol-logdet", type=_tolerance,

@@ -32,14 +32,17 @@ if TYPE_CHECKING:
 
 DEFAULT_SNR_GRID_DB = (20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_TRIALS_PER_SNR = 200
+DEFAULT_FILE_BITS = 1200  # simulate's default L, and bounds' and the converse's
 MIN_TRIALS_PER_SNR = 50  # fewer per SNR point and the slope fit is refused
 MIN_SNR_POINTS = 3  # distinct SNR points the slope fit needs
 MIN_SNR_SPAN_DB = 20.0  # and the span they must cover
 MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
-# Caps on a simulate or verify-converse run, each 4x the largest a test or
-# workload runs, refused before any work: K*M, the size of every channel
-# draw (8 x 8 in the converse acceptance test), and a campaign's trials
-# times SNR points (5 x 5,000 in the largest campaign profiled).
+# Caps on a run, each 4x the largest a test or workload runs, refused before
+# any work: M, K and ell (M = 100 in the bounds row-cap test), K*M, the size
+# of every channel draw (8 x 8 in the converse acceptance test), and a
+# campaign's trials times SNR points (5 x 5,000 in the largest campaign
+# profiled) or a converse check's trials times cuts.
+MAX_NODES = 400
 MAX_LINKS = 256
 MAX_CAMPAIGN_TRIALS = 100_000
 RECONSTRUCTION_TOL = 1e-9

@@ -23,7 +23,9 @@ from edgecache.cli import (
     EXIT_TOLERANCE,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    MAX_INT_TEXT,
     MAX_RATIONAL_DIGITS,
+    MAX_SEED,
     build_parser,
     main,
     replay_manifest,
@@ -32,13 +34,17 @@ from edgecache.bounds import MAX_GRID_ROWS, default_mu_grid
 from edgecache.errors import ArgumentError
 from edgecache.model import (
     MAX_CAMPAIGN_TRIALS,
+    MAX_LIBRARY_BITS,
     MAX_LINKS,
+    MAX_NODES,
     MAX_SNR_DB,
+    MIN_TRIALS_PER_SNR,
     FileLibrary,
     validate_config,
 )
 
 F = Fraction
+NINES = "9" * 3000  # as M and K, 12*M*K is past str()'s 4,300-digit limit
 
 
 def digest(path):
@@ -64,7 +70,7 @@ def row_fraction(row, prefix):
 class TestBoundsCommand:
     def test_2x2_perfect_is_two_minus_mu(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
-        code = main(["bounds", "--m", "2", "--k", "2", "--n", "2",
+        code = main(["bounds", "--m", "2", "--k", "2",
                      "--grid-step", "1/24", "--out", str(out)])
         assert code == EXIT_OK
         rows = read_rows(out)
@@ -78,7 +84,7 @@ class TestBoundsCommand:
 
     def test_3x3_meeting_point(self, tmp_path):
         out = tmp_path / "b33.csv"
-        assert main(["bounds", "--m", "3", "--k", "3", "--n", "3",
+        assert main(["bounds", "--m", "3", "--k", "3",
                      "--out", str(out)]) == EXIT_OK
         rows = {row_fraction(r, "mu"): r for r in read_rows(out)}
         meet = rows[F(2, 3)]
@@ -102,7 +108,8 @@ class TestBoundsCommand:
         assert code == EXIT_UNSUPPORTED
 
     def test_infeasible_config(self, tmp_path):
-        code = main(["bounds", "--m", "2", "--k", "3", "--n", "2",
+        code = main(["simulate", "--m", "2", "--k", "3", "--n", "2",
+                     "--mu", "1", "--scheme", "zf", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_UNSUPPORTED  # N < K
 
@@ -127,6 +134,21 @@ class TestBoundsCommand:
         code = main(["bounds", "--m", str(m), "--k", "2", "--grid-step", step,
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m,step", [("401", "1/24"), ("30000000", "1")])
+    def test_network_over_the_node_cap_builds_nothing(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      m, step):
+        # at a step of 1 the row cap never triggers, and the converse curve
+        # costs time and memory in proportion to min(M, K)
+        monkeypatch.setattr("edgecache.cli.default_mu_grid", no_work)
+        monkeypatch.setattr("edgecache.bounds.lower_bound_curve", no_work)
+        code = main(["bounds", "--m", m, "--k", m, "--grid-step", step,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert f"{m} is more than the {MAX_NODES} allowed" in \
+            capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("step", ["", "0", "0/5", "-1/2", "zebra", "1/0",
@@ -612,6 +634,20 @@ class TestVerifyConverseCommand:
         assert "K*M is 6," in capsys.readouterr().err
         assert not over.exists()
 
+    def test_trials_cap_refuses_before_any_work(self, tmp_path, monkeypatch,
+                                                capsys):
+        # --ell all at 3x2 runs 2 cuts; one cut is capped by --trials itself
+        args = ["verify-converse", "--m", "3", "--k", "2", "--ell", "all",
+                "--trials", "50", "--seed", "0"]
+        monkeypatch.setattr("edgecache.cli.MAX_CAMPAIGN_TRIALS", 50 * 2)
+        assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
+        monkeypatch.setattr("edgecache.cli.MAX_CAMPAIGN_TRIALS", 50 * 2 - 1)
+        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        over = tmp_path / "over"
+        assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
+        assert "trials x cuts is 100," in capsys.readouterr().err
+        assert not over.exists()
+
     def test_oversized_network_exits_2_without_a_traceback(self, tmp_path,
                                                           monkeypatch, capsys):
         monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
@@ -720,6 +756,91 @@ class TestMain:
              "zf", "--seed", "0", "--out", "x.csv"])
         assert args.mu == value
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--m", NINES, "--k", NINES],
+        ["verify-converse", "--m", NINES, "--k", "2", "--seed", "0"],
+        ["simulate", "--m", "2", "--k", "2", "--l", NINES, "--mu", "1",
+         "--scheme", "zf", "--seed", "0"],
+    ], ids=["bounds", "verify-converse", "simulate"])
+    def test_a_3000_digit_integer_is_refused_by_its_flag(self, tmp_path,
+                                                         capsys, argv):
+        """Past the parser, bounds put the grid step 1/(12*M*K) of such an
+        M and K in an error message, whose str() fails past 4,300 digits."""
+        code = main([*argv, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert ": not an integer in [1, " in err and "Traceback" not in err
+        assert len(err.splitlines()[-1]) < 200
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--n", "--l"])
+    @pytest.mark.parametrize("command", [
+        ["bounds"], ["verify-converse", "--trials", "50", "--seed", "0"],
+    ], ids=["bounds", "verify-converse"])
+    def test_library_flags_belong_to_simulate_alone(self, tmp_path, capsys,
+                                                    command, flag):
+        # the bounds and the converse's checks depend on M and K alone
+        code = main([*command, "--m", "2", "--k", "2", flag, "2",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,flag,low,cap", [
+        ("bounds", "--m", 1, MAX_NODES),
+        ("bounds", "--k", 1, MAX_NODES),
+        ("simulate", "--n", 1, MAX_LIBRARY_BITS),
+        ("simulate", "--l", 1, MAX_LIBRARY_BITS),
+        ("simulate", "--trials", MIN_TRIALS_PER_SNR, MAX_CAMPAIGN_TRIALS),
+        ("simulate", "--seed", 0, MAX_SEED),
+        ("verify-converse", "--trials", 1, MAX_CAMPAIGN_TRIALS),
+        ("verify-converse", "--seed", 0, MAX_SEED),
+        ("verify-converse", "--ell", 1, MAX_NODES),
+    ])
+    def test_an_integer_flag_takes_low_to_cap(self, capsys, command, flag,
+                                              low, cap):
+        parser = build_parser()
+        argv = {"bounds": ["bounds"],
+                "simulate": ["simulate", "--mu", "1", "--scheme", "zf",
+                             "--seed", "0"],
+                "verify-converse": ["verify-converse", "--seed", "0"],
+                }[command] + ["--m", "2", "--k", "2", "--out", "x.csv"]
+        for value in (low, cap):
+            args = parser.parse_args([*argv, f"{flag}={value}"])
+            assert getattr(args, flag[2:]) == value
+        for value, says in ((low - 1, f"not an integer in [{low}, {cap}]"),
+                            (cap + 1, f"{cap + 1} is more than the {cap}")):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, f"{flag}={value}"])
+            assert exc.value.code == EXIT_USAGE
+            assert f"argument {flag}: {says}" in capsys.readouterr().err
+
+    def test_an_integer_text_over_the_length_cap_is_refused(self, capsys):
+        assert len(str(MAX_SEED)) < MAX_INT_TEXT  # every cap's digits fit
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["bounds", "--m", "0" * MAX_INT_TEXT + "2", "--k", "2",
+                 "--out", "x.csv"])
+        assert f"'{'0' * MAX_INT_TEXT}'" in capsys.readouterr().err
+
+    def test_former_hangs_exit_2_at_once_in_a_fresh_process(self, tmp_path):
+        """Each call once ran without finishing or ended in a traceback; the
+        timeout fails a regression here rather than stalling the suite."""
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(edgecache.__file__).resolve().parents[1]))
+        for argv in (["bounds", "--m", "30000000", "--k", "30000000",
+                      "--grid-step", "1"],
+                     ["verify-converse", "--m", "2", "--k", "2",
+                      "--trials", "100000000", "--seed", "0"],
+                     ["bounds", "--m", NINES, "--k", NINES]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "edgecache.cli", *argv,
+                 "--out", str(tmp_path / "x.csv")],
+                env=env, capture_output=True, text=True, timeout=10)
+            assert proc.returncode == EXIT_USAGE
+            assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("command", [
         ["bounds"],
@@ -801,9 +922,8 @@ def optional(flag, values):
 
 # argv at tiny sizes: each flag's choices lead with values that run and end
 # with its boundary values (hypothesis favours the first choices)
-network = st.tuples(
-    given_flag("--m", [2, 1, 3, 0]), given_flag("--k", [2, 1, 3, 0]),
-    optional("--n", [2, 4, 0]), optional("--l", [1200, 12, 6, 0]))
+network = st.tuples(given_flag("--m", [2, 1, 3, 0, NINES]),
+                    given_flag("--k", [2, 1, 3, 0]))
 bounds_argv = st.tuples(
     st.just(["bounds"]), network,
     optional("--csi", ["perfect", "nocsi", "delayed"]),
@@ -814,6 +934,7 @@ snr_points = st.sampled_from(["20", "40", "60", "0", "-139", str(MAX_SNR_DB),
                               str(MAX_SNR_DB + 1), "nan"])
 simulate_argv = st.tuples(
     st.just(["simulate"]), network,
+    optional("--n", [2, 4, 0]), optional("--l", [1200, 12, 6, 0]),
     given_flag("--mu", ["1/2", "1", "3/4", "1/3", "2/3", "0", "3/2",
                         "1e-5000"]),
     given_flag("--scheme", ["tdma", "zf", "ia", "hybrid"]),
@@ -862,6 +983,17 @@ class TestParserCache:
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
         assert "at most 30 dB" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_patched_node_cap_still_refuses(self, tmp_path, capsys,
+                                              monkeypatch):
+        build_parser()
+        monkeypatch.setattr("edgecache.cli.MAX_NODES", 2)
+        monkeypatch.setattr("edgecache.cli.tradeoff_sweep", no_work)
+        code = main(["bounds", "--m", "3", "--k", "2",
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == EXIT_USAGE
+        assert "3 is more than the 2 allowed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_no_flag_leaks_into_the_next_call(self, tmp_path):
