@@ -12,10 +12,12 @@ of the fractional cache size:
 
 Placement happens before any demand or channel is known, so allocations
 never depend on either, and one delivery assignment serves every channel
-trial of a campaign. Fragments are contiguous bit slices, which keeps
-reconstruction tests bit-exact; an EN stores read-only views of the
-library's bits, not copies. A placement takes one read-only view per file
-and slices every fragment of that file from it.
+trial of a campaign. An allocation is that layout, not a copy of bits:
+EN m's fragments of a file follow in closed form, and a user's delivery
+table is M unicast fragments plus one cooperative tail, built in O(M) per
+user whatever the library's size. Fragments are contiguous bit slices, so
+the stored bits, which no delivery reads, are read-only views of the
+library's rows, built on first read.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ArgumentError, CoverageError
 from .model import DemandVector, FileLibrary, SystemConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,71 +60,52 @@ class CachedFragment:
 
 @dataclass(frozen=True)
 class CacheAllocation:
-    """Per-EN stored fragments realizing one caching policy."""
+    """One caching policy's layout over a library (see the module docstring)."""
 
-    per_en_content: tuple[tuple[CachedFragment, ...], ...]
+    library: FileLibrary
+    num_ens: int
     policy: str  # "split" | "full" | "hybrid"
-    file_bits: int
     split_bits: int  # per-file prefix cut into M fragments; the tail is replicated
     alpha: Fraction | None = None
 
     @property
-    def num_ens(self) -> int:
-        return len(self.per_en_content)
+    def file_bits(self) -> int:
+        return self.library.file_bits
 
-    def en_bits(self, en: int) -> int:
-        """Total stored bits at EN `en` (1-based)."""
-        return sum(cf.fragment.num_bits for cf in self.per_en_content[en - 1])
-
-    @cached_property
-    def _by_file(self) -> tuple[dict[int, tuple[CachedFragment, ...]], ...]:
-        """Per EN, file index -> its stored fragments in content order."""
-        index = []
-        for content in self.per_en_content:
-            by_file: dict[int, list[CachedFragment]] = {}
-            for cf in content:
-                by_file.setdefault(cf.fragment.file_index, []).append(cf)
-            index.append({n: tuple(cfs) for n, cfs in by_file.items()})
-        return tuple(index)
+    def fragments(self, en: int, file_index: int) -> tuple[Fragment, ...]:
+        """EN `en`'s fragments of a file in start-bit order: the en-th M-th
+        of the prefix, then the tail, each when not empty."""
+        if not (1 <= en <= self.num_ens
+                and 1 <= file_index <= self.library.num_files):
+            return ()
+        size, tail = self.split_bits // self.num_ens, self.split_bits
+        frags = (Fragment(file_index, (en - 1) * size, size),) if size else ()
+        if tail < self.file_bits:
+            frags += (Fragment(file_index, tail, self.file_bits - tail),)
+        return frags
 
     def en_file_bits(self, en: int, file_index: int) -> int:
-        return sum(cf.fragment.num_bits
-                   for cf in self.cached_fragments(en, file_index))
+        return sum(frag.num_bits for frag in self.fragments(en, file_index))
+
+    def en_bits(self, en: int) -> int:
+        """Total stored bits at EN `en` (1-based): every file has one layout."""
+        return self.library.num_files * self.en_file_bits(en, 1)
+
+    @cached_property
+    def per_en_content(self) -> tuple[tuple[CachedFragment, ...], ...]:
+        """Per EN, each file's fragments with their bits, file by file.
+
+        Built on first read, which draws the library's bits."""
+        files = self.library.files
+        return tuple(tuple(
+            CachedFragment(frag, files[n - 1][frag.start_bit:frag.end_bit])
+            for n in range(1, self.library.num_files + 1)
+            for frag in self.fragments(en, n))
+            for en in range(1, self.num_ens + 1))
 
     def cached_fragments(self, en: int, file_index: int) -> tuple[CachedFragment, ...]:
-        return self._by_file[en - 1].get(file_index, ())
-
-
-def _place(library: FileLibrary, config: SystemConfig, policy: str,
-           split_bits: int, alpha: Fraction | None = None) -> CacheAllocation:
-    """The one layout every placement reads (see the module docstring).
-
-    Each file is one read-only view of the library's bits, not a copy, and
-    every fragment is a slice of it. A file's tail fragment is one object
-    that every EN shares.
-    """
-    m, l = config.num_ens, config.file_bits
-    frag_len = split_bits // m
-    files = []
-    for n in range(1, config.library_size + 1):
-        bits = np.asarray(library.file(n), dtype=np.uint8).view()
-        bits.flags.writeable = False
-        files.append(bits)
-    tails = [CachedFragment(Fragment(n, split_bits, l - split_bits),
-                            bits[split_bits:])
-             for n, bits in enumerate(files, start=1)] if split_bits < l else None
-    content = []
-    for en in range(m):
-        start = en * frag_len
-        stored = []
-        for n, bits in enumerate(files, start=1):
-            if frag_len:
-                stored.append(CachedFragment(Fragment(n, start, frag_len),
-                                             bits[start:start + frag_len]))
-            if tails:
-                stored.append(tails[n - 1])
-        content.append(tuple(stored))
-    return CacheAllocation(tuple(content), policy, l, split_bits, alpha)
+        return tuple(cf for cf in self.per_en_content[en - 1]
+                     if cf.fragment.file_index == file_index)
 
 
 def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
@@ -132,14 +117,14 @@ def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocati
         )
     if l % m != 0:
         raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
-    return _place(library, config, "split", l)
+    return CacheAllocation(library, config.num_ens, "split", l)
 
 
 def full_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
     """Whole-library replication at every EN; requires mu = 1."""
     if config.frac_cache != 1:
         raise ArgumentError(f"full placement requires mu = 1, got {config.frac_cache}")
-    return _place(library, config, "full", 0)
+    return CacheAllocation(library, config.num_ens, "full", 0)
 
 
 def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
@@ -159,7 +144,7 @@ def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocat
         raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
     alpha = (1 - mu) / (1 - Fraction(1, m))
     split_bits = int(-(-(alpha * l) // m)) * m  # ceil to a multiple of M
-    return _place(library, config, "hybrid", split_bits, alpha)
+    return CacheAllocation(library, config.num_ens, "hybrid", split_bits, alpha)
 
 
 def verify_cache_budget(allocation: CacheAllocation,
@@ -204,8 +189,7 @@ def assignment_for_demand(allocation: CacheAllocation,
     ens = range(1, allocation.num_ens + 1)
     users = []
     for user, file_index in enumerate(demand.demands, start=1):
-        stored = [[cf.fragment for cf in allocation.cached_fragments(en, file_index)]
-                  for en in ens]
+        stored = [allocation.fragments(en, file_index) for en in ens]
         shared = set(stored[0]).intersection(*stored[1:])
         pairs = [(frag, None) for frag in shared]
         pairs += [(frag, en) for en, frags in zip(ens, stored)

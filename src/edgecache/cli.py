@@ -48,6 +48,7 @@ from .model import (
     DEFAULT_TRIALS_PER_SNR,
     LOGDET_ORACLE_TOL,
     MAX_CAMPAIGN_TRIALS,
+    MAX_CONVERSE_COST,
     MAX_LIBRARY_BITS,
     MAX_LINKS,
     MAX_NODES,
@@ -395,8 +396,10 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
     config = _network(args)
     _capped(args.k * args.m, MAX_LINKS, "K*M")
     ells = None if args.ell == "all" else [args.ell]
-    _capped(args.trials * (len(ells) if ells else min(args.m, args.k)),
-            MAX_CAMPAIGN_TRIALS, "trials x cuts")
+    cuts = ells or range(1, min(args.m, args.k) + 1)
+    _capped(args.trials * len(cuts), MAX_CAMPAIGN_TRIALS, "trials x cuts")
+    _capped(args.trials * sum(ell**3 for ell in cuts), MAX_CONVERSE_COST,
+            "trials x the sum of ell^3 over the cuts")
     reports = verify_converse(config, ells, trials=args.trials, seed=args.seed)
     tolerances = {
         "reconstruction": args.tol_reconstruction,

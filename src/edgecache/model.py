@@ -15,13 +15,15 @@ The schemes, SNR and trial limits and converse tolerances live here too,
 so the command-line parser reads them without numpy.
 
 The library's bits come from raw generator words, bit-identical to one
-`integers(0, 2)` call per file, and N*L is capped by MAX_LIBRARY_BITS.
+`integers(0, 2)` call per file, drawn on first read; N*L is capped by
+MAX_LIBRARY_BITS.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -45,6 +47,11 @@ MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
 MAX_NODES = 400
 MAX_LINKS = 256
 MAX_CAMPAIGN_TRIALS = 100_000
+# A converse check's exact oracle costs about ell**3 (its Bareiss
+# determinants), so a verify-converse run is also capped by trials times
+# the sum of ell**3 over its cuts: 4x that of a 16x16 run of every ell at
+# 50 trials, 50 * (1**3 + ... + 16**3) = 50 * 18,496.
+MAX_CONVERSE_COST = 4 * 50 * 18_496
 RECONSTRUCTION_TOL = 1e-9
 LOGDET_ORACLE_TOL = 1e-10
 NOISE_COV_TOL = 0.05
@@ -151,15 +158,31 @@ MAX_LIBRARY_BITS = 2**28
 
 @dataclass(frozen=True)
 class FileLibrary:
-    """N files of exactly L bits each, stored as read-only 0/1 uint8 arrays.
+    """N files of exactly L bits each, drawn from `seed` on first read.
 
-    The files are rows of one read-only block, one byte per bit.
+    The files are read-only 0/1 uint8 rows of one block, one byte per bit.
+    A handle reads no bit until `files` is first read: a placement and its
+    delivery table depend on N and L alone.
     """
 
-    files: tuple[np.ndarray, ...]
+    num_files: int
+    file_bits: int
+    seed: int
 
     @classmethod
     def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
+        """The handle of a library of N x L random bits; a library over
+        MAX_LIBRARY_BITS is refused here, before any bit is drawn."""
+        n, l = config.library_size, config.file_bits
+        if n * l > MAX_LIBRARY_BITS:
+            raise ArgumentError(
+                f"a library of {n} x {l} bits exceeds the {MAX_LIBRARY_BITS} "
+                "bits allowed"
+            )
+        return cls(n, l, seed)
+
+    @cached_property
+    def files(self) -> tuple[np.ndarray, ...]:
         """The bits of N calls `rng.integers(0, 2, L, dtype=np.uint8)` on
         `rng = default_rng(seed)`, drawn as raw generator words.
 
@@ -169,32 +192,18 @@ class FileLibrary:
         low then its high uint32 and carries a spare half over to the next
         call, so the N calls read one run of `N*ceil(L/4)` uint32s.
         """
-        n, l = config.library_size, config.file_bits
-        if n * l > MAX_LIBRARY_BITS:
-            raise ArgumentError(
-                f"a library of {n} x {l} bits exceeds the {MAX_LIBRARY_BITS} "
-                "bits allowed"
-            )
         import numpy as np  # only the library's bits need it
+        n, l = self.num_files, self.file_bits
         row = -(-l // 4) * 4  # bytes of the uint32s one file reads
-        raw = np.random.default_rng(seed).bit_generator.random_raw(
+        raw = np.random.default_rng(self.seed).bit_generator.random_raw(
             -(-n * row // 8))
         block = raw.astype("<u8", copy=False).view(np.uint8)
         np.right_shift(block, 7, out=block)  # in place: no second copy
         block.flags.writeable = False
-        return cls(tuple(block[:n * row].reshape(n, row)[:, :l]))
-
-    @property
-    def num_files(self) -> int:
-        return len(self.files)
-
-    @property
-    def file_bits(self) -> int:
-        return len(self.files[0])
+        return tuple(block[:n * row].reshape(n, row)[:, :l])
 
     def file(self, index: int) -> np.ndarray:
         """1-based file lookup."""
         if not 1 <= index <= self.num_files:
             raise RangeError(f"file index {index} outside [1, {self.num_files}]")
         return self.files[index - 1]
-

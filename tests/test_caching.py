@@ -1,6 +1,5 @@
 """Tests for the caching policies and delivery assignments."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,30 +46,30 @@ def reconstruct(allocation, assignment, user, file_bits):
     return out
 
 
-def scan_cached(allocation, en, file_index):
+def scan_cached(per_en_content, en, file_index):
     """Reference lookup: a linear scan of the EN's whole content."""
-    return tuple(cf for cf in allocation.per_en_content[en - 1]
+    return tuple(cf for cf in per_en_content[en - 1]
                  if cf.fragment.file_index == file_index)
 
 
-def scan_assignment(allocation, demand):
+def scan_assignment(per_en_content, demand):
     """Reference per-user (fragment, serving EN) pairs, sorted by start bit.
 
     Built on `scan_cached` alone, with interval-cover semantics: a stored
     fragment is cooperative when some fragment at every EN contains it.
     """
-    ens = range(1, allocation.num_ens + 1)
+    ens = range(1, len(per_en_content) + 1)
 
     def covers(en, frag):
         return any(cf.fragment.start_bit <= frag.start_bit
                    and cf.fragment.end_bit >= frag.end_bit
-                   for cf in scan_cached(allocation, en, frag.file_index))
+                   for cf in scan_cached(per_en_content, en, frag.file_index))
 
     users = []
     for file_index in demand.demands:
         pairs = []
         for en in ens:
-            for cf in scan_cached(allocation, en, file_index):
+            for cf in scan_cached(per_en_content, en, file_index):
                 frag = cf.fragment
                 if not all(covers(other, frag) for other in ens):
                     pairs.append((frag, en))
@@ -84,6 +83,22 @@ def assigned_bits(assignment, num_users):
     """Bits assigned to each user, over every EN and the cooperative part."""
     return [sum(f.num_bits for f, _ in assignment.fragments_for_user(user))
             for user in range(1, num_users + 1)]
+
+
+def edited(allocation, en, drop_file=None, extra=None):
+    """The allocation's layout with one EN's fragments of one file changed:
+    those of `drop_file` dropped, or `extra` stored after its file's own."""
+    class Edited(CacheAllocation):
+        def fragments(self, at, file_index):
+            frags = super().fragments(at, file_index)
+            if at == en and file_index == drop_file:
+                return ()
+            if at == en and extra and file_index == extra.file_index:
+                return frags + (extra,)
+            return frags
+
+    return Edited(allocation.library, allocation.num_ens, allocation.policy,
+                  allocation.split_bits, allocation.alpha)
 
 
 @st.composite
@@ -125,20 +140,21 @@ def test_indexed_lookups_match_linear_scan(case):
     cfg, alloc, demand = case
     for en in range(1, cfg.num_ens + 1):
         for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
-            got, want = alloc.cached_fragments(en, n), scan_cached(alloc, en, n)
+            got = alloc.cached_fragments(en, n)
+            want = scan_cached(alloc.per_en_content, en, n)
             assert len(got) == len(want)
             assert all(a is b for a, b in zip(got, want))
             assert alloc.en_file_bits(en, n) == \
                 sum(cf.fragment.num_bits for cf in want)
     assert assignment_for_demand(alloc, demand).users == \
-        scan_assignment(alloc, demand)
+        scan_assignment(alloc.per_en_content, demand)
 
 
 @given(placements())
 def test_user_table_matches_scan_and_is_built_once(case):
     cfg, alloc, demand = case
     assignment = assignment_for_demand(alloc, demand)
-    want = ((),) + scan_assignment(alloc, demand) + ((),)
+    want = ((),) + scan_assignment(alloc.per_en_content, demand) + ((),)
     for user in range(0, cfg.num_users + 2):  # 0 and K+1 are owed nothing
         got = assignment.fragments_for_user(user)
         assert isinstance(got, tuple)  # callers cannot reorder a shared table
@@ -163,7 +179,9 @@ def test_placement_stores_read_only_views_of_the_library(placement, mu):
 
 
 def reference_split(library, config):
-    """The per-fragment split loop: one library lookup per fragment."""
+    """The per-fragment split loop: one library lookup per fragment.
+
+    Returns per-EN content and (policy, file_bits, alpha, split_bits)."""
     m, l = config.num_ens, config.file_bits
     frag_len = l // m
     content = []
@@ -174,15 +192,15 @@ def reference_split(library, config):
                            library.file(n)[start:start + frag_len])
             for n in range(1, config.library_size + 1)
         ))
-    return CacheAllocation(tuple(content), "split", l, split_bits=l)
+    return tuple(content), ("split", l, None, l)
 
 
 def reference_full(library, config):
     l = config.file_bits
     stored = tuple(CachedFragment(Fragment(n, 0, l), library.file(n))
                    for n in range(1, config.library_size + 1))
-    return CacheAllocation(tuple(stored for _ in range(config.num_ens)), "full", l,
-                           split_bits=0)
+    return (tuple(stored for _ in range(config.num_ens)),
+            ("full", l, None, 0))
 
 
 def reference_shared(library, config):
@@ -205,8 +223,7 @@ def reference_shared(library, config):
                     Fragment(n, split_bits, tail),
                     library.file(n)[split_bits:]))
         content.append(tuple(stored))
-    return CacheAllocation(tuple(content), "hybrid", l, alpha=alpha,
-                           split_bits=split_bits)
+    return tuple(content), ("hybrid", l, alpha, split_bits)
 
 
 REFERENCE_PLACEMENTS = {split_placement: reference_split,
@@ -214,24 +231,51 @@ REFERENCE_PLACEMENTS = {split_placement: reference_split,
                         shared_placement: reference_shared}
 
 
-def layout(allocation):
+def layout(per_en_content):
     """Per EN, each stored fragment's (file, start, length) and bytes."""
     return [[(cf.fragment.file_index, cf.fragment.start_bit,
               cf.fragment.num_bits, cf.bits.tobytes()) for cf in content]
-            for content in allocation.per_en_content]
+            for content in per_en_content]
 
 
 def assert_same_placement(placement, cfg, lib):
     got = placement(lib, cfg)
-    want = REFERENCE_PLACEMENTS[placement](lib, cfg)
-    assert layout(got) == layout(want)
+    want_content, want_fields = REFERENCE_PLACEMENTS[placement](lib, cfg)
+    assert layout(got.per_en_content) == layout(want_content)
     assert (got.policy, got.file_bits, got.alpha, got.split_bits) == \
-        (want.policy, want.file_bits, want.alpha, want.split_bits)
+        want_fields
 
 
 @given(placed_libraries(max_chunks=40))
 def test_placement_matches_per_fragment_reference(case):
     assert_same_placement(*case)
+
+
+@given(placed_libraries(max_chunks=40), st.data())
+def test_closed_form_layout_matches_materialised_reference(case, data):
+    """The layout's closed form against a scan of the per-fragment
+    reference's materialised content, and its delivery table against
+    the bits it delivers."""
+    placement, cfg, lib = case
+    alloc = placement(lib, cfg)
+    content, _ = REFERENCE_PLACEMENTS[placement](lib, cfg)
+    for en in range(1, cfg.num_ens + 1):
+        for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
+            want = tuple(cf.fragment for cf in scan_cached(content, en, n))
+            assert alloc.fragments(en, n) == want
+            assert alloc.en_file_bits(en, n) == \
+                sum(frag.num_bits for frag in want)
+        assert alloc.en_bits(en) == \
+            sum(cf.fragment.num_bits for cf in content[en - 1])
+    k, n = cfg.num_users, cfg.library_size
+    demand = DemandVector(tuple(data.draw(
+        st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    assignment = assignment_for_demand(alloc, demand)
+    assert assignment.users == scan_assignment(content, demand)
+    for user, file_index in enumerate(demand.demands, start=1):
+        np.testing.assert_array_equal(
+            reconstruct(alloc, assignment, user, cfg.file_bits),
+            lib.file(file_index))
 
 
 @pytest.mark.parametrize("m,l,mu,split_bits", [
@@ -351,15 +395,7 @@ class TestBudgetVerification:
     def test_detects_injected_extra_bit(self):
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
-        bloated = replace(
-            alloc,
-            per_en_content=(
-                alloc.per_en_content[0] + (
-                    CachedFragment(Fragment(1, 4, 1), np.zeros(1, np.uint8)),
-                ),
-                alloc.per_en_content[1],
-            ),
-        )
+        bloated = edited(alloc, en=1, extra=Fragment(1, 4, 1))
         assert verify_cache_budget(alloc, cfg)
         assert not verify_cache_budget(bloated, cfg)
 
@@ -430,30 +466,14 @@ class TestAssignment:
     def test_uncovered_bits_raise(self):
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
-
-        def without_file_1(content):
-            return tuple(cf for cf in content if cf.fragment.file_index != 1)
-
         # drop EN2's fragment of file 1: its second half is cached nowhere
-        gutted = replace(
-            alloc,
-            per_en_content=(
-                alloc.per_en_content[0],
-                without_file_1(alloc.per_en_content[1]),
-            ),
-        )
+        gutted = edited(alloc, en=2, drop_file=1)
         with pytest.raises(CoverageError) as tail:
             assignment_for_demand(gutted, DemandVector((1, 2)))
         assert str(tail.value) == (
             "user 1: bits [4, 8) of file 1 are cached nowhere")
         # drop EN1's instead: the first half is cached nowhere
-        gutted = replace(
-            alloc,
-            per_en_content=(
-                without_file_1(alloc.per_en_content[0]),
-                alloc.per_en_content[1],
-            ),
-        )
+        gutted = edited(alloc, en=1, drop_file=1)
         with pytest.raises(CoverageError) as head:
             assignment_for_demand(gutted, DemandVector((2, 1)))
         assert str(head.value) == (
@@ -463,12 +483,7 @@ class TestAssignment:
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
         # EN1 also stores bit 4 of file 1, which EN2's fragment holds too
-        extra = CachedFragment(Fragment(1, 4, 1), lib.file(1)[4:5])
-        bloated = replace(
-            alloc,
-            per_en_content=(alloc.per_en_content[0] + (extra,),
-                            alloc.per_en_content[1]),
-        )
+        bloated = edited(alloc, en=1, extra=Fragment(1, 4, 1))
         with pytest.raises(CoverageError) as overlap:
             assignment_for_demand(bloated, DemandVector((1, 2)))
         assert str(overlap.value) == (

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -34,6 +35,7 @@ from edgecache.bounds import MAX_GRID_ROWS, default_mu_grid
 from edgecache.errors import ArgumentError
 from edgecache.model import (
     MAX_CAMPAIGN_TRIALS,
+    MAX_CONVERSE_COST,
     MAX_LIBRARY_BITS,
     MAX_LINKS,
     MAX_NODES,
@@ -472,6 +474,31 @@ class TestSimulateCommand:
         assert digest(out) == csv_sha
         assert digest(out.with_suffix(".summary.json")) == summary_sha
 
+    def test_benchmark_simulations_read_no_library_bit(self, tmp_path,
+                                                      monkeypatch):
+        """The benchmark's `sim-library` and `sim-2x2` calls at its reference
+        seed write the reference bytes without drawing a library bit."""
+        def no_bits(library):
+            raise AssertionError("simulate read a library bit")
+
+        monkeypatch.setattr(FileLibrary, "files", property(no_bits))
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
+        spec.loader.exec_module(workloads)
+        seed = workloads.REFERENCE_SEED
+        for name in ("sim-library", "sim-2x2"):
+            reference = json.loads(
+                (bench / "reference" / f"{name}.json").read_text())
+            assert reference["seed"] == seed
+            for call in workloads.WORKLOADS[name].calls:
+                assert main(call.argv(seed, tmp_path)) == EXIT_OK
+                digests = reference["calls"][call.stem]["sha256"]
+                assert {file: digest(tmp_path / file) for file in digests} \
+                    == digests
+
     def test_single_en_full_caching_runs_zero_forcing(self, tmp_path):
         """At M = 1, mu = 1 is both 1/M and full caching; zero-forcing
         needs the full placement."""
@@ -647,6 +674,43 @@ class TestVerifyConverseCommand:
         assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
         assert "trials x cuts is 100," in capsys.readouterr().err
         assert not over.exists()
+
+    def test_cost_cap_refuses_before_any_work(self, tmp_path, monkeypatch,
+                                              capsys):
+        # --ell all at 3x2 runs the cuts ell = 1 and 2: 50 x (1 + 8)
+        args = ["verify-converse", "--m", "3", "--k", "2", "--ell", "all",
+                "--trials", "50", "--seed", "0"]
+        monkeypatch.setattr("edgecache.cli.MAX_CONVERSE_COST", 50 * 9)
+        assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
+        monkeypatch.setattr("edgecache.cli.MAX_CONVERSE_COST", 50 * 9 - 1)
+        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        over = tmp_path / "over"
+        assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
+        assert "trials x the sum of ell^3 over the cuts is 450," in \
+            capsys.readouterr().err
+        assert not over.exists()
+
+    @pytest.mark.parametrize("trials,code", [
+        (50, EXIT_OK),          # the planned 16x16 workload
+        (200, EXIT_OK),         # the cap itself
+        (201, EXIT_USAGE),
+        (6250, EXIT_USAGE),     # within trials x cuts, about 165 s of work
+    ])
+    def test_cost_cap_at_16x16(self, tmp_path, monkeypatch, trials, code):
+        assert MAX_CONVERSE_COST == 200 * sum(ell**3 for ell in range(1, 17))
+        calls = []
+
+        def record(config, ells, trials, seed):
+            calls.append(trials)
+            return []
+
+        monkeypatch.setattr("edgecache.cli.verify_converse", record)
+        out = tmp_path / "v.json"
+        assert main(["verify-converse", "--m", "16", "--k", "16", "--ell",
+                     "all", "--trials", str(trials), "--seed", "0",
+                     "--out", str(out)]) == code
+        assert calls == ([trials] if code == EXIT_OK else [])
+        assert out.exists() is (code == EXIT_OK)
 
     def test_oversized_network_exits_2_without_a_traceback(self, tmp_path,
                                                           monkeypatch, capsys):

@@ -230,10 +230,10 @@ class TestRawLibraryDraw:
         # a page over the N*L bits and the cost that does not grow with L:
         # the generator and one array header per file, measured at L = 4
         def draw_peak(n, l):
-            library(n, l, seed=0)
+            library(n, l, seed=0).files
             tracemalloc.start()
             try:
-                library(n, l, seed=0)
+                library(n, l, seed=0).files
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -241,6 +241,18 @@ class TestRawLibraryDraw:
         n, l = 40, 4800
         fixed = draw_peak(n, 4) - n * 4
         assert draw_peak(n, l) < n * l + fixed + 4096
+
+    def test_bits_are_drawn_on_first_read(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a bit was drawn")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_draw)
+        lib = library(400, 48000, seed=5)
+        assert (lib.num_files, lib.file_bits) == (400, 48000)
+        monkeypatch.undo()
+        first = lib.files
+        assert lib.files is first  # drawn once
+        np.testing.assert_array_equal(lib.file(2), library(2, 48000, 5).file(2))
 
     def test_library_cap_counts_every_bit(self, monkeypatch):
         assert 13 * 400 * 48000 < MAX_LIBRARY_BITS  # sim-library's library
