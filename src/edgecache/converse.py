@@ -27,9 +27,9 @@ All the chunk's H1s are conditioned in one stacked test; a rejected draw
 is redrawn from the next K*M values, which shifts every later trial of
 the chunk by K*M, and the chunk draws those values on top. `Cut`,
 `build_submatrices`, `lambda_constant`, `reconstruction_residual`,
-`folded_channel` and `logdet_term` take a leading trial axis, and for one
-draw return what the per-draw computation returns, bit for bit. The exact
-`logdet_oracle` runs once per draw.
+`folded_channel`, `logdet_term` and the exact `logdet_oracle` take a
+leading trial axis, and for one draw return what the per-draw computation
+returns, bit for bit. The noise check reads one sample covariance per call.
 """
 
 from __future__ import annotations
@@ -222,50 +222,54 @@ def det_bareiss(rows) -> int:
     return sign * prev
 
 
-def logdet_oracle(cut: Cut) -> float:
-    """Exact log det(I + Ht Ht^T) from two ell x ell determinants.
+def logdet_oracle(cut: Cut):
+    """Exact log det(I + Ht Ht^T) from two ell x ell determinants, per draw.
 
     With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
     det(I + Ht^T Ht) = det(G^T G) / det(H1)^2, so no inverse is formed.
-    Every float coefficient is a dyadic rational, so one power of two turns
-    G into an integer matrix; the scale cancels in the ratio, because both
-    determinants are ell x ell. Both are taken exactly in integers and only
-    the final logarithm is floating point. This keeps the oracle honest on
-    draws where Ht is huge and any fixed-precision determinant would cancel
-    catastrophically.
+    One numpy pass splits every G into 53-bit integer mantissas and
+    exponents, and a power of two per column makes G an integer matrix; the
+    column scales cancel in the ratio. Per draw, both determinants are taken
+    exactly in Python ints and only the final logarithm is floating point,
+    which keeps the oracle honest where a float determinant would cancel.
     """
-    ell = cut.ell
-    if cut.h2.shape[0] == 0:
-        return 0.0
-    ratios = [[x.as_integer_ratio() for x in row]
-              for row in np.vstack([cut.h1, cut.h2]).tolist()]
-    scale = max(d for row in ratios for _, d in row)  # a power of two
-    g = [[n * (scale // d) for n, d in row] for row in ratios]
-    det_h1 = det_bareiss(g[:ell])
-    if det_h1 == 0:
-        raise SingularH1Error("H1 is exactly singular in the oracle path")
-    gram = [[sum(row[i] * row[j] for row in g) for j in range(ell)]
-            for i in range(ell)]
-    det = Fraction(det_bareiss(gram), det_h1 ** 2)
-    return math.log(det.numerator) - math.log(det.denominator)
+    ell, h = cut.ell, cut.h
+    k, m = h.shape[-2:]
+    if ell == k:
+        return _per_draw(np.zeros(h.shape[:-2]))
+    # one row per column of G, shifted to its smallest exponent
+    frac, exp = np.frexp(np.swapaxes(h[..., m - ell:], -1, -2).reshape(-1, ell, k))
+    shifts = (exp - exp.min(axis=-1, keepdims=True)).tolist()
+    values = []
+    for mants, shift in zip((frac * 2.0 ** 53).astype(np.int64).tolist(), shifts):
+        cols = [list(map(int.__lshift__, a, b)) for a, b in zip(mants, shift)]
+        det_h1 = det_bareiss([col[:ell] for col in cols])  # det(H1^T)
+        if det_h1 == 0:
+            raise SingularH1Error("H1 is exactly singular in the oracle path")
+        gram = [[0] * ell for _ in cols]
+        for i, col in enumerate(cols):
+            for j in range(i, ell):
+                gram[i][j] = gram[j][i] = sum(map(int.__mul__, col, cols[j]))
+        det = Fraction(det_bareiss(gram), det_h1 ** 2)
+        values.append(math.log(det.numerator) - math.log(det.denominator))
+    return _per_draw(np.array(values).reshape(h.shape[:-2]))
 
 
-def noise_cov_check(cut: Cut, noise: np.ndarray) -> float:
-    """Max entry error between the empirical covariance of Ht n and Ht Ht^T.
+def noise_cov_check(cut: Cut, cov: np.ndarray) -> float:
+    """Max entry error between the covariance of the folded noise and Ht Ht^T.
 
-    The noise n is the leading `ell` rows of `noise`, a standard-normal
-    (rows >= ell, samples) block. The folding matrix is rescaled to unit
-    spectral norm first. The covariance law is scale equivariant, so this
-    checks the same identity while keeping the absolute error comparable
-    across draws (the raw entries of Ht are ratio distributed and can be
-    arbitrarily large).
+    `cov` is the sample covariance S of a standard-normal block of at least
+    `ell` rows; Ht S[:ell, :ell] Ht^T is that of Ht n, reassociated. The
+    folding matrix is rescaled to unit spectral norm first. The covariance
+    law is scale equivariant, so this checks the same identity while keeping
+    the absolute error comparable across draws (the raw entries of Ht are
+    ratio distributed and can be arbitrarily large).
     """
     ht = folded_channel(cut)
     if not ht.any():  # empty or exactly zero: both covariances vanish
         return 0.0
     ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
-    folded = ht @ noise[:cut.ell]
-    empirical = folded @ folded.T / noise.shape[1]
+    empirical = ht @ cov[:cut.ell, :cut.ell] @ ht.T
     return float(np.abs(empirical - ht @ ht.T).max())
 
 
@@ -324,9 +328,8 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
                     seed: int = 0) -> list[ConverseReport]:
     """Monte-Carlo verification of the identities for each requested ell.
 
-    Every cut's noise check folds the leading rows of one noise block from
-    `default_rng(seed + 1)`, the values a draw of its own would hold. Cuts
-    run from the largest ell down as the block shrinks to their rows.
+    Every cut's noise check reads the leading ell x ell corner of one
+    sample covariance, that of a noise block from `default_rng(seed + 1)`.
     """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
@@ -335,19 +338,17 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     for ell in ells:
         if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
             raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
-    cuts = sorted(set(ells), reverse=True)
-    # the cuts that fold noise: a cut at ell = K folds none
-    rows = max([ell for ell in cuts if ell < k], default=0)
-    cov_noise = np.random.default_rng(seed + 1).standard_normal(
-        (rows, NOISE_COV_SAMPLES))
+    # the cuts that fold noise: a cut at ell = K folds none. The sum runs in
+    # numpy's own einsum loop, not BLAS, so no thread count changes its bits.
+    block = np.random.default_rng(seed + 1).standard_normal(
+        (max([ell for ell in ells if ell < k], default=0), NOISE_COV_SAMPLES))
+    cov = np.einsum("ij,kj->ik", block, block) / NOISE_COV_SAMPLES
+    del block
     reports = {}
     inputs = m * TIME_COLUMNS
-    for ell in cuts:
+    for ell in sorted(set(ells)):
         rng = np.random.default_rng((seed, ell))
-        lam = -math.inf
-        worst_residual = 0.0
-        worst_logdet = 0.0
-        worst_oracle = 0.0
+        lam, worst_residual, worst_logdet, worst_oracle = -math.inf, 0.0, 0.0, 0.0
         for done in range(0, trials, TRIAL_CHUNK):
             count = min(TRIAL_CHUNK, trials - done)
             cut, rest = _regular_draws(rng, k, m, ell, count,
@@ -360,13 +361,10 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             )
             values = logdet_term(cut)
             worst_logdet = max(worst_logdet, float(np.abs(values).max()))
-            for t, value in enumerate(values.tolist()):
-                worst_oracle = max(worst_oracle,
-                                   abs(value - logdet_oracle(cut[t])))
+            worst_oracle = max(worst_oracle,
+                               float(np.abs(values - logdet_oracle(cut)).max()))
         cov_cut = sample_regular_channel(np.random.default_rng((seed, ell, 1)),
                                          k, m, ell)
-        # no view of the block outlives a check, so it can shrink in place
-        cov_noise.resize((min(ell, rows), NOISE_COV_SAMPLES), refcheck=False)
         reports[ell] = ConverseReport(
             ell=ell,
             trials=trials,
@@ -374,7 +372,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             max_reconstruction_residual=worst_residual,
             max_logdet=worst_logdet,
             max_logdet_oracle_error=worst_oracle,
-            noise_cov_error=noise_cov_check(cov_cut, cov_noise),
+            noise_cov_error=noise_cov_check(cov_cut, cov),
             noise_cov_samples=NOISE_COV_SAMPLES,
             config=config,
         )

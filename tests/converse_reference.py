@@ -1,0 +1,55 @@
+"""The converse's per-draw exact oracle and folded noise check: references.
+
+`converse.logdet_oracle` runs on a stack of draws and scales each column of
+G by its own power of two; `converse.noise_cov_check` reads one sample
+covariance per call. These are the two as they stood before: one draw at a
+time, with one power of two for the whole of G from `as_integer_ratio`, and
+the covariance of the folded noise block taken as one matrix product.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from edgecache.converse import det_bareiss, folded_channel
+from edgecache.errors import SingularH1Error
+
+
+def ratio_oracle(cut) -> float:
+    """Exact log det(I + Ht Ht^T) of one draw as det(G^T G) / det(H1)^2.
+
+    Every float coefficient is a dyadic rational, so one power of two turns
+    G = [H1; H2] into an integer matrix; the scale cancels in the ratio,
+    because both determinants are ell x ell.
+    """
+    ell = cut.ell
+    if cut.h2.shape[0] == 0:
+        return 0.0
+    ratios = [[x.as_integer_ratio() for x in row]
+              for row in np.vstack([cut.h1, cut.h2]).tolist()]
+    scale = max(d for row in ratios for _, d in row)  # a power of two
+    g = [[n * (scale // d) for n, d in row] for row in ratios]
+    det_h1 = det_bareiss(g[:ell])
+    if det_h1 == 0:
+        raise SingularH1Error("H1 is exactly singular in the oracle path")
+    gram = [[sum(row[i] * row[j] for row in g) for j in range(ell)]
+            for i in range(ell)]
+    det = Fraction(det_bareiss(gram), det_h1 ** 2)
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
+def folded_noise_cov_check(cut, noise: np.ndarray) -> float:
+    """Max entry error between the covariance of Ht n and Ht Ht^T.
+
+    The noise n is the leading `ell` rows of `noise`, a standard-normal
+    (rows >= ell, samples) block, folded by the unit-spectral-norm Ht and
+    multiplied out as (Ht n)(Ht n)^T / samples.
+    """
+    ht = folded_channel(cut)
+    if not ht.any():
+        return 0.0
+    ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
+    folded = ht @ noise[:cut.ell]
+    empirical = folded @ folded.T / noise.shape[1]
+    return float(np.abs(empirical - ht @ ht.T).max())

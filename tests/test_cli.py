@@ -739,25 +739,41 @@ class TestVerifyConverseCommand:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("m, k, trials, sha", [
-        (6, 6, 50,
-         "05429d8373b1e6b84396e2ef83620c292b67e6b0da1679e167312e2c2087e338"),
-        (3, 3, 1000,
-         "5d7b53b78d438c7a7f06c0c861cd70ae7af10e62b0a8e980b69e0a51dc5d12fa"),
-    ], ids=["6x6", "3x3"])
-    def test_report_bytes_are_pinned(self, tmp_path, m, k, trials, sha):
-        """The report bytes at one BLAS thread, unchanged since every cut
-        folds one shared noise block; the 6x6 is the benchmark's
-        `converse-verify` call."""
-        out = tmp_path / "v.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+    @staticmethod
+    def report_bytes(tmp_path, m, k, trials, threads):
+        """A `verify-converse --ell all` report at seed 0, written by a fresh
+        interpreter with `threads` OpenBLAS threads."""
+        out = tmp_path / f"v{m}x{k}-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(
             Path(edgecache.__file__).resolve().parents[1]))
         subprocess.run([sys.executable, "-m", "edgecache.cli",
                         "verify-converse", "--m", str(m), "--k", str(k),
                         "--ell", "all", "--trials", str(trials), "--seed", "0",
                         "--out", str(out)], env=env, check=True,
                        capture_output=True, timeout=120)
-        assert digest(out) == sha
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("m, k, trials, sha", [
+        (6, 6, 50,
+         "79c61de99c17a5a82ab4be9cf08386a4d088c58d41dd5e67c6071353987183c6"),
+        (3, 3, 1000,
+         "c2f7758cf866ec224e7250c5cef519747460fa0eda8c26be0b0a1f2fa335cffb"),
+    ], ids=["6x6", "3x3"])
+    def test_report_bytes_are_pinned(self, tmp_path, m, k, trials, sha):
+        """The report bytes since every cut reads one sample covariance of
+        the shared noise block; the 6x6 is the benchmark's
+        `converse-verify` call."""
+        report = self.report_bytes(tmp_path, m, k, trials, 1)
+        assert hashlib.sha256(report).hexdigest() == sha
+
+    @pytest.mark.parametrize("m, k, trials", [(3, 3, 1000), (3, 2, 100)],
+                             ids=["3x3", "3x2"])
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, m, k,
+                                                        trials):
+        """One and two OpenBLAS threads write the same report. At K = 2 the
+        noise block has one row, which einsum sums in a loop of its own."""
+        assert self.report_bytes(tmp_path, m, k, trials, 1) == \
+            self.report_bytes(tmp_path, m, k, trials, 2)
 
     def test_report_schema_is_pinned(self, tmp_path):
         """The report's exact key sets, at the top, per check and per tolerance.

@@ -17,6 +17,7 @@ from edgecache.converse import (
     NOISE_COV_SAMPLES,
     TIME_COLUMNS,
     ConverseReport,
+    Cut,
     build_submatrices,
     det_bareiss,
     folded_channel,
@@ -32,6 +33,7 @@ from edgecache.converse import (
 )
 from edgecache.errors import RangeError, SingularH1Error
 from edgecache.model import validate_config
+from converse_reference import folded_noise_cov_check, ratio_oracle
 from test_model import submatrix
 
 F = Fraction
@@ -143,12 +145,21 @@ def normal_rows(seed, rows, samples):
     return np.random.default_rng(seed).standard_normal((rows, samples))
 
 
+def sample_cov(noise):
+    """The block's sample covariance, summed as verify_converse sums it."""
+    return np.einsum("ij,kj->ik", noise, noise) / noise.shape[1]
+
+
 def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
     """verify_converse as a loop over single draws: the reference for the
     chunked array program, which must return equal reports."""
     m, k = config.num_ens, config.num_users
     if ells is None:
         ells = range(1, min(m, k) + 1)
+    # every cut slices one covariance of the whole block: the ell = 1 corner
+    # of a many-row einsum need not equal a one-row einsum bit for bit
+    rows = max([ell for ell in ells if ell < k], default=0)
+    cov = sample_cov(normal_rows(seed + 1, rows, NOISE_COV_SAMPLES))
     reports = []
     for ell in ells:
         rng = np.random.default_rng((seed, ell))
@@ -162,11 +173,10 @@ def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
                                  reference_residual(cut, x, noise))
             value = reference_logdet(cut)
             worst_logdet = max(worst_logdet, abs(value))
-            worst_oracle = max(worst_oracle, abs(value - logdet_oracle(cut)))
+            worst_oracle = max(worst_oracle, abs(value - ratio_oracle(cut)))
         cov_cut = reference_sample(np.random.default_rng((seed, ell, 1)), k, m,
                                    ell)
-        cov_err = noise_cov_check(cov_cut, normal_rows(seed + 1, ell,
-                                                       NOISE_COV_SAMPLES))
+        cov_err = noise_cov_check(cov_cut, cov)
         reports.append(ConverseReport(ell, trials, lam, worst_residual,
                                       worst_logdet, worst_oracle, cov_err,
                                       NOISE_COV_SAMPLES, config))
@@ -278,6 +288,37 @@ def channel_stacks(draw):
         h[idx] = 0.0
     return (h, rng.standard_normal((t, m, cols)),
             rng.standard_normal((t, k, cols)), ell)
+
+
+@st.composite
+def scaled_oracle_stacks(draw):
+    """T draws of a K x M channel cut at ell, for the exact oracle alone.
+
+    Rows and columns are scaled by powers of two up to 2^+-1000, their sum
+    clipped to the float range, so some entries go subnormal or to zero.
+    Some entries are set to a subnormal or to exactly 0, and one H1 can be
+    made exactly singular by repeating its first row. The cut is not
+    conditioned, so such draws reach the oracle; ell runs up to K, where
+    the oracle returns early.
+    """
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    ell, t = draw(st.integers(1, min(m, k))), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exps = st.integers(-1000, 1000)
+    rows = np.array(draw(st.lists(exps, min_size=k, max_size=k)))
+    cols = np.array(draw(st.lists(exps, min_size=m, max_size=m)))
+    h = np.ldexp(rng.standard_normal((t, k, m)),
+                 np.clip(rows[:, None] + cols, -1100, 1000))
+    entries = st.tuples(st.integers(0, t - 1), st.integers(0, k - 1),
+                        st.integers(0, m - 1))
+    for idx in draw(st.lists(entries, max_size=4)):
+        h[idx] = 0.0
+    for idx in draw(st.lists(entries, max_size=4)):
+        h[idx] = draw(st.integers(1 - 2 ** 52, 2 ** 52 - 1)) * 5e-324
+    if ell > 1 and draw(st.booleans()):
+        h[0, 1, m - ell:] = h[0, 0, m - ell:]
+    return Cut(h, h[..., :ell, m - ell:], h[..., ell:, m - ell:],
+               h[..., ell:, :], ell)
 
 
 class TestLambdaConstant:
@@ -535,6 +576,17 @@ class TestLogDet:
             return
         assert logdet_oracle(cut) == expected
 
+    @given(scaled_oracle_stacks())
+    def test_stacked_oracle_matches_the_per_draw_reference(self, cut):
+        try:
+            expected = [ratio_oracle(cut[t]) for t in range(len(cut.h))]
+        except SingularH1Error as error:
+            with pytest.raises(SingularH1Error) as raised:
+                logdet_oracle(cut)
+            assert str(raised.value) == str(error)
+            return
+        assert bits(logdet_oracle(cut)) == bits(expected)
+
     def test_oracle_is_exactly_invariant_to_dyadic_scaling(self):
         rng = np.random.default_rng(27)
         for ell in (1, 3, 5):
@@ -558,12 +610,13 @@ class TestLogDet:
 class TestNoiseCovariance:
     def test_empirical_covariance_converges(self):
         cut = sample_regular_channel(np.random.default_rng(21), 3, 3, 2)
-        assert noise_cov_check(cut, normal_rows(22, 2, 100_000)) < 0.05
+        cov = sample_cov(normal_rows(22, 2, 100_000))
+        assert noise_cov_check(cut, cov) < 0.05
 
     def test_degenerate_cut_zero(self):
         cut = build_submatrices(
             np.random.default_rng(23).standard_normal((2, 2)), 2)
-        assert noise_cov_check(cut, normal_rows(0, 2, 1000)) == 0.0
+        assert noise_cov_check(cut, sample_cov(normal_rows(0, 2, 1000))) == 0.0
 
     def test_zero_h2_block_exact(self):
         # H2 (rows 2..3 of col 3) all zero while H1 = [3] stays invertible
@@ -572,7 +625,8 @@ class TestNoiseCovariance:
         np.testing.assert_array_equal(folded_channel(cut), np.zeros((2, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by Ht's zero norm
-            assert noise_cov_check(cut, normal_rows(0, 1, 1000)) == 0.0
+            cov = sample_cov(normal_rows(0, 1, 1000))
+            assert noise_cov_check(cut, cov) == 0.0
 
     def test_normalized_mode_bounds_scale(self):
         h = np.random.default_rng(24).standard_normal((4, 2))
@@ -582,9 +636,24 @@ class TestNoiseCovariance:
         ht = folded_channel(cut)
         folded = ht @ noise[:1]
         raw = np.abs(folded @ folded.T / noise.shape[1] - ht @ ht.T).max()
-        unit = noise_cov_check(cut, noise)
+        unit = noise_cov_check(cut, sample_cov(noise))
         assert raw > unit
         assert unit < 0.05
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (3, 2), (3, 3), (6, 6), (5, 8),
+                                      (2, 9)])
+    def test_matches_the_folded_product(self, m, k):
+        # the same estimator, reassociated: Ht S Ht^T against (Ht n)(Ht n)^T,
+        # with S from the whole block (one row at K = 2) and sliced per cut;
+        # both read against Ht Ht^T, whose spectral norm the check scales to 1
+        noise = normal_rows(31, k - 1, NOISE_COV_SAMPLES)
+        cov = sample_cov(noise)
+        rng = np.random.default_rng(30)
+        for ell in range(1, min(m, k - 1) + 1):
+            for _ in range(10):
+                cut = sample_regular_channel(rng, k, m, ell)
+                assert abs(noise_cov_check(cut, cov)
+                           - folded_noise_cov_check(cut, noise)) < 1e-12
 
 
 class TestVerifyConverse:
@@ -625,9 +694,9 @@ class TestVerifyConverse:
         assert calls == {"cond": 306, "cut": 306}
 
     def test_noise_block_holds_no_more_than_one_cuts_draw(self):
-        # a cut's own (ell, samples) draw and its (K - ell, samples) folded
-        # product hold K rows together; the shared block, shrunk to each
-        # cut's rows, must add nothing to that (unshrunk it peaks at ~10)
+        # the block holds the K - 1 = 5 rows of the largest cut that folds
+        # noise; it is reduced to a 5 x 5 covariance with no larger
+        # temporary, and dropped before any cut runs
         cfg = validate_config(6, 6, 6, F(1), 1200)
         verify_converse(cfg, trials=20, seed=0)
         tracemalloc.start()
@@ -636,7 +705,7 @@ class TestVerifyConverse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (6 + 1) * NOISE_COV_SAMPLES * 8  # K rows, and slack
+        assert peak < (5 + 1) * NOISE_COV_SAMPLES * 8  # K - 1 rows, and slack
 
 
 class TestChunkedMatchesPerDraw:
@@ -658,8 +727,8 @@ class TestChunkedMatchesPerDraw:
 
     @pytest.mark.parametrize("ells", [[1, 10 ** 9], [3, 4]])
     def test_too_large_ell_refused_before_any_check(self, monkeypatch, ells):
-        # the noise block is sized by the valid cuts only, and the largest
-        # cut runs first
+        # every ell is checked before the noise block is drawn or any cut
+        # runs
         def no_check(*args, **kwargs):
             raise AssertionError("checked with a bad ell")
 
@@ -761,5 +830,6 @@ class TestChunkedMatchesPerDraw:
             cut = sample_regular_channel(rng, k, 3, ell)
             x, noise = np.ones((3, 2)), np.ones((k, 2))
             for value in (lambda_constant(cut.h, ell), logdet_term(cut),
+                          logdet_oracle(cut),
                           reconstruction_residual(cut, x, noise)):
                 assert type(value) is float
