@@ -41,9 +41,5 @@ class SingularH1Error(SingularChannelError):
     """The square corner block of the channel matrix is not invertible."""
 
 
-class AlignmentDegeneracyError(SingularChannelError):
-    """The receive-space basis of the alignment scheme is rank deficient."""
-
-
 class InsufficientDataError(EdgeCacheError):
     """Too few trials or SNR points to fit a reliable slope."""

@@ -13,18 +13,14 @@ slot-varying 3-symbol extension; a trial builds only those it draws from.
 Trials with the same seed thus see the same channels whatever the scheme,
 pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
-One scheme stage, `_trial_results`, runs every trial: the draws of an
-SNR point's trials are stacked along a leading trial axis, and the
-precoder, alignment, SINR and rate formulas run once on the stack. A
-campaign runs each SNR point as one such batch and seeds its trials in
-bulk: `trial_seeds` and `_first_draws` redo numpy's `SeedSequence` and
-PCG64 seeding on arrays of seeds, and each point checks them against
-numpy's own objects. A failing batch raises what running its trials one
-by one would raise: the lowest failing trial's error, at that trial's
-first failing step. `run_trial`, the one-trial reference the tests hold
-campaigns to, feeds the same stage one draw per substream from numpy's
-own `SeedSequence` and generator. Both draw loops take the same
-acceptance tests, `_zf_accepts` and `_ia_accepts`.
+One scheme stage, `_trial_results`, runs every trial: a stack of draws
+along a leading trial axis, each trial at its own power, goes once through
+the precoder, alignment, SINR and rate formulas. A campaign seeds its
+trials in bulk (`trial_seeds` and `_first_draws` redo numpy's seeding on
+arrays) and runs all its SNR points through the stage together, in chunks
+of TRIAL_CHUNK trials, raising what running its trials one by one would.
+`run_trial`, the one-trial reference the tests hold campaigns to, feeds
+the stage numpy's own draws.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -58,6 +54,7 @@ from .model import (
 
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
+TRIAL_CHUNK = 1024  # trials per array program; bounds memory for any campaign
 
 @dataclass(frozen=True, eq=False)
 class PointResult:
@@ -92,12 +89,12 @@ def _zf_accepts(h: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_rank(h) >= h.shape[-2]
 
 
-def _zf_weights(h: np.ndarray, power: float) -> np.ndarray:
+def _zf_weights(h: np.ndarray, power: float | np.ndarray) -> np.ndarray:
     """Zero-forcing precoder of each accepted draw in a (..., K, M) stack.
 
     Each draw's pseudo-inverse is scaled by a single factor chosen so the
-    busiest EN transmits at exactly the power budget under unit-power user
-    symbols; every other EN stays below it. The effective channel h @ w is
+    busiest EN transmits at exactly its power budget (one, or one per
+    draw) under unit-power symbols; every other EN stays below it. The effective channel h @ w is
     then a positive multiple of the identity.
     """
     w0 = np.linalg.pinv(h)
@@ -153,7 +150,7 @@ def _ia_bases(h_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beams, bases
 
 
-def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
+def _ia_solution(h_slots: np.ndarray, power: float | np.ndarray) -> IaSolution:
     """Closed-form alignment of each accepted draw in a (..., 3, 2, 2) stack.
 
     The two interfering messages at each user are forced onto a common
@@ -161,12 +158,12 @@ def _ia_solution(h_slots: np.ndarray, power: float) -> IaSolution:
     each user zero-forces one interference dimension and decodes its two
     desired symbols in the remaining plane: 4 symbols per 3 channel uses.
     Alignment fixes beam directions only, so each beam is normalized to
-    unit norm; the interference stays collinear and the power budget stays
-    conditioned.
+    unit norm; the interference stays collinear and the power budget (one,
+    or one per draw) stays conditioned.
     """
     beams, bases = _ia_bases(h_slots)
     slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
-    amplitudes = np.sqrt(power / slot_power.max(axis=-1))
+    amplitudes = np.sqrt(np.expand_dims(power, -1) / slot_power.max(axis=-1))
     return IaSolution(beams, bases, amplitudes)
 
 
@@ -240,13 +237,13 @@ def ia_rates(solution: IaSolution) -> np.ndarray:
 
 
 def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
-                  file_bits: int, power: float):
+                  file_bits: int, power: float | np.ndarray):
     """Serve users one at a time with no CSI at the transmitters.
 
     Each owed fragment is sent by the EN that caches it; fragments every EN
     holds go to a round-robin EN (a CSI-free choice). The link runs at
-    log2(1 + h_km^2 P). Returns the delivery time per bit, one per draw
-    of a (..., K, M) stack.
+    log2(1 + h_km^2 P), P one power or one per draw. Returns the delivery
+    time per bit, one per draw of a (..., K, M) stack.
     """
     num_users, num_ens = h.shape[-2:]
     links = [
@@ -255,7 +252,7 @@ def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
         for frag, en in assignment.fragments_for_user(user)
     ]
     users, ens, bits = (np.array(column) for column in zip(*links))
-    gains = 1.0 + h[..., users, ens] ** 2 * power
+    gains = 1.0 + h[..., users, ens] ** 2 * np.expand_dims(power, -1)
     # math.log2, not np.log2: the two differ in the last bit on some inputs
     rates = np.array([math.log2(g) for g in gains.ravel().tolist()])
     rates = rates.reshape(gains.shape)
@@ -416,17 +413,15 @@ def _first_draws(seeds: list[int], index: int,
     One generator, `_substream` of the first seed, draws for every trial:
     it is set to each trial's bulk PCG64 state in turn. The first seed's
     bulk state must equal numpy's, or a numpy whose seeding changed would
-    silently change every draw.
+    silently change every draw; a campaign checks it once per chunk.
     """
     states = _pcg64_states(seeds, index)
     rng = _substream(seeds[0], index)
     bit_generator = rng.bit_generator
     state = bit_generator.state
     if (state["state"]["state"], state["state"]["inc"]) != states[0]:
-        raise RuntimeError(
-            f"bulk PCG64 seeding of substream ({seeds[0]}, {index}) "
-            "differs from numpy's"
-        )
+        raise RuntimeError(f"bulk PCG64 seeding of substream ({seeds[0]}, "
+                           f"{index}) differs from numpy's")
     draws = np.empty((len(seeds),) + shape)
     for row, (value, inc) in zip(draws, states):
         state["state"] = {"state": value, "inc": inc}
@@ -462,12 +457,13 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
                 accepts) -> tuple[np.ndarray, int]:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
-    `accepts` is the one `_solve_draw` takes. The first draws come from
-    `_first_draws`. A rejected draw is replaced by the next draw from its
-    trial's own generator, rebuilt by `_substream` past its first draw, at
-    most MAX_RESAMPLES times, so every generator is used exactly as
-    `_solve_draw` uses it. Returns the stack and the index of the first
-    trial with no accepted draw, len(seeds) when every trial has one.
+    A campaign calls it once per chunk and substream. `accepts` is the one
+    `_solve_draw` takes. The first draws come from `_first_draws`. A
+    rejected draw is replaced by the next draw from its trial's own
+    generator, rebuilt by `_substream` past its first draw, at most
+    MAX_RESAMPLES times, so every generator is used exactly as `_solve_draw`
+    uses it. Returns the stack and the index of the first trial with no
+    accepted draw, len(seeds) when every trial has one.
     """
     h = _first_draws(seeds, index, shape)
     if accepts is None:
@@ -486,21 +482,19 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
 
 def _trial_results(config: SystemConfig, allocation: CacheAllocation,
                    scheme: Scheme, assignment: DeliveryAssignment | None,
-                   snr_db: float, seeds: list[int], draw) -> PointResult:
-    """The scheme stage: each seed's trial at one SNR point, as one array
-    program.
+                   power: np.ndarray, draw) -> tuple:
+    """The scheme stage: one trial per entry of `power`, its transmit power,
+    as one array program; the trials may span SNR points.
 
     `draw(index, shape, accepts)` returns each trial's accepted draw from
     its (seed, index) substream, stacked as (T, *shape), and the index of
-    the first trial with none. The formulas run on the trials before the
-    first failed draw. When some trial fails, the lowest failing trial's
-    error is raised, for the first step it fails at, in the order one
-    trial takes them: the full-interval draw, the slot draw, a zero sum
-    rate. TDMA's dead links raise in `tdma_delivery`, in trial order. A
-    trial's `peak_en_power` is per slot for the alignment scheme and the
-    larger of the two phases for the hybrid.
+    the first trial with none; the formulas run on the trials before it.
+    A failure raises the lowest failing trial's error at its first failing
+    step, in a trial's order: full-interval draw, slot draw, zero sum rate
+    (TDMA's dead links raise in `tdma_delivery`, in trial order). Returns
+    the `PointResult` columns after `seeds`; `peak_en_power` is per slot
+    for the alignment scheme and the larger phase for the hybrid.
     """
-    power = snr_db_to_power(snr_db)
     k, num_ens = config.num_users, config.num_ens
     full, slots = (k, num_ens), (EXTENSION_SLOTS, 2, 2)
     failed = {}  # draw shape -> first trial with none accepted, in draw order
@@ -515,17 +509,17 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
 
     if scheme is Scheme.TDMA:
         deltas = tdma_delivery(h, assignment, allocation.file_bits, power)
-        peaks[:] = power
+        peaks = power
     if scheme in (Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
         h = h[:drawn]
-        w = _zf_weights(h, power)
+        w = _zf_weights(h, power[:drawn])
         rates = np.log2(1.0 + zf_sinrs(h, w))
         zf_sums = rates.sum(axis=-1)
         phase_sums.append(zf_sums)
         peaks = zf_per_en_power(w).max(axis=-1)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
         h_slots = h_slots[:drawn]
-        sol = _ia_solution(h_slots, power)
+        sol = _ia_solution(h_slots, power[:drawn])
         rates = ia_rates(sol)
         ia_sums = rates.sum(axis=-1)
         phase_sums.append(ia_sums)
@@ -534,7 +528,7 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     # a zero sum rate fails a trial that comes before any failed draw
     if any((sums <= 0.0).any() for sums in phase_sums):
         raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
-    if drawn < len(seeds):  # of equal values, min keeps the earlier draw
+    if drawn < len(power):  # of equal values, min keeps the earlier draw
         raise _no_draw_error(min(failed, key=failed.get))
     if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
@@ -549,8 +543,7 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     else:
         sum_rates = phase_sums[0]
         deltas = k / sum_rates
-    return PointResult(scheme, float(snr_db), tuple(seeds), sum_rates, rates,
-                       deltas, peaks, alignment)
+    return sum_rates, rates, deltas, peaks, alignment
 
 
 def run_trial(config: SystemConfig, allocation: CacheAllocation,
@@ -565,15 +558,15 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
-    assignment = None
-    if scheme is Scheme.TDMA:
-        assignment = assignment_for_demand(allocation, demand)
+    assignment = (assignment_for_demand(allocation, demand)
+                  if scheme is Scheme.TDMA else None)
 
     def draw(index, shape, accepts):
         return _solve_draw(_substream(seed, index), shape, accepts)[None], 1
 
-    return _trial_results(config, allocation, scheme, assignment, snr_db,
-                          [seed], draw)
+    columns = _trial_results(config, allocation, scheme, assignment,
+                             np.array([snr_db_to_power(snr_db)]), draw)
+    return PointResult(scheme, float(snr_db), (seed,), *columns)
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -605,37 +598,44 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
                  trials_per_snr: int, master_seed: int) -> list[PointResult]:
     """Monte-Carlo campaign over an SNR grid: one result per grid point.
 
-    Each trial has its own seed derived from (master seed, trial index), so
-    results do not depend on execution order. Placement and demand are
-    fixed for the campaign, so a trial's checks run once and TDMA's
-    delivery assignment is built once. Each point runs as one batch, which
-    raises the error of the point's first failing trial, the one running
-    the trials one by one would raise. `trial_seeds` computes every seed in
-    one array pass, and each point's first seed is checked against
-    `trial_seed`, numpy's own; a failed check raises RuntimeError.
+    Each trial's seed derives from (master seed, trial index), so results
+    do not depend on execution order. `trial_seeds` makes every seed in
+    one array pass, point after point; each point's first seed is checked
+    against numpy's `trial_seed`, and a mismatch raises RuntimeError. The
+    checks and TDMA's assignment run once; then all trials, each at its
+    point's power, go through the stage in trial order in chunks of
+    TRIAL_CHUNK, so memory does not grow with the campaign. The first
+    failing chunk raises what per-point runs would: the earliest failing
+    point's lowest failing trial's error.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
-    assignment = None
-    if scheme is Scheme.TDMA:
-        assignment = assignment_for_demand(allocation, demand)
+    assignment = (assignment_for_demand(allocation, demand)
+                  if scheme is Scheme.TDMA else None)
+    grid = list(snr_grid_db)
     if trials_per_snr < 1:
         return []
-    grid = list(snr_grid_db)
-    campaign_seeds = trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
-    points = []
-    for si, snr in enumerate(grid):
-        base = si * trials_per_snr
-        seeds = campaign_seeds[base:base + trials_per_snr]
-        if seeds[0] != trial_seed(master_seed, base):
-            raise RuntimeError(
-                f"bulk trial seeds of master seed {master_seed} differ "
-                "from numpy's SeedSequence"
-            )
-        points.append(_trial_results(config, allocation, scheme, assignment,
-                                     snr, seeds,
-                                     functools.partial(_draw_stack, seeds)))
-    return points
+    seeds = trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
+    points = [slice(base, base + trials_per_snr)
+              for base in range(0, len(seeds), trials_per_snr)]
+    if any(seeds[p.start] != trial_seed(master_seed, p.start) for p in points):
+        raise RuntimeError(f"bulk trial seeds of master seed {master_seed} "
+                           "differ from numpy's SeedSequence")
+    power = np.repeat([snr_db_to_power(snr) for snr in grid], trials_per_snr)
+    columns = []  # filled chunk by chunk: no second copy of the results
+    for at in range(0, len(seeds), TRIAL_CHUNK):
+        chunk = slice(at, at + TRIAL_CHUNK)
+        parts = _trial_results(config, allocation, scheme, assignment,
+                               power[chunk],
+                               functools.partial(_draw_stack, seeds[chunk]))
+        columns = columns or [part if part is None else np.empty(
+            (len(seeds),) + part.shape[1:]) for part in parts]
+        for column, part in zip(columns, parts):
+            if part is not None:
+                column[chunk] = part
+    return [PointResult(scheme, float(snr), tuple(seeds[point]), *(
+        None if column is None else column[point] for column in columns))
+            for point, snr in zip(points, grid)]
 
 
 def estimate_ndt(points) -> EmpiricalNdt:

@@ -10,12 +10,12 @@ simulator uses.
 import numpy as np
 
 from edgecache import phy
-from edgecache.errors import (
-    AlignmentDegeneracyError,
-    ArgumentError,
-    SingularChannelError,
-)
+from edgecache.errors import ArgumentError, SingularChannelError
 from edgecache.phy import EXTENSION_SLOTS, IaSolution
+
+
+class AlignmentDegeneracyError(SingularChannelError):
+    """The receive-space basis of the alignment scheme is rank deficient."""
 
 
 def awgn_channel(x: np.ndarray, h: np.ndarray, seed: int,

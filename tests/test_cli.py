@@ -53,6 +53,16 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def fresh_run(argv, out, threads):
+    """`edgecache <argv> --out OUT` in a fresh interpreter with `threads`
+    OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(
+        Path(edgecache.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-m", "edgecache.cli", *argv,
+                    "--out", str(out)], env=env, check=True,
+                   capture_output=True, timeout=120)
+
+
 def no_work(*args, **kwargs):
     raise AssertionError("work ran on a run over a cap")
 
@@ -474,6 +484,22 @@ class TestSimulateCommand:
         assert digest(out) == csv_sha
         assert digest(out.with_suffix(".summary.json")) == summary_sha
 
+    @pytest.mark.parametrize("scheme,mu", [("zf", "1"), ("ia", "1/2"),
+                                           ("hybrid", "3/4"), ("tdma", "1/2")])
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path,
+                                                        scheme, mu):
+        """One and two OpenBLAS threads write the same CSV and summary,
+        with every SNR point's trials in one stack."""
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{scheme}-{threads}.csv"
+            fresh_run(["simulate", "--m", "2", "--k", "2", "--mu", mu,
+                       "--scheme", scheme, "--trials", "50", "--seed", "0"],
+                      out, threads)
+            outputs.append((out.read_bytes(),
+                            out.with_suffix(".summary.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_benchmark_simulations_read_no_library_bit(self, tmp_path,
                                                       monkeypatch):
         """The benchmark's `sim-library` and `sim-2x2` calls at its reference
@@ -744,13 +770,8 @@ class TestVerifyConverseCommand:
         """A `verify-converse --ell all` report at seed 0, written by a fresh
         interpreter with `threads` OpenBLAS threads."""
         out = tmp_path / f"v{m}x{k}-{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(
-            Path(edgecache.__file__).resolve().parents[1]))
-        subprocess.run([sys.executable, "-m", "edgecache.cli",
-                        "verify-converse", "--m", str(m), "--k", str(k),
-                        "--ell", "all", "--trials", str(trials), "--seed", "0",
-                        "--out", str(out)], env=env, check=True,
-                       capture_output=True, timeout=120)
+        fresh_run(["verify-converse", "--m", str(m), "--k", str(k), "--ell",
+                   "all", "--trials", str(trials), "--seed", "0"], out, threads)
         return out.read_bytes()
 
     @pytest.mark.parametrize("m, k, trials, sha", [

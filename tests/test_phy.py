@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo delivery simulator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from edgecache.caching import (
     split_placement,
 )
 from edgecache.errors import (
-    AlignmentDegeneracyError,
     ArgumentError,
     InsufficientDataError,
     SingularChannelError,
@@ -48,7 +48,13 @@ from edgecache.phy import (
     zf_sinrs,
 )
 from edgecache.phy import _solve_draw
-from one_draw import awgn_channel, ia_beamformers, ia_xchannel_2x2, zf_precode
+from one_draw import (
+    AlignmentDegeneracyError,
+    awgn_channel,
+    ia_beamformers,
+    ia_xchannel_2x2,
+    zf_precode,
+)
 
 F = Fraction
 SNR_GRID = [20.0, 30.0, 40.0, 50.0, 60.0]
@@ -614,6 +620,38 @@ class TestCampaign:
         run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("grid,per_snr", [([], 50), (SNR_GRID, 0)],
+                             ids=["empty-grid", "no-trials"])
+    def test_no_trials_return_no_points(self, monkeypatch, grid, per_snr):
+        def no_stage(*args):
+            raise AssertionError("the scheme stage ran on no trials")
+
+        monkeypatch.setattr(phy, "_trial_results", no_stage)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        assert run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, grid,
+                            per_snr, 0) == []
+
+    def test_memory_stays_within_a_chunk(self):
+        """A campaign of ten chunks' trials at one SNR point allocates, on
+        top of the results it returns, no more than one chunk's working
+        set: about a dozen arrays of the chunk's channel stack (the draw,
+        its SVD factors, the precoder and the products), plus the Python
+        ints that seed each trial of the chunk."""
+        m = k = 4
+        trials = 10 * phy.TRIAL_CHUNK
+        bound = phy.TRIAL_CHUNK * (12 * k * m * 8 + 512)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING, m=m, k=k, n=k)
+        args = (cfg, alloc, Scheme.ZERO_FORCING, dem, [40.0])
+        run_campaign(*args, 50, 0)  # fills numpy's and the module's caches
+        tracemalloc.start()
+        try:
+            points = run_campaign(*args, trials, 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points[0].seeds) == trials
+        assert peak - kept <= bound
+
     def test_tdma_campaign_matches_self_assigning_trials(self):
         # shared placement: both unicast and cooperative fragments
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2), m=3, k=3, n=4)
@@ -659,16 +697,23 @@ def outcome(run):
     return trials
 
 
-def batched(cfg, alloc, scheme, dem, grid, per_snr, master):
+# chunk sizes that cut across the SNR points of small campaigns
+SMALL_CHUNKS = (2, 3)
+
+
+def batched(cfg, alloc, scheme, dem, grid, per_snr, master, chunk=None):
     """`run_campaign` with `phy.run_trial` patched to raise.
 
-    Each SNR point runs as one batch; no trial runs alone.
+    The campaign's trials run in stacks of `chunk` trials, TRIAL_CHUNK by
+    default; no trial runs alone.
     """
     def alone(*args, **kw):
         raise AssertionError("the campaign ran a trial through run_trial")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(phy, "run_trial", alone)
+        if chunk is not None:
+            patch.setattr(phy, "TRIAL_CHUNK", chunk)
         points = run_campaign(cfg, alloc, scheme, dem, grid, per_snr, master)
     assert [len(p.seeds) for p in points] == [per_snr] * len(grid)
     return points
@@ -696,12 +741,11 @@ class TestBatchedCampaign:
 
     @staticmethod
     def assert_matches_trials(scheme, setup, campaign):
-        grid, per_snr, master = campaign
         cfg, alloc, dem = setup
-        assert outcome(lambda: batched(cfg, alloc, scheme, dem, grid,
-                                       per_snr, master)) == outcome(
-            lambda: trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr,
-                                   master))
+        args = (cfg, alloc, scheme, dem, *campaign)
+        expected = outcome(lambda: trial_by_trial(*args))
+        for chunk in (None, *SMALL_CHUNKS):
+            assert outcome(lambda: batched(*args, chunk)) == expected
 
     @settings(max_examples=40)
     @given(st.integers(2, 4).flatmap(
@@ -770,6 +814,10 @@ class TestBatchedRedraws:
         assert outcome(lambda: after) == outcome(
             lambda: trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr,
                                    master))
+        for chunk in SMALL_CHUNKS:
+            assert outcome(lambda: batched(cfg, alloc, scheme, dem, grid,
+                                           per_snr, master, chunk)) == \
+                outcome(lambda: after)
         changed = [i for i, (a, b) in enumerate(zip(
             outcome(lambda: before), outcome(lambda: after))) if a != b]
         assert changed == sorted(chosen)
@@ -813,7 +861,8 @@ class TestBatchedRedraws:
         assert expected == (SingularChannelError,
                             f"no usable {shape} channel draw after "
                             f"{MAX_RESAMPLES} resamples (RNG misuse?)")
-        assert outcome(lambda: batched(*args)) == expected
+        for chunk in (None, *SMALL_CHUNKS):
+            assert outcome(lambda: batched(*args, chunk)) == expected
 
 
 # word-count edges of numpy's entropy: 1, 2, 3, 4 and 5+ uint32 words
@@ -877,18 +926,28 @@ class TestBulkSeeding:
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("field", [0, 1])  # PCG64 state, increment
     def test_a_wrong_pcg64_state_fails_loudly(self, monkeypatch, scheme, field):
-        bulk = phy._pcg64_states
+        """Every chunk checks its first state of each substream: a wrong
+        state in the first chunk, or in the second of 3-trial chunks,
+        stops the campaign."""
+        bulk, calls = phy._pcg64_states, []  # substream index per chunk
 
-        def first_off(seeds, index):
+        def chunk_off(seeds, index):
             states = bulk(seeds, index)
+            calls.append(index)
+            if calls.count(index) != wrong_chunk:
+                return states
             wrong = list(states[0])
             wrong[field] ^= 2
             return [tuple(wrong)] + states[1:]
 
-        monkeypatch.setattr(phy, "_pcg64_states", first_off)
+        monkeypatch.setattr(phy, "_pcg64_states", chunk_off)
         cfg, alloc, dem = setup_scheme(scheme)
-        with pytest.raises(RuntimeError, match="PCG64"):
-            run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, 0)
+        for wrong_chunk, chunk in (1, phy.TRIAL_CHUNK), (2, 3):
+            monkeypatch.setattr(phy, "TRIAL_CHUNK", chunk)
+            calls.clear()
+            with pytest.raises(RuntimeError, match="PCG64"):
+                run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, 0)
+            assert calls.count(calls[-1]) == wrong_chunk
 
 
 class TestEstimateNdt:
