@@ -29,7 +29,7 @@ the chunk by K*M, and the chunk draws those values on top. `Cut`,
 `build_submatrices`, `lambda_constant`, `reconstruction_residual`,
 `folded_channel`, `logdet_term` and the exact `logdet_oracle` take a
 leading trial axis, and for one draw return what the per-draw computation
-returns, bit for bit. The noise check reads one sample covariance per call.
+returns, bit for bit. The noise check reads one Wishart S per call.
 """
 
 from __future__ import annotations
@@ -255,14 +255,25 @@ def logdet_oracle(cut: Cut):
     return _per_draw(np.array(values).reshape(h.shape[:-2]))
 
 
+def noise_covariance(rng: np.random.Generator, dim: int, samples: int):
+    """S ~ Wishart(samples, I_dim) / samples: the law of the sample covariance
+    of `samples` >= `dim` standard-normal columns, in every leading corner.
+    Bartlett (1933): S = L L^T / samples, L lower triangular; the L_ii^2 ~
+    chi2(samples - i) are drawn first, then the N(0, 1) below the diagonal,
+    row-major. einsum sums without BLAS, so no thread count moves a bit.
+    """
+    lower = np.diag(np.sqrt(rng.chisquare(samples - np.arange(dim))))
+    lower[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    return np.einsum("ij,kj->ik", lower, lower) / samples
+
+
 def noise_cov_check(cut: Cut, cov: np.ndarray) -> float:
     """Max entry error between the covariance of the folded noise and Ht Ht^T.
 
-    `cov` is the sample covariance S of a standard-normal block of at least
-    `ell` rows; Ht S[:ell, :ell] Ht^T is that of Ht n, reassociated. The
-    folding matrix is rescaled to unit spectral norm first. The covariance
-    law is scale equivariant, so this checks the same identity while keeping
-    the absolute error comparable across draws (the raw entries of Ht are
+    `cov` is S from `noise_covariance` (at least `ell` rows); Ht S[:ell, :ell]
+    Ht^T is the covariance of Ht n. Ht is first scaled to unit spectral norm:
+    the law is scale equivariant, so the identity is the same while the
+    absolute error stays comparable across draws (the raw entries of Ht are
     ratio distributed and can be arbitrarily large).
     """
     ht = folded_channel(cut)
@@ -329,7 +340,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     """Monte-Carlo verification of the identities for each requested ell.
 
     Every cut's noise check reads the leading ell x ell corner of one
-    sample covariance, that of a noise block from `default_rng(seed + 1)`.
+    Wishart noise covariance S, drawn from `default_rng(seed + 1)`.
     """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
@@ -338,12 +349,8 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     for ell in ells:
         if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
             raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
-    # the cuts that fold noise: a cut at ell = K folds none. The sum runs in
-    # numpy's own einsum loop, not BLAS, so no thread count changes its bits.
-    block = np.random.default_rng(seed + 1).standard_normal(
-        (max([ell for ell in ells if ell < k], default=0), NOISE_COV_SAMPLES))
-    cov = np.einsum("ij,kj->ik", block, block) / NOISE_COV_SAMPLES
-    del block
+    rows = max([ell for ell in ells if ell < k], default=0)  # ell = K folds none
+    cov = noise_covariance(np.random.default_rng(seed + 1), rows, NOISE_COV_SAMPLES)
     reports = {}
     inputs = m * TIME_COLUMNS
     for ell in sorted(set(ells)):

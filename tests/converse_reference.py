@@ -1,9 +1,12 @@
-"""The converse's per-draw exact oracle and folded noise check: references.
+"""The converse's per-draw exact oracle and noise path: references.
 
 `converse.logdet_oracle` runs on a stack of draws and scales each column of
-G by its own power of two; `converse.noise_cov_check` reads one sample
-covariance per call. These are the two as they stood before: one draw at a
-time, with one power of two for the whole of G from `as_integer_ratio`, and
+G by its own power of two; `converse.noise_cov_check` reads one noise
+covariance S per call, which `converse.noise_covariance` draws directly as
+Wishart(n, I)/n by Bartlett's (1933) decomposition. These are the three as
+they stood before: one draw at a time, with one power of two for the whole
+of G from `as_integer_ratio`; S as the sample covariance of a
+standard-normal block, the distributional reference for Bartlett's S; and
 the covariance of the folded noise block taken as one matrix product.
 """
 
@@ -37,6 +40,17 @@ def ratio_oracle(cut) -> float:
             for i in range(ell)]
     det = Fraction(det_bareiss(gram), det_h1 ** 2)
     return math.log(det.numerator) - math.log(det.denominator)
+
+
+def sample_cov(noise: np.ndarray) -> np.ndarray:
+    """The block's sample covariance, summed in numpy's einsum loop."""
+    return np.einsum("ij,kj->ik", noise, noise) / noise.shape[1]
+
+
+def block_noise_covariance(rng, dim: int, samples: int) -> np.ndarray:
+    """S from a (dim, samples) standard-normal block, drawn and reduced: the
+    law `converse.noise_covariance` draws without the block."""
+    return sample_cov(rng.standard_normal((dim, samples)))
 
 
 def folded_noise_cov_check(cut, noise: np.ndarray) -> float:

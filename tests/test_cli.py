@@ -776,14 +776,14 @@ class TestVerifyConverseCommand:
 
     @pytest.mark.parametrize("m, k, trials, sha", [
         (6, 6, 50,
-         "79c61de99c17a5a82ab4be9cf08386a4d088c58d41dd5e67c6071353987183c6"),
+         "40f33d3dc6a789dd33b75bac0679262c7a7f7324c3cdf7f5ed02bd9a24f3c24f"),
         (3, 3, 1000,
-         "c2f7758cf866ec224e7250c5cef519747460fa0eda8c26be0b0a1f2fa335cffb"),
+         "d3ec03587b9802f71cbbc3c528b800b89c29e9dba679148029332cffe81bc339"),
     ], ids=["6x6", "3x3"])
     def test_report_bytes_are_pinned(self, tmp_path, m, k, trials, sha):
-        """The report bytes since every cut reads one sample covariance of
-        the shared noise block; the 6x6 is the benchmark's
-        `converse-verify` call."""
+        """The report bytes since every cut reads one noise covariance drawn
+        as a Wishart matrix; the 6x6 is the benchmark's `converse-verify`
+        call."""
         report = self.report_bytes(tmp_path, m, k, trials, 1)
         assert hashlib.sha256(report).hexdigest() == sha
 
@@ -792,7 +792,7 @@ class TestVerifyConverseCommand:
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, m, k,
                                                         trials):
         """One and two OpenBLAS threads write the same report. At K = 2 the
-        noise block has one row, which einsum sums in a loop of its own."""
+        noise covariance is 1 x 1, which einsum sums in a loop of its own."""
         assert self.report_bytes(tmp_path, m, k, trials, 1) == \
             self.report_bytes(tmp_path, m, k, trials, 2)
 

@@ -25,6 +25,7 @@ from edgecache.converse import (
     logdet_oracle,
     logdet_term,
     noise_cov_check,
+    noise_covariance,
     reconstruction_residual,
     report_passes,
     sample_regular_channel,
@@ -33,7 +34,12 @@ from edgecache.converse import (
 )
 from edgecache.errors import RangeError, SingularH1Error
 from edgecache.model import validate_config
-from converse_reference import folded_noise_cov_check, ratio_oracle
+from converse_reference import (
+    block_noise_covariance,
+    folded_noise_cov_check,
+    ratio_oracle,
+    sample_cov,
+)
 from test_model import submatrix
 
 F = Fraction
@@ -145,21 +151,17 @@ def normal_rows(seed, rows, samples):
     return np.random.default_rng(seed).standard_normal((rows, samples))
 
 
-def sample_cov(noise):
-    """The block's sample covariance, summed as verify_converse sums it."""
-    return np.einsum("ij,kj->ik", noise, noise) / noise.shape[1]
-
-
 def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
     """verify_converse as a loop over single draws: the reference for the
     chunked array program, which must return equal reports."""
     m, k = config.num_ens, config.num_users
     if ells is None:
         ells = range(1, min(m, k) + 1)
-    # every cut slices one covariance of the whole block: the ell = 1 corner
-    # of a many-row einsum need not equal a one-row einsum bit for bit
+    # every cut slices one noise covariance of the largest folding cut's
+    # rows; its law is tested against the block's in TestNoiseCovarianceLaw
     rows = max([ell for ell in ells if ell < k], default=0)
-    cov = sample_cov(normal_rows(seed + 1, rows, NOISE_COV_SAMPLES))
+    cov = noise_covariance(np.random.default_rng(seed + 1), rows,
+                           NOISE_COV_SAMPLES)
     reports = []
     for ell in ells:
         rng = np.random.default_rng((seed, ell))
@@ -656,6 +658,123 @@ class TestNoiseCovariance:
                            - folded_noise_cov_check(cut, noise)) < 1e-12
 
 
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of `a` and `b`."""
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, both, side="right") / a.size
+                        - np.searchsorted(b, both, side="right") / b.size).max())
+
+
+def ks_critical(alpha, n1, n2) -> float:
+    """Asymptotic two-sample KS critical value at level alpha."""
+    return math.sqrt(-math.log(alpha / 2) / 2 * (n1 + n2) / (n1 * n2))
+
+
+class TestNoiseCovarianceLaw:
+    """Bartlett's S against the law of a block's sample covariance."""
+
+    @pytest.mark.parametrize("samples", [6, NOISE_COV_SAMPLES])
+    def test_wishart_moments(self, samples):
+        # n S ~ Wishart(n, I): E S = I, Var S_ii = 2/n, Var S_ij = 1/n, and
+        # 4th central moments (12 n^2 + 48 n) / n^4 and (3 n^2 + 6 n) / n^4,
+        # which give each sample variance's standard error. Every entry's
+        # mean and variance over 4,000 seeds is held to 5 standard errors.
+        # At n = 6 a chi-square degree off by one moves E S_ii by 1/6.
+        dim, seeds, n = 5, 4000, samples
+        draws = np.array([noise_covariance(np.random.default_rng(s), dim, n)
+                          for s in range(seeds)])
+        diagonal = np.eye(dim, dtype=bool)
+        var = np.where(diagonal, 2.0, 1.0) / n
+        fourth = np.where(diagonal, 12 * n ** 2 + 48 * n,
+                          3 * n ** 2 + 6 * n) / n ** 4
+        mean_z = (draws.mean(axis=0) - np.eye(dim)) / np.sqrt(var / seeds)
+        var_se = np.sqrt((fourth - var ** 2 * (seeds - 3) / (seeds - 1)) / seeds)
+        var_z = (draws.var(axis=0, ddof=1) - var) / var_se
+        assert np.abs(mean_z).max() < 5
+        assert np.abs(var_z).max() < 5
+
+    def test_noise_cov_error_has_the_block_paths_law(self):
+        # the report's statistic on the fixed cuts of a 6x6 call at seed 0,
+        # from Bartlett's S and from a block's S on independent seeds; a
+        # two-sample KS test per cut at alpha = 0.001. n = 1,000 keeps the
+        # block cheap; the law holds at every n.
+        seeds, n = 300, 1_000
+        cuts = [sample_regular_channel(np.random.default_rng((0, ell, 1)),
+                                       6, 6, ell) for ell in range(1, 6)]
+
+        def errors(draw, path):
+            covs = [draw(np.random.default_rng((s, path)), 5, n)
+                    for s in range(seeds)]
+            return np.array([[noise_cov_check(cut, cov) for cov in covs]
+                             for cut in cuts])
+
+        bartlett = errors(noise_covariance, 0)
+        block = errors(block_noise_covariance, 1)
+        limit = ks_critical(0.001, seeds, seeds)
+        for ell, (a, b) in enumerate(zip(bartlett, block), start=1):
+            assert ks_statistic(a, b) < limit, f"ell = {ell}"
+
+    def test_draws_chi_squares_then_row_major_normals(self):
+        n = 9
+        cov = noise_covariance(np.random.default_rng(5), 3, n)
+        rng = np.random.default_rng(5)
+        lower = np.diag(np.sqrt(rng.chisquare([n, n - 1, n - 2])))
+        for i, j in [(1, 0), (2, 0), (2, 1)]:
+            lower[i, j] = rng.standard_normal()
+        np.testing.assert_allclose(cov, lower @ lower.T / n, rtol=1e-15)
+
+    def test_no_rows_draw_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert noise_covariance(rng, 0, NOISE_COV_SAMPLES).shape == (0, 0)
+        assert rng.bit_generator.state == state
+
+    def test_one_row_is_a_scaled_chi_square(self):
+        cov = noise_covariance(np.random.default_rng(5), 1, NOISE_COV_SAMPLES)
+        chi2 = np.random.default_rng(5).chisquare(NOISE_COV_SAMPLES)
+        assert cov.shape == (1, 1)
+        assert cov[0, 0] == pytest.approx(chi2 / NOISE_COV_SAMPLES, rel=1e-15)
+
+    @pytest.mark.parametrize("m, k, ells, dim", [
+        (1, 3, None, 1), (2, 1, None, 0), (4, 4, [4], 0), (4, 4, [4, 2], 2),
+    ])
+    def test_one_covariance_of_the_largest_folding_cut(self, monkeypatch, m, k,
+                                                       ells, dim):
+        dims = []
+
+        def recorded(rng, rows, samples):
+            dims.append(rows)
+            return noise_covariance(rng, rows, samples)
+
+        monkeypatch.setattr(converse, "noise_covariance", recorded)
+        cfg = validate_config(m, k, k, F(1), 1200)
+        reports = verify_converse(cfg, ells=ells, trials=5, seed=0)
+        assert dims == [dim]
+        assert all(report_passes(rep) for rep in reports)
+        for rep in reports:
+            assert (rep.noise_cov_error == 0.0) == (rep.ell == k)
+
+
+def traced_peak(cfg, trials):
+    """verify_converse's reports and tracemalloc peak, after a warm-up."""
+    verify_converse(cfg, trials=trials, seed=0)
+    tracemalloc.start()
+    try:
+        reports = verify_converse(cfg, trials=trials, seed=0)
+        return reports, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def chunk_bytes(cfg) -> int:
+    """A bound on one chunk's working memory: TRIAL_CHUNK draws of K*M
+    channel entries at 512 bytes each, which covers each draw's inputs and
+    noise, the stacked identities and the oracle's Python ints."""
+    return converse.TRIAL_CHUNK * cfg.num_users * cfg.num_ens * 512
+
+
 class TestVerifyConverse:
     def test_3x3_all_cuts_pass(self):
         cfg = validate_config(3, 3, 3, F(1), 1200)
@@ -694,18 +813,21 @@ class TestVerifyConverse:
         assert calls == {"cond": 306, "cut": 306}
 
     def test_noise_block_holds_no_more_than_one_cuts_draw(self):
-        # the block holds the K - 1 = 5 rows of the largest cut that folds
-        # noise; it is reduced to a 5 x 5 covariance with no larger
-        # temporary, and dropped before any cut runs
+        # the noise is one 5 x 5 Wishart draw, not a (5, NOISE_COV_SAMPLES)
+        # block, so the peak is a chunk's work, whatever the sample count
         cfg = validate_config(6, 6, 6, F(1), 1200)
-        verify_converse(cfg, trials=20, seed=0)
-        tracemalloc.start()
-        try:
-            verify_converse(cfg, trials=20, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (5 + 1) * NOISE_COV_SAMPLES * 8  # K - 1 rows, and slack
+        _, peak = traced_peak(cfg, 2 * converse.TRIAL_CHUNK)
+        assert peak < chunk_bytes(cfg)
+
+    def test_noise_draw_does_not_grow_with_its_samples(self, monkeypatch):
+        monkeypatch.setattr(converse, "NOISE_COV_SAMPLES", 10 ** 12)
+        cfg = validate_config(6, 6, 6, F(1), 1200)
+        reports, peak = traced_peak(cfg, 2 * converse.TRIAL_CHUNK)
+        assert peak < chunk_bytes(cfg)
+        for rep in reports:
+            assert report_passes(rep)
+            assert rep.noise_cov_samples == 10 ** 12
+            assert rep.noise_cov_error < 100 / math.sqrt(10 ** 12)
 
 
 class TestChunkedMatchesPerDraw:
@@ -727,7 +849,7 @@ class TestChunkedMatchesPerDraw:
 
     @pytest.mark.parametrize("ells", [[1, 10 ** 9], [3, 4]])
     def test_too_large_ell_refused_before_any_check(self, monkeypatch, ells):
-        # every ell is checked before the noise block is drawn or any cut
+        # every ell is checked before the noise covariance is drawn or any cut
         # runs
         def no_check(*args, **kwargs):
             raise AssertionError("checked with a bad ell")
