@@ -12,7 +12,7 @@ verified here at double precision:
 * the log-det residual term log det(I + Ht Ht^T) with Ht = H2 H1^-1, which
   is power independent, against an exact oracle that evaluates it as
   det(G^T G) / det(H1)^2 with G = [H1; H2] (Sylvester's identity), both
-  determinants in integers;
+  determinants exact in Python ints;
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
 Each channel draw is sliced once into a `Cut`, whose H1 conditioning is
@@ -29,14 +29,15 @@ the chunk by K*M, and the chunk draws those values on top. `Cut`,
 `build_submatrices`, `lambda_constant`, `reconstruction_residual`,
 `folded_channel`, `logdet_term` and the exact `logdet_oracle` take a
 leading trial axis, and for one draw return what the per-draw computation
-returns, bit for bit. The noise check reads one Wishart S per call.
+returns, bit for bit. The oracle takes every determinant of a chunk in one
+fraction-free elimination over the whole stack. The noise check reads one
+Wishart S per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -196,30 +197,53 @@ def logdet_term(cut: Cut):
     return _per_draw(np.log1p(svals ** 2).sum(axis=-1))
 
 
-def det_bareiss(rows) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+def _det_stack(a: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of square matrices of Python ints.
 
-    Bareiss's integer-preserving Gaussian elimination: every step divides
-    exactly by the previous pivot, so entries stay integers whose size grows
-    only linearly with the step. Pivots on the first nonzero entry of each
-    column; a column without a pivot makes the matrix singular.
+    Bareiss's (Math. Comp. 1968) fraction-free elimination, each step run
+    on the whole stack: every step divides exactly by the previous pivot,
+    so entries stay integers whose size grows only linearly with the step.
+    A matrix whose pivot is 0 swaps in its first row below with a nonzero
+    entry in that column; one with no such row is singular, and the rest
+    of it becomes the identity so that no later step divides by 0.
     """
-    work = list(rows)
-    sign, prev = 1, 1
-    while work:
-        pivot = next((r for r, row in enumerate(work) if row[0]), None)
-        if pivot is None:
-            return 0
-        if pivot:
-            work[0], work[pivot] = work[pivot], work[0]
-            sign = -sign
-        top = work[0]
-        p = top[0]
+    sign = np.ones(len(a), dtype=int)
+    prev = np.ones(len(a), dtype=object)
+    singular = np.zeros(len(a), dtype=bool)
+    while a.shape[-1]:
+        nonzero = a[..., 0] != 0
+        first = nonzero.argmax(axis=-1)  # 0 where the column is all zero
+        rows = np.flatnonzero(first)
+        below = first[rows]
+        a[rows, 0], a[rows, below] = a[rows, below], a[rows, 0]
+        sign[rows] = -sign[rows]
+        dead = ~nonzero.any(axis=-1)
+        if dead.any():
+            singular |= dead
+            a[dead] = np.identity(a.shape[-1], dtype=object)
+            prev[dead] = 1
         # eliminate column 0 and drop it with the pivot row
-        work = [[(p * v - row[0] * w) // prev for v, w in zip(row[1:], top[1:])]
-                for row in work[1:]]
-        prev = p
-    return sign * prev
+        rest = a[:, 1:, 1:] * a[:, :1, :1]
+        rest -= a[:, 1:, :1] * a[:, :1, 1:]
+        rest //= prev[:, None, None]
+        a, prev = rest, a[:, 0, 0].copy()  # no view keeps the old step alive
+    dets = sign * prev
+    dets[singular] = 0
+    return dets
+
+
+def _integer_blocks(g: np.ndarray) -> np.ndarray:
+    """Every H1^T, then every G^T G, of a stack of K x ell G, in exact ints.
+
+    One numpy pass splits G into 53-bit integer mantissas and exponents;
+    each column, shifted to its own smallest exponent, is an integer vector
+    equal to that column of G times a power of two.
+    """
+    k, ell = g.shape[-2:]
+    frac, exp = np.frexp(np.swapaxes(g, -1, -2).reshape(-1, ell, k))
+    cols = ((frac * 2.0 ** 53).astype(np.int64).astype(object)
+            << (exp - exp.min(axis=-1, keepdims=True)))
+    return np.concatenate([cols[..., :ell], cols @ np.swapaxes(cols, -1, -2)])
 
 
 def logdet_oracle(cut: Cut):
@@ -227,31 +251,24 @@ def logdet_oracle(cut: Cut):
 
     With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
     det(I + Ht^T Ht) = det(G^T G) / det(H1)^2, so no inverse is formed.
-    One numpy pass splits every G into 53-bit integer mantissas and
-    exponents, and a power of two per column makes G an integer matrix; the
-    column scales cancel in the ratio. Per draw, both determinants are taken
-    exactly in Python ints and only the final logarithm is floating point,
-    which keeps the oracle honest where a float determinant would cancel.
+    A power of two per column makes G an integer matrix; the column scales
+    cancel in the ratio. Both determinants of every draw in the stack are
+    taken at once, exactly, in Python ints; per draw only the reduced
+    ratio's two logarithms are floating point, which keeps the oracle
+    honest where a float determinant would cancel.
     """
     ell, h = cut.ell, cut.h
     k, m = h.shape[-2:]
     if ell == k:
         return _per_draw(np.zeros(h.shape[:-2]))
-    # one row per column of G, shifted to its smallest exponent
-    frac, exp = np.frexp(np.swapaxes(h[..., m - ell:], -1, -2).reshape(-1, ell, k))
-    shifts = (exp - exp.min(axis=-1, keepdims=True)).tolist()
+    det_h1, det_gram = np.split(_det_stack(_integer_blocks(h[..., m - ell:])), 2)
+    if (det_h1 == 0).any():
+        raise SingularH1Error("H1 is exactly singular in the oracle path")
     values = []
-    for mants, shift in zip((frac * 2.0 ** 53).astype(np.int64).tolist(), shifts):
-        cols = [list(map(int.__lshift__, a, b)) for a, b in zip(mants, shift)]
-        det_h1 = det_bareiss([col[:ell] for col in cols])  # det(H1^T)
-        if det_h1 == 0:
-            raise SingularH1Error("H1 is exactly singular in the oracle path")
-        gram = [[0] * ell for _ in cols]
-        for i, col in enumerate(cols):
-            for j in range(i, ell):
-                gram[i][j] = gram[j][i] = sum(map(int.__mul__, col, cols[j]))
-        det = Fraction(det_bareiss(gram), det_h1 ** 2)
-        values.append(math.log(det.numerator) - math.log(det.denominator))
+    # both are positive, so the gcd reduces them as Fraction would
+    for num, den in zip(det_gram.tolist(), (det_h1 ** 2).tolist()):
+        common = math.gcd(num, den)
+        values.append(math.log(num // common) - math.log(den // common))
     return _per_draw(np.array(values).reshape(h.shape[:-2]))
 
 

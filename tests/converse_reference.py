@@ -1,13 +1,15 @@
 """The converse's per-draw exact oracle and noise path: references.
 
-`converse.logdet_oracle` runs on a stack of draws and scales each column of
-G by its own power of two; `converse.noise_cov_check` reads one noise
-covariance S per call, which `converse.noise_covariance` draws directly as
-Wishart(n, I)/n by Bartlett's (1933) decomposition. These are the three as
-they stood before: one draw at a time, with one power of two for the whole
-of G from `as_integer_ratio`; S as the sample covariance of a
-standard-normal block, the distributional reference for Bartlett's S; and
-the covariance of the folded noise block taken as one matrix product.
+`converse.logdet_oracle` runs on a stack of draws, scales each column of
+G by its own power of two and eliminates the whole stack at once;
+`converse.noise_cov_check` reads one noise covariance S per call, which
+`converse.noise_covariance` draws directly as Wishart(n, I)/n by
+Bartlett's (1933) decomposition. These are the three as they stood
+before: one draw at a time, with one power of two for the whole of G from
+`as_integer_ratio` and Bareiss's elimination on lists (`det_bareiss`); S
+as the sample covariance of a standard-normal block, the distributional
+reference for Bartlett's S; and the covariance of the folded noise block
+taken as one matrix product.
 """
 
 import math
@@ -15,8 +17,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgecache.converse import det_bareiss, folded_channel
+from edgecache.converse import folded_channel
 from edgecache.errors import SingularH1Error
+
+
+def det_bareiss(rows) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Bareiss's integer-preserving Gaussian elimination: every step divides
+    exactly by the previous pivot, so entries stay integers whose size grows
+    only linearly with the step. Pivots on the first nonzero entry of each
+    column; a column without a pivot makes the matrix singular.
+    """
+    work = list(rows)
+    sign, prev = 1, 1
+    while work:
+        pivot = next((r for r, row in enumerate(work) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            work[0], work[pivot] = work[pivot], work[0]
+            sign = -sign
+        top = work[0]
+        p = top[0]
+        # eliminate column 0 and drop it with the pivot row
+        work = [[(p * v - row[0] * w) // prev for v, w in zip(row[1:], top[1:])]
+                for row in work[1:]]
+        prev = p
+    return sign * prev
 
 
 def ratio_oracle(cut) -> float:

@@ -19,7 +19,6 @@ from edgecache.converse import (
     ConverseReport,
     Cut,
     build_submatrices,
-    det_bareiss,
     folded_channel,
     lambda_constant,
     logdet_oracle,
@@ -36,6 +35,7 @@ from edgecache.errors import RangeError, SingularH1Error
 from edgecache.model import validate_config
 from converse_reference import (
     block_noise_covariance,
+    det_bareiss,
     folded_noise_cov_check,
     ratio_oracle,
     sample_cov,
@@ -236,8 +236,8 @@ integer_entries = st.one_of(
 
 
 @st.composite
-def square_integer_matrices(draw, max_n=5):
-    n = draw(st.integers(0, max_n))
+def square_integer_matrices(draw, min_n=0, max_n=5):
+    n = draw(st.integers(min_n, max_n))
     rows = draw(st.lists(st.lists(integer_entries, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if n and draw(st.booleans()):
@@ -249,6 +249,33 @@ def square_integer_matrices(draw, max_n=5):
         scale = draw(st.integers(-3, 3))
         rows[-1] = [scale * v for v in rows[0]]  # exactly singular
     return rows
+
+
+@st.composite
+def integer_matrix_stacks(draw):
+    """One to five square_integer_matrices of one size, as one object stack."""
+    n = draw(st.integers(0, 5))
+    stack = draw(st.lists(square_integer_matrices(n, n), min_size=1, max_size=5))
+    return np.array(stack, dtype=object).reshape(len(stack), n, n)
+
+
+def channel_with_h1(h1, k, seed):
+    """A K x M standard-normal draw whose ell x ell H1 block is h1 (M = ell)."""
+    h = np.random.default_rng(seed).standard_normal((k, len(h1)))
+    h[:len(h1)] = h1
+    return h
+
+
+# H1^T, the matrix the oracle eliminates, has an exact 0 leading entry, so
+# the first step swaps rows
+H1_SWAP_FIRST = [[0.0, 2.0, 1.0], [1.5, 1.0, -3.0], [2.0, -1.0, 0.5]]
+# H1^T's leading 2 x 2 minor is 0: the pivot first becomes 0 at step two
+H1_SWAP_LATER = [[1.0, 2.0, 3.0], [2.0, 4.0, 1.0], [3.0, 5.0, 7.0]]
+# exactly singular H1s: H1^T's first column is 0, so no first pivot exists;
+# H1^T's second row is twice its first, which shows only at the last step,
+# after a swap at step two
+H1_SINGULAR_FIRST = [[0.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.5, 3.0, 2.0]]
+H1_SINGULAR_LATE = [[1.0, 2.0, 1.0], [2.0, 4.0, 1.0], [3.0, 6.0, 1.0]]
 
 
 @st.composite
@@ -319,6 +346,13 @@ def scaled_oracle_stacks(draw):
         h[idx] = draw(st.integers(1 - 2 ** 52, 2 ** 52 - 1)) * 5e-324
     if ell > 1 and draw(st.booleans()):
         h[0, 1, m - ell:] = h[0, 0, m - ell:]
+    return unconditioned_cut(h, ell)
+
+
+def unconditioned_cut(h, ell):
+    """h cut at ell without build_submatrices' conditioning test, so that
+    an exactly singular H1 reaches the oracle."""
+    m = h.shape[-1]
     return Cut(h, h[..., :ell, m - ell:], h[..., ell:, m - ell:],
                h[..., ell:, :], ell)
 
@@ -550,8 +584,50 @@ class TestLogDet:
 
     @pytest.mark.parametrize("ell", [1, 6])
     def test_oracle_agreement_at_12x12(self, ell):
-        cut = sample_regular_channel(np.random.default_rng(26), 12, 12, ell)
-        assert abs(logdet_term(cut) - logdet_oracle(cut)) < LOGDET_ORACLE_TOL
+        cut = build_submatrices(
+            np.random.default_rng(26).standard_normal((4, 12, 12)), ell)
+        values = logdet_oracle(cut)
+        assert np.abs(logdet_term(cut) - values).max() < LOGDET_ORACLE_TOL
+        assert bits(values) == bits([ratio_oracle(cut[t]) for t in range(4)])
+
+    @pytest.mark.parametrize("ell", [8, 15])
+    def test_stacked_oracle_at_16x16_is_bit_identical(self, ell):
+        cut = build_submatrices(
+            np.random.default_rng(28).standard_normal((3, 16, 16)), ell)
+        expected = [ratio_oracle(cut[t]) for t in range(3)]
+        assert bits(logdet_oracle(cut)) == bits(expected)
+
+    @given(integer_matrix_stacks())
+    def test_stacked_determinants_match_det_bareiss(self, stack):
+        expected = [det_bareiss(rows) for rows in stack.tolist()]
+        assert converse._det_stack(stack).tolist() == expected
+
+    def test_stacked_pivots_match_the_per_draw_reference(self):
+        # a regular draw beside draws that swap rows at the first and at a
+        # later step; each must read as it does alone
+        h = np.stack([np.random.default_rng(30).standard_normal((5, 3)),
+                      channel_with_h1(H1_SWAP_FIRST, 5, 31),
+                      channel_with_h1(H1_SWAP_LATER, 5, 32)])
+        cut = unconditioned_cut(h, 3)
+        expected = [ratio_oracle(cut[t]) for t in range(3)]
+        assert bits(logdet_oracle(cut)) == bits(expected)
+        assert np.abs(logdet_term(cut) - expected).max() < LOGDET_ORACLE_TOL
+
+    @pytest.mark.parametrize("singular", [H1_SINGULAR_FIRST, H1_SINGULAR_LATE])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_exactly_singular_h1_in_a_stack_raises(self, singular, position):
+        # the other draws keep eliminating after the singular one runs out
+        # of pivots
+        draws = [channel_with_h1(H1_SWAP_FIRST, 5, 33),
+                 channel_with_h1(H1_SWAP_LATER, 5, 34)]
+        draws.insert(position, channel_with_h1(singular, 5, 35))
+        cut = unconditioned_cut(np.stack(draws), 3)
+        with pytest.raises(SingularH1Error) as reference:
+            ratio_oracle(cut[position])
+        with pytest.raises(SingularH1Error) as raised:
+            logdet_oracle(cut)
+        assert str(raised.value) == str(reference.value) == \
+            "H1 is exactly singular in the oracle path"
 
     @given(square_fraction_matrices())
     def test_det_exact_matches_cofactor_reference(self, rows):
@@ -818,6 +894,19 @@ class TestVerifyConverse:
         cfg = validate_config(6, 6, 6, F(1), 1200)
         _, peak = traced_peak(cfg, 2 * converse.TRIAL_CHUNK)
         assert peak < chunk_bytes(cfg)
+
+    def test_oracle_chunk_at_16x16_stays_under_the_chunk_bound(self):
+        cfg = validate_config(16, 16, 16, F(1), 1200)
+        bound = chunk_bytes(cfg)  # 8 MiB
+        cut = build_submatrices(np.random.default_rng(36).standard_normal(
+            (converse.TRIAL_CHUNK, 16, 16)), 15)
+        tracemalloc.start()
+        try:
+            logdet_oracle(cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_noise_draw_does_not_grow_with_its_samples(self, monkeypatch):
         monkeypatch.setattr(converse, "NOISE_COV_SAMPLES", 10 ** 12)
