@@ -55,6 +55,7 @@ from .model import (
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 TRIAL_CHUNK = 1024  # trials per array program; bounds memory for any campaign
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 @dataclass(frozen=True, eq=False)
 class PointResult:
@@ -85,8 +86,32 @@ def snr_db_to_power(snr_db: float) -> float:
 
 
 def _zf_accepts(h: np.ndarray) -> np.ndarray:
-    """Whether each K x M draw of `h` (..., K, M) has full row rank."""
-    return np.linalg.matrix_rank(h) >= h.shape[-2]
+    """Whether each K x M draw of `h` (..., K, M), K <= M, has full row rank.
+
+    The rank is numpy's `matrix_rank`: the count of singular values above
+    sigma_1 * max(K, M) * eps. A draw is accepted without it when the
+    eigenvalues of its Gram matrix h h^T have lambda_K > 1e-8 lambda_1 and
+    lambda_K is a normal float. Forming h h^T errs by about
+    M eps ||h||_F^2 <= K M eps lambda_1, plus at most K M subnormal steps
+    where products underflow, and `eigvalsh` by a small multiple of
+    eps lambda_1 (both backward stable; Higham 2002), so
+    (sigma_K / sigma_1)^2 > 1e-8 - O(K M eps). LAPACK's singular values,
+    within a small multiple of eps sigma_1, then clear the rank tolerance by
+    ten orders of magnitude. Every other draw, NaN and overflowing ones
+    included, goes through `matrix_rank` itself, so each answer is the
+    rank test's.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: undecided
+        gram = h @ np.swapaxes(h, -1, -2)
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:  # a non-finite Gram: the stack is undecided
+        lam = np.zeros(gram.shape[:-1])
+    accepts = np.asarray(lam[..., 0] > np.maximum(1e-8 * lam[..., -1], _TINY))
+    undecided = ~accepts
+    if undecided.any():
+        accepts[undecided] = np.linalg.matrix_rank(h[undecided]) >= h.shape[-2]
+    return accepts
 
 
 def _zf_weights(h: np.ndarray, power: float | np.ndarray) -> np.ndarray:
@@ -171,13 +196,38 @@ def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
     """Whether each slot draw of a (..., 3, 2, 2) stack admits the alignment.
 
     A draw is usable when no coefficient is numerically zero and both
-    users' receive bases are well conditioned.
+    users' receive bases A are well conditioned: sigma_3 > 1e-9 sigma_1 by
+    LAPACK's SVD. As sigma_1 sigma_2 sigma_3 = |det A| and
+    sigma_2 <= sigma_1 <= ||A||_F, sigma_3 / sigma_1 >= |det A| / ||A||_F^3,
+    so a draw is accepted without the SVD when the cofactor |det A| exceeds
+    1e-6 ||A||_F^3 for both users. The cofactor rounds by about
+    1e-15 ||A||_F^3 (its terms' magnitudes sum to at most ||A||_F^3) and
+    LAPACK's singular values by a small multiple of eps sigma_1 (Demmel &
+    Kahan 1990), both far inside the factor of 1000 between 1e-6 and 1e-9;
+    the all-ones column keeps ||A||_F^3 >= 5, far above underflow. Every
+    other draw goes through the SVD itself, so each answer is the SVD's.
     """
     nonzero = np.abs(h_slots).min(axis=(-3, -2, -1)) >= 1e-12
-    # rejected draws are swapped for finite ones before the SVD sees them
+    # rejected draws are swapped for finite ones before the bases are built
     finite = np.where(nonzero[..., None, None, None], h_slots, 1.0)
-    svals = np.linalg.svd(_ia_bases(finite)[1], compute_uv=False)
-    return nonzero & (svals[..., -1] > svals[..., 0] * 1e-9).all(axis=-1)
+    bases = _ia_bases(finite)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: undecided
+        frobenius2 = np.einsum("...ij,...ij->...", bases, bases)
+        accepts = np.asarray(
+            (_det3(bases) ** 2 > 1e-12 * frobenius2 ** 3).all(axis=-1))
+    undecided = ~accepts
+    if undecided.any():
+        svals = np.linalg.svd(bases[undecided], compute_uv=False)
+        accepts[undecided] = (svals[..., -1] > svals[..., 0] * 1e-9).all(axis=-1)
+    return nonzero & accepts
+
+
+def _det3(a: np.ndarray) -> np.ndarray:
+    """Cofactor determinant of each matrix of a (..., 3, 3) stack."""
+    r, s, t = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    return (r[..., 0] * (s[..., 1] * t[..., 2] - s[..., 2] * t[..., 1])
+            - r[..., 1] * (s[..., 0] * t[..., 2] - s[..., 2] * t[..., 0])
+            + r[..., 2] * (s[..., 0] * t[..., 1] - s[..., 1] * t[..., 0]))
 
 
 def ia_alignment_error(h_slots: np.ndarray, solution: IaSolution):
@@ -254,8 +304,8 @@ def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
     users, ens, bits = (np.array(column) for column in zip(*links))
     gains = 1.0 + h[..., users, ens] ** 2 * np.expand_dims(power, -1)
     # math.log2, not np.log2: the two differ in the last bit on some inputs
-    rates = np.array([math.log2(g) for g in gains.ravel().tolist()])
-    rates = rates.reshape(gains.shape)
+    rates = np.fromiter(map(math.log2, gains.flat), float,
+                        count=gains.size).reshape(gains.shape)
     dead = np.flatnonzero(rates <= 0.0)
     if dead.size:
         link = dead[0] % len(links)  # the first draw's first dead link

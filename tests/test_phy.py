@@ -48,6 +48,7 @@ from edgecache.phy import (
     zf_sinrs,
 )
 from edgecache.phy import _solve_draw
+from accepts_reference import ia_accepts_svd, zf_accepts_svd
 from one_draw import (
     AlignmentDegeneracyError,
     awgn_channel,
@@ -346,6 +347,22 @@ class TestTdma:
             self.fragment_loop(one, assignment, cfg.file_bits, power).hex()
             for one in h]
 
+    def test_a_chunk_of_16x16_trials_stays_within_16_mib(self):
+        """One point of a full chunk of 16x16 trials, 272 links each, peaks
+        below 16 MiB: no Python list holds every link gain at once."""
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2), m=16, k=16,
+                                       n=16)
+        args = (cfg, alloc, Scheme.TDMA, dem, [40.0])
+        run_campaign(*args, 50, 0)  # fills numpy's and the module's caches
+        tracemalloc.start()
+        try:
+            points = run_campaign(*args, phy.TRIAL_CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points[0].seeds) == phy.TRIAL_CHUNK
+        assert peak <= 16 * 2 ** 20
+
     def test_dead_link_raises(self):
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2))
         assignment = assignment_for_demand(alloc, dem)
@@ -584,6 +601,241 @@ class TestSolveDraw:
         h = _solve_draw(rng, (2, 3), None)
         np.testing.assert_array_equal(h, reference.standard_normal((2, 3)))
         assert rng.standard_normal() == reference.standard_normal()
+
+
+# unstacked, one and two leading axes, and an empty stack
+LEADS = [(), (5,), (3, 4), (0,)]
+ZF_SHAPES = [(2, 2), (2, 3), (4, 4), (6, 6), (16, 16)]
+
+
+def per_draw(rng, lead, low, high):
+    """One power of ten per draw of a `lead` stack, log-uniform in range."""
+    return 10.0 ** rng.uniform(low, high, lead + (1, 1))
+
+
+@st.composite
+def slot_stacks(draw):
+    """Slot draws for the alignment test, standard normal or spoiled.
+
+    Near-constant and near-duplicate slots put a receive basis's
+    sigma_3 / sigma_1 on both sides of 1e-9 (it falls with the spread);
+    widely scaled entries condition it badly another way, and huge ones
+    overflow ||A||_F^3; a coefficient at or near the 1e-12 screen, or
+    exactly constant slots, is rejected.
+    """
+    lead = draw(st.sampled_from(LEADS))
+    kind = draw(st.sampled_from(["normal", "near-constant", "near-duplicate",
+                                 "scaled", "huge", "zeros", "constant"]))
+    exponent = draw(st.floats(-14.0, -4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal(lead + (EXTENSION_SLOTS, 2, 2))
+    spread = per_draw(rng, lead, exponent - 1, exponent + 1)[..., None]
+    if kind == "near-constant":
+        h = h[..., :1, :, :] + spread * rng.standard_normal(h.shape)
+    elif kind == "near-duplicate":
+        h[..., 2, :, :] = (h[..., 0, :, :]
+                           + spread[..., 0] * rng.standard_normal(lead + (2, 2)))
+    elif kind == "scaled":
+        h *= 10.0 ** rng.uniform(-9.0, 9.0, h.shape)
+    elif kind == "huge":
+        h *= 10.0 ** rng.uniform(0.0, 150.0, h.shape)
+    elif kind == "zeros":
+        h[..., 0, 1, 0] = draw(st.sampled_from([0.0, 9.99e-13, 1e-12, 1e-11]))
+    elif kind == "constant":
+        h[...] = h[..., :1, :, :]
+    return h
+
+
+@st.composite
+def channel_stacks(draw):
+    """K x M draws for the zero-forcing test, standard normal or spoiled.
+
+    Draws built from their singular values, a row scaled down, or a row
+    near a multiple of another put sigma_K / sigma_1 on both sides of the
+    rank tolerance, max(K, M) eps, or of the 1e-4 the certificate needs.
+    Exact zeros, low-rank products and duplicate rows are singular or
+    nearly so. Any of them may be scaled so far that the Gram matrix
+    overflows or underflows.
+    """
+    lead = draw(st.sampled_from(LEADS))
+    k, m = draw(st.sampled_from(ZF_SHAPES))
+    kind = draw(st.sampled_from(["normal", "conditioned", "row-scaled",
+                                 "near-duplicate", "zeros", "low-rank",
+                                 "duplicate"]))
+    scale = draw(st.sampled_from([1.0, 1e-165, 1e-160, 1e155, 1e165]))
+    exponent = draw(st.one_of(st.floats(-18.0, -12.0), st.floats(-7.0, -2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.standard_normal(lead + (k, m))
+    ratio = per_draw(rng, lead, exponent - 1, exponent + 1)
+    if kind == "conditioned":
+        u = np.linalg.qr(rng.standard_normal(lead + (k, k)))[0]
+        v = np.linalg.qr(rng.standard_normal(lead + (m, m)))[0][..., :k, :]
+        svals = np.ones(lead + (1, k))
+        svals[..., -1:] = ratio
+        h = (u * svals) @ v
+    elif kind == "row-scaled":
+        h[..., :1, :] *= ratio
+    elif kind == "near-duplicate" and k > 1:
+        h[..., 1:2, :] = (h[..., :1, :] * rng.uniform(-2.0, 2.0, lead + (1, 1))
+                          + ratio * rng.standard_normal(lead + (1, m)))
+    elif kind == "zeros":
+        h[rng.random(h.shape) < 0.3] = 0.0
+    elif kind == "low-rank":
+        rank = int(rng.integers(0, k))
+        h = (rng.standard_normal(lead + (k, rank))
+             @ rng.standard_normal(lead + (rank, m)))
+    elif kind == "duplicate" and k > 1:
+        h[..., -1, :] = h[..., 0, :]
+    return h * scale
+
+
+def assert_same_answers(accepts, reference):
+    accepts, reference = np.asarray(accepts), np.asarray(reference)
+    assert accepts.dtype == reference.dtype == bool
+    assert accepts.shape == reference.shape
+    np.testing.assert_array_equal(accepts, reference)
+
+
+def count_fallbacks(monkeypatch):
+    """Record the stacks `phy` hands to numpy's SVD and rank tests."""
+    calls = []
+    for name in ("svd", "matrix_rank"):
+        def counting(a, *args, original=getattr(np.linalg, name), name=name,
+                     **kwargs):
+            calls.append((name, a.copy()))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestAcceptanceCertificate:
+    """The closed-form acceptance tests against the SVD ones they shortcut."""
+
+    @settings(max_examples=300)
+    @given(slot_stacks())
+    def test_alignment_answers_equal_the_svd_tests(self, h_slots):
+        assert_same_answers(phy._ia_accepts(h_slots), ia_accepts_svd(h_slots))
+
+    @settings(max_examples=300)
+    @given(channel_stacks())
+    def test_zero_forcing_answers_equal_the_rank_tests(self, h):
+        assert_same_answers(phy._zf_accepts(h), zf_accepts_svd(h))
+
+    def test_adversarial_draws_straddle_both_thresholds(self):
+        # the spoiled draws the hypothesis tests take do reach the SVD
+        # tests' boundaries, and are decided there as the SVD decides
+        rng = np.random.default_rng(40)
+        base = rng.standard_normal((2000, 1, 2, 2))
+        spread = 10.0 ** rng.uniform(-11.0, -7.0, (2000, 1, 1, 1))
+        h_slots = base + spread * rng.standard_normal((2000, 3, 2, 2))
+        svals = np.linalg.svd(phy._ia_bases(h_slots)[1], compute_uv=False)
+        ratio = (svals[..., -1] / svals[..., 0]).min(axis=-1)
+        accepts = phy._ia_accepts(h_slots)
+        assert_same_answers(accepts, ia_accepts_svd(h_slots))
+        near = (ratio > 1e-10) & (ratio < 1e-8)
+        assert accepts[near].any() and not accepts[near].all()
+        h = rng.standard_normal((2000, 4, 4))
+        h[:, 0] *= 10.0 ** rng.uniform(-17.0, -14.0, (2000, 1))
+        svals = np.linalg.svd(h, compute_uv=False)
+        tolerance = svals[:, 0] * 4 * np.finfo(float).eps
+        accepts = phy._zf_accepts(h)
+        assert_same_answers(accepts, zf_accepts_svd(h))
+        near = np.abs(np.log10(svals[:, -1] / tolerance)) < 1
+        assert accepts[near].any() and not accepts[near].all()
+        # rank-1 draws whose Gram entries are subnormal: rounding there can
+        # make the Gram look well conditioned, so they must reach the rank
+        # test
+        h = rng.standard_normal((2000, 2, 1)) @ rng.standard_normal((2000, 1, 2))
+        h *= 1e-160
+        assert not zf_accepts_svd(h).any()
+        assert not phy._zf_accepts(h).any()
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_alignment_shapes(self, lead):
+        h_slots = np.random.default_rng(41).standard_normal(
+            lead + (EXTENSION_SLOTS, 2, 2))
+        assert_same_answers(phy._ia_accepts(h_slots), ia_accepts_svd(h_slots))
+
+    @pytest.mark.parametrize("shape", ZF_SHAPES)
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_zero_forcing_shapes(self, lead, shape):
+        h = np.random.default_rng(42).standard_normal(lead + shape)
+        assert_same_answers(phy._zf_accepts(h), zf_accepts_svd(h))
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_a_nan_slot_draw_is_rejected(self, lead):
+        h_slots = np.random.default_rng(43).standard_normal(
+            lead + (EXTENSION_SLOTS, 2, 2))
+        h_slots[(0,) * len(lead) + (1, 0, 1)] = np.nan
+        accepts = phy._ia_accepts(h_slots)
+        assert_same_answers(accepts, ia_accepts_svd(h_slots))
+        assert not accepts[(0,) * len(lead)]
+
+    @pytest.mark.parametrize("shape", ZF_SHAPES)
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_a_nan_channel_draw_raises_as_the_rank_test_does(self, lead,
+                                                              shape):
+        h = np.random.default_rng(44).standard_normal(lead + shape)
+        h[(-1,) * len(lead) + (0, 1)] = np.nan
+        for accepts in (zf_accepts_svd, phy._zf_accepts):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="SVD did not converge"):
+                accepts(h)
+
+    @pytest.mark.parametrize("lead", [(), (200,), (10, 20), (0,)])
+    def test_well_conditioned_draws_take_no_svd(self, monkeypatch, lead):
+        rng = np.random.default_rng(45)
+        h_slots = rng.standard_normal(lead + (EXTENSION_SLOTS, 2, 2))
+        channels = [rng.standard_normal(lead + shape)
+                    for shape in [(2, 2), (6, 6), (16, 16)]]
+        calls = count_fallbacks(monkeypatch)
+        assert np.all(phy._ia_accepts(h_slots))
+        for h in channels:
+            assert np.all(phy._zf_accepts(h))
+        assert calls == []
+
+    @pytest.mark.parametrize("lead,at", [((), ()), ((6,), (4,)),
+                                         ((3, 4), (1, 2))])
+    @pytest.mark.parametrize("spread,usable", [(0.0, False), (1e-6, True)])
+    def test_only_an_undecided_slot_draw_takes_the_svd(
+            self, monkeypatch, lead, at, spread, usable):
+        # near-constant slots: spread 1e-6 puts this draw's bases at
+        # sigma_3 / sigma_1 of about 3e-8, below the certificate's 1e-6
+        # and above 1e-9; constant slots make them singular
+        rng = np.random.default_rng(46)
+        h_slots = rng.standard_normal(lead + (EXTENSION_SLOTS, 2, 2))
+        h_slots[at] = (constant_slots(h_slots[at])
+                       + spread * rng.standard_normal((EXTENSION_SLOTS, 2, 2)))
+        calls = count_fallbacks(monkeypatch)
+        accepts = phy._ia_accepts(h_slots)
+        assert [name for name, _ in calls] == ["svd"]
+        np.testing.assert_array_equal(
+            calls[0][1], phy._ia_bases(h_slots[at][None])[1])
+        expected = np.ones(lead, bool)
+        expected[at] = usable
+        assert_same_answers(accepts, expected)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (6, 6), (16, 16)])
+    @pytest.mark.parametrize("lead,at", [((), ()), ((6,), (4,)),
+                                         ((3, 4), (1, 2))])
+    @pytest.mark.parametrize("ratio,usable", [(0.0, False), (1e-6, True)])
+    def test_only_an_undecided_channel_draw_takes_the_rank_test(
+            self, monkeypatch, shape, lead, at, ratio, usable):
+        # the last row near (or at) a multiple of the first: sigma_K /
+        # sigma_1 about `ratio`, below the certificate's 1e-4 and, unless
+        # 0, far above the rank tolerance
+        rng = np.random.default_rng(47)
+        h = rng.standard_normal(lead + shape)
+        h[at + (-1,)] = 2.0 * h[at + (0,)] + ratio * rng.standard_normal(
+            shape[1])
+        calls = count_fallbacks(monkeypatch)
+        accepts = phy._zf_accepts(h)
+        assert [name for name, _ in calls] == ["matrix_rank"]
+        np.testing.assert_array_equal(calls[0][1], h[at][None])
+        expected = np.ones(lead, bool)
+        expected[at] = usable
+        assert_same_answers(accepts, expected)
 
 
 class TestCampaign:
