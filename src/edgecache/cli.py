@@ -88,8 +88,9 @@ EXIT_UNSUPPORTED = 3
 EXIT_TOLERANCE = 4
 
 
-def _write_manifest(out: Path, argv: list[str], config, master_seed,
-                    outputs: list[Path]) -> None:
+def _write_manifest(paths: list[Path], argv: list[str], config,
+                    master_seed) -> None:
+    *outputs, manifest_path = paths
     manifest = {
         "command": argv,
         "config": {**vars(config), "frac_cache": str(config.frac_cache)},
@@ -99,7 +100,7 @@ def _write_manifest(out: Path, argv: list[str], config, master_seed,
         "output_digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                            for p in outputs},
     }
-    out.with_name(out.stem + ".manifest.json").write_text(
+    manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -172,16 +173,15 @@ def cmd_bounds(args, argv: list[str]) -> int:
     csi = CsiMode(args.csi)
     grid = default_mu_grid(config, args.grid_step)
     table = tradeoff_sweep(config, grid, csi)
+    paths = _outputs(args)
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = _bounds_csv(table)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-    outputs = [out]
     if args.json:
-        json_path = out.with_suffix(".json")
-        json_path.write_text(_bounds_json(csi, lines[1:]), encoding="utf-8", newline="")
-        outputs.append(json_path)
-    _write_manifest(out, argv, config, None, outputs)
+        paths[1].write_text(_bounds_json(csi, lines[1:]), encoding="utf-8",
+                            newline="")
+    _write_manifest(paths, argv, config, None)
     if csi is CsiMode.PERFECT:
         regions = optimality_regions(table.converse, table.envelope)
         print(f"tight regions (lower = upper): {_format_regions(regions)}")
@@ -292,26 +292,40 @@ def _ell(text: str):
     return text if text == "all" else _int_flag(1, "MAX_NODES")(text)
 
 
-def _out_path(text: str) -> Path:
-    """Parse --out: a file path the run will be able to write, or exit 2.
+def _outputs(args) -> list[Path]:
+    """Every path the command writes: --out, its derived data files, and
+    the manifest last."""
+    out = args.out
+    derived = ([".summary.json"] if args.handler == "cmd_simulate"
+               else [".json"] if args.handler == "cmd_bounds" and args.json
+               else [])
+    return [out, *(out.with_suffix(suffix) for suffix in derived),
+            out.with_name(out.stem + ".manifest.json")]
 
-    Missing parent directories are created when the output is written; the
-    nearest ancestor that exists (a symlink counts, dangling or not) must be
-    a writable directory, and an existing output a writable file.
+
+def _check_outputs(paths: list[Path]) -> None:
+    """Refuse, before any work, a run that cannot write each of its outputs
+    to a path of its own.
+
+    Missing parent directories are created when the outputs are written;
+    the nearest ancestor that exists (a symlink counts, dangling or not)
+    must be a writable directory, and an existing output a writable file.
     """
-    out = Path(text)
-    if out.is_dir():
-        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-    if os.path.lexists(out) and not (out.is_file()
-                                     and os.access(out, os.W_OK)):
-        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
-    parent = out.parent
+    parent = paths[0].parent  # the directory of every output
     while not os.path.lexists(parent) and parent != parent.parent:
         parent = parent.parent
     if not (parent.is_dir() and os.access(parent, os.W_OK | os.X_OK)):
-        raise argparse.ArgumentTypeError(
-            f"cannot write {text!r}: {str(parent)!r} is not a writable directory")
-    return out
+        raise ArgumentError(f"cannot write {str(paths[0])!r}: {str(parent)!r} "
+                            "is not a writable directory")
+    for i, out in enumerate(paths):
+        if out in paths[:i]:
+            raise ArgumentError(f"--out {str(paths[0])!r} would write two "
+                                f"outputs to {str(out)!r}")
+        if out.is_dir():
+            raise ArgumentError(f"{str(out)!r} is a directory")
+        if os.path.lexists(out) and not (out.is_file()
+                                         and os.access(out, os.W_OK)):
+            raise ArgumentError(f"cannot write {str(out)!r}")
 
 
 def _tolerance(text: str) -> float:
@@ -380,10 +394,10 @@ def cmd_simulate(args, argv: list[str]) -> int:
             "ndt_achievable": str(analytic_upper) if analytic_upper is not None else None,
         },
     }
-    summary_path = out.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    _write_manifest(out, argv, config, args.seed, [out, summary_path])
+    paths = _outputs(args)
+    paths[1].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    _write_manifest(paths, argv, config, args.seed)
     print(
         f"{scheme.value}: dof estimate {estimate.dof_estimate:.4f}, "
         f"ndt estimate {estimate.ndt_estimate:.4f} "
@@ -430,7 +444,7 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
     }
     out.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
-    _write_manifest(out, argv, config, args.seed, [out])
+    _write_manifest(_outputs(args), argv, config, args.seed)
     for entry in entries:
         status = "pass" if entry["pass"] else "FAIL"
         print(
@@ -465,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="perfect")
     p_bounds.add_argument("--grid-step", type=_grid_step, default=None,
                           help="rational step p/q (default: 1/(12*M*K))")
-    p_bounds.add_argument("--out", type=_out_path, required=True,
+    p_bounds.add_argument("--out", type=Path, required=True,
                           help="output CSV path")
     p_bounds.add_argument("--json", action="store_true",
                           help="also write a JSON copy of the table")
@@ -490,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trials per SNR point")
     p_sim.add_argument("--seed", type=seed, required=True,
                        help="master seed (required for reproducibility)")
-    p_sim.add_argument("--out", type=_out_path, required=True,
+    p_sim.add_argument("--out", type=Path, required=True,
                        help="output CSV path")
     p_sim.set_defaults(handler="cmd_simulate")
 
@@ -507,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=LOGDET_ORACLE_TOL)
     p_ver.add_argument("--tol-noise-cov", type=_tolerance,
                        default=NOISE_COV_TOL)
-    p_ver.add_argument("--out", type=_out_path, required=True,
+    p_ver.add_argument("--out", type=Path, required=True,
                        help="output JSON path")
     p_ver.set_defaults(handler="cmd_verify_converse")
     return parser
@@ -521,6 +535,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_outputs(_outputs(args))
         return globals()[args.handler](args, argv)
     except (ArgumentError, RangeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

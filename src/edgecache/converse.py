@@ -15,23 +15,22 @@ verified here at double precision:
   determinants exact in Python ints;
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
-Each channel draw is sliced once into a `Cut`, whose H1 conditioning is
-tested once; every check reads that cut. Entropy inequalities themselves
-are not estimated; only these deterministic pieces are.
+A stack of channel draws is sliced once into a `Cut`, whose H1s are
+conditioned in one test; every check reads that cut and returns one value
+per draw. Entropy inequalities themselves are not estimated; only these
+deterministic pieces are.
 
 `verify_converse` runs each cut as one array program over chunks of
-`TRIAL_CHUNK` trials. A chunk reads its trials' channels, inputs and noise
-from one `standard_normal` call, in the order a per-draw loop draws them
-(numpy's normal stream does not depend on how it is split into calls).
-All the chunk's H1s are conditioned in one stacked test; a rejected draw
-is redrawn from the next K*M values, which shifts every later trial of
-the chunk by K*M, and the chunk draws those values on top. `Cut`,
-`build_submatrices`, `lambda_constant`, `reconstruction_residual`,
-`folded_channel`, `logdet_term` and the exact `logdet_oracle` take a
-leading trial axis, and for one draw return what the per-draw computation
-returns, bit for bit. The oracle takes every determinant of a chunk in one
-fraction-free elimination over the whole stack. The noise check reads one
-Wishart S per call.
+`TRIAL_CHUNK` trials, and its noise check on a stack of one draw.
+`sample_regular_channel` reads a stack's channels, inputs and noise from
+one `standard_normal` call, in the order a per-draw loop draws them
+(numpy's normal stream does not depend on how it is split into calls); a
+rejected draw is redrawn from the next K*M values, which shifts every
+later draw of the stack by K*M, and the stack draws those values on top.
+Each check returns, for every draw of a stack, what it returns for that
+draw alone, bit for bit. The oracle takes every determinant of a stack in
+one fraction-free elimination. The noise check reads one Wishart S per
+call.
 """
 
 from __future__ import annotations
@@ -53,13 +52,12 @@ TRIAL_CHUNK = 64  # trials per array program; bounds memory for any --trials
 
 @dataclass(frozen=True)
 class Cut:
-    """A channel draw, or a stack of them, sliced at cut parameter ell.
+    """A stack of channel draws, on leading axes, sliced at cut parameter ell.
 
     H1 (ell x ell) holds rows 1..ell and the last ell columns, H2 rows
     ell+1..K of the same columns and H3 rows ell+1..K of every column; all
     three are views of h. `build_submatrices` tests H1's conditioning
     before it makes a Cut, so every check reading one may solve with H1.
-    A stack puts its draws on a leading axis; `cut[t]` is draw t's Cut.
     """
 
     h: np.ndarray   # ... x K x M
@@ -67,14 +65,6 @@ class Cut:
     h2: np.ndarray  # ... x (K-ell) x ell
     h3: np.ndarray  # ... x (K-ell) x M
     ell: int
-
-    def __getitem__(self, t) -> Cut:
-        return Cut(self.h[t], self.h1[t], self.h2[t], self.h3[t], self.ell)
-
-
-def _per_draw(values):
-    """One float for one draw, an array over a stack's leading axes."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 def _frobenius(a: np.ndarray):
@@ -95,7 +85,7 @@ def lambda_constant(h: np.ndarray, ell: int):
     rows = h[..., :ell, :]
     squares = (rows ** 2).sum(axis=-1)
     cross = (rows[..., :, None] * rows[..., None, :]).sum(axis=(-2, -1)) - squares
-    return _per_draw((squares + cross).max(axis=-1))  # ordered m != m~ terms
+    return (squares + cross).max(axis=-1)  # ordered m != m~ terms
 
 
 @dataclass(frozen=True)
@@ -164,7 +154,7 @@ def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray):
     h, ell = cut.h, cut.ell
     k, m = h.shape[-2:]
     if ell == k:
-        return _per_draw(np.zeros(h.shape[:-2]))  # both sides are empty
+        return np.zeros(h.shape[:-2])  # both sides are empty
     known = m - ell
     y = h @ x + noise
     y_top, y_bot = y[..., :ell, :], y[..., ell:, :]
@@ -174,7 +164,7 @@ def reconstruction_residual(cut: Cut, x: np.ndarray, noise: np.ndarray):
     top = np.linalg.solve(cut.h1, y_tilde)
     right = cut.h3 @ np.concatenate([x[..., :known, :], top], axis=-2) + n_bot
     scale, diff = _frobenius(left), _frobenius(left - right)
-    return _per_draw(diff / np.where(scale > 0, scale, 1.0))
+    return diff / np.where(scale > 0, scale, 1.0)
 
 
 def folded_channel(cut: Cut) -> np.ndarray:
@@ -192,9 +182,9 @@ def logdet_term(cut: Cut):
     """
     ht = folded_channel(cut)
     if ht.shape[-2] == 0:
-        return _per_draw(np.zeros(ht.shape[:-2]))
+        return np.zeros(ht.shape[:-2])
     svals = np.linalg.svd(ht, compute_uv=False)
-    return _per_draw(np.log1p(svals ** 2).sum(axis=-1))
+    return np.log1p(svals ** 2).sum(axis=-1)
 
 
 def _det_stack(a: np.ndarray) -> np.ndarray:
@@ -260,7 +250,7 @@ def logdet_oracle(cut: Cut):
     ell, h = cut.ell, cut.h
     k, m = h.shape[-2:]
     if ell == k:
-        return _per_draw(np.zeros(h.shape[:-2]))
+        return np.zeros(h.shape[:-2])
     det_h1, det_gram = np.split(_det_stack(_integer_blocks(h[..., m - ell:])), 2)
     if (det_h1 == 0).any():
         raise SingularH1Error("H1 is exactly singular in the oracle path")
@@ -269,7 +259,7 @@ def logdet_oracle(cut: Cut):
     for num, den in zip(det_gram.tolist(), (det_h1 ** 2).tolist()):
         common = math.gcd(num, den)
         values.append(math.log(num // common) - math.log(den // common))
-    return _per_draw(np.array(values).reshape(h.shape[:-2]))
+    return np.array(values).reshape(h.shape[:-2])
 
 
 def noise_covariance(rng: np.random.Generator, dim: int, samples: int):
@@ -284,26 +274,31 @@ def noise_covariance(rng: np.random.Generator, dim: int, samples: int):
     return np.einsum("ij,kj->ik", lower, lower) / samples
 
 
-def noise_cov_check(cut: Cut, cov: np.ndarray) -> float:
+def noise_cov_check(cut: Cut, cov: np.ndarray):
     """Max entry error between the covariance of the folded noise and Ht Ht^T.
 
     `cov` is S from `noise_covariance` (at least `ell` rows); Ht S[:ell, :ell]
     Ht^T is the covariance of Ht n. Ht is first scaled to unit spectral norm:
     the law is scale equivariant, so the identity is the same while the
     absolute error stays comparable across draws (the raw entries of Ht are
-    ratio distributed and can be arbitrarily large).
+    ratio distributed and can be arbitrarily large). An empty or exactly
+    zero Ht reads 0: both covariances vanish.
     """
     ht = folded_channel(cut)
-    if not ht.any():  # empty or exactly zero: both covariances vanish
-        return 0.0
-    ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
-    empirical = ht @ cov[:cut.ell, :cut.ell] @ ht.T
-    return float(np.abs(empirical - ht @ ht.T).max())
+    if ht.shape[-2] == 0:
+        return np.zeros(ht.shape[:-2])
+    norm = np.linalg.svd(ht, compute_uv=False)[..., :1, None]
+    ht = ht / np.where(norm > 0, norm, 1.0)
+    ht_t = np.swapaxes(ht, -1, -2)
+    empirical = ht @ cov[:cut.ell, :cut.ell] @ ht_t
+    return np.abs(empirical - ht @ ht_t).max(axis=(-2, -1))
 
 
-def _regular_draws(rng: np.random.Generator, num_users: int, num_ens: int,
-                   ell: int, count: int, extra: int) -> tuple[Cut, np.ndarray]:
-    """`count` regular K x M draws, each followed by `extra` stream values.
+def sample_regular_channel(rng: np.random.Generator, num_users: int,
+                           num_ens: int, ell: int, count: int,
+                           extra: int) -> tuple[Cut, np.ndarray]:
+    """`count` standard-normal K x M draws, cut at ell with a well-conditioned
+    H1, each followed by `extra` stream values.
 
     Reads the stream as `count` calls of (channel, redrawn while H1 fails,
     then `extra` values) would: a draw rejected at index i moves i's
@@ -329,12 +324,6 @@ def _regular_draws(rng: np.random.Generator, num_users: int, num_ens: int,
         attempts[first] += 1
         starts[first:] += size
         values = np.concatenate([values, rng.standard_normal(size)])
-
-
-def sample_regular_channel(rng: np.random.Generator, num_users: int,
-                           num_ens: int, ell: int) -> Cut:
-    """Standard-normal K x M draw, cut at ell, with a well-conditioned H1."""
-    return _regular_draws(rng, num_users, num_ens, ell, 1, 0)[0][0]
 
 
 @dataclass(frozen=True)
@@ -375,8 +364,8 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
         lam, worst_residual, worst_logdet, worst_oracle = -math.inf, 0.0, 0.0, 0.0
         for done in range(0, trials, TRIAL_CHUNK):
             count = min(TRIAL_CHUNK, trials - done)
-            cut, rest = _regular_draws(rng, k, m, ell, count,
-                                       inputs + k * TIME_COLUMNS)
+            cut, rest = sample_regular_channel(rng, k, m, ell, count,
+                                               inputs + k * TIME_COLUMNS)
             x = rest[:, :inputs].reshape(count, m, TIME_COLUMNS)
             noise = rest[:, inputs:].reshape(count, k, TIME_COLUMNS)
             lam = max(lam, float(lambda_constant(cut.h, ell).max()))
@@ -388,7 +377,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             worst_oracle = max(worst_oracle,
                                float(np.abs(values - logdet_oracle(cut)).max()))
         cov_cut = sample_regular_channel(np.random.default_rng((seed, ell, 1)),
-                                         k, m, ell)
+                                         k, m, ell, 1, 0)[0]
         reports[ell] = ConverseReport(
             ell=ell,
             trials=trials,
@@ -396,7 +385,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             max_reconstruction_residual=worst_residual,
             max_logdet=worst_logdet,
             max_logdet_oracle_error=worst_oracle,
-            noise_cov_error=noise_cov_check(cov_cut, cov),
+            noise_cov_error=float(noise_cov_check(cov_cut, cov)[0]),
             noise_cov_samples=NOISE_COV_SAMPLES,
             config=config,
         )

@@ -19,8 +19,9 @@ the precoder, alignment, SINR and rate formulas. A campaign seeds its
 trials in bulk (`trial_seeds` and `_first_draws` redo numpy's seeding on
 arrays) and runs all its SNR points through the stage together, in chunks
 of TRIAL_CHUNK trials, raising what running its trials one by one would.
-`run_trial`, the one-trial reference the tests hold campaigns to, feeds
-the stage numpy's own draws.
+`run_trial`, the one-trial reference the tests hold campaigns to, runs the
+stage on a stack of one trial; `_first_draws` checks that trial's bulk
+PCG64 state against numpy's own generator.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -480,40 +481,17 @@ def _first_draws(seeds: list[int], index: int,
     return draws
 
 
-def _no_draw_error(shape: tuple[int, ...]) -> SingularChannelError:
-    return SingularChannelError(
-        f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
-        "(RNG misuse?)"
-    )
-
-
-def _solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
-                accepts) -> np.ndarray:
-    """Draw standard-normal channels of `shape` until `accepts` takes one.
-
-    `accepts` is `_zf_accepts` or `_ia_accepts`, or None for a draw taken
-    as it comes. A rejected draw is replaced by the next draw from the same
-    generator, at most MAX_RESAMPLES times; returns the accepted draw.
-    `_draw_stack` is the same loop for a stack of trials.
-    """
-    for _ in range(MAX_RESAMPLES + 1):
-        h = rng.standard_normal(shape)
-        if accepts is None or accepts(h):
-            return h
-    raise _no_draw_error(shape)
-
-
 def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
                 accepts) -> tuple[np.ndarray, int]:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
-    A campaign calls it once per chunk and substream. `accepts` is the one
-    `_solve_draw` takes. The first draws come from `_first_draws`. A
-    rejected draw is replaced by the next draw from its trial's own
-    generator, rebuilt by `_substream` past its first draw, at most
-    MAX_RESAMPLES times, so every generator is used exactly as `_solve_draw`
-    uses it. Returns the stack and the index of the first trial with no
-    accepted draw, len(seeds) when every trial has one.
+    A campaign calls it once per chunk and substream, `run_trial` once per
+    substream with one seed. `accepts` is `_zf_accepts` or `_ia_accepts`,
+    or None for a draw taken as it comes. The first draws come from
+    `_first_draws`. A rejected draw is replaced by the next draw from its
+    trial's own generator, rebuilt by `_substream` past its first draw, at
+    most MAX_RESAMPLES times. Returns the stack and the index of the first
+    trial with no accepted draw, len(seeds) when every trial has one.
     """
     h = _first_draws(seeds, index, shape)
     if accepts is None:
@@ -579,7 +557,10 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     if any((sums <= 0.0).any() for sums in phase_sums):
         raise SingularChannelError("sum rate is zero at this SNR: no bit gets through")
     if drawn < len(power):  # of equal values, min keeps the earlier draw
-        raise _no_draw_error(min(failed, key=failed.get))
+        raise SingularChannelError(
+            f"no usable {min(failed, key=failed.get)} channel draw after "
+            f"{MAX_RESAMPLES} resamples (RNG misuse?)"
+        )
     if scheme is Scheme.HYBRID_SHARE:
         split_frac = allocation.split_bits / allocation.file_bits
         # Time-shared delivery: split prefix over the X-channel, replicated
@@ -601,21 +582,19 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
               seed: int) -> PointResult:
     """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
-    The campaign's scheme stage, fed one draw per substream that numpy's
-    own `SeedSequence` and generator make: the one-trial reference that
-    campaigns, with their bulk seeding and batching, are tested against.
-    Returns the one-row result. A zero sum rate is a SingularChannelError.
+    The campaign's scheme stage on a stack of one trial, whose bulk PCG64
+    state `_first_draws` checks against numpy's own: the one-trial
+    reference that campaigns, with their chunks across seeds and SNR
+    points, are tested against. Returns the one-row result. A zero sum rate
+    is a SingularChannelError.
     """
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
     assignment = (assignment_for_demand(allocation, demand)
                   if scheme is Scheme.TDMA else None)
-
-    def draw(index, shape, accepts):
-        return _solve_draw(_substream(seed, index), shape, accepts)[None], 1
-
     columns = _trial_results(config, allocation, scheme, assignment,
-                             np.array([snr_db_to_power(snr_db)]), draw)
+                             np.array([snr_db_to_power(snr_db)]),
+                             functools.partial(_draw_stack, [seed]))
     return PointResult(scheme, float(snr_db), (seed,), *columns)
 
 

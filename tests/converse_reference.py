@@ -2,14 +2,15 @@
 
 `converse.logdet_oracle` runs on a stack of draws, scales each column of
 G by its own power of two and eliminates the whole stack at once;
-`converse.noise_cov_check` reads one noise covariance S per call, which
-`converse.noise_covariance` draws directly as Wishart(n, I)/n by
-Bartlett's (1933) decomposition. These are the three as they stood
-before: one draw at a time, with one power of two for the whole of G from
-`as_integer_ratio` and Bareiss's elimination on lists (`det_bareiss`); S
-as the sample covariance of a standard-normal block, the distributional
-reference for Bartlett's S; and the covariance of the folded noise block
-taken as one matrix product.
+`converse.noise_cov_check` runs on a stack of draws and reads one noise
+covariance S per call, which `converse.noise_covariance` draws directly
+as Wishart(n, I)/n by Bartlett's (1933) decomposition. These are the
+three as they stood before: one draw at a time, with one power of two for
+the whole of G from `as_integer_ratio` and Bareiss's elimination on lists
+(`det_bareiss`); the noise check of one draw against S; S as the sample
+covariance of a standard-normal block, the distributional reference for
+Bartlett's S; and the covariance of the folded noise block taken as one
+matrix product.
 """
 
 import math
@@ -68,6 +69,17 @@ def ratio_oracle(cut) -> float:
             for i in range(ell)]
     det = Fraction(det_bareiss(gram), det_h1 ** 2)
     return math.log(det.numerator) - math.log(det.denominator)
+
+
+def one_noise_cov_check(cut, cov: np.ndarray) -> float:
+    """`converse.noise_cov_check` of one draw: max |Ht S Ht^T - Ht Ht^T| on
+    the unit-spectral-norm Ht, 0 where Ht is empty or exactly zero."""
+    ht = folded_channel(cut)
+    if not ht.any():
+        return 0.0
+    ht = ht / np.linalg.svd(ht, compute_uv=False)[0]
+    empirical = ht @ cov[:cut.ell, :cut.ell] @ ht.T
+    return float(np.abs(empirical - ht @ ht.T).max())
 
 
 def sample_cov(noise: np.ndarray) -> np.ndarray:

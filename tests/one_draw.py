@@ -1,21 +1,42 @@
-"""The checked one-draw API and a noisy channel: references for the phy tests.
+"""The checked one-draw API, a noisy channel and the one-trial redraw loop:
+references for the phy tests.
 
 `phy` runs its formulas on stacks of draws that its acceptance tests have
 already taken. These wrappers run the same formulas on one draw and refuse
 the draws those tests reject, with the error each refusal names, so that
 symbol-level decoding and the empirical SINR oracle check the formulas the
-simulator uses.
+simulator uses. `solve_draw` is one trial's redraw loop, which each row of
+`phy._draw_stack` is held to.
 """
 
 import numpy as np
 
 from edgecache import phy
 from edgecache.errors import ArgumentError, SingularChannelError
-from edgecache.phy import EXTENSION_SLOTS, IaSolution
+from edgecache.phy import EXTENSION_SLOTS, MAX_RESAMPLES, IaSolution
 
 
 class AlignmentDegeneracyError(SingularChannelError):
     """The receive-space basis of the alignment scheme is rank deficient."""
+
+
+def solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
+               accepts) -> np.ndarray:
+    """Draw standard-normal channels of `shape` until `accepts` takes one.
+
+    `accepts` is `phy._zf_accepts` or `phy._ia_accepts`, or None for a draw
+    taken as it comes. A rejected draw is replaced by the next draw from
+    the same generator, at most MAX_RESAMPLES times; returns the accepted
+    draw.
+    """
+    for _ in range(MAX_RESAMPLES + 1):
+        h = rng.standard_normal(shape)
+        if accepts is None or accepts(h):
+            return h
+    raise SingularChannelError(
+        f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
+        "(RNG misuse?)"
+    )
 
 
 def awgn_channel(x: np.ndarray, h: np.ndarray, seed: int,

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -796,6 +797,29 @@ class TestVerifyConverseCommand:
         assert self.report_bytes(tmp_path, m, k, trials, 1) == \
             self.report_bytes(tmp_path, m, k, trials, 2)
 
+    def test_the_traced_draw_site_sees_every_channel_draw(self, tmp_path,
+                                                          monkeypatch):
+        """perfbench's `converse.sample` span wraps the module global
+        `converse.sample_regular_channel`. Wrapped the same way, it is
+        entered once per chunk of each cut and once for the cut's noise
+        check, and the report keeps its bytes."""
+        from edgecache import converse
+        argv = ["verify-converse", "--m", "6", "--k", "6", "--trials", "150",
+                "--seed", "0"]
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        assert main([*argv, "--out", str(plain)]) == EXIT_OK
+        calls, real = Counter(), converse.sample_regular_channel
+
+        def counted(*args, **kwargs):
+            calls[args[3]] += 1  # (rng, num_users, num_ens, ell, ...)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(converse, "sample_regular_channel", counted)
+        assert main([*argv, "--out", str(traced)]) == EXIT_OK
+        chunks = math.ceil(150 / converse.TRIAL_CHUNK)
+        assert calls == {ell: chunks + 1 for ell in range(1, 7)}
+        assert traced.read_bytes() == plain.read_bytes()
+
     def test_report_schema_is_pinned(self, tmp_path):
         """The report's exact key sets, at the top, per check and per tolerance.
 
@@ -993,6 +1017,47 @@ class TestMain:
         assert "error:" in err and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == [blocker, link]
         assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command,derived", [
+        (["bounds", "--json"], "c.json"),
+        (["bounds"], "c.manifest.json"),
+        (["simulate", "--mu", "1", "--scheme", "zf", "--trials", "50",
+          "--seed", "0"], "c.summary.json"),
+        (["simulate", "--mu", "1", "--scheme", "zf", "--trials", "50",
+          "--seed", "0"], "c.manifest.json"),
+        (["verify-converse", "--trials", "50", "--seed", "0"],
+         "c.manifest.json"),
+    ], ids=["bounds-json", "bounds-manifest", "simulate-summary",
+            "simulate-manifest", "verify-converse-manifest"])
+    def test_a_derived_output_that_is_a_directory_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, derived):
+        for work in ("tradeoff_sweep", "run_campaign", "verify_converse"):
+            monkeypatch.setattr(f"edgecache.cli.{work}", no_work)
+        (tmp_path / derived).mkdir()
+        code = main([*command, "--m", "2", "--k", "2",
+                     "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{str(tmp_path / derived)!r} is a directory" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [derived]
+
+    def test_a_json_copy_over_its_own_out_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("edgecache.cli.tradeoff_sweep", no_work)
+        out = tmp_path / "b.json"
+        code = main(["bounds", "--m", "2", "--k", "2", "--json",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "two outputs" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        # without --json the same --out is one output
+        monkeypatch.undo()
+        assert main(["bounds", "--m", "2", "--k", "2",
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+        assert list(manifest["output_digests"]) == ["b.json"]
 
     def test_missing_out_directories_are_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "x.csv"

@@ -47,13 +47,13 @@ from edgecache.phy import (
     zf_per_en_power,
     zf_sinrs,
 )
-from edgecache.phy import _solve_draw
 from accepts_reference import ia_accepts_svd, zf_accepts_svd
 from one_draw import (
     AlignmentDegeneracyError,
     awgn_channel,
     ia_beamformers,
     ia_xchannel_2x2,
+    solve_draw,
     zf_precode,
 )
 
@@ -524,23 +524,50 @@ def constant_slots(h_slots):
     return np.broadcast_to(h_slots[0], h_slots.shape).copy()
 
 
-class Spoiling:
-    """A generator whose first `times` draws come out spoiled by `spoil`."""
+def numpy_substream(seed, index):
+    """numpy's own generator for a trial's (seed, index) substream."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
-    def __init__(self, rng, times, spoil):
-        self.rng, self.times, self.spoil = rng, times, spoil
-        self.draws = []
 
-    def standard_normal(self, shape):
-        h = self.rng.standard_normal(shape)
-        if len(self.draws) < self.times:
-            h = self.spoil(h)
-        self.draws.append(h)
-        return h
+def spoiling(rejections, index, shape, spoil, accepts, seen):
+    """`accepts` on draws where each chosen seed's first n draws from its
+    (seed, index) substream come out spoiled by `spoil`.
+
+    `rejections` maps a seed to n. The test takes one draw or a stack, and
+    appends each draw it checks, as checked, to `seen`.
+    """
+    marked = set()
+    for seed, n in rejections.items():
+        rng = numpy_substream(seed, index)
+        marked |= {rng.standard_normal(shape).tobytes() for _ in range(n)}
+
+    def test(h):
+        draws = [spoil(d) if d.tobytes() in marked else d
+                 for d in h.reshape((-1,) + shape)]
+        seen.extend(draws)
+        return accepts(np.array(draws).reshape(h.shape))
+    return test
+
+
+def record_substreams(monkeypatch):
+    """Make `phy._substream` record each (seed, generator) it builds."""
+    built, substream = [], phy._substream
+
+    def recording(seed, index):
+        built.append((seed, substream(seed, index)))
+        return built[-1][1]
+
+    monkeypatch.setattr(phy, "_substream", recording)
+    return built
+
+
+# a stack of one seed, and one in which that seed is the second trial
+STACKS = ([17], [3, 17, 2 ** 40 + 1, 5])
 
 
 class TestSolveDraw:
-    """The one-trial redraw loop, with the acceptance tests the batch uses."""
+    """`_draw_stack`'s redraw loop, with the acceptance tests campaigns use,
+    against the one-trial loop `solve_draw`."""
 
     # a draw `ia_beamformers` refuses with each error
     SPOILERS = {SingularChannelError: zero_coefficient,
@@ -549,58 +576,82 @@ class TestSolveDraw:
     @pytest.mark.parametrize("error", [SingularChannelError,
                                        AlignmentDegeneracyError])
     @pytest.mark.parametrize("times", [0, 1, 3, MAX_RESAMPLES])
-    def test_redraws_with_the_rng_of_n_plus_one_draws(self, times, error):
-        seen = []
-
-        def accepts(h):
-            seen.append(h)
-            return phy._ia_accepts(h)
-
-        rng = np.random.default_rng(17)
-        spoiling = Spoiling(rng, times, self.SPOILERS[error])
-        h = _solve_draw(spoiling, (3, 2, 2), accepts)
-        reference = np.random.default_rng(17)
-        draws = [reference.standard_normal((3, 2, 2))
-                 for _ in range(times + 1)]
-        assert len(spoiling.draws) == len(seen) == times + 1
-        np.testing.assert_array_equal(h, draws[-1])
-        for drawn, checked in zip(spoiling.draws, seen):
-            assert drawn is checked
-        # the acceptance test rejects exactly what the checked API refuses
-        for spoiled in spoiling.draws[:-1]:
-            with pytest.raises(SingularChannelError) as refused:
-                ia_beamformers(spoiled, 9.0)
-            assert refused.type is error
-        # the generator is left where n + 1 draws leave it
-        assert rng.standard_normal() == reference.standard_normal()
+    def test_redraws_with_the_rng_of_n_plus_one_draws(self, monkeypatch,
+                                                      times, error):
+        shape, spoil = (EXTENSION_SLOTS, 2, 2), self.SPOILERS[error]
+        reference = numpy_substream(17, 1)
+        draws = [reference.standard_normal(shape) for _ in range(times + 1)]
+        after = reference.standard_normal()
+        built = record_substreams(monkeypatch)
+        for seeds in STACKS:
+            t, seen = seeds.index(17), []
+            built.clear()
+            h, failed = phy._draw_stack(seeds, 1, shape, spoiling(
+                {17: times}, 1, shape, spoil, phy._ia_accepts, seen))
+            assert failed == len(seeds)
+            np.testing.assert_array_equal(h[t], draws[-1])
+            for seed, row in zip(seeds, h):
+                one = spoiling({17: times}, 1, shape, spoil, phy._ia_accepts, [])
+                expected = solve_draw(numpy_substream(seed, 1), shape, one)
+                assert row.tobytes() == expected.tobytes()
+            # the stack's first draws are checked together, then the trial's
+            # redraws one by one
+            assert len(seen) == len(seeds) + times
+            own = [seen[t], *seen[len(seeds):]]
+            assert [d.tobytes() for d in own] == [
+                d.tobytes() for d in [*map(spoil, draws[:-1]), draws[-1]]]
+            # the acceptance test rejects exactly what the checked API refuses
+            for spoiled in own[:-1]:
+                with pytest.raises(SingularChannelError) as refused:
+                    ia_beamformers(spoiled, 9.0)
+                assert refused.type is error
+            # the trial's generator is left where n + 1 draws leave it
+            redraws = [rng for seed, rng in built[1:] if seed == 17]
+            if times:
+                assert redraws[-1].standard_normal() == after
+            else:
+                assert len(built) == 1  # the stack's first-draw generator
 
     def test_gives_up_after_max_resamples(self):
-        seen = []
+        shape = (EXTENSION_SLOTS, 2, 2)
+        for seeds in STACKS:
+            seen = []
+            never = spoiling({17: MAX_RESAMPLES + 1}, 1, shape,
+                             zero_coefficient, phy._ia_accepts, seen)
+            h, failed = phy._draw_stack(seeds, 1, shape, never)
+            assert failed == seeds.index(17)
+            assert len(seen) == len(seeds) + MAX_RESAMPLES
+            with pytest.raises(SingularChannelError, match="resamples"):
+                solve_draw(numpy_substream(17, 1), shape, never)
 
-        def never(h):
-            seen.append(h)
-            return False
+    def test_other_errors_propagate_without_redraw(self, monkeypatch):
+        built = record_substreams(monkeypatch)
+        for seeds in STACKS:
+            seen = []
+            built.clear()
 
-        with pytest.raises(SingularChannelError, match="resamples"):
-            _solve_draw(np.random.default_rng(0), (2, 2), never)
-        assert len(seen) == MAX_RESAMPLES + 1
+            def broken(h):
+                seen.append(h)
+                raise ArgumentError("broken acceptance test")
 
-    def test_other_errors_propagate_without_redraw(self):
-        seen = []
+            with pytest.raises(ArgumentError):
+                phy._draw_stack(seeds, 0, (2, 2), broken)
+            assert [len(h) for h in seen] == [len(seeds)]
+            assert len(built) == 1  # no trial's generator is rebuilt
 
-        def broken(h):
-            seen.append(h)
-            raise ArgumentError("broken acceptance test")
-
-        with pytest.raises(ArgumentError):
-            _solve_draw(np.random.default_rng(0), (2, 2), broken)
-        assert len(seen) == 1
-
-    def test_no_acceptance_test_takes_exactly_one_draw(self):
-        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        h = _solve_draw(rng, (2, 3), None)
-        np.testing.assert_array_equal(h, reference.standard_normal((2, 3)))
-        assert rng.standard_normal() == reference.standard_normal()
+    def test_no_acceptance_test_takes_exactly_one_draw(self, monkeypatch):
+        built = record_substreams(monkeypatch)
+        for seeds in STACKS:
+            built.clear()
+            h, failed = phy._draw_stack(seeds, 0, (2, 3), None)
+            assert failed == len(seeds)
+            for seed, row in zip(seeds, h):
+                rng = numpy_substream(seed, 0)
+                assert row.tobytes() == solve_draw(rng, (2, 3), None).tobytes()
+            # one generator takes every first draw, and is left where the
+            # last trial's one draw leaves that trial's
+            assert [seed for seed, _ in built] == [seeds[0]]
+            assert built[0][1].standard_normal() == rng.standard_normal()
 
 
 # unstacked, one and two leading axes, and an empty stack
@@ -1027,21 +1078,12 @@ class TestBatchedCampaign:
 def reject_first_draws(monkeypatch, predicate, index, shape, rejections):
     """Make `phy.<predicate>` reject each chosen seed's first n draws.
 
-    `rejections` maps a trial seed to n; the patched test is the one both
-    `_solve_draw`'s solvers and the batch call, for one draw or a stack.
+    `rejections` maps a trial seed to n; those draws reach the real test
+    zeroed, which it rejects. The patched test is the one `_draw_stack`
+    calls, on a campaign's stack or `run_trial`'s stack of one.
     """
-    original = getattr(phy, predicate)
-    rejected = set()
-    for seed, n in rejections.items():
-        rng = phy._substream(seed, index)
-        rejected |= {rng.standard_normal(shape).tobytes() for _ in range(n)}
-
-    def patched(h):
-        draws = h.reshape((-1,) + shape)
-        hit = np.array([d.tobytes() in rejected for d in draws])
-        return original(h) & ~hit.reshape(h.shape[:h.ndim - len(shape)])
-
-    monkeypatch.setattr(phy, predicate, patched)
+    monkeypatch.setattr(phy, predicate, spoiling(
+        rejections, index, shape, np.zeros_like, getattr(phy, predicate), []))
 
 
 class TestBatchedRedraws:
