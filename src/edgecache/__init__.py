@@ -17,11 +17,10 @@ _EXPORTS = {
     "bounds": ("CsiMode", "NdtPoint", "TradeoffCurve", "achievable_points",
                "convex_envelope", "corner_point_xchannel",
                "corner_point_zero_forcing", "lower_bound_curve",
-               "ndt_lower_bound", "ndt_lower_bound_at", "optimality_regions",
-               "tradeoff_sweep"),
+               "ndt_lower_bound", "optimality_regions", "tradeoff_sweep"),
     "caching": ("CacheAllocation", "DeliveryAssignment",
                 "assignment_for_demand", "full_placement", "shared_placement",
-                "split_placement", "verify_cache_budget"),
+                "split_placement"),
     "model": ("DemandVector", "FileLibrary", "Scheme", "SystemConfig",
               "validate_config"),
     "phy": ("EmpiricalNdt", "PointResult", "estimate_ndt", "run_campaign",

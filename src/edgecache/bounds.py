@@ -143,23 +143,14 @@ class TradeoffCurve:
         return Fraction(num, den)
 
 
-def ndt_lower_bound_at(config: SystemConfig, mu, ell: int) -> Fraction:
-    """One member of the bound family: (K - (M-ell)+ (K-ell)+ mu) / ell."""
-    m, k = config.num_ens, config.num_users
-    if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
-        raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
-    mu = as_fraction(mu)
-    if not Fraction(1, m) <= mu <= 1:
-        raise RangeError(f"mu {mu} outside feasible range [1/{m}, 1]")
-    return Fraction(k - max(m - ell, 0) * max(k - ell, 0) * mu, ell)
-
-
 def ndt_lower_bound(config: SystemConfig, mu) -> tuple[Fraction, int]:
-    """Exact max of the bound family and the smallest maximizing ell."""
-    mu = as_fraction(mu)
-    return max(((ndt_lower_bound_at(config, mu, ell), ell) for ell
-                in range(1, min(config.num_ens, config.num_users) + 1)),
-               key=lambda pair: pair[0])  # max keeps the first of a tie
+    """Exact max of the bound family at one mu of [1/M, 1], and the smallest
+    maximizing ell: a read of `lower_bound_curve`, whose breakpoints belong
+    to the segments on their left. A mu outside [1/M, 1] is a RangeError.
+    """
+    curve, mu = lower_bound_curve(config), as_fraction(mu)
+    num, den, seg = curve._walk(MuGrid((mu.numerator,), mu.denominator))[0]
+    return Fraction(num, den), curve.ells[seg]
 
 
 def corner_point_xchannel(config: SystemConfig) -> NdtPoint:

@@ -103,10 +103,6 @@ class CacheAllocation:
             for frag in self.fragments(en, n))
             for en in range(1, self.num_ens + 1))
 
-    def cached_fragments(self, en: int, file_index: int) -> tuple[CachedFragment, ...]:
-        return tuple(cf for cf in self.per_en_content[en - 1]
-                     if cf.fragment.file_index == file_index)
-
 
 def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
     """Fragment-split placement for mu = 1/M; needs M | L."""
@@ -145,20 +141,6 @@ def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocat
     alpha = (1 - mu) / (1 - Fraction(1, m))
     split_bits = int(-(-(alpha * l) // m)) * m  # ceil to a multiple of M
     return CacheAllocation(library, config.num_ens, "hybrid", split_bits, alpha)
-
-
-def verify_cache_budget(allocation: CacheAllocation,
-                        config: SystemConfig) -> bool:
-    """True iff every EN respects mu*N*L overall and mu*L per file."""
-    en_budget = config.cache_bits
-    file_budget = config.frac_cache * config.file_bits
-    for en in range(1, allocation.num_ens + 1):
-        if allocation.en_bits(en) > en_budget:
-            return False
-        for n in range(1, config.library_size + 1):
-            if allocation.en_file_bits(en, n) > file_budget:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

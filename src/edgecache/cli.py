@@ -377,7 +377,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         analytic_upper = convex_envelope(
             achievable_points(config, csi)
         ).value_at(mu)
-    except (UnsupportedError, RangeError):
+    except UnsupportedError:  # degraded CSI has points at 2x2 only
         analytic_upper = None
     summary = {
         "scheme": scheme.value,

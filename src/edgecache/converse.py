@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RangeError, SingularH1Error
-from .model import LOGDET_ORACLE_TOL, NOISE_COV_TOL, RECONSTRUCTION_TOL, SystemConfig
+from .model import (LOGDET_ORACLE_TOL, NOISE_COV_TOL, RECONSTRUCTION_TOL,
+                    SystemConfig, check_seed)
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
 NOISE_COV_SAMPLES = 100_000
@@ -350,6 +351,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
+    check_seed(seed)
     m, k = config.num_ens, config.num_users
     ells = range(1, min(m, k) + 1) if ells is None else list(ells)
     for ell in ells:

@@ -22,12 +22,13 @@ MAX_LIBRARY_BITS.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ArgumentError, DemandError, FeasibilityError, RangeError
+from .errors import ArgumentError, DemandError, FeasibilityError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,6 +127,16 @@ def validate_config(num_ens, num_users, library_size, frac_cache,
     return SystemConfig(num_ens, num_users, library_size, mu, file_bits)
 
 
+def check_seed(seed, top: int | None = None) -> None:
+    """Refuse, before any work, a seed that is not an integer in [0, top]
+    (no top: any non-negative integer). numpy's seeding rejects a negative
+    seed only once it runs, and `phy._words` never ends on one."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0
+            and (top is None or seed <= top)):
+        raise ArgumentError(f"seed must be an integer in "
+                            f"[0, {'inf' if top is None else top}], got {seed!r}")
+
+
 @dataclass(frozen=True)
 class DemandVector:
     """File indices (1-based) requested by users 1..K."""
@@ -169,6 +180,9 @@ class FileLibrary:
     file_bits: int
     seed: int
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
     @classmethod
     def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
         """The handle of a library of N x L random bits; a library over
@@ -201,9 +215,3 @@ class FileLibrary:
         np.right_shift(block, 7, out=block)  # in place: no second copy
         block.flags.writeable = False
         return tuple(block[:n * row].reshape(n, row)[:, :l])
-
-    def file(self, index: int) -> np.ndarray:
-        """1-based file lookup."""
-        if not 1 <= index <= self.num_files:
-            raise RangeError(f"file index {index} outside [1, {self.num_files}]")
-        return self.files[index - 1]

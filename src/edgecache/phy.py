@@ -51,11 +51,13 @@ from .model import (
     DemandVector,
     Scheme,
     SystemConfig,
+    check_seed,
 )
 
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 TRIAL_CHUNK = 1024  # trials per array program; bounds memory for any campaign
+MAX_TRIAL_SEED = 2**64 - 1  # a trial seed is one uint64 (`_pcg64_states`)
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 @dataclass(frozen=True, eq=False)
@@ -485,12 +487,12 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
                 accepts) -> tuple[np.ndarray, int]:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
-    A campaign calls it once per chunk and substream, `run_trial` once per
-    substream with one seed. `accepts` is `_zf_accepts` or `_ia_accepts`,
-    or None for a draw taken as it comes. The first draws come from
-    `_first_draws`. A rejected draw is replaced by the next draw from its
-    trial's own generator, rebuilt by `_substream` past its first draw, at
-    most MAX_RESAMPLES times. Returns the stack and the index of the first
+    `_trial_results` calls it once per substream, on a campaign's chunk of
+    seeds or on `run_trial`'s one seed. `accepts` is `_zf_accepts` or
+    `_ia_accepts`, or None for a draw taken as it comes. The first draws
+    come from `_first_draws`. A rejected draw is replaced by the next draw
+    from its trial's own generator, rebuilt by `_substream` past its first
+    draw, at most MAX_RESAMPLES times. Returns the stack and the index of the first
     trial with no accepted draw, len(seeds) when every trial has one.
     """
     h = _first_draws(seeds, index, shape)
@@ -510,13 +512,14 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
 
 def _trial_results(config: SystemConfig, allocation: CacheAllocation,
                    scheme: Scheme, assignment: DeliveryAssignment | None,
-                   power: np.ndarray, draw) -> tuple:
+                   power: np.ndarray, seeds: list[int]) -> tuple:
     """The scheme stage: one trial per entry of `power`, its transmit power,
-    as one array program; the trials may span SNR points.
+    and of `seeds`, its seed, as one array program; the trials may span SNR
+    points.
 
-    `draw(index, shape, accepts)` returns each trial's accepted draw from
-    its (seed, index) substream, stacked as (T, *shape), and the index of
-    the first trial with none; the formulas run on the trials before it.
+    `_draw_stack` gives each trial's accepted draw from its (seed, index)
+    substream, stacked as (T, *shape), and the index of the first trial
+    with none; the formulas run on the trials before it.
     A failure raises the lowest failing trial's error at its first failing
     step, in a trial's order: full-interval draw, slot draw, zero sum rate
     (TDMA's dead links raise in `tdma_delivery`, in trial order). Returns
@@ -528,9 +531,9 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     failed = {}  # draw shape -> first trial with none accepted, in draw order
     if scheme in (Scheme.TDMA, Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
         accepts = None if scheme is Scheme.TDMA else _zf_accepts
-        h, failed[full] = draw(0, full, accepts)
+        h, failed[full] = _draw_stack(seeds, 0, full, accepts)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots, failed[slots] = draw(1, slots, _ia_accepts)
+        h_slots, failed[slots] = _draw_stack(seeds, 1, slots, _ia_accepts)
     drawn = min(failed.values())  # the trials the formulas run on
     peaks, alignment = np.zeros(drawn), None
     phase_sums = []  # each delivery phase's sum rate per trial
@@ -586,15 +589,16 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     state `_first_draws` checks against numpy's own: the one-trial
     reference that campaigns, with their chunks across seeds and SNR
     points, are tested against. Returns the one-row result. A zero sum rate
-    is a SingularChannelError.
+    is a SingularChannelError; a seed outside [0, MAX_TRIAL_SEED] is an
+    ArgumentError.
     """
+    check_seed(seed, MAX_TRIAL_SEED)
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
     assignment = (assignment_for_demand(allocation, demand)
                   if scheme is Scheme.TDMA else None)
     columns = _trial_results(config, allocation, scheme, assignment,
-                             np.array([snr_db_to_power(snr_db)]),
-                             functools.partial(_draw_stack, [seed]))
+                             np.array([snr_db_to_power(snr_db)]), [seed])
     return PointResult(scheme, float(snr_db), (seed,), *columns)
 
 
@@ -635,8 +639,10 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     point's power, go through the stage in trial order in chunks of
     TRIAL_CHUNK, so memory does not grow with the campaign. The first
     failing chunk raises what per-point runs would: the earliest failing
-    point's lowest failing trial's error.
+    point's lowest failing trial's error. A negative master seed is an
+    ArgumentError.
     """
+    check_seed(master_seed)
     _check_compatibility(config, allocation, scheme)
     demand.validate(config)
     assignment = (assignment_for_demand(allocation, demand)
@@ -655,8 +661,7 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     for at in range(0, len(seeds), TRIAL_CHUNK):
         chunk = slice(at, at + TRIAL_CHUNK)
         parts = _trial_results(config, allocation, scheme, assignment,
-                               power[chunk],
-                               functools.partial(_draw_stack, seeds[chunk]))
+                               power[chunk], seeds[chunk])
         columns = columns or [part if part is None else np.empty(
             (len(seeds),) + part.shape[1:]) for part in parts]
         for column, part in zip(columns, parts):

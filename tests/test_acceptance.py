@@ -27,7 +27,6 @@ from edgecache.caching import (
     full_placement,
     shared_placement,
     split_placement,
-    verify_cache_budget,
 )
 from edgecache.converse import (
     LOGDET_ORACLE_TOL,
@@ -43,6 +42,7 @@ from edgecache.phy import (
     run_campaign,
     snr_db_to_power,
 )
+from placement_reference import cached_fragments, verify_cache_budget
 from sweep_rows import fraction_rows
 
 F = Fraction
@@ -272,9 +272,10 @@ class TestPropertySuites:
         alloc = split_placement(lib, cfg)
         for n in (1, 2, 3):
             rebuilt = np.concatenate([
-                alloc.cached_fragments(en, n)[0].bits for en in (1, 2, 3)
+                cached_fragments(alloc.per_en_content, en, n)[0].bits
+                for en in (1, 2, 3)
             ])
-            np.testing.assert_array_equal(rebuilt, lib.file(n))
+            np.testing.assert_array_equal(rebuilt, lib.files[n - 1])
 
     def test_budget_tight_at_minimum_cache(self):
         cfg = validate_config(4, 2, 4, F(1, 4), 16)

@@ -25,7 +25,6 @@ from edgecache.bounds import (
     default_mu_grid,
     lower_bound_curve,
     ndt_lower_bound,
-    ndt_lower_bound_at,
     optimality_regions,
     tradeoff_sweep,
 )
@@ -37,7 +36,11 @@ from edgecache.errors import (
     UnsupportedError,
 )
 from edgecache.model import validate_config
-from fraction_hull import fraction_lower_bound_curve
+from fraction_hull import (
+    fraction_lower_bound_curve,
+    max_over_cuts,
+    ndt_lower_bound_at,
+)
 from sweep_rows import fraction_rows
 
 F = Fraction
@@ -120,7 +123,7 @@ def reference_files(c, step, csi):
         converse = lower_bound_curve(c)
         for mu, upper, (lower, seg) in zip(grid, uppers,
                                            fraction_walk(converse, grid)):
-            assert (lower, converse.ells[seg]) == ndt_lower_bound(c, mu)
+            assert (lower, converse.ells[seg]) == max_over_cuts(c, mu)
             assert lower == chord_value(converse, mu)
             rows.append((mu, lower, converse.ells[seg], upper))
     else:
@@ -181,7 +184,7 @@ class TestBoundsFilesMatchTheFractionReference:
         table = tradeoff_sweep(c, default_mu_grid(c, step), csi)
         for row in fraction_rows(table):
             if csi is CsiMode.PERFECT:
-                assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
+                assert (row.lower, row.ell_star) == max_over_cuts(c, row.mu)
                 assert row.gap == row.upper - row.lower
                 assert row.tight is (row.gap == 0)
             else:
@@ -223,6 +226,24 @@ class TestLowerBoundFamily:
         # at mu = 1 for M=K=2 both ells give 1
         value, ell = ndt_lower_bound(cfg(2, 2), F(1))
         assert (value, ell) == (F(1), 1)
+
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.lists(st.integers(0, 10**6), max_size=30), st.integers(1, 10**9))
+    @example(40, 40, list(range(0, 19200, 97)), 1)
+    @example(1, 40, [0], 10**9)
+    @example(40, 1, [0, 1, 1000], 7)
+    def test_curve_read_equals_the_max_over_cuts(self, m, k, picks, eps_den):
+        """On default-grid mus and at every breakpoint of the converse, the
+        curve read gives the max over cuts and its smallest maximizing ell;
+        a mu outside [1/M, 1] is refused."""
+        c = cfg(m, k)
+        grid = default_mu_grid(c)
+        for mu in [grid[i % len(grid)] for i in picks] + [
+                p.mu for p in lower_bound_curve(c).points]:
+            assert ndt_lower_bound(c, mu) == max_over_cuts(c, mu), (m, k, mu)
+        for mu in (F(1, m) - F(1, eps_den), 1 + F(1, eps_den)):
+            with pytest.raises(RangeError):
+                ndt_lower_bound(c, mu)
 
 
 class TestCornerPoints:
@@ -441,7 +462,7 @@ class TestSweepAndRegions:
                 env = convex_envelope(achievable_points(c))
 
                 def gap(mu):
-                    return env.value_at(mu) - ndt_lower_bound(c, mu)[0]
+                    return env.value_at(mu) - max_over_cuts(c, mu)[0]
 
                 regions = regions_of(c)
                 assert regions[0][0] == F(1, m) and regions[-1][1] == 1
@@ -487,7 +508,7 @@ class TestCurveProperties:
         envelope = convex_envelope(achievable_points(c))
         assert {p.mu for p in curve.points} <= set(grid)
         for row in fraction_rows(tradeoff_sweep(c, grid)):
-            assert (row.lower, row.ell_star) == ndt_lower_bound(c, row.mu)
+            assert (row.lower, row.ell_star) == max_over_cuts(c, row.mu)
             assert curve.value_at(row.mu) == chord_value(curve, row.mu) == row.lower
             assert row.upper == chord_value(envelope, row.mu)
 
@@ -511,7 +532,7 @@ class TestCurveProperties:
         for i, ell in enumerate(curve.ells):
             right = curve.points[min(i + 1, len(curve.points) - 1)]
             # the segment's right end is where its cut is the smallest maximizer
-            assert ndt_lower_bound(c, right.mu) == (right.ndt, ell)
+            assert max_over_cuts(c, right.mu) == (right.ndt, ell)
 
     @pytest.mark.parametrize("ells", [(1,), (1, 2, 3), (1, 2, 3, 4)])
     def test_curve_rejects_ells_of_wrong_length(self, ells):

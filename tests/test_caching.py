@@ -15,10 +15,10 @@ from edgecache.caching import (
     full_placement,
     shared_placement,
     split_placement,
-    verify_cache_budget,
 )
 from edgecache.errors import ArgumentError, CoverageError
 from edgecache.model import DemandVector, FileLibrary, validate_config
+from placement_reference import cached_fragments, verify_cache_budget
 
 F = Fraction
 
@@ -33,7 +33,8 @@ def reconstruct(allocation, assignment, user, file_bits):
     chunks = []
     for frag, en in assignment.fragments_for_user(user):
         source = en if en is not None else 1  # any EN caches cooperative bits
-        for cf in allocation.cached_fragments(source, frag.file_index):
+        for cf in cached_fragments(allocation.per_en_content, source,
+                                   frag.file_index):
             if cf.fragment.start_bit <= frag.start_bit and \
                     cf.fragment.end_bit >= frag.end_bit:
                 offset = frag.start_bit - cf.fragment.start_bit
@@ -46,30 +47,25 @@ def reconstruct(allocation, assignment, user, file_bits):
     return out
 
 
-def scan_cached(per_en_content, en, file_index):
-    """Reference lookup: a linear scan of the EN's whole content."""
-    return tuple(cf for cf in per_en_content[en - 1]
-                 if cf.fragment.file_index == file_index)
-
-
 def scan_assignment(per_en_content, demand):
     """Reference per-user (fragment, serving EN) pairs, sorted by start bit.
 
-    Built on `scan_cached` alone, with interval-cover semantics: a stored
-    fragment is cooperative when some fragment at every EN contains it.
+    Built on `cached_fragments` alone, with interval-cover semantics: a
+    stored fragment is cooperative when some fragment at every EN contains
+    it.
     """
     ens = range(1, len(per_en_content) + 1)
 
     def covers(en, frag):
         return any(cf.fragment.start_bit <= frag.start_bit
                    and cf.fragment.end_bit >= frag.end_bit
-                   for cf in scan_cached(per_en_content, en, frag.file_index))
+                   for cf in cached_fragments(per_en_content, en, frag.file_index))
 
     users = []
     for file_index in demand.demands:
         pairs = []
         for en in ens:
-            for cf in scan_cached(per_en_content, en, file_index):
+            for cf in cached_fragments(per_en_content, en, file_index):
                 frag = cf.fragment
                 if not all(covers(other, frag) for other in ens):
                     pairs.append((frag, en))
@@ -140,10 +136,8 @@ def test_indexed_lookups_match_linear_scan(case):
     cfg, alloc, demand = case
     for en in range(1, cfg.num_ens + 1):
         for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
-            got = alloc.cached_fragments(en, n)
-            want = scan_cached(alloc.per_en_content, en, n)
-            assert len(got) == len(want)
-            assert all(a is b for a, b in zip(got, want))
+            want = cached_fragments(alloc.per_en_content, en, n)
+            assert alloc.fragments(en, n) == tuple(cf.fragment for cf in want)
             assert alloc.en_file_bits(en, n) == \
                 sum(cf.fragment.num_bits for cf in want)
     assert assignment_for_demand(alloc, demand).users == \
@@ -172,7 +166,8 @@ def test_placement_stores_read_only_views_of_the_library(placement, mu):
     alloc = placement(lib, cfg)
     for content in alloc.per_en_content:
         for cf in content:
-            assert np.shares_memory(cf.bits, lib.file(cf.fragment.file_index))
+            assert np.shares_memory(cf.bits,
+                                    lib.files[cf.fragment.file_index - 1])
             assert not cf.bits.flags.writeable
             with pytest.raises(ValueError):
                 cf.bits[0] = 1 - cf.bits[0]
@@ -189,7 +184,7 @@ def reference_split(library, config):
         start = (en - 1) * frag_len
         content.append(tuple(
             CachedFragment(Fragment(n, start, frag_len),
-                           library.file(n)[start:start + frag_len])
+                           library.files[n - 1][start:start + frag_len])
             for n in range(1, config.library_size + 1)
         ))
     return tuple(content), ("split", l, None, l)
@@ -197,7 +192,7 @@ def reference_split(library, config):
 
 def reference_full(library, config):
     l = config.file_bits
-    stored = tuple(CachedFragment(Fragment(n, 0, l), library.file(n))
+    stored = tuple(CachedFragment(Fragment(n, 0, l), library.files[n - 1])
                    for n in range(1, config.library_size + 1))
     return (tuple(stored for _ in range(config.num_ens)),
             ("full", l, None, 0))
@@ -217,11 +212,11 @@ def reference_shared(library, config):
                 start = (en - 1) * frag_len
                 stored.append(CachedFragment(
                     Fragment(n, start, frag_len),
-                    library.file(n)[start:start + frag_len]))
+                    library.files[n - 1][start:start + frag_len]))
             if tail:
                 stored.append(CachedFragment(
                     Fragment(n, split_bits, tail),
-                    library.file(n)[split_bits:]))
+                    library.files[n - 1][split_bits:]))
         content.append(tuple(stored))
     return tuple(content), ("hybrid", l, alpha, split_bits)
 
@@ -261,7 +256,7 @@ def test_closed_form_layout_matches_materialised_reference(case, data):
     content, _ = REFERENCE_PLACEMENTS[placement](lib, cfg)
     for en in range(1, cfg.num_ens + 1):
         for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
-            want = tuple(cf.fragment for cf in scan_cached(content, en, n))
+            want = tuple(cf.fragment for cf in cached_fragments(content, en, n))
             assert alloc.fragments(en, n) == want
             assert alloc.en_file_bits(en, n) == \
                 sum(frag.num_bits for frag in want)
@@ -275,7 +270,7 @@ def test_closed_form_layout_matches_materialised_reference(case, data):
     for user, file_index in enumerate(demand.demands, start=1):
         np.testing.assert_array_equal(
             reconstruct(alloc, assignment, user, cfg.file_bits),
-            lib.file(file_index))
+            lib.files[file_index - 1])
 
 
 @pytest.mark.parametrize("m,l,mu,split_bits", [
@@ -296,10 +291,10 @@ class TestSplitPlacement:
         cfg, lib = make(2, 2, 2, F(1, 2), 8)
         alloc = split_placement(lib, cfg)
         for n in (1, 2):
-            (cf1,) = alloc.cached_fragments(1, n)
-            (cf2,) = alloc.cached_fragments(2, n)
-            np.testing.assert_array_equal(cf1.bits, lib.file(n)[:4])
-            np.testing.assert_array_equal(cf2.bits, lib.file(n)[4:])
+            (cf1,) = cached_fragments(alloc.per_en_content, 1, n)
+            (cf2,) = cached_fragments(alloc.per_en_content, 2, n)
+            np.testing.assert_array_equal(cf1.bits, lib.files[n - 1][:4])
+            np.testing.assert_array_equal(cf2.bits, lib.files[n - 1][4:])
         assert alloc.en_bits(1) == alloc.en_bits(2) == 8  # N*L/M
 
     def test_single_en_degenerates_to_replication(self):
@@ -314,9 +309,10 @@ class TestSplitPlacement:
         cfg, lib = make(3, 3, 3, F(1, 3), 9)
         alloc = split_placement(lib, cfg)
         rebuilt = np.concatenate([
-            alloc.cached_fragments(en, 2)[0].bits for en in (1, 2, 3)
+            cached_fragments(alloc.per_en_content, en, 2)[0].bits
+            for en in (1, 2, 3)
         ])
-        np.testing.assert_array_equal(rebuilt, lib.file(2))
+        np.testing.assert_array_equal(rebuilt, lib.files[1])
 
     def test_requires_matching_mu(self):
         cfg, lib = make(2, 2, 2, F(3, 4), 8)
@@ -451,7 +447,7 @@ class TestAssignment:
         assign = assignment_for_demand(alloc, demand)
         for user, file_index in enumerate(demand.demands, start=1):
             rebuilt = reconstruct(alloc, assign, user, cfg.file_bits)
-            np.testing.assert_array_equal(rebuilt, lib.file(file_index))
+            np.testing.assert_array_equal(rebuilt, lib.files[file_index - 1])
 
     def test_placement_is_demand_and_seed_agnostic(self):
         cfg, lib = make(2, 2, 2, F(1, 2), 8)

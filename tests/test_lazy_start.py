@@ -33,11 +33,9 @@ EXPORTS = {
     bounds: ("CsiMode", "NdtPoint", "TradeoffCurve", "achievable_points",
              "convex_envelope", "corner_point_xchannel",
              "corner_point_zero_forcing", "lower_bound_curve",
-             "ndt_lower_bound", "ndt_lower_bound_at", "optimality_regions",
-             "tradeoff_sweep"),
+             "ndt_lower_bound", "optimality_regions", "tradeoff_sweep"),
     caching: ("CacheAllocation", "DeliveryAssignment", "assignment_for_demand",
-              "full_placement", "shared_placement", "split_placement",
-              "verify_cache_budget"),
+              "full_placement", "shared_placement", "split_placement"),
     model: ("DemandVector", "FileLibrary", "SystemConfig", "validate_config"),
     phy: ("EmpiricalNdt", "PointResult", "Scheme", "estimate_ndt",
           "run_campaign", "run_trial"),

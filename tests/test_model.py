@@ -164,16 +164,15 @@ class TestDemandAndLibrary:
         lib = FileLibrary.random(cfg, seed=9)
         assert lib.num_files == 3
         assert lib.file_bits == 64
-        assert set(np.unique(lib.file(1))) <= {0, 1}
-        with pytest.raises(RangeError):
-            lib.file(4)
+        assert len(lib.files) == 3
+        assert set(np.unique(lib.files[0])) <= {0, 1}
 
     def test_library_deterministic(self):
         cfg = validate_config(2, 2, 2, Fraction(1, 2), 32)
         a = FileLibrary.random(cfg, seed=4)
         b = FileLibrary.random(cfg, seed=4)
         for n in (1, 2):
-            np.testing.assert_array_equal(a.file(n), b.file(n))
+            np.testing.assert_array_equal(a.files[n - 1], b.files[n - 1])
 
 
 def integers_library(n, l, seed):
@@ -252,7 +251,7 @@ class TestRawLibraryDraw:
         monkeypatch.undo()
         first = lib.files
         assert lib.files is first  # drawn once
-        np.testing.assert_array_equal(lib.file(2), library(2, 48000, 5).file(2))
+        np.testing.assert_array_equal(lib.files[1], library(2, 48000, 5).files[1])
 
     def test_library_cap_counts_every_bit(self, monkeypatch):
         assert 13 * 400 * 48000 < MAX_LIBRARY_BITS  # sim-library's library

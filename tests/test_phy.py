@@ -1,14 +1,20 @@
 """Tests for the Monte-Carlo delivery simulator."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecache
 from edgecache import phy
 from edgecache.cli import EXIT_UNSUPPORTED, main
 from edgecache.caching import (
@@ -1242,6 +1248,59 @@ class TestBulkSeeding:
             with pytest.raises(RuntimeError, match="PCG64"):
                 run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, 0)
             assert calls.count(calls[-1]) == wrong_chunk
+
+
+# Each seed a seeded entry point must refuse with ArgumentError before any
+# work; a negative master seed once looped `phy._words` forever.
+BAD_SEEDS = """
+import json
+from fractions import Fraction
+from edgecache.caching import full_placement
+from edgecache.converse import verify_converse
+from edgecache.model import DemandVector, FileLibrary, Scheme, validate_config
+from edgecache.phy import run_campaign, run_trial
+
+cfg = validate_config(2, 2, 2, Fraction(1), 12)
+alloc = full_placement(FileLibrary.random(cfg, seed=0), cfg)
+args = (cfg, alloc, Scheme.ZERO_FORCING, DemandVector.worst_case(cfg))
+calls = {
+    "run_campaign -1": lambda: run_campaign(*args, [20.0, 40.0, 60.0], 50, -1),
+    "run_trial -1": lambda: run_trial(*args, 40.0, -1),
+    "run_trial 2**64": lambda: run_trial(*args, 40.0, 2**64),
+    "run_trial 1.0": lambda: run_trial(*args, 40.0, 1.0),
+    "FileLibrary.random -1": lambda: FileLibrary.random(cfg, seed=-1),
+    "verify_converse -1": lambda: verify_converse(cfg, trials=1, seed=-1),
+}
+raised = {}
+for name, call in calls.items():
+    try:
+        call()
+        raised[name] = None
+    except Exception as exc:
+        raised[name] = type(exc).__name__ + ": " + str(exc)
+print(json.dumps(raised))
+"""
+
+
+class TestSeedChecks:
+    def test_bad_seeds_are_refused_at_once_in_a_fresh_process(self):
+        """The timeout fails a hang here rather than stalling the suite."""
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(edgecache.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", BAD_SEEDS], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        raised = json.loads(proc.stdout)
+        assert len(raised) == 6
+        for name, error in raised.items():
+            assert error and error.startswith("ArgumentError: seed must be"), (
+                name, error)
+
+    def test_the_largest_trial_seed_runs(self):
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        result = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0,
+                           phy.MAX_TRIAL_SEED)
+        assert result.seeds == (2**64 - 1,)
 
 
 class TestEstimateNdt:
