@@ -64,6 +64,51 @@ def fresh_run(argv, out, threads):
                    capture_output=True, timeout=120)
 
 
+# `simulate` argv -> (CSV, summary) SHA-256. 16 normals a draw (4x4) take
+# the first draws' fast path, about a fifth of trials falling back to the
+# per-trial loop; 36 and 256 (6x6, 16x16) take the loop alone
+SIMULATE_PINS = {
+    "--m 4 --k 4 --mu 1 --scheme zf --trials 50 --seed 0": (
+        "3b221419683443ce928caf305d19d8f030d3f3c5a440763fe7fa0830273ec440",
+        "9e7af2824876436325f9d13933864b7c0fb9ec9394cffc2736f4e9ed32fa889a"),
+    "--m 4 --k 4 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
+        "7a8480f997a285602765efc7358750e25bc37d287667037bd63c6aced0d5d935",
+        "711518ff555d9aa436cf2afc1999d608cffdf67b05621af42b4fabc171bf5fb6"),
+    "--m 6 --k 6 --mu 1 --scheme zf --trials 50 --seed 0": (
+        "7fbfb6dbaf9ba9002191274338ae6bd0a99f8106bdb8654dad2359bccbc6bcff",
+        "dc91b145d1830e961236396fc5a4ac10a842f90efa7efc01733945064f5c60e8"),
+    "--m 6 --k 6 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
+        "f0bec97300fe398c84ecf1b60b52264e06ff469ee8b24322f2746b10eb8c52a2",
+        "85f307dad818dcd6ec9f27f69b84631895d562400c694f64c95df689b65680bc"),
+    "--m 16 --k 16 --mu 1 --scheme zf --trials 50 --seed 0": (
+        "7f23f240e99e3ff7bea6f7fa22908ed4450fe0aa410b2e152aa63a2a4ae59c3a",
+        "ba68d3b05825c8206896ab8df26788c220ea46284463214bada94197b2e0ab1b"),
+    "--m 16 --k 16 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
+        "cfbad64e1bf8a2382d0bc032d6c924b1b1e19d2d2d03e2ea8cb88dbb855f7f79",
+        "fee0556317501ae94ddf855236c4ed5683ced34b612035318d6a5d43904308e1"),
+    "--m 2 --k 2 --mu 1/2 --scheme ia --trials 50 --seed 7": (
+        "af84c8060c4d02ac87ede2c719ba5f8deefe17ab9f263ebc4fd5a786991ce9bd",
+        "8495f3f4cbcb5ae5fdbc989dab415fb20c36025d5446f1322efe281f7032dd79"),
+    "--m 2 --k 2 --mu 3/4 --scheme hybrid --trials 50 --seed 7": (
+        "6f1e426de347625a4ffc7c95e507334abc702b44bd42e78e0c9f35fe8c7406dc",
+        "7d61cf4d15528b4e89b3c0c19c3d876c4acc9787c22a7fc36a9111ddcd794902"),
+    # 1,250 trials: past the first TRIAL_CHUNK
+    "--m 2 --k 2 --mu 1 --scheme zf --trials 250 --seed 0": (
+        "1f0a9d105232db78f177dd493ac93182ca8476e4b2404db70c5117d7e4cbeb94",
+        "1bb86e9112769134d590dc73e670b9f092d38522264d5a2233c569852598d545"),
+}
+
+
+def assert_pinned(out, pin):
+    """`out` and its summary have the pinned digests, made with numpy
+    2.4.6 and its OpenBLAS wheel."""
+    import numpy
+
+    got = digest(out), digest(out.with_suffix(".summary.json"))
+    assert got == pin, (f"digests {got} differ from the pins {pin}; "
+                        f"numpy {numpy.__version__} is in use")
+
+
 def no_work(*args, **kwargs):
     raise AssertionError("work ran on a run over a cap")
 
@@ -484,6 +529,24 @@ class TestSimulateCommand:
                      "--out", str(out)]) == EXIT_OK
         assert digest(out) == csv_sha
         assert digest(out.with_suffix(".summary.json")) == summary_sha
+
+    @pytest.mark.parametrize("argv", SIMULATE_PINS, ids=list(SIMULATE_PINS))
+    def test_simulate_bytes_are_pinned(self, tmp_path, argv):
+        """The first channel draws' fast path with its fallback (4x4), the
+        per-trial loop (6x6, 16x16), the alignment schemes at a second seed,
+        and a campaign across a TRIAL_CHUNK boundary."""
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *argv.split(), "--out", str(out)]) == EXIT_OK
+        assert_pinned(out, SIMULATE_PINS[argv])
+
+    @pytest.mark.parametrize("argv", [
+        "--m 4 --k 4 --mu 1 --scheme zf --trials 50 --seed 0",
+        "--m 16 --k 16 --mu 1/2 --scheme tdma --trials 50 --seed 0",
+    ], ids=["zf-4x4", "tdma-16x16"])
+    def test_pinned_bytes_at_two_blas_threads(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        fresh_run(["simulate", *argv.split()], out, threads=2)
+        assert_pinned(out, SIMULATE_PINS[argv])
 
     @pytest.mark.parametrize("scheme,mu", [("zf", "1"), ("ia", "1/2"),
                                            ("hybrid", "3/4"), ("tdma", "1/2")])
