@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def snr_db_to_power(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _zf_accepts(h: np.ndarray) -> np.ndarray:
+def _zf_accepts(h: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Whether each K x M draw of `h` (..., K, M), K <= M, has full row rank.
 
     The rank is numpy's `matrix_rank`: the count of singular values above
@@ -102,7 +103,8 @@ def _zf_accepts(h: np.ndarray) -> np.ndarray:
     within a small multiple of eps sigma_1, then clear the rank tolerance by
     ten orders of magnitude. Every other draw, NaN and overflowing ones
     included, goes through `matrix_rank` itself, so each answer is the
-    rank test's.
+    rank test's. Returns the answers and no per-draw parts (`_ia_accepts`
+    returns some).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: undecided
         gram = h @ np.swapaxes(h, -1, -2)
@@ -114,7 +116,7 @@ def _zf_accepts(h: np.ndarray) -> np.ndarray:
     undecided = ~accepts
     if undecided.any():
         accepts[undecided] = np.linalg.matrix_rank(h[undecided]) >= h.shape[-2]
-    return accepts
+    return accepts, ()
 
 
 def _zf_weights(h: np.ndarray, power: float | np.ndarray) -> np.ndarray:
@@ -178,8 +180,9 @@ def _ia_bases(h_slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beams, bases
 
 
-def _ia_solution(h_slots: np.ndarray, power: float | np.ndarray) -> IaSolution:
-    """Closed-form alignment of each accepted draw in a (..., 3, 2, 2) stack.
+def _ia_solution(beams: np.ndarray, bases: np.ndarray,
+                 power: float | np.ndarray) -> IaSolution:
+    """Closed-form alignment of accepted draws from their `_ia_bases`.
 
     The two interfering messages at each user are forced onto a common
     reference direction by inverting the per-slot diagonal channels, so
@@ -189,13 +192,12 @@ def _ia_solution(h_slots: np.ndarray, power: float | np.ndarray) -> IaSolution:
     unit norm; the interference stays collinear and the power budget (one,
     or one per draw) stays conditioned.
     """
-    beams, bases = _ia_bases(h_slots)
     slot_power = (beams ** 2).sum(axis=-2)  # (..., en, slot), unit-power symbols
     amplitudes = np.sqrt(np.expand_dims(power, -1) / slot_power.max(axis=-1))
     return IaSolution(beams, bases, amplitudes)
 
 
-def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
+def _ia_accepts(h_slots: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Whether each slot draw of a (..., 3, 2, 2) stack admits the alignment.
 
     A draw is usable when no coefficient is numerically zero and both
@@ -209,11 +211,13 @@ def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
     Kahan 1990), both far inside the factor of 1000 between 1e-6 and 1e-9;
     the all-ones column keeps ||A||_F^3 >= 5, far above underflow. Every
     other draw goes through the SVD itself, so each answer is the SVD's.
+    Returns the answers and each draw's `_ia_bases`, beams and bases, which
+    are `_ia_solution`'s for an accepted draw.
     """
     nonzero = np.abs(h_slots).min(axis=(-3, -2, -1)) >= 1e-12
     # rejected draws are swapped for finite ones before the bases are built
     finite = np.where(nonzero[..., None, None, None], h_slots, 1.0)
-    bases = _ia_bases(finite)[1]
+    beams, bases = _ia_bases(finite)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: undecided
         frobenius2 = np.einsum("...ij,...ij->...", bases, bases)
         accepts = np.asarray(
@@ -222,7 +226,7 @@ def _ia_accepts(h_slots: np.ndarray) -> np.ndarray:
     if undecided.any():
         svals = np.linalg.svd(bases[undecided], compute_uv=False)
         accepts[undecided] = (svals[..., -1] > svals[..., 0] * 1e-9).all(axis=-1)
-    return nonzero & accepts
+    return nonzero & accepts, (beams, bases)
 
 
 def _det3(a: np.ndarray) -> np.ndarray:
@@ -360,6 +364,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -435,12 +440,69 @@ def _uint64(words: np.ndarray) -> np.ndarray:
     return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
 
 
-def _pcg64_states(seeds: list[int], index: int) -> list[tuple[int, int]]:
+# PCG64 (O'Neill, HMC-CS-2014-0905) on uint64 limbs: a 128-bit value is a
+# (high, low) pair of uint64 arrays, whose arithmetic wraps mod 2**64
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The full 128-bit products of uint64 arrays, as (high, low) limbs."""
+    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross, cross2 = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (cross & _MASK32) + (cross2 & _MASK32)
+    return a_hi * b_hi + (cross >> 32) + (cross2 >> 32) + (mid >> 32), a * b
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_constants(count: int) -> np.ndarray:
+    """(MULT**j, c_j) for j = 1 .. count as (4, count) uint64 limbs.
+
+    j LCG steps take a state s to MULT**j s + c_j inc, with
+    c_j = MULT**(j - 1) + ... + MULT + 1. The cached array is read-only.
+    """
+    power, offset, columns = 1, 0, []
+    for _ in range(count):
+        power = power * _PCG64_MULT & _MASK128
+        offset = (offset * _PCG64_MULT + 1) & _MASK128
+        columns.append((power >> 64, power & _MASK64,
+                        offset >> 64, offset & _MASK64))
+    consts = np.array(columns, np.uint64).T.copy()
+    consts.flags.writeable = False
+    return consts
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
+    """x * c mod 2**128 on limbs."""
+    hi, lo = _mul64(x_lo, c_lo)
+    return hi + x_lo * c_hi + x_hi * c_lo, lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 on limbs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _jump(states: np.ndarray, consts: np.ndarray) -> tuple[np.ndarray,
+                                                           np.ndarray]:
+    """The states each (4, T) limb state reaches by each of `consts`' jumps.
+
+    `states` holds rows (state high, state low, inc high, inc low); returns
+    the (T, count) high and low limbs of MULT**j s + c_j inc.
+    """
+    s_hi, s_lo, i_hi, i_lo = (limb[:, None] for limb in states)
+    m_hi, m_lo, c_hi, c_lo = consts
+    return _add128(*_mul128(s_hi, s_lo, m_hi, m_lo),
+                   *_mul128(i_hi, i_lo, c_hi, c_lo))
+
+
+_MULT_LIMBS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]], np.uint64)
+
+
+def _pcg64_states(seeds: list[int], index: int) -> np.ndarray:
     """The PCG64 (state, inc) of `_substream(seed, index)` for each seed.
 
     Each seed is below 2**64 (one entropy word, or two from 2**32 on) and
     the index below 2**32 (one word). SeedSequence's 4 uint64 words seed
-    PCG64 through its `srandom` step, done here in Python ints.
+    PCG64 through its `srandom` step. Returns (4, T) uint64 limbs: rows
+    state high, state low, inc high, inc low.
     """
     seed_array = np.array(seeds, dtype=np.uint64)
     lo = (seed_array & _MASK32).astype(np.uint32)
@@ -448,43 +510,142 @@ def _pcg64_states(seeds: list[int], index: int) -> list[tuple[int, int]]:
     one_word = hi == 0
     rows = np.column_stack([lo, np.where(one_word, index, hi),
                             np.where(one_word, 0, index)]).astype(np.uint32)
-    words = _uint64(_seed_sequence_words(rows, 8))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*words.tolist()):
-        # srandom(initstate, initseq): from state 0, one LCG step, add
-        # initstate, one more step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    init_hi, init_lo, seq_hi, seq_lo = _uint64(_seed_sequence_words(rows, 8))
+    # srandom(initstate, initseq): inc = initseq << 1 | 1; from state 0, one
+    # LCG step, add initstate, one more step
+    inc = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    start = _add128(init_hi, init_lo, *inc)
+    return np.array([*_add128(*_mul128(*start, *_MULT_LIMBS), *inc), *inc])
+
+
+def _pcg64_ints(states: np.ndarray) -> list[tuple[int, int]]:
+    """(4, T) limb states as the (state, inc) ints numpy's state dict holds."""
+    s_hi, s_lo, i_hi, i_lo = states.tolist()
+    return list(zip([hi << 64 | lo for hi, lo in zip(s_hi, s_lo)],
+                    [hi << 64 | lo for hi, lo in zip(i_hi, i_lo)]))
+
+
+def _pcg64_words(states: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` uint64 outputs of each (4, T) limb state, (T, count).
+
+    PCG64 steps its LCG, then outputs the XSL-RR of the new state: the high
+    and low words xored, rotated right by the top 6 bits.
+    """
+    hi, lo = _jump(states, _jump_constants(count))
+    mixed, turn = hi ^ lo, hi >> 58
+    return mixed >> turn | mixed << ((64 - turn) & 63)
+
+
+# numpy's standard_normal is a 256-layer ziggurat (Marsaglia & Tsang 2000)
+# on one uint64 word w: layer idx = w & 0xff, sign bit 8, rabs = w >> 9 on 52
+# bits. When rabs < ki[idx] it returns +-rabs * wi[idx] having taken that one
+# word; otherwise it takes more
+_RABS_BITS = 52
+_MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (see _first_draws)
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """wi, and lower bounds lb on ki, read from the installed numpy.
+
+    Each probe sets a generator to a state whose next word is a chosen w
+    (the inverted LCG step before a state with high word 0, whose output is
+    its low word) and draws one normal. wi[idx] is the draw at rabs = 1,
+    readable when that took one word. lb[idx], the candidate
+    floor(2**52 wi[idx - 1] / wi[idx]) - 1 (ki's construction, with layer
+    0's neighbour 255), holds only where a probe at rabs = lb - 1 took one
+    word and returned (lb - 1) wi[idx]; as one word is taken exactly when
+    rabs < ki, that proves lb <= ki. Elsewhere lb is 0: a layer whose wi
+    is unreadable or whose bound failed, such as layer 1 (ki = 0), never
+    certifies a word. About 512 probes, once per process.
+    """
+    rng = _substream(0, 0)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def probe(word: int) -> tuple[float, bool]:
+        """The draw whose first word is `word`, and whether it took one."""
+        state["state"] = {"state": (word - inc) * inverse & _MASK128,
+                          "inc": inc}
+        bit_generator.state = state
+        value = rng.standard_normal()
+        return value, bit_generator.state["state"]["state"] == word
+
+    wi, readable = zip(*(probe(idx | 1 << 9) for idx in range(256)))
+    wi = np.array(wi)
+    lb = np.zeros(256, np.uint64)
+    for idx in range(256):
+        if not (readable[idx] and 0.0 < wi[idx - 1] < math.inf):
+            continue
+        bound = min(Fraction(wi[idx - 1]) * 2 ** _RABS_BITS
+                    // Fraction(wi[idx]) - 1, 2 ** _RABS_BITS)
+        if bound >= 1:
+            value, one_word = probe(idx | (bound - 1) << 9)
+            if one_word and value == (bound - 1) * wi[idx]:
+                lb[idx] = bound
+    wi.flags.writeable = lb.flags.writeable = False
+    return wi, lb
+
+
+def _ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's normal of each uint64 word, and whether it is certified.
+
+    A word is certified when rabs < lb[idx] <= ki[idx]: numpy then takes it
+    alone and returns +-rabs * wi[idx], one float64 product, as here. An
+    uncertified word's value is meaningless.
+    """
+    wi, lb = _ziggurat_tables()
+    idx = words & 0xFF
+    rabs = words >> 9 & (1 << _RABS_BITS) - 1
+    normals = rabs.astype(np.float64) * wi[idx]
+    np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
+    return normals, rabs < lb[idx]
 
 
 def _first_draws(seeds: list[int], index: int,
                  shape: tuple[int, ...]) -> np.ndarray:
     """Each seed's first `shape` draw from its (seed, index) substream.
 
-    One generator, `_substream` of the first seed, draws for every trial:
-    it is set to each trial's bulk PCG64 state in turn. The first seed's
-    bulk state must equal numpy's, or a numpy whose seeding changed would
-    silently change every draw; a campaign checks it once per chunk.
+    The PCG64 states and, for draws of at most _MAX_FAST_NORMALS normals,
+    each trial's words and normals are arrays. A trial with a word the
+    ziggurat tables do not certify, or every trial of a larger draw, is
+    drawn by one generator, `_substream` of the first seed, set to the
+    trial's state in turn: with 1.5% of words uncertified, most trials of
+    larger draws would fall back and the arrays would be waste. The first
+    seed's bulk state and draw must equal that generator's own, or a numpy
+    whose seeding or tables changed would silently change every draw; a
+    campaign checks them once per chunk and raises RuntimeError.
     """
     states = _pcg64_states(seeds, index)
     rng = _substream(seeds[0], index)
     bit_generator = rng.bit_generator
     state = bit_generator.state
-    if (state["state"]["state"], state["state"]["inc"]) != states[0]:
+    if (state["state"]["state"], state["state"]["inc"]) != \
+            _pcg64_ints(states[:, :1])[0]:
         raise RuntimeError(f"bulk PCG64 seeding of substream ({seeds[0]}, "
                            f"{index}) differs from numpy's")
-    draws = np.empty((len(seeds),) + shape)
-    for row, (value, inc) in zip(draws, states):
+    first = rng.standard_normal(shape)
+    count = math.prod(shape)
+    if count > _MAX_FAST_NORMALS:
+        draws, slow = np.empty((len(seeds), count)), np.arange(len(seeds))
+    else:
+        draws, certified = _ziggurat_normals(_pcg64_words(states, count))
+        slow = np.flatnonzero(~certified.all(axis=1))
+    for row, (value, inc) in zip(slow.tolist(), _pcg64_ints(states[:, slow])):
         state["state"] = {"state": value, "inc": inc}
         bit_generator.state = state
-        rng.standard_normal(out=row)
+        rng.standard_normal(out=draws[row])
+    draws = draws.reshape((len(seeds),) + shape)
+    if draws[0].tobytes() != first.tobytes():
+        raise RuntimeError(f"first draw of substream ({seeds[0]}, {index}) "
+                           "differs from numpy's standard_normal")
     return draws
 
 
 def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
-                accepts) -> tuple[np.ndarray, int]:
+                accepts) -> tuple[np.ndarray, tuple, int]:
     """Each trial's accepted draw from its (seed, index) substream, stacked.
 
     `_trial_results` calls it once per substream, on a campaign's chunk of
@@ -492,13 +653,16 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
     `_ia_accepts`, or None for a draw taken as it comes. The first draws
     come from `_first_draws`. A rejected draw is replaced by the next draw
     from its trial's own generator, rebuilt by `_substream` past its first
-    draw, at most MAX_RESAMPLES times. Returns the stack and the index of the first
-    trial with no accepted draw, len(seeds) when every trial has one.
+    draw, at most MAX_RESAMPLES times. Returns the stack, the per-draw
+    parts the acceptance test built for each row's final draw, and the
+    index of the first trial with no accepted draw, len(seeds) when every
+    trial has one.
     """
     h = _first_draws(seeds, index, shape)
     if accepts is None:
-        return h, len(seeds)
-    todo = np.flatnonzero(~accepts(h))
+        return h, (), len(seeds)
+    accepted, parts = accepts(h)
+    todo = np.flatnonzero(~accepted)
     rngs = {i: _substream(seeds[i], index) for i in todo}
     for rng in rngs.values():
         rng.standard_normal(shape)  # the first draw, taken in bulk
@@ -506,8 +670,11 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
         if not todo.size:
             break
         h[todo] = np.stack([rngs[i].standard_normal(shape) for i in todo])
-        todo = todo[~accepts(h[todo])]
-    return h, int(todo[0]) if todo.size else len(seeds)
+        accepted, redone = accepts(h[todo])
+        for part, rows in zip(parts, redone):
+            part[todo] = rows
+        todo = todo[~accepted]
+    return h, parts, int(todo[0]) if todo.size else len(seeds)
 
 
 def _trial_results(config: SystemConfig, allocation: CacheAllocation,
@@ -519,7 +686,8 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
 
     `_draw_stack` gives each trial's accepted draw from its (seed, index)
     substream, stacked as (T, *shape), and the index of the first trial
-    with none; the formulas run on the trials before it.
+    with none; the formulas run on the trials before it. The alignment
+    takes its beams and bases from `_ia_accepts`, which built them.
     A failure raises the lowest failing trial's error at its first failing
     step, in a trial's order: full-interval draw, slot draw, zero sum rate
     (TDMA's dead links raise in `tdma_delivery`, in trial order). Returns
@@ -531,9 +699,10 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
     failed = {}  # draw shape -> first trial with none accepted, in draw order
     if scheme in (Scheme.TDMA, Scheme.ZERO_FORCING, Scheme.HYBRID_SHARE):
         accepts = None if scheme is Scheme.TDMA else _zf_accepts
-        h, failed[full] = _draw_stack(seeds, 0, full, accepts)
+        h, _, failed[full] = _draw_stack(seeds, 0, full, accepts)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
-        h_slots, failed[slots] = _draw_stack(seeds, 1, slots, _ia_accepts)
+        h_slots, (beams, bases), failed[slots] = _draw_stack(
+            seeds, 1, slots, _ia_accepts)
     drawn = min(failed.values())  # the trials the formulas run on
     peaks, alignment = np.zeros(drawn), None
     phase_sums = []  # each delivery phase's sum rate per trial
@@ -550,7 +719,7 @@ def _trial_results(config: SystemConfig, allocation: CacheAllocation,
         peaks = zf_per_en_power(w).max(axis=-1)
     if scheme in (Scheme.IA_XCHANNEL_2X2, Scheme.HYBRID_SHARE):
         h_slots = h_slots[:drawn]
-        sol = _ia_solution(h_slots, power[:drawn])
+        sol = _ia_solution(beams[:drawn], bases[:drawn], power[:drawn])
         rates = ia_rates(sol)
         ia_sums = rates.sum(axis=-1)
         phase_sums.append(ia_sums)

@@ -31,7 +31,7 @@ def solve_draw(rng: np.random.Generator, shape: tuple[int, ...],
     """
     for _ in range(MAX_RESAMPLES + 1):
         h = rng.standard_normal(shape)
-        if accepts is None or accepts(h):
+        if accepts is None or accepts(h)[0]:
             return h
     raise SingularChannelError(
         f"no usable {shape} channel draw after {MAX_RESAMPLES} resamples "
@@ -54,7 +54,7 @@ def zf_precode(h: np.ndarray, power: float) -> np.ndarray:
     k, m = h.shape
     if m < k:
         raise ArgumentError(f"zero-forcing needs M >= K, got M={m}, K={k}")
-    if not phy._zf_accepts(h):
+    if not phy._zf_accepts(h)[0]:
         raise SingularChannelError("channel matrix is row-rank deficient")
     return phy._zf_weights(h, power)
 
@@ -67,9 +67,10 @@ def ia_beamformers(h_slots: np.ndarray, power: float) -> IaSolution:
         )
     if np.abs(h_slots).min() < 1e-12:
         raise SingularChannelError("a slot coefficient is numerically zero")
-    if not phy._ia_accepts(h_slots):
+    accepted, (beams, bases) = phy._ia_accepts(h_slots)
+    if not accepted:
         raise AlignmentDegeneracyError("a receive basis is rank deficient")
-    return phy._ia_solution(h_slots, power)
+    return phy._ia_solution(beams, bases, power)
 
 
 def ia_xchannel_2x2(h_slots: np.ndarray, symbols: np.ndarray, power: float,

@@ -267,8 +267,9 @@ class TestInterferenceAlignment:
         # the formulas run on a stack of draws; per-user loops over one
         # draw at a time are the reference
         h = np.random.default_rng(15).standard_normal((200, 3, 2, 2))
-        h = h[phy._ia_accepts(h)]
-        stacked = phy._ia_solution(h, power=1e3)
+        accepted, (beams, bases) = phy._ia_accepts(h)
+        h = h[accepted]
+        stacked = phy._ia_solution(beams[accepted], bases[accepted], power=1e3)
         sinrs = phy.ia_message_sinrs(stacked)
         errors = ia_alignment_error(h, stacked)
         for i, h_slots in enumerate(h):
@@ -592,7 +593,7 @@ class TestSolveDraw:
         for seeds in STACKS:
             t, seen = seeds.index(17), []
             built.clear()
-            h, failed = phy._draw_stack(seeds, 1, shape, spoiling(
+            h, _, failed = phy._draw_stack(seeds, 1, shape, spoiling(
                 {17: times}, 1, shape, spoil, phy._ia_accepts, seen))
             assert failed == len(seeds)
             np.testing.assert_array_equal(h[t], draws[-1])
@@ -624,7 +625,7 @@ class TestSolveDraw:
             seen = []
             never = spoiling({17: MAX_RESAMPLES + 1}, 1, shape,
                              zero_coefficient, phy._ia_accepts, seen)
-            h, failed = phy._draw_stack(seeds, 1, shape, never)
+            h, _, failed = phy._draw_stack(seeds, 1, shape, never)
             assert failed == seeds.index(17)
             assert len(seen) == len(seeds) + MAX_RESAMPLES
             with pytest.raises(SingularChannelError, match="resamples"):
@@ -649,15 +650,14 @@ class TestSolveDraw:
         built = record_substreams(monkeypatch)
         for seeds in STACKS:
             built.clear()
-            h, failed = phy._draw_stack(seeds, 0, (2, 3), None)
+            h, _, failed = phy._draw_stack(seeds, 0, (2, 3), None)
             assert failed == len(seeds)
             for seed, row in zip(seeds, h):
                 rng = numpy_substream(seed, 0)
                 assert row.tobytes() == solve_draw(rng, (2, 3), None).tobytes()
-            # one generator takes every first draw, and is left where the
-            # last trial's one draw leaves that trial's
+            # one generator checks the stack's first draws and draws those
+            # the ziggurat tables do not certify
             assert [seed for seed, _ in built] == [seeds[0]]
-            assert built[0][1].standard_normal() == rng.standard_normal()
 
 
 # unstacked, one and two leading axes, and an empty stack
@@ -772,12 +772,18 @@ class TestAcceptanceCertificate:
     @settings(max_examples=300)
     @given(slot_stacks())
     def test_alignment_answers_equal_the_svd_tests(self, h_slots):
-        assert_same_answers(phy._ia_accepts(h_slots), ia_accepts_svd(h_slots))
+        accepts, (beams, bases) = phy._ia_accepts(h_slots)
+        assert_same_answers(accepts, ia_accepts_svd(h_slots))
+        # an accepted draw's parts are the ones `_ia_solution` would build
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            built = phy._ia_bases(h_slots)
+        for part, expected in zip((beams, bases), built):
+            assert part[accepts].tobytes() == expected[accepts].tobytes()
 
     @settings(max_examples=300)
     @given(channel_stacks())
     def test_zero_forcing_answers_equal_the_rank_tests(self, h):
-        assert_same_answers(phy._zf_accepts(h), zf_accepts_svd(h))
+        assert_same_answers(phy._zf_accepts(h)[0], zf_accepts_svd(h))
 
     def test_adversarial_draws_straddle_both_thresholds(self):
         # the spoiled draws the hypothesis tests take do reach the SVD
@@ -788,7 +794,7 @@ class TestAcceptanceCertificate:
         h_slots = base + spread * rng.standard_normal((2000, 3, 2, 2))
         svals = np.linalg.svd(phy._ia_bases(h_slots)[1], compute_uv=False)
         ratio = (svals[..., -1] / svals[..., 0]).min(axis=-1)
-        accepts = phy._ia_accepts(h_slots)
+        accepts = phy._ia_accepts(h_slots)[0]
         assert_same_answers(accepts, ia_accepts_svd(h_slots))
         near = (ratio > 1e-10) & (ratio < 1e-8)
         assert accepts[near].any() and not accepts[near].all()
@@ -796,7 +802,7 @@ class TestAcceptanceCertificate:
         h[:, 0] *= 10.0 ** rng.uniform(-17.0, -14.0, (2000, 1))
         svals = np.linalg.svd(h, compute_uv=False)
         tolerance = svals[:, 0] * 4 * np.finfo(float).eps
-        accepts = phy._zf_accepts(h)
+        accepts = phy._zf_accepts(h)[0]
         assert_same_answers(accepts, zf_accepts_svd(h))
         near = np.abs(np.log10(svals[:, -1] / tolerance)) < 1
         assert accepts[near].any() and not accepts[near].all()
@@ -806,26 +812,27 @@ class TestAcceptanceCertificate:
         h = rng.standard_normal((2000, 2, 1)) @ rng.standard_normal((2000, 1, 2))
         h *= 1e-160
         assert not zf_accepts_svd(h).any()
-        assert not phy._zf_accepts(h).any()
+        assert not phy._zf_accepts(h)[0].any()
 
     @pytest.mark.parametrize("lead", LEADS)
     def test_alignment_shapes(self, lead):
         h_slots = np.random.default_rng(41).standard_normal(
             lead + (EXTENSION_SLOTS, 2, 2))
-        assert_same_answers(phy._ia_accepts(h_slots), ia_accepts_svd(h_slots))
+        assert_same_answers(phy._ia_accepts(h_slots)[0],
+                            ia_accepts_svd(h_slots))
 
     @pytest.mark.parametrize("shape", ZF_SHAPES)
     @pytest.mark.parametrize("lead", LEADS)
     def test_zero_forcing_shapes(self, lead, shape):
         h = np.random.default_rng(42).standard_normal(lead + shape)
-        assert_same_answers(phy._zf_accepts(h), zf_accepts_svd(h))
+        assert_same_answers(phy._zf_accepts(h)[0], zf_accepts_svd(h))
 
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
     def test_a_nan_slot_draw_is_rejected(self, lead):
         h_slots = np.random.default_rng(43).standard_normal(
             lead + (EXTENSION_SLOTS, 2, 2))
         h_slots[(0,) * len(lead) + (1, 0, 1)] = np.nan
-        accepts = phy._ia_accepts(h_slots)
+        accepts = phy._ia_accepts(h_slots)[0]
         assert_same_answers(accepts, ia_accepts_svd(h_slots))
         assert not accepts[(0,) * len(lead)]
 
@@ -847,9 +854,9 @@ class TestAcceptanceCertificate:
         channels = [rng.standard_normal(lead + shape)
                     for shape in [(2, 2), (6, 6), (16, 16)]]
         calls = count_fallbacks(monkeypatch)
-        assert np.all(phy._ia_accepts(h_slots))
+        assert np.all(phy._ia_accepts(h_slots)[0])
         for h in channels:
-            assert np.all(phy._zf_accepts(h))
+            assert np.all(phy._zf_accepts(h)[0])
         assert calls == []
 
     @pytest.mark.parametrize("lead,at", [((), ()), ((6,), (4,)),
@@ -865,7 +872,7 @@ class TestAcceptanceCertificate:
         h_slots[at] = (constant_slots(h_slots[at])
                        + spread * rng.standard_normal((EXTENSION_SLOTS, 2, 2)))
         calls = count_fallbacks(monkeypatch)
-        accepts = phy._ia_accepts(h_slots)
+        accepts = phy._ia_accepts(h_slots)[0]
         assert [name for name, _ in calls] == ["svd"]
         np.testing.assert_array_equal(
             calls[0][1], phy._ia_bases(h_slots[at][None])[1])
@@ -887,7 +894,7 @@ class TestAcceptanceCertificate:
         h[at + (-1,)] = 2.0 * h[at + (0,)] + ratio * rng.standard_normal(
             shape[1])
         calls = count_fallbacks(monkeypatch)
-        accepts = phy._zf_accepts(h)
+        accepts = phy._zf_accepts(h)[0]
         assert [name for name, _ in calls] == ["matrix_rank"]
         np.testing.assert_array_equal(calls[0][1], h[at][None])
         expected = np.ones(lead, bool)
@@ -1165,6 +1172,8 @@ class TestBatchedRedraws:
             assert outcome(lambda: batched(*args, chunk)) == expected
 
 
+MASK64 = 2 ** 64 - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # its 128-bit LCG multiplier
 # word-count edges of numpy's entropy: 1, 2, 3, 4 and 5+ uint32 words
 EDGE_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
                 2 ** 96 - 1, 2 ** 96, 2 ** 128, 2 ** 256]
@@ -1190,12 +1199,16 @@ class TestBulkSeeding:
         assert trial_seeds(master, start, count) == [
             trial_seed(master, i) for i in range(start, start + count)]
 
-    @settings(max_examples=40)
+    # up to 16 normals a draw take the ziggurat tables, where about 1.5% of
+    # words send their trial to the per-trial loop; 17 take the loop alone
+    @settings(max_examples=60)
     @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
                               st.integers(0, 2 ** 64 - 1)),
-                    min_size=1, max_size=8),
+                    min_size=1, max_size=40),
            st.sampled_from([0, 1]),
-           st.sampled_from([(2, 2), (3, 4), (EXTENSION_SLOTS, 2, 2)]))
+           st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                     st.sampled_from([(EXTENSION_SLOTS, 2, 2), (2, 2, 4),
+                                      (16,), (17,)])))
     def test_first_draws_equal_numpys(self, seeds, index, shape):
         draws = phy._first_draws(seeds, index, shape)
         assert draws.shape == (len(seeds),) + shape
@@ -1205,10 +1218,22 @@ class TestBulkSeeding:
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_pcg64_states_at_word_edges(self, index):
-        assert phy._pcg64_states(EDGE_SEEDS, index) == [
-            tuple(phy._substream(seed, index).bit_generator.state["state"]
-                  .values())
-            for seed in EDGE_SEEDS]
+        """Limb rows: state high, state low, inc high, inc low."""
+        expected = []
+        for seed in EDGE_SEEDS:
+            pcg = phy._substream(seed, index).bit_generator.state["state"]
+            expected.append([pcg["state"] >> 64, pcg["state"] & MASK64,
+                             pcg["inc"] >> 64, pcg["inc"] & MASK64])
+        states = phy._pcg64_states(EDGE_SEEDS, index)
+        assert states.dtype == np.uint64
+        assert states.T.tolist() == expected
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_pcg64_words_equal_numpys(self, index):
+        words = phy._pcg64_words(phy._pcg64_states(EDGE_SEEDS, index), 20)
+        for seed, row in zip(EDGE_SEEDS, words):
+            bit_generator = phy._substream(seed, index).bit_generator
+            assert row.tolist() == bit_generator.random_raw(20).tolist()
 
     def test_a_wrong_trial_seed_fails_loudly(self, monkeypatch):
         bulk = phy.trial_seeds
@@ -1234,11 +1259,9 @@ class TestBulkSeeding:
         def chunk_off(seeds, index):
             states = bulk(seeds, index)
             calls.append(index)
-            if calls.count(index) != wrong_chunk:
-                return states
-            wrong = list(states[0])
-            wrong[field] ^= 2
-            return [tuple(wrong)] + states[1:]
+            if calls.count(index) == wrong_chunk:
+                states[2 * field + 1, 0] ^= 2  # the field's low limb
+            return states
 
         monkeypatch.setattr(phy, "_pcg64_states", chunk_off)
         cfg, alloc, dem = setup_scheme(scheme)
@@ -1248,6 +1271,143 @@ class TestBulkSeeding:
             with pytest.raises(RuntimeError, match="PCG64"):
                 run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, 0)
             assert calls.count(calls[-1]) == wrong_chunk
+
+
+    @pytest.mark.parametrize("table", ["wi", "lb"])
+    def test_a_wrong_ziggurat_entry_fails_loudly(self, monkeypatch, table):
+        """Every chunk checks its first trial's draw: a wrong wi entry, or
+        an lb entry above ki, that this draw reads stops the campaign, in
+        the first chunk or in the second of 3-trial chunks."""
+        # at master seed 1, trials 0 and 3 draw every word by the tables;
+        # at 220 each holds one word they do not certify, and certifying it
+        # changes the draw
+        master = {"wi": 1, "lb": 220}[table]
+        tables, calls = phy._ziggurat_tables(), []
+        wrong = {}  # chunk checked wrong -> its tables
+        for wrong_chunk in (1, 2):
+            seed = trial_seed(master, 3 * (wrong_chunk - 1))
+            words = phy._pcg64_words(phy._pcg64_states([seed], 0), 4)[0]
+            certified = phy._ziggurat_normals(words)[1]
+            wi, lb = (part.copy() for part in tables)
+            if table == "wi":
+                assert certified.all()
+                wi[words[0] & 0xFF] *= 2.0
+            else:
+                assert certified.sum() == len(words) - 1
+                lb[words[~certified][0] & 0xFF] = 2 ** 52
+            wrong[wrong_chunk] = wi, lb
+
+        def chunk_off():
+            calls.append(None)
+            return wrong[wrong_chunk] if len(calls) == wrong_chunk else tables
+
+        monkeypatch.setattr(phy, "_ziggurat_tables", chunk_off)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        for wrong_chunk, chunk in (1, phy.TRIAL_CHUNK), (2, 3):
+            monkeypatch.setattr(phy, "TRIAL_CHUNK", chunk)
+            calls.clear()
+            with pytest.raises(RuntimeError, match="standard_normal"):
+                run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID,
+                             4, master)
+            assert len(calls) == wrong_chunk
+
+
+class NumpyWord:
+    """numpy's own standard_normal from a state whose next word is chosen.
+
+    PCG64 steps its LCG and outputs the XSL-RR of the new state, which for
+    a high word of 0 is the low word; the LCG step is inverted to reach it.
+    """
+
+    def __init__(self):
+        self.bit_generator = np.random.PCG64(0)
+        self.rng = np.random.Generator(self.bit_generator)
+        self.inc = self.bit_generator.state["state"]["inc"]
+        self.inverse = pow(PCG64_MULT, -1, 2 ** 128)
+
+    def set(self, word):
+        state = self.bit_generator.state
+        state["state"] = {"state": (word - self.inc) * self.inverse % 2 ** 128,
+                          "inc": self.inc}
+        self.bit_generator.state = state
+
+    def __call__(self, word):
+        """The normal drawn, and whether it took that one word alone."""
+        self.set(word)
+        value = self.rng.standard_normal()
+        return value, self.bit_generator.state["state"]["state"] == word
+
+    def one_word_bound(self, layer):
+        """ki: the least rabs numpy does not take alone on this layer."""
+        low, high = 0, 2 ** 52
+        while low < high:
+            mid = (low + high) // 2
+            if self(layer | mid << 9)[1]:
+                low = mid + 1
+            else:
+                high = mid
+        return low
+
+
+def ziggurat_word(layer, negative, rabs):
+    return layer | negative << 8 | rabs << 9
+
+
+class TestZigguratTables:
+    """The tables probed from the installed numpy, on crafted words."""
+
+    def test_a_crafted_state_outputs_its_word(self):
+        numpy_word = NumpyWord()
+        for word in (0, 1, 2 ** 63, 2 ** 64 - 1, 0x1234_5678_9ABC_DEF0):
+            numpy_word.set(word)
+            assert int(numpy_word.bit_generator.random_raw()) == word
+
+    def test_every_layer_against_numpy(self):
+        """wi is exact at rabs = 1, rabs = lb - 1 is certified and equals
+        numpy's draw, and rabs at or above ki is never certified; layer 0
+        is the tail and layer 1 (ki = 0) certifies nothing."""
+        wi, lb = phy._ziggurat_tables()
+        numpy_word, rng = NumpyWord(), np.random.default_rng(48)
+        ki = [numpy_word.one_word_bound(layer) for layer in range(256)]
+        assert ki[1] == 0 and ki[0] == 0xEF33D8025EF6A
+        assert np.flatnonzero(lb == 0).tolist() == [1]
+        words, below = [], []
+        for layer in range(256):
+            assert lb[layer] <= ki[layer] <= lb[layer] + 2
+            for negative in (0, 1):
+                for rabs in {1, max(int(lb[layer]) - 1, 0), ki[layer],
+                             2 ** 52 - 1, int(rng.integers(2 ** 52))}:
+                    words.append(ziggurat_word(layer, negative, rabs))
+                    below.append(rabs < ki[layer])
+        normals, certified = phy._ziggurat_normals(np.array(words, np.uint64))
+        for word, normal, sure, one_word in zip(words, normals, certified,
+                                                below):
+            layer, rabs = word & 0xFF, word >> 9
+            value, alone = numpy_word(word)
+            assert alone == one_word
+            assert sure == (rabs < lb[layer])
+            if sure:
+                assert normal.tobytes() == np.float64(value).tobytes()
+            if rabs == 1:
+                assert abs(value) == wi[layer]
+
+    @pytest.mark.parametrize("shape,tables", [((4, 4), True), ((16,), True),
+                                              ((17,), False), ((6, 6), False)])
+    def test_draws_of_more_than_16_normals_take_the_loop(
+            self, monkeypatch, shape, tables):
+        seeds = list(range(60))
+        count = math.prod(shape)
+        certified = phy._ziggurat_normals(phy._pcg64_words(
+            phy._pcg64_states(seeds, 0), count))[1].all(axis=1)
+        assert 0 < certified.sum() < len(seeds)  # both paths have trials
+        read, probed = [], phy._ziggurat_tables
+        monkeypatch.setattr(phy, "_ziggurat_tables",
+                            lambda: read.append(None) or probed())
+        draws = phy._first_draws(seeds, 0, shape)
+        assert bool(read) == tables
+        for seed, draw in zip(seeds, draws):
+            expected = phy._substream(seed, 0).standard_normal(shape)
+            assert draw.tobytes() == expected.tobytes()
 
 
 # Each seed a seeded entry point must refuse with ArgumentError before any
