@@ -130,7 +130,7 @@ def validate_config(num_ens, num_users, library_size, frac_cache,
 def check_seed(seed, top: int | None = None) -> None:
     """Refuse, before any work, a seed that is not an integer in [0, top]
     (no top: any non-negative integer). numpy's seeding rejects a negative
-    seed only once it runs, and `phy._words` never ends on one."""
+    seed only once it runs, and `streams.entropy_words` never ends on one."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0
             and (top is None or seed <= top)):
         raise ArgumentError(f"seed must be an integer in "

@@ -15,13 +15,17 @@ pairing corner-scheme and hybrid campaigns for time-sharing comparisons.
 
 One scheme stage, `_trial_results`, runs every trial: a stack of draws
 along a leading trial axis, each trial at its own power, goes once through
-the precoder, alignment, SINR and rate formulas. A campaign seeds its
-trials in bulk (`trial_seeds` and `_first_draws` redo numpy's seeding on
-arrays) and runs all its SNR points through the stage together, in chunks
-of TRIAL_CHUNK trials, raising what running its trials one by one would.
+the precoder, alignment, SINR and rate formulas. A campaign seeds and
+draws its trials in bulk and runs all its SNR points through the stage
+together, in chunks of TRIAL_CHUNK trials, raising what running its trials
+one by one would. `trial_seeds` and `_first_draws` take the seeds, PCG64
+states and first normals from `streams`, which redoes numpy's seeding and
+`standard_normal` on arrays, with ziggurat tables probed from the
+installed numpy; numpy's own generator draws only the words those tables
+cannot certify.
 `run_trial`, the one-trial reference the tests hold campaigns to, runs the
 stage on a stack of one trial; `_first_draws` checks that trial's bulk
-PCG64 state against numpy's own generator.
+PCG64 state and first draw against numpy's own generator.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -31,13 +35,12 @@ draws the three extension slots independently for exactly this reason.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import streams
 from .caching import CacheAllocation, DeliveryAssignment, assignment_for_demand
 from .errors import (
     ArgumentError,
@@ -58,7 +61,7 @@ from .model import (
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 TRIAL_CHUNK = 1024  # trials per array program; bounds memory for any campaign
-MAX_TRIAL_SEED = 2**64 - 1  # a trial seed is one uint64 (`_pcg64_states`)
+MAX_TRIAL_SEED = 2**64 - 1  # one uint64 (`streams.pcg64_states`)
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 @dataclass(frozen=True, eq=False)
@@ -356,252 +359,7 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
-# (numpy/random/src/pcg64), redone on arrays of seeds
-_POOL_SIZE = 4
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def _words(n: int) -> list[int]:
-    """The uint32 entropy words numpy makes of a non-negative int, low first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """numpy's running hash constant over `count` hashes, as a column.
-
-    Hash i xors its value with entry i and multiplies it by entry i + 1.
-    The constants do not depend on the data, so one hash step serves a
-    whole row of seeds. The cached array is read-only.
-    """
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray, first: int) -> np.ndarray:
-    """numpy's `hashmix` of each row of `values`, hashes first, first + 1, ...
-
-    uint32 array arithmetic wraps, without numpy's overflow warnings.
-    """
-    values = values ^ consts[first:first + len(values)]
-    values *= consts[first + 1:first + 1 + len(values)]
-    return values ^ values >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> 16
-
-
-def _seed_sequence_words(rows: np.ndarray, n_words: int) -> np.ndarray:
-    """`SeedSequence(row).generate_state(n_words)` for each row.
-
-    `rows` is a (T, L) uint32 array, one seed's entropy words per row. A
-    row shorter than the pool is zero-padded on the right, which is what
-    numpy's `hashmix(0)` on the empty pool slots amounts to; words beyond
-    the pool go through numpy's extra mixing loop. Each of numpy's loops
-    over pool words runs as one array step where its hashes do not depend
-    on each other. Returns an (n_words, T) uint32 array.
-    """
-    entropy = np.zeros((max(rows.shape[1], _POOL_SIZE), len(rows)), np.uint32)
-    entropy[:rows.shape[1]] = rows.T
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], consts, 0)
-    used = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        others = [dst for dst in range(_POOL_SIZE) if dst != src]
-        hashed = _hashmix(pool[[src] * len(others)], consts, used)
-        pool[others] = _mix(pool[others], hashed)
-        used += len(others)
-    for word in entropy[_POOL_SIZE:]:
-        hashed = _hashmix(np.tile(word, (_POOL_SIZE, 1)), consts, used)
-        pool = _mix(pool, hashed)
-        used += _POOL_SIZE
-    consts = _hash_constants(_INIT_B, _MULT_B, n_words)
-    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], consts, 0)
-
-
-def _uint64(words: np.ndarray) -> np.ndarray:
-    """Pairs of rows of uint32 words, low word first, as uint64 rows."""
-    return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
-
-
-# PCG64 (O'Neill, HMC-CS-2014-0905) on uint64 limbs: a 128-bit value is a
-# (high, low) pair of uint64 arrays, whose arithmetic wraps mod 2**64
-def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The full 128-bit products of uint64 arrays, as (high, low) limbs."""
-    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    cross, cross2 = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (cross & _MASK32) + (cross2 & _MASK32)
-    return a_hi * b_hi + (cross >> 32) + (cross2 >> 32) + (mid >> 32), a * b
-
-
-@functools.lru_cache(maxsize=8)
-def _jump_constants(count: int) -> np.ndarray:
-    """(MULT**j, c_j) for j = 1 .. count as (4, count) uint64 limbs.
-
-    j LCG steps take a state s to MULT**j s + c_j inc, with
-    c_j = MULT**(j - 1) + ... + MULT + 1. The cached array is read-only.
-    """
-    power, offset, columns = 1, 0, []
-    for _ in range(count):
-        power = power * _PCG64_MULT & _MASK128
-        offset = (offset * _PCG64_MULT + 1) & _MASK128
-        columns.append((power >> 64, power & _MASK64,
-                        offset >> 64, offset & _MASK64))
-    consts = np.array(columns, np.uint64).T.copy()
-    consts.flags.writeable = False
-    return consts
-
-
-def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
-    """x * c mod 2**128 on limbs."""
-    hi, lo = _mul64(x_lo, c_lo)
-    return hi + x_lo * c_hi + x_hi * c_lo, lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """a + b mod 2**128 on limbs."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _jump(states: np.ndarray, consts: np.ndarray) -> tuple[np.ndarray,
-                                                           np.ndarray]:
-    """The states each (4, T) limb state reaches by each of `consts`' jumps.
-
-    `states` holds rows (state high, state low, inc high, inc low); returns
-    the (T, count) high and low limbs of MULT**j s + c_j inc.
-    """
-    s_hi, s_lo, i_hi, i_lo = (limb[:, None] for limb in states)
-    m_hi, m_lo, c_hi, c_lo = consts
-    return _add128(*_mul128(s_hi, s_lo, m_hi, m_lo),
-                   *_mul128(i_hi, i_lo, c_hi, c_lo))
-
-
-_MULT_LIMBS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]], np.uint64)
-
-
-def _pcg64_states(seeds: list[int], index: int) -> np.ndarray:
-    """The PCG64 (state, inc) of `_substream(seed, index)` for each seed.
-
-    Each seed is below 2**64 (one entropy word, or two from 2**32 on) and
-    the index below 2**32 (one word). SeedSequence's 4 uint64 words seed
-    PCG64 through its `srandom` step. Returns (4, T) uint64 limbs: rows
-    state high, state low, inc high, inc low.
-    """
-    seed_array = np.array(seeds, dtype=np.uint64)
-    lo = (seed_array & _MASK32).astype(np.uint32)
-    hi = (seed_array >> 32).astype(np.uint32)
-    one_word = hi == 0
-    rows = np.column_stack([lo, np.where(one_word, index, hi),
-                            np.where(one_word, 0, index)]).astype(np.uint32)
-    init_hi, init_lo, seq_hi, seq_lo = _uint64(_seed_sequence_words(rows, 8))
-    # srandom(initstate, initseq): inc = initseq << 1 | 1; from state 0, one
-    # LCG step, add initstate, one more step
-    inc = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    start = _add128(init_hi, init_lo, *inc)
-    return np.array([*_add128(*_mul128(*start, *_MULT_LIMBS), *inc), *inc])
-
-
-def _pcg64_ints(states: np.ndarray) -> list[tuple[int, int]]:
-    """(4, T) limb states as the (state, inc) ints numpy's state dict holds."""
-    s_hi, s_lo, i_hi, i_lo = states.tolist()
-    return list(zip([hi << 64 | lo for hi, lo in zip(s_hi, s_lo)],
-                    [hi << 64 | lo for hi, lo in zip(i_hi, i_lo)]))
-
-
-def _pcg64_words(states: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` uint64 outputs of each (4, T) limb state, (T, count).
-
-    PCG64 steps its LCG, then outputs the XSL-RR of the new state: the high
-    and low words xored, rotated right by the top 6 bits.
-    """
-    hi, lo = _jump(states, _jump_constants(count))
-    mixed, turn = hi ^ lo, hi >> 58
-    return mixed >> turn | mixed << ((64 - turn) & 63)
-
-
-# numpy's standard_normal is a 256-layer ziggurat (Marsaglia & Tsang 2000)
-# on one uint64 word w: layer idx = w & 0xff, sign bit 8, rabs = w >> 9 on 52
-# bits. When rabs < ki[idx] it returns +-rabs * wi[idx] having taken that one
-# word; otherwise it takes more
-_RABS_BITS = 52
-_MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (see _first_draws)
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """wi, and lower bounds lb on ki, read from the installed numpy.
-
-    Each probe sets a generator to a state whose next word is a chosen w
-    (the inverted LCG step before a state with high word 0, whose output is
-    its low word) and draws one normal. wi[idx] is the draw at rabs = 1,
-    readable when that took one word. lb[idx], the candidate
-    floor(2**52 wi[idx - 1] / wi[idx]) - 1 (ki's construction, with layer
-    0's neighbour 255), holds only where a probe at rabs = lb - 1 took one
-    word and returned (lb - 1) wi[idx]; as one word is taken exactly when
-    rabs < ki, that proves lb <= ki. Elsewhere lb is 0: a layer whose wi
-    is unreadable or whose bound failed, such as layer 1 (ki = 0), never
-    certifies a word. About 512 probes, once per process.
-    """
-    rng = _substream(0, 0)
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    inc = state["state"]["inc"]
-    inverse = pow(_PCG64_MULT, -1, 1 << 128)
-
-    def probe(word: int) -> tuple[float, bool]:
-        """The draw whose first word is `word`, and whether it took one."""
-        state["state"] = {"state": (word - inc) * inverse & _MASK128,
-                          "inc": inc}
-        bit_generator.state = state
-        value = rng.standard_normal()
-        return value, bit_generator.state["state"]["state"] == word
-
-    wi, readable = zip(*(probe(idx | 1 << 9) for idx in range(256)))
-    wi = np.array(wi)
-    lb = np.zeros(256, np.uint64)
-    for idx in range(256):
-        if not (readable[idx] and 0.0 < wi[idx - 1] < math.inf):
-            continue
-        bound = min(Fraction(wi[idx - 1]) * 2 ** _RABS_BITS
-                    // Fraction(wi[idx]) - 1, 2 ** _RABS_BITS)
-        if bound >= 1:
-            value, one_word = probe(idx | (bound - 1) << 9)
-            if one_word and value == (bound - 1) * wi[idx]:
-                lb[idx] = bound
-    wi.flags.writeable = lb.flags.writeable = False
-    return wi, lb
-
-
-def _ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's normal of each uint64 word, and whether it is certified.
-
-    A word is certified when rabs < lb[idx] <= ki[idx]: numpy then takes it
-    alone and returns +-rabs * wi[idx], one float64 product, as here. An
-    uncertified word's value is meaningless.
-    """
-    wi, lb = _ziggurat_tables()
-    idx = words & 0xFF
-    rabs = words >> 9 & (1 << _RABS_BITS) - 1
-    normals = rabs.astype(np.float64) * wi[idx]
-    np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
-    return normals, rabs < lb[idx]
+_MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (`_first_draws`)
 
 
 def _first_draws(seeds: list[int], index: int,
@@ -612,18 +370,19 @@ def _first_draws(seeds: list[int], index: int,
     each trial's words and normals are arrays. A trial with a word the
     ziggurat tables do not certify, or every trial of a larger draw, is
     drawn by one generator, `_substream` of the first seed, set to the
-    trial's state in turn: with 1.5% of words uncertified, most trials of
-    larger draws would fall back and the arrays would be waste. The first
-    seed's bulk state and draw must equal that generator's own, or a numpy
-    whose seeding or tables changed would silently change every draw; a
+    trial's state in turn. About 1.5% of words are uncertified, so a draw
+    of n normals falls back with probability 1 - 0.985**n (42% at 36),
+    and past 16 the arrays cost more than they save. The first seed's bulk
+    state and draw must equal that generator's own, or a numpy whose
+    seeding or normals changed would silently change every draw; a
     campaign checks them once per chunk and raises RuntimeError.
     """
-    states = _pcg64_states(seeds, index)
+    states = streams.pcg64_states(seeds, index)
     rng = _substream(seeds[0], index)
     bit_generator = rng.bit_generator
     state = bit_generator.state
     if (state["state"]["state"], state["state"]["inc"]) != \
-            _pcg64_ints(states[:, :1])[0]:
+            streams.pcg64_ints(states[:, :1])[0]:
         raise RuntimeError(f"bulk PCG64 seeding of substream ({seeds[0]}, "
                            f"{index}) differs from numpy's")
     first = rng.standard_normal(shape)
@@ -631,9 +390,11 @@ def _first_draws(seeds: list[int], index: int,
     if count > _MAX_FAST_NORMALS:
         draws, slow = np.empty((len(seeds), count)), np.arange(len(seeds))
     else:
-        draws, certified = _ziggurat_normals(_pcg64_words(states, count))
+        draws, certified = streams.ziggurat_normals(
+            streams.pcg64_words(states, count))
         slow = np.flatnonzero(~certified.all(axis=1))
-    for row, (value, inc) in zip(slow.tolist(), _pcg64_ints(states[:, slow])):
+    for row, (value, inc) in zip(slow.tolist(),
+                                 streams.pcg64_ints(states[:, slow])):
         state["state"] = {"state": value, "inc": inc}
         bit_generator.state = state
         rng.standard_normal(out=draws[row])
@@ -784,14 +545,16 @@ def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
     word after the master seed's, a larger one (below 2**64) two.
     """
     index = np.arange(start, start + count, dtype=np.uint64)
-    lo, hi = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
-    head = np.array(_words(master_seed), np.uint32)
+    lo = (index & streams.MASK32).astype(np.uint32)
+    hi = (index >> 32).astype(np.uint32)
+    head = np.array(streams.entropy_words(master_seed), np.uint32)
     split = int(np.searchsorted(index, 2 ** 32))
     seeds = []
     for tail in ([lo[:split]], [lo[split:], hi[split:]]):
         if len(tail[0]):
             rows = np.column_stack([np.tile(head, (len(tail[0]), 1)), *tail])
-            seeds += _uint64(_seed_sequence_words(rows, 2))[0].tolist()
+            words = streams.seed_sequence_words(rows, 2)
+            seeds += streams.uint64_rows(words)[0].tolist()
     return seeds
 
 

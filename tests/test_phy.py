@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgecache
-from edgecache import phy
+from edgecache import phy, streams
 from edgecache.cli import EXIT_UNSUPPORTED, main
 from edgecache.caching import (
     assignment_for_demand,
@@ -1224,13 +1224,14 @@ class TestBulkSeeding:
             pcg = phy._substream(seed, index).bit_generator.state["state"]
             expected.append([pcg["state"] >> 64, pcg["state"] & MASK64,
                              pcg["inc"] >> 64, pcg["inc"] & MASK64])
-        states = phy._pcg64_states(EDGE_SEEDS, index)
+        states = streams.pcg64_states(EDGE_SEEDS, index)
         assert states.dtype == np.uint64
         assert states.T.tolist() == expected
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_pcg64_words_equal_numpys(self, index):
-        words = phy._pcg64_words(phy._pcg64_states(EDGE_SEEDS, index), 20)
+        states = streams.pcg64_states(EDGE_SEEDS, index)
+        words = streams.pcg64_words(states, 20)
         for seed, row in zip(EDGE_SEEDS, words):
             bit_generator = phy._substream(seed, index).bit_generator
             assert row.tolist() == bit_generator.random_raw(20).tolist()
@@ -1254,7 +1255,7 @@ class TestBulkSeeding:
         """Every chunk checks its first state of each substream: a wrong
         state in the first chunk, or in the second of 3-trial chunks,
         stops the campaign."""
-        bulk, calls = phy._pcg64_states, []  # substream index per chunk
+        bulk, calls = streams.pcg64_states, []  # substream index per chunk
 
         def chunk_off(seeds, index):
             states = bulk(seeds, index)
@@ -1263,7 +1264,7 @@ class TestBulkSeeding:
                 states[2 * field + 1, 0] ^= 2  # the field's low limb
             return states
 
-        monkeypatch.setattr(phy, "_pcg64_states", chunk_off)
+        monkeypatch.setattr(streams, "pcg64_states", chunk_off)
         cfg, alloc, dem = setup_scheme(scheme)
         for wrong_chunk, chunk in (1, phy.TRIAL_CHUNK), (2, 3):
             monkeypatch.setattr(phy, "TRIAL_CHUNK", chunk)
@@ -1282,12 +1283,13 @@ class TestBulkSeeding:
         # at 220 each holds one word they do not certify, and certifying it
         # changes the draw
         master = {"wi": 1, "lb": 220}[table]
-        tables, calls = phy._ziggurat_tables(), []
+        tables, calls = streams.ziggurat_tables(), []
         wrong = {}  # chunk checked wrong -> its tables
         for wrong_chunk in (1, 2):
             seed = trial_seed(master, 3 * (wrong_chunk - 1))
-            words = phy._pcg64_words(phy._pcg64_states([seed], 0), 4)[0]
-            certified = phy._ziggurat_normals(words)[1]
+            states = streams.pcg64_states([seed], 0)
+            words = streams.pcg64_words(states, 4)[0]
+            certified = streams.ziggurat_normals(words)[1]
             wi, lb = (part.copy() for part in tables)
             if table == "wi":
                 assert certified.all()
@@ -1301,7 +1303,7 @@ class TestBulkSeeding:
             calls.append(None)
             return wrong[wrong_chunk] if len(calls) == wrong_chunk else tables
 
-        monkeypatch.setattr(phy, "_ziggurat_tables", chunk_off)
+        monkeypatch.setattr(streams, "ziggurat_tables", chunk_off)
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
         for wrong_chunk, chunk in (1, phy.TRIAL_CHUNK), (2, 3):
             monkeypatch.setattr(phy, "TRIAL_CHUNK", chunk)
@@ -1366,7 +1368,7 @@ class TestZigguratTables:
         """wi is exact at rabs = 1, rabs = lb - 1 is certified and equals
         numpy's draw, and rabs at or above ki is never certified; layer 0
         is the tail and layer 1 (ki = 0) certifies nothing."""
-        wi, lb = phy._ziggurat_tables()
+        wi, lb = streams.ziggurat_tables()
         numpy_word, rng = NumpyWord(), np.random.default_rng(48)
         ki = [numpy_word.one_word_bound(layer) for layer in range(256)]
         assert ki[1] == 0 and ki[0] == 0xEF33D8025EF6A
@@ -1379,7 +1381,8 @@ class TestZigguratTables:
                              2 ** 52 - 1, int(rng.integers(2 ** 52))}:
                     words.append(ziggurat_word(layer, negative, rabs))
                     below.append(rabs < ki[layer])
-        normals, certified = phy._ziggurat_normals(np.array(words, np.uint64))
+        normals, certified = streams.ziggurat_normals(
+            np.array(words, np.uint64))
         for word, normal, sure, one_word in zip(words, normals, certified,
                                                 below):
             layer, rabs = word & 0xFF, word >> 9
@@ -1397,11 +1400,11 @@ class TestZigguratTables:
             self, monkeypatch, shape, tables):
         seeds = list(range(60))
         count = math.prod(shape)
-        certified = phy._ziggurat_normals(phy._pcg64_words(
-            phy._pcg64_states(seeds, 0), count))[1].all(axis=1)
+        certified = streams.ziggurat_normals(streams.pcg64_words(
+            streams.pcg64_states(seeds, 0), count))[1].all(axis=1)
         assert 0 < certified.sum() < len(seeds)  # both paths have trials
-        read, probed = [], phy._ziggurat_tables
-        monkeypatch.setattr(phy, "_ziggurat_tables",
+        read, probed = [], streams.ziggurat_tables
+        monkeypatch.setattr(streams, "ziggurat_tables",
                             lambda: read.append(None) or probed())
         draws = phy._first_draws(seeds, 0, shape)
         assert bool(read) == tables
@@ -1411,7 +1414,7 @@ class TestZigguratTables:
 
 
 # Each seed a seeded entry point must refuse with ArgumentError before any
-# work; a negative master seed once looped `phy._words` forever.
+# work; a negative master seed once looped `streams.entropy_words` forever.
 BAD_SEEDS = """
 import json
 from fractions import Fraction
