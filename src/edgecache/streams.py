@@ -13,7 +13,6 @@ bit; `phy` checks that once per chunk against numpy's objects.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -237,9 +236,7 @@ def ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     wi, readable = zip(*(probe(idx | 1 << 9) for idx in range(256)))
     wi = np.array(wi)
     lb = np.zeros(256, np.uint64)
-    for idx in range(256):
-        if not (readable[idx] and 0.0 < wi[idx - 1] < math.inf):
-            continue
+    for idx in np.flatnonzero(readable).tolist():
         bound = min(Fraction(wi[idx - 1]) * 2 ** _RABS_BITS
                     // Fraction(wi[idx]) - 1, 2 ** _RABS_BITS)
         if bound >= 1:
