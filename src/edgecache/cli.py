@@ -88,20 +88,27 @@ EXIT_UNSUPPORTED = 3
 EXIT_TOLERANCE = 4
 
 
-def _write_manifest(paths: list[Path], argv: list[str], config,
-                    master_seed) -> None:
-    *outputs, manifest_path = paths
+def _write_outputs(args, argv: list[str], config, master_seed,
+                   *texts: str) -> None:
+    """Write each data file's text, in `_outputs` order, as UTF-8 bytes,
+    then the manifest with the SHA-256 of those bytes."""
+    *paths, manifest_path = _outputs(args)
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    digests = {}
+    for path, text in zip(paths, texts, strict=True):
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "command": argv,
         "config": {**vars(config), "frac_cache": str(config.frac_cache)},
         "master_seed": master_seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "output_digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                           for p in outputs},
+        "output_digests": digests,
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest_path.write_bytes(
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def replay_manifest(manifest_path, out_path) -> int:
@@ -173,21 +180,17 @@ def cmd_bounds(args, argv: list[str]) -> int:
     csi = CsiMode(args.csi)
     grid = default_mu_grid(config, args.grid_step)
     table = tradeoff_sweep(config, grid, csi)
-    paths = _outputs(args)
-    out = args.out
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = _bounds_csv(table)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    texts = ["\n".join(lines) + "\n"]
     if args.json:
-        paths[1].write_text(_bounds_json(csi, lines[1:]), encoding="utf-8",
-                            newline="")
-    _write_manifest(paths, argv, config, None)
+        texts.append(_bounds_json(csi, lines[1:]))
+    _write_outputs(args, argv, config, None, *texts)
     if csi is CsiMode.PERFECT:
         regions = optimality_regions(table.converse, table.envelope)
         print(f"tight regions (lower = upper): {_format_regions(regions)}")
     else:
         print(f"{csi.value} CSI: achievability only, no converse emitted")
-    print(f"wrote {len(table.int_rows)} rows to {out}")
+    print(f"wrote {len(table.int_rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -363,13 +366,11 @@ def cmd_simulate(args, argv: list[str]) -> int:
                           args.trials, args.seed)
     estimate = estimate_ndt(points)
 
-    out = args.out
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("snr_db,trials,mean_sum_rate,mean_delta\n" + "".join(
+    rows = "snr_db,trials,mean_sum_rate,mean_delta\n" + "".join(
         f"{point.snr_db!r},{len(point.seeds)},"
         f"{float(np.mean(point.achieved_sum_rate))!r},"
         f"{float(np.mean(point.delivery_time_per_bit))!r}\n"
-        for point in points), encoding="utf-8", newline="")
+        for point in points)
 
     analytic_lower = ndt_lower_bound(config, mu)[0]
     csi = _SCHEME_CSI[scheme]
@@ -394,10 +395,8 @@ def cmd_simulate(args, argv: list[str]) -> int:
             "ndt_achievable": str(analytic_upper) if analytic_upper is not None else None,
         },
     }
-    paths = _outputs(args)
-    paths[1].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    _write_manifest(paths, argv, config, args.seed)
+    _write_outputs(args, argv, config, args.seed, rows,
+                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"{scheme.value}: dof estimate {estimate.dof_estimate:.4f}, "
         f"ndt estimate {estimate.ndt_estimate:.4f} "
@@ -432,8 +431,6 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
         "pass": report_passes(rep, *tolerances.values()),
     } for rep in reports]
     all_pass = all(entry["pass"] for entry in entries)
-    out = args.out
-    out.parent.mkdir(parents=True, exist_ok=True)
     report_doc = {
         "num_ens": config.num_ens,
         "num_users": config.num_users,
@@ -442,9 +439,8 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
         "checks": entries,
         "pass": all_pass,
     }
-    out.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    _write_manifest(_outputs(args), argv, config, args.seed)
+    _write_outputs(args, argv, config, args.seed,
+                   json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
     for entry in entries:
         status = "pass" if entry["pass"] else "FAIL"
         print(

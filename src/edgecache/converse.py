@@ -36,6 +36,7 @@ call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +79,16 @@ def _frobenius(a: np.ndarray):
     return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
 
 
+def _cut_parameter(ell, top: int) -> int:
+    """ell as an int, or a RangeError unless it is an integer in 1..top."""
+    if not (isinstance(ell, numbers.Integral) and 1 <= ell <= top):
+        raise RangeError(f"ell {ell!r} outside {{1..{top}}}")
+    return int(ell)
+
+
 def lambda_constant(h: np.ndarray, ell: int):
     """Variance constant over the first ell receivers, literal expression."""
-    k = h.shape[-2]
-    if not isinstance(ell, int) or not 1 <= ell <= k:
-        raise RangeError(f"ell {ell!r} outside {{1..{k}}}")
+    ell = _cut_parameter(ell, h.shape[-2])
     rows = h[..., :ell, :]
     squares = (rows ** 2).sum(axis=-1)
     cross = (rows[..., :, None] * rows[..., None, :]).sum(axis=(-2, -1)) - squares
@@ -134,8 +140,7 @@ def _h1_usable(h1: np.ndarray) -> np.ndarray:
 def build_submatrices(h: np.ndarray, ell: int) -> Cut:
     """Slice h at ell; SingularH1Error unless every H1 is well conditioned."""
     k, m = h.shape[-2:]
-    if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
-        raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
+    ell = _cut_parameter(ell, min(m, k))
     h1 = h[..., :ell, m - ell:]
     if not _h1_usable(h1).all():
         raise SingularH1Error(
@@ -353,10 +358,8 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
         raise ArgumentError(f"trials must be at least 1, got {trials}")
     check_seed(seed)
     m, k = config.num_ens, config.num_users
-    ells = range(1, min(m, k) + 1) if ells is None else list(ells)
-    for ell in ells:
-        if not isinstance(ell, int) or not 1 <= ell <= min(m, k):
-            raise RangeError(f"ell {ell!r} outside {{1..{min(m, k)}}}")
+    ells = (range(1, min(m, k) + 1) if ells is None
+            else [_cut_parameter(ell, min(m, k)) for ell in ells])
     rows = max([ell for ell in ells if ell < k], default=0)  # ell = K folds none
     cov = noise_covariance(np.random.default_rng(seed + 1), rows, NOISE_COV_SAMPLES)
     reports = {}

@@ -14,9 +14,8 @@ exact.
 The schemes, SNR and trial limits and converse tolerances live here too,
 so the command-line parser reads them without numpy.
 
-The library's bits come from raw generator words, bit-identical to one
-`integers(0, 2)` call per file, drawn on first read; N*L is capped by
-MAX_LIBRARY_BITS.
+The library's bits are one numpy `integers(0, 2)` call per file, drawn on
+first read; N*L is capped by MAX_LIBRARY_BITS.
 """
 
 from __future__ import annotations
@@ -198,20 +197,11 @@ class FileLibrary:
     @cached_property
     def files(self) -> tuple[np.ndarray, ...]:
         """The bits of N calls `rng.integers(0, 2, L, dtype=np.uint8)` on
-        `rng = default_rng(seed)`, drawn as raw generator words.
-
-        At range 2 numpy's bounded uint8 draw takes the top bit of each
-        byte of its uint32 stream, low byte first, four bytes per uint32
-        and `ceil(L/4)` uint32s per call. PCG64 cuts each uint64 into its
-        low then its high uint32 and carries a spare half over to the next
-        call, so the N calls read one run of `N*ceil(L/4)` uint32s.
-        """
+        `rng = default_rng(seed)`, one file a row of one block."""
         import numpy as np  # only the library's bits need it
-        n, l = self.num_files, self.file_bits
-        row = -(-l // 4) * 4  # bytes of the uint32s one file reads
-        raw = np.random.default_rng(self.seed).bit_generator.random_raw(
-            -(-n * row // 8))
-        block = raw.astype("<u8", copy=False).view(np.uint8)
-        np.right_shift(block, 7, out=block)  # in place: no second copy
+        rng = np.random.default_rng(self.seed)
+        block = np.empty((self.num_files, self.file_bits), np.uint8)
+        for row in block:
+            row[:] = rng.integers(0, 2, self.file_bits, dtype=np.uint8)
         block.flags.writeable = False
-        return tuple(block[:n * row].reshape(n, row)[:, :l])
+        return tuple(block)

@@ -18,14 +18,12 @@ along a leading trial axis, each trial at its own power, goes once through
 the precoder, alignment, SINR and rate formulas. A campaign seeds and
 draws its trials in bulk and runs all its SNR points through the stage
 together, in chunks of TRIAL_CHUNK trials, raising what running its trials
-one by one would. `trial_seeds` and `_first_draws` take the seeds, PCG64
-states and first normals from `streams`, which redoes numpy's seeding and
-`standard_normal` on arrays, with ziggurat tables probed from the
-installed numpy; numpy's own generator draws only the words those tables
-cannot certify.
-`run_trial`, the one-trial reference the tests hold campaigns to, runs the
-stage on a stack of one trial; `_first_draws` checks that trial's bulk
-PCG64 state and first draw against numpy's own generator.
+one by one would. The seeds, the substreams and the first draws come
+from `streams`, the package's one redo of numpy's seeding and
+`standard_normal`, which checks them against numpy's own generator;
+`phy` redraws only the draws its acceptance tests reject. `run_trial`,
+the one-trial reference the tests hold campaigns to, runs the stage on a
+stack of one trial.
 
 The alignment scheme needs slot-varying coefficients within its extension:
 with constant slots the desired receive vectors collapse onto the aligned
@@ -61,7 +59,6 @@ from .model import (
 EXTENSION_SLOTS = 3
 MAX_RESAMPLES = 16
 TRIAL_CHUNK = 1024  # trials per array program; bounds memory for any campaign
-MAX_TRIAL_SEED = 2**64 - 1  # one uint64 (`streams.pcg64_states`)
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 @dataclass(frozen=True, eq=False)
@@ -327,8 +324,12 @@ def tdma_delivery(h: np.ndarray, assignment: DeliveryAssignment,
     return np.cumsum(bits / rates, axis=-1)[..., -1] / file_bits
 
 
-def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
-                         scheme: Scheme) -> None:
+def _checked_assignment(config: SystemConfig, allocation: CacheAllocation,
+                        scheme: Scheme, demand: DemandVector
+                        ) -> DeliveryAssignment | None:
+    """Refuse, before any work, a scheme the allocation or network cannot
+    run and a demand outside the config; return TDMA's delivery
+    assignment, None for the other schemes."""
     m, k = config.num_ens, config.num_users
     if allocation.num_ens != m:
         raise ArgumentError(
@@ -353,56 +354,9 @@ def _check_compatibility(config: SystemConfig, allocation: CacheAllocation,
             raise UnsupportedError(
                 f"hybrid time sharing is implemented for M=K=2, got M={m}, K={k}"
             )
-
-
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
-
-
-_MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (`_first_draws`)
-
-
-def _first_draws(seeds: list[int], index: int,
-                 shape: tuple[int, ...]) -> np.ndarray:
-    """Each seed's first `shape` draw from its (seed, index) substream.
-
-    The PCG64 states and, for draws of at most _MAX_FAST_NORMALS normals,
-    each trial's words and normals are arrays. A trial with a word the
-    ziggurat tables do not certify, or every trial of a larger draw, is
-    drawn by one generator, `_substream` of the first seed, set to the
-    trial's state in turn. About 1.5% of words are uncertified, so a draw
-    of n normals falls back with probability 1 - 0.985**n (42% at 36),
-    and past 16 the arrays cost more than they save. The first seed's bulk
-    state and draw must equal that generator's own, or a numpy whose
-    seeding or normals changed would silently change every draw; a
-    campaign checks them once per chunk and raises RuntimeError.
-    """
-    states = streams.pcg64_states(seeds, index)
-    rng = _substream(seeds[0], index)
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    if (state["state"]["state"], state["state"]["inc"]) != \
-            streams.pcg64_ints(states[:, :1])[0]:
-        raise RuntimeError(f"bulk PCG64 seeding of substream ({seeds[0]}, "
-                           f"{index}) differs from numpy's")
-    first = rng.standard_normal(shape)
-    count = math.prod(shape)
-    if count > _MAX_FAST_NORMALS:
-        draws, slow = np.empty((len(seeds), count)), np.arange(len(seeds))
-    else:
-        draws, certified = streams.ziggurat_normals(
-            streams.pcg64_words(states, count))
-        slow = np.flatnonzero(~certified.all(axis=1))
-    for row, (value, inc) in zip(slow.tolist(),
-                                 streams.pcg64_ints(states[:, slow])):
-        state["state"] = {"state": value, "inc": inc}
-        bit_generator.state = state
-        rng.standard_normal(out=draws[row])
-    draws = draws.reshape((len(seeds),) + shape)
-    if draws[0].tobytes() != first.tobytes():
-        raise RuntimeError(f"first draw of substream ({seeds[0]}, {index}) "
-                           "differs from numpy's standard_normal")
-    return draws
+    demand.validate(config)
+    return (assignment_for_demand(allocation, demand)
+            if scheme is Scheme.TDMA else None)
 
 
 def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
@@ -412,19 +366,19 @@ def _draw_stack(seeds: list[int], index: int, shape: tuple[int, ...],
     `_trial_results` calls it once per substream, on a campaign's chunk of
     seeds or on `run_trial`'s one seed. `accepts` is `_zf_accepts` or
     `_ia_accepts`, or None for a draw taken as it comes. The first draws
-    come from `_first_draws`. A rejected draw is replaced by the next draw
-    from its trial's own generator, rebuilt by `_substream` past its first
-    draw, at most MAX_RESAMPLES times. Returns the stack, the per-draw
-    parts the acceptance test built for each row's final draw, and the
-    index of the first trial with no accepted draw, len(seeds) when every
-    trial has one.
+    come from `streams.first_draws`. A rejected draw is replaced by the
+    next draw from its trial's own generator, rebuilt by
+    `streams.substream` past its first draw, at most MAX_RESAMPLES times.
+    Returns the stack, the per-draw parts the acceptance test built for
+    each row's final draw, and the index of the first trial with no
+    accepted draw, len(seeds) when every trial has one.
     """
-    h = _first_draws(seeds, index, shape)
+    h = streams.first_draws(seeds, index, shape)
     if accepts is None:
         return h, (), len(seeds)
     accepted, parts = accepts(h)
     todo = np.flatnonzero(~accepted)
-    rngs = {i: _substream(seeds[i], index) for i in todo}
+    rngs = {i: streams.substream(seeds[i], index) for i in todo}
     for rng in rngs.values():
         rng.standard_normal(shape)  # the first draw, taken in bulk
     for _ in range(MAX_RESAMPLES):
@@ -516,46 +470,17 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     """One Monte-Carlo trial of `scheme` at `snr_db`, seeded by `seed`.
 
     The campaign's scheme stage on a stack of one trial, whose bulk PCG64
-    state `_first_draws` checks against numpy's own: the one-trial
+    state `streams.first_draws` checks against numpy's own: the one-trial
     reference that campaigns, with their chunks across seeds and SNR
     points, are tested against. Returns the one-row result. A zero sum rate
-    is a SingularChannelError; a seed outside [0, MAX_TRIAL_SEED] is an
+    is a SingularChannelError; a seed outside [0, streams.MAX_SEED] is an
     ArgumentError.
     """
-    check_seed(seed, MAX_TRIAL_SEED)
-    _check_compatibility(config, allocation, scheme)
-    demand.validate(config)
-    assignment = (assignment_for_demand(allocation, demand)
-                  if scheme is Scheme.TDMA else None)
+    check_seed(seed, streams.MAX_SEED)
+    assignment = _checked_assignment(config, allocation, scheme, demand)
     columns = _trial_results(config, allocation, scheme, assignment,
                              np.array([snr_db_to_power(snr_db)]), [seed])
     return PointResult(scheme, float(snr_db), (seed,), *columns)
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-trial seed; independent of execution order."""
-    ss = np.random.SeedSequence((master_seed, index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
-    """`trial_seed(master_seed, i)` for i in range(start, start + count).
-
-    One array pass per entropy-row length: an index below 2**32 is one
-    word after the master seed's, a larger one (below 2**64) two.
-    """
-    index = np.arange(start, start + count, dtype=np.uint64)
-    lo = (index & streams.MASK32).astype(np.uint32)
-    hi = (index >> 32).astype(np.uint32)
-    head = np.array(streams.entropy_words(master_seed), np.uint32)
-    split = int(np.searchsorted(index, 2 ** 32))
-    seeds = []
-    for tail in ([lo[:split]], [lo[split:], hi[split:]]):
-        if len(tail[0]):
-            rows = np.column_stack([np.tile(head, (len(tail[0]), 1)), *tail])
-            words = streams.seed_sequence_words(rows, 2)
-            seeds += streams.uint64_rows(words)[0].tolist()
-    return seeds
 
 
 def run_campaign(config: SystemConfig, allocation: CacheAllocation,
@@ -564,9 +489,10 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     """Monte-Carlo campaign over an SNR grid: one result per grid point.
 
     Each trial's seed derives from (master seed, trial index), so results
-    do not depend on execution order. `trial_seeds` makes every seed in
-    one array pass, point after point; each point's first seed is checked
-    against numpy's `trial_seed`, and a mismatch raises RuntimeError. The
+    do not depend on execution order. `streams.trial_seeds` makes every
+    seed in one array pass, point after point; each point's first seed is
+    checked against numpy's `streams.trial_seed`, and a mismatch raises
+    RuntimeError. The
     checks and TDMA's assignment run once; then all trials, each at its
     point's power, go through the stage in trial order in chunks of
     TRIAL_CHUNK, so memory does not grow with the campaign. The first
@@ -575,17 +501,15 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     ArgumentError.
     """
     check_seed(master_seed)
-    _check_compatibility(config, allocation, scheme)
-    demand.validate(config)
-    assignment = (assignment_for_demand(allocation, demand)
-                  if scheme is Scheme.TDMA else None)
+    assignment = _checked_assignment(config, allocation, scheme, demand)
     grid = list(snr_grid_db)
     if trials_per_snr < 1:
         return []
-    seeds = trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
+    seeds = streams.trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
     points = [slice(base, base + trials_per_snr)
               for base in range(0, len(seeds), trials_per_snr)]
-    if any(seeds[p.start] != trial_seed(master_seed, p.start) for p in points):
+    if any(seeds[p.start] != streams.trial_seed(master_seed, p.start)
+           for p in points):
         raise RuntimeError(f"bulk trial seeds of master seed {master_seed} "
                            "differ from numpy's SeedSequence")
     power = np.repeat([snr_db_to_power(snr) for snr in grid], trials_per_snr)

@@ -2,17 +2,21 @@
 normals of `standard_normal`, redone on arrays of seeds.
 
 `phy` draws each trial's channels from its own
-`default_rng(SeedSequence((seed, index)))`. Building one generator per
-trial costs more than the trial's formulas, so `phy` computes the seeds,
-the PCG64 states and, for small draws, the normals of a whole chunk of
-trials here, and uses numpy's generator only where these arrays cannot
-vouch for the result. Everything here equals numpy's own output bit for
-bit; `phy` checks that once per chunk against numpy's objects.
+`default_rng(SeedSequence((seed, index)))`, its `substream`. Building one
+generator per trial costs more than the trial's formulas, so
+`trial_seeds` and `first_draws` compute the seeds, the PCG64 states and,
+for small draws, the normals of a whole chunk of trials here, and use
+numpy's generator only where these arrays cannot vouch for the result.
+Everything here equals numpy's own output bit for bit: a campaign checks
+its first seed per SNR point against `trial_seed`, and `first_draws` its
+first state and draw against numpy's objects. This is the one module of
+the package that redoes an algorithm of numpy's.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +33,7 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _MULT_LIMBS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]],
                        np.uint64)  # high and low limb, one column each
+MAX_SEED = 2**64 - 1  # a trial seed is one uint64 (`pcg64_states`)
 
 
 def entropy_words(n: int) -> list[int]:
@@ -179,13 +184,6 @@ def pcg64_states(seeds: list[int], index: int) -> np.ndarray:
     return np.array([*_add128(*_mul128(*start, *_MULT_LIMBS), *inc), *inc])
 
 
-def pcg64_ints(states: np.ndarray) -> list[tuple[int, int]]:
-    """(4, T) limb states as the (state, inc) ints numpy's state dict holds."""
-    s_hi, s_lo, i_hi, i_lo = states.tolist()
-    return list(zip([hi << 64 | lo for hi, lo in zip(s_hi, s_lo)],
-                    [hi << 64 | lo for hi, lo in zip(i_hi, i_lo)]))
-
-
 def pcg64_words(states: np.ndarray, count: int) -> np.ndarray:
     """The first `count` uint64 outputs of each (4, T) limb state, (T, count).
 
@@ -260,3 +258,81 @@ def ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normals = rabs.astype(np.float64) * wi[idx]
     np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
     return normals, rabs < lb[idx]
+
+
+def substream(seed: int, index: int) -> np.random.Generator:
+    """numpy's generator of a trial's (seed, index) substream."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def trial_seed(master_seed: int, index: int) -> int:
+    """Deterministic per-trial seed; independent of execution order."""
+    ss = np.random.SeedSequence((master_seed, index))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
+    """`trial_seed(master_seed, i)` for i in range(start, start + count).
+
+    One array pass per entropy-row length: an index below 2**32 is one
+    word after the master seed's, a larger one (below 2**64) two.
+    """
+    index = np.arange(start, start + count, dtype=np.uint64)
+    lo = (index & MASK32).astype(np.uint32)
+    hi = (index >> 32).astype(np.uint32)
+    head = np.array(entropy_words(master_seed), np.uint32)
+    split = int(np.searchsorted(index, 2 ** 32))
+    seeds = []
+    for tail in ([lo[:split]], [lo[split:], hi[split:]]):
+        if len(tail[0]):
+            rows = np.column_stack([np.tile(head, (len(tail[0]), 1)), *tail])
+            words = seed_sequence_words(rows, 2)
+            seeds += uint64_rows(words)[0].tolist()
+    return seeds
+
+
+_MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (`first_draws`)
+
+
+def first_draws(seeds: list[int], index: int,
+                shape: tuple[int, ...]) -> np.ndarray:
+    """Each seed's first `shape` draw from its (seed, index) substream.
+
+    The PCG64 states and, for draws of at most _MAX_FAST_NORMALS normals,
+    each trial's words and normals are arrays. A trial with a word the
+    ziggurat tables do not certify, or every trial of a larger draw, is
+    drawn by one generator, `substream` of the first seed, set to the
+    trial's state in turn. About 1.5% of words are uncertified, so a draw
+    of n normals falls back with probability 1 - 0.985**n (42% at 36),
+    and past 16 the arrays cost more than they save. The first seed's bulk
+    state and draw must equal that generator's own, or a numpy whose
+    seeding or normals changed would silently change every draw; a
+    campaign checks them once per chunk and raises RuntimeError.
+    """
+    states = pcg64_states(seeds, index)
+    rng = substream(seeds[0], index)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    s_hi, s_lo, i_hi, i_lo = states[:, 0].tolist()
+    if (state["state"]["state"], state["state"]["inc"]) != \
+            (s_hi << 64 | s_lo, i_hi << 64 | i_lo):
+        raise RuntimeError(f"bulk PCG64 seeding of substream ({seeds[0]}, "
+                           f"{index}) differs from numpy's")
+    first = rng.standard_normal(shape)
+    count = math.prod(shape)
+    if count > _MAX_FAST_NORMALS:
+        draws, slow = np.empty((len(seeds), count)), np.arange(len(seeds))
+    else:
+        draws, certified = ziggurat_normals(pcg64_words(states, count))
+        slow = np.flatnonzero(~certified.all(axis=1))
+    # numpy's state dict holds (state, inc) as ints
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(slow.tolist(),
+                                             states[:, slow].T.tolist()):
+        state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+        bit_generator.state = state
+        rng.standard_normal(out=draws[row])
+    draws = draws.reshape((len(seeds),) + shape)
+    if draws[0].tobytes() != first.tobytes():
+        raise RuntimeError(f"first draw of substream ({seeds[0]}, {index}) "
+                           "differs from numpy's standard_normal")
+    return draws

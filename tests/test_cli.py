@@ -1279,3 +1279,23 @@ class TestManifests:
         main(["bounds", "--m", "2", "--k", "2", "--out", str(out)])
         manifest = json.loads((tmp_path / "b.manifest.json").read_text())
         assert manifest["output_digests"]["b.csv"] == digest(out)
+
+    @pytest.mark.parametrize("argv, files", [
+        (["bounds", "--m", "2", "--k", "2"], ["b.csv"]),
+        (["bounds", "--m", "3", "--k", "2", "--json"], ["b.csv", "b.json"]),
+        (["simulate", "--m", "2", "--k", "2", "--mu", "1", "--scheme", "zf",
+          "--trials", "50", "--seed", "0"], ["s.csv", "s.summary.json"]),
+        (["verify-converse", "--m", "2", "--k", "2", "--trials", "20",
+          "--seed", "0"], ["v.json"]),
+    ], ids=["bounds", "bounds-json", "simulate", "verify-converse"])
+    def test_every_output_digest_matches_its_file(self, tmp_path, argv, files):
+        """Each data file the command writes, into a directory it creates,
+        has its digest in the manifest, and nothing else is written."""
+        out = tmp_path / "new" / "dir" / files[0]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        manifest_name = out.stem + ".manifest.json"
+        manifest = json.loads((out.parent / manifest_name).read_text())
+        assert manifest["output_digests"] == {
+            name: digest(out.parent / name) for name in files}
+        assert sorted(p.name for p in out.parent.iterdir()) == sorted(
+            [*files, manifest_name])

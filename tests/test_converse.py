@@ -500,6 +500,16 @@ class TestSubmatrices:
         with pytest.raises(RangeError):
             build_submatrices(np.eye(3), 4)
 
+    @pytest.mark.parametrize("ell", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_ell_cuts_as_an_int(self, ell):
+        h = np.random.default_rng(5).standard_normal((3, 4))
+        cut = build_submatrices(h, ell)
+        assert type(cut.ell) is int and cut.ell == 2
+        for got, want in zip((cut.h1, cut.h2, cut.h3),
+                             (h[:2, 2:], h[2:, 2:], h[2:, :])):
+            np.testing.assert_array_equal(got, want)
+        assert lambda_constant(h, ell) == lambda_constant(h, 2)
+
 
 class TestReconstructionIdentity:
     def test_random_draws_tiny_residual(self):
@@ -962,6 +972,14 @@ class TestChunkedMatchesPerDraw:
         cfg = validate_config(3, 3, 3, F(1), 1200)
         with pytest.raises(RangeError, match=f"ell {ells[-1]!r} outside"):
             verify_converse(cfg, ells=ells, trials=10, seed=0)
+
+    def test_numpy_integer_ells_report_ints(self):
+        cfg = validate_config(3, 3, 3, F(1), 1200)
+        reports = verify_converse(cfg, ells=[np.int64(3), np.int32(1)],
+                                  trials=10, seed=6)
+        assert [type(r.ell) for r in reports] == [int, int]
+        assert repr(reports) == repr(verify_converse(cfg, ells=[3, 1],
+                                                     trials=10, seed=6))
 
     @pytest.mark.parametrize("ell", [-1, 0, 2.0, "3"])
     def test_bad_ell_refused_before_the_noise_block(self, monkeypatch, ell):

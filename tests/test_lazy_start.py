@@ -17,7 +17,8 @@ from edgecache.cli import EXIT_OK, EXIT_USAGE, main
 
 F = Fraction
 SRC = Path(edgecache.__file__).resolve().parents[1]
-HEAVY = ("numpy", "edgecache.phy", "edgecache.caching", "edgecache.converse")
+HEAVY = ("numpy", "edgecache.phy", "edgecache.caching", "edgecache.converse",
+         "edgecache.streams")
 # cli's globals that stand in for a numpy layer's function until first called
 SITES = {
     "split_placement": caching,
@@ -78,7 +79,7 @@ class TestNumpyFreeStart:
                 "zf", "--seed", "0", "--trials", "50",
                 "--out", str(tmp_path / "s.csv")]
         assert fresh_main(argv) == [[], EXIT_OK, [
-            "numpy", "edgecache.phy", "edgecache.caching"]]
+            "numpy", "edgecache.phy", "edgecache.caching", "edgecache.streams"]]
 
 
 class TestLookupSites:

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo delivery simulator."""
 
+import ast
 import json
 import math
 import os
@@ -48,11 +49,10 @@ from edgecache.phy import (
     run_trial,
     snr_db_to_power,
     tdma_delivery,
-    trial_seed,
-    trial_seeds,
     zf_per_en_power,
     zf_sinrs,
 )
+from edgecache.streams import trial_seed, trial_seeds
 from accepts_reference import ia_accepts_svd, zf_accepts_svd
 from one_draw import (
     AlignmentDegeneracyError,
@@ -507,13 +507,13 @@ class TestRunTrial:
     ])
     def test_builds_only_the_substreams_it_draws_from(self, monkeypatch,
                                                       scheme, substreams):
-        built, substream = [], phy._substream
+        built, substream = [], streams.substream
 
         def recording(seed, index):
             built.append(index)
             return substream(seed, index)
 
-        monkeypatch.setattr(phy, "_substream", recording)
+        monkeypatch.setattr(streams, "substream", recording)
         cfg, alloc, dem = setup_scheme(scheme)
         run_trial(cfg, alloc, scheme, dem, 40.0, seed=9)
         assert built == substreams
@@ -557,14 +557,14 @@ def spoiling(rejections, index, shape, spoil, accepts, seen):
 
 
 def record_substreams(monkeypatch):
-    """Make `phy._substream` record each (seed, generator) it builds."""
-    built, substream = [], phy._substream
+    """Make `streams.substream` record each (seed, generator) it builds."""
+    built, substream = [], streams.substream
 
     def recording(seed, index):
         built.append((seed, substream(seed, index)))
         return built[-1][1]
 
-    monkeypatch.setattr(phy, "_substream", recording)
+    monkeypatch.setattr(streams, "substream", recording)
     return built
 
 
@@ -1210,10 +1210,10 @@ class TestBulkSeeding:
                      st.sampled_from([(EXTENSION_SLOTS, 2, 2), (2, 2, 4),
                                       (16,), (17,)])))
     def test_first_draws_equal_numpys(self, seeds, index, shape):
-        draws = phy._first_draws(seeds, index, shape)
+        draws = streams.first_draws(seeds, index, shape)
         assert draws.shape == (len(seeds),) + shape
         for seed, draw in zip(seeds, draws):
-            expected = phy._substream(seed, index).standard_normal(shape)
+            expected = streams.substream(seed, index).standard_normal(shape)
             assert draw.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("index", [0, 1])
@@ -1221,7 +1221,7 @@ class TestBulkSeeding:
         """Limb rows: state high, state low, inc high, inc low."""
         expected = []
         for seed in EDGE_SEEDS:
-            pcg = phy._substream(seed, index).bit_generator.state["state"]
+            pcg = streams.substream(seed, index).bit_generator.state["state"]
             expected.append([pcg["state"] >> 64, pcg["state"] & MASK64,
                              pcg["inc"] >> 64, pcg["inc"] & MASK64])
         states = streams.pcg64_states(EDGE_SEEDS, index)
@@ -1233,18 +1233,32 @@ class TestBulkSeeding:
         states = streams.pcg64_states(EDGE_SEEDS, index)
         words = streams.pcg64_words(states, 20)
         for seed, row in zip(EDGE_SEEDS, words):
-            bit_generator = phy._substream(seed, index).bit_generator
+            bit_generator = streams.substream(seed, index).bit_generator
             assert row.tolist() == bit_generator.random_raw(20).tolist()
 
+    def test_only_streams_names_numpys_generator_internals(self):
+        """`streams` is the one module that redoes numpy's generators."""
+        internals = {"SeedSequence", "bit_generator", "random_raw", "PCG64"}
+        named = {}  # module -> the internals it names
+        for path in sorted(Path(phy.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # a name, an attribute, an import or its alias, a definition
+            found = internals & {getattr(node, field, None)
+                                 for node in ast.walk(tree)
+                                 for field in ("id", "attr", "name", "asname")}
+            if found:
+                named[path.stem] = found
+        assert set(named) == {"streams"}, named
+
     def test_a_wrong_trial_seed_fails_loudly(self, monkeypatch):
-        bulk = phy.trial_seeds
+        bulk = streams.trial_seeds
 
         def second_point_off(master, start, count):
             seeds = bulk(master, start, count)
             seeds[4] ^= 1  # the second SNR point's first trial
             return seeds
 
-        monkeypatch.setattr(phy, "trial_seeds", second_point_off)
+        monkeypatch.setattr(streams, "trial_seeds", second_point_off)
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
         with pytest.raises(RuntimeError, match="SeedSequence"):
             run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID, 4, 0)
@@ -1406,10 +1420,10 @@ class TestZigguratTables:
         read, probed = [], streams.ziggurat_tables
         monkeypatch.setattr(streams, "ziggurat_tables",
                             lambda: read.append(None) or probed())
-        draws = phy._first_draws(seeds, 0, shape)
+        draws = streams.first_draws(seeds, 0, shape)
         assert bool(read) == tables
         for seed, draw in zip(seeds, draws):
-            expected = phy._substream(seed, 0).standard_normal(shape)
+            expected = streams.substream(seed, 0).standard_normal(shape)
             assert draw.tobytes() == expected.tobytes()
 
 
@@ -1462,7 +1476,7 @@ class TestSeedChecks:
     def test_the_largest_trial_seed_runs(self):
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
         result = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0,
-                           phy.MAX_TRIAL_SEED)
+                           streams.MAX_SEED)
         assert result.seeds == (2**64 - 1,)
 
 
