@@ -14,6 +14,7 @@ downstream tightness checks stay exact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -52,7 +53,7 @@ from .model import (
     MAX_LIBRARY_BITS,
     MAX_LINKS,
     MAX_NODES,
-    MAX_SNR_DB,
+    MAX_SEED,
     MIN_SNR_POINTS,
     MIN_SNR_SPAN_DB,
     MIN_TRIALS_PER_SNR,
@@ -61,6 +62,7 @@ from .model import (
     DemandVector,
     FileLibrary,
     Scheme,
+    check_snr_db,
     validate_config,
 )
 
@@ -218,10 +220,10 @@ def _snr_grid(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a list of numbers: {text!r}") from None
-    bad = [s for s in grid if not (math.isfinite(s) and s <= MAX_SNR_DB)]
-    if bad:
-        raise argparse.ArgumentTypeError(
-            f"SNR values {bad} must be finite and at most {MAX_SNR_DB:g} dB")
+    try:
+        check_snr_db(grid)
+    except ArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     dupes = sorted({s for s in grid if grid.count(s) > 1})
     if dupes:
         raise argparse.ArgumentTypeError(f"duplicate SNR values {dupes}")
@@ -263,7 +265,6 @@ def _grid_step(text: str) -> Fraction:
     return step
 
 
-MAX_SEED = 2**64 - 1  # numpy takes larger seeds; 64 bits keep --seed short
 MAX_INT_TEXT = 24  # characters an integer flag reads, more than any cap's digits
 
 
@@ -419,17 +420,9 @@ def cmd_verify_converse(args, argv: list[str]) -> int:
         "logdet_oracle": args.tol_logdet,
         "noise_cov": args.tol_noise_cov,
     }
-    entries = [{
-        "ell": rep.ell,
-        "trials": rep.trials,
-        "lambda_max": rep.lambda_max,
-        "max_reconstruction_residual": rep.max_reconstruction_residual,
-        "max_logdet": rep.max_logdet,
-        "max_logdet_oracle_error": rep.max_logdet_oracle_error,
-        "noise_cov_error": rep.noise_cov_error,
-        "noise_cov_samples": rep.noise_cov_samples,
-        "pass": report_passes(rep, *tolerances.values()),
-    } for rep in reports]
+    entries = [{**dataclasses.asdict(rep),
+                "pass": report_passes(rep, *tolerances.values())}
+               for rep in reports]
     all_pass = all(entry["pass"] for entry in entries)
     report_doc = {
         "num_ens": config.num_ens,

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, RangeError, SingularH1Error
+from .errors import RangeError, SingularH1Error
 from .model import (LOGDET_ORACLE_TOL, NOISE_COV_TOL, RECONSTRUCTION_TOL,
-                    SystemConfig, check_seed)
+                    SystemConfig, check_seed, check_trials)
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
 NOISE_COV_SAMPLES = 100_000
@@ -344,7 +344,6 @@ class ConverseReport:
     max_logdet_oracle_error: float
     noise_cov_error: float
     noise_cov_samples: int
-    config: SystemConfig
 
 
 def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
@@ -354,8 +353,7 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     Every cut's noise check reads the leading ell x ell corner of one
     Wishart noise covariance S, drawn from `default_rng(seed + 1)`.
     """
-    if trials < 1:
-        raise ArgumentError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     check_seed(seed)
     m, k = config.num_ens, config.num_users
     ells = (range(1, min(m, k) + 1) if ells is None
@@ -392,7 +390,6 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
             max_logdet_oracle_error=worst_oracle,
             noise_cov_error=float(noise_cov_check(cov_cut, cov)[0]),
             noise_cov_samples=NOISE_COV_SAMPLES,
-            config=config,
         )
     return [reports[ell] for ell in ells]
 

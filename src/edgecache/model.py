@@ -11,8 +11,9 @@ The fractional cache size mu is kept as an exact rational everywhere, never
 a float, so downstream bound maximisation and envelope corner matching are
 exact.
 
-The schemes, SNR and trial limits and converse tolerances live here too,
-so the command-line parser reads them without numpy.
+The schemes, the seed, SNR and trial limits and their checks, and the
+converse tolerances live here too, so the command-line parser reads them
+without numpy.
 
 The library's bits are one numpy `integers(0, 2)` call per file, drawn on
 first read; N*L is capped by MAX_LIBRARY_BITS.
@@ -21,6 +22,7 @@ first read; N*L is capped by MAX_LIBRARY_BITS.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,14 +128,31 @@ def validate_config(num_ens, num_users, library_size, frac_cache,
     return SystemConfig(num_ens, num_users, library_size, mu, file_bits)
 
 
-def check_seed(seed, top: int | None = None) -> None:
-    """Refuse, before any work, a seed that is not an integer in [0, top]
-    (no top: any non-negative integer). numpy's seeding rejects a negative
-    seed only once it runs, and `streams.entropy_words` never ends on one."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0
-            and (top is None or seed <= top)):
-        raise ArgumentError(f"seed must be an integer in "
-                            f"[0, {'inf' if top is None else top}], got {seed!r}")
+MAX_SEED = 2**64 - 1  # one uint64, so numpy's seeding rows fit its pool
+
+
+def check_seed(seed) -> None:
+    """Refuse, before any work, a seed that is not an integer in
+    [0, MAX_SEED]; numpy's seeding rejects a negative seed only once it
+    runs."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= MAX_SEED):
+        raise ArgumentError(f"seed must be an integer in [0, {MAX_SEED}], "
+                            f"got {seed!r}")
+
+
+def check_trials(trials) -> None:
+    """Refuse a trial count that is not a positive integer."""
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ArgumentError(f"trials must be a positive integer, got {trials!r}")
+
+
+def check_snr_db(grid) -> None:
+    """Refuse SNR points that are not finite numbers of at most MAX_SNR_DB."""
+    bad = [s for s in grid if not (isinstance(s, numbers.Real)
+                                   and math.isfinite(s) and s <= MAX_SNR_DB)]
+    if bad:
+        raise ArgumentError(
+            f"SNR values {bad} must be finite and at most {MAX_SNR_DB:g} dB")
 
 
 @dataclass(frozen=True)

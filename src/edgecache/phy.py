@@ -54,6 +54,8 @@ from .model import (
     Scheme,
     SystemConfig,
     check_seed,
+    check_snr_db,
+    check_trials,
 )
 
 EXTENSION_SLOTS = 3
@@ -473,10 +475,11 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     state `streams.first_draws` checks against numpy's own: the one-trial
     reference that campaigns, with their chunks across seeds and SNR
     points, are tested against. Returns the one-row result. A zero sum rate
-    is a SingularChannelError; a seed outside [0, streams.MAX_SEED] is an
-    ArgumentError.
+    is a SingularChannelError; a seed outside [0, model.MAX_SEED] or an SNR
+    that `check_snr_db` refuses is an ArgumentError.
     """
-    check_seed(seed, streams.MAX_SEED)
+    check_seed(seed)
+    check_snr_db([snr_db])
     assignment = _checked_assignment(config, allocation, scheme, demand)
     columns = _trial_results(config, allocation, scheme, assignment,
                              np.array([snr_db_to_power(snr_db)]), [seed])
@@ -497,14 +500,15 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     point's power, go through the stage in trial order in chunks of
     TRIAL_CHUNK, so memory does not grow with the campaign. The first
     failing chunk raises what per-point runs would: the earliest failing
-    point's lowest failing trial's error. A negative master seed is an
-    ArgumentError.
+    point's lowest failing trial's error. A master seed outside
+    [0, model.MAX_SEED], an SNR point that `check_snr_db` refuses or a trial
+    count below 1 is an ArgumentError.
     """
     check_seed(master_seed)
-    assignment = _checked_assignment(config, allocation, scheme, demand)
     grid = list(snr_grid_db)
-    if trials_per_snr < 1:
-        return []
+    check_snr_db(grid)
+    check_trials(trials_per_snr)
+    assignment = _checked_assignment(config, allocation, scheme, demand)
     seeds = streams.trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
     points = [slice(base, base + trials_per_snr)
               for base in range(0, len(seeds), trials_per_snr)]

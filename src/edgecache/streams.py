@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .model import MAX_SEED  # the largest seed or index `entropy_rows` takes
+
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
 # (numpy/random/src/pcg64)
 _POOL_SIZE = 4
@@ -33,15 +35,6 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _MULT_LIMBS = np.array([[_PCG64_MULT >> 64], [_PCG64_MULT & _MASK64]],
                        np.uint64)  # high and low limb, one column each
-MAX_SEED = 2**64 - 1  # a trial seed is one uint64 (`pcg64_states`)
-
-
-def entropy_words(n: int) -> list[int]:
-    """The uint32 entropy words numpy makes of a non-negative int, low first."""
-    words = [n & MASK32]
-    while n := n >> 32:
-        words.append(n & MASK32)
-    return words
 
 
 @functools.lru_cache(maxsize=8)
@@ -75,30 +68,39 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def seed_sequence_words(rows: np.ndarray, n_words: int) -> np.ndarray:
-    """`SeedSequence(row).generate_state(n_words)` for each row.
+def entropy_rows(seeds, indices) -> np.ndarray:
+    """numpy's entropy of `SeedSequence((seed, index))` per pair, (4, T) uint32.
 
-    `rows` is a (T, L) uint32 array, one seed's entropy words per row. A
-    row shorter than the pool is zero-padded on the right, which is what
-    numpy's `hashmix(0)` on the empty pool slots amounts to; words beyond
-    the pool go through numpy's extra mixing loop. Each of numpy's loops
-    over pool words runs as one array step where its hashes do not depend
-    on each other. Returns an (n_words, T) uint32 array.
+    numpy makes one uint32 word of an int below 2**32 and two, low first,
+    of one below 2**64 (MAX_SEED), so a pair's row is 2 to 4 words. A row
+    shorter than the pool of 4 is zero-padded on the right, which is what
+    numpy's `hashmix(0)` on the empty pool slots amounts to.
     """
-    entropy = np.zeros((max(rows.shape[1], _POOL_SIZE), len(rows)), np.uint32)
-    entropy[:rows.shape[1]] = rows.T
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], consts, 0)
+    seeds, indices = np.broadcast_arrays(np.asarray(seeds, np.uint64),
+                                         np.asarray(indices, np.uint64))
+    s_hi, i_lo, i_hi = seeds >> 32, indices & MASK32, indices >> 32
+    two = s_hi != 0  # a seed of two words
+    return np.array([seeds & MASK32, np.where(two, s_hi, i_lo),
+                     np.where(two, i_lo, i_hi), np.where(two, i_hi, 0)],
+                    np.uint32)
+
+
+def seed_sequence_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence(column).generate_state(n_words)` per `entropy_rows` column.
+
+    Each of numpy's loops over pool words runs as one array step where its
+    hashes do not depend on each other. Returns an (n_words, T) uint32
+    array.
+    """
+    # the pool's 4 hashes, then 3 for each of its 4 words' mixing rounds
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2)
+    pool = _hashmix(entropy, consts, 0)
     used = _POOL_SIZE
     for src in range(_POOL_SIZE):
         others = [dst for dst in range(_POOL_SIZE) if dst != src]
         hashed = _hashmix(pool[[src] * len(others)], consts, used)
         pool[others] = _mix(pool[others], hashed)
         used += len(others)
-    for word in entropy[_POOL_SIZE:]:
-        hashed = _hashmix(np.tile(word, (_POOL_SIZE, 1)), consts, used)
-        pool = _mix(pool, hashed)
-        used += _POOL_SIZE
     consts = _hash_constants(_INIT_B, _MULT_B, n_words)
     return _hashmix(pool[np.arange(n_words) % _POOL_SIZE], consts, 0)
 
@@ -164,18 +166,11 @@ def _jump(states: np.ndarray, consts: np.ndarray) -> tuple[np.ndarray,
 def pcg64_states(seeds: list[int], index: int) -> np.ndarray:
     """The PCG64 (state, inc) of `SeedSequence((seed, index))` per seed.
 
-    Each seed is below 2**64 (one entropy word, or two from 2**32 on) and
-    the index below 2**32 (one word). SeedSequence's 4 uint64 words seed
-    PCG64 through its `srandom` step. Returns (4, T) uint64 limbs: rows
-    state high, state low, inc high, inc low.
+    SeedSequence's 4 uint64 words seed PCG64 through its `srandom` step.
+    Returns (4, T) uint64 limbs: rows state high, state low, inc high, inc
+    low.
     """
-    seed_array = np.array(seeds, dtype=np.uint64)
-    lo = (seed_array & MASK32).astype(np.uint32)
-    hi = (seed_array >> 32).astype(np.uint32)
-    one_word = hi == 0
-    rows = np.column_stack([lo, np.where(one_word, index, hi),
-                            np.where(one_word, 0, index)]).astype(np.uint32)
-    words = uint64_rows(seed_sequence_words(rows, 8))
+    words = uint64_rows(seed_sequence_words(entropy_rows(seeds, index), 8))
     init_hi, init_lo, seq_hi, seq_lo = words
     # srandom(initstate, initseq): inc = initseq << 1 | 1; from state 0, one
     # LCG step, add initstate, one more step
@@ -272,23 +267,11 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 def trial_seeds(master_seed: int, start: int, count: int) -> list[int]:
-    """`trial_seed(master_seed, i)` for i in range(start, start + count).
-
-    One array pass per entropy-row length: an index below 2**32 is one
-    word after the master seed's, a larger one (below 2**64) two.
-    """
+    """`trial_seed(master_seed, i)` for i in range(start, start + count),
+    in one array pass."""
     index = np.arange(start, start + count, dtype=np.uint64)
-    lo = (index & MASK32).astype(np.uint32)
-    hi = (index >> 32).astype(np.uint32)
-    head = np.array(entropy_words(master_seed), np.uint32)
-    split = int(np.searchsorted(index, 2 ** 32))
-    seeds = []
-    for tail in ([lo[:split]], [lo[split:], hi[split:]]):
-        if len(tail[0]):
-            rows = np.column_stack([np.tile(head, (len(tail[0]), 1)), *tail])
-            words = seed_sequence_words(rows, 2)
-            seeds += uint64_rows(words)[0].tolist()
-    return seeds
+    rows = entropy_rows(master_seed, index)
+    return uint64_rows(seed_sequence_words(rows, 2))[0].tolist()
 
 
 _MAX_FAST_NORMALS = 16  # larger draws: the per-trial loop (`first_draws`)

@@ -1205,7 +1205,7 @@ class TestParserCache:
     def test_a_patched_limit_still_refuses(self, tmp_path, capsys,
                                            monkeypatch):
         build_parser()
-        monkeypatch.setattr("edgecache.cli.MAX_SNR_DB", 30.0)
+        monkeypatch.setattr("edgecache.model.MAX_SNR_DB", 30.0)
         monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
         code = main(["simulate", "--m", "2", "--k", "2", "--mu", "1",
                      "--scheme", "zf", "--snr-grid", "0,20,40", "--seed", "0",

@@ -31,7 +31,7 @@ from edgecache.converse import (
     variance_bound_check,
     verify_converse,
 )
-from edgecache.errors import RangeError, SingularH1Error
+from edgecache.errors import ArgumentError, RangeError, SingularH1Error
 from edgecache.model import validate_config
 from converse_reference import (
     block_noise_covariance,
@@ -193,7 +193,7 @@ def reference_verify(config, ells=None, trials=1000, seed=0, redraws=None):
         cov_err = one_noise_cov_check(cov_cut, cov)
         reports.append(ConverseReport(ell, trials, lam, worst_residual,
                                       worst_logdet, worst_oracle, cov_err,
-                                      NOISE_COV_SAMPLES, config))
+                                      NOISE_COV_SAMPLES))
     return reports
 
 
@@ -885,6 +885,17 @@ class TestVerifyConverse:
             assert rep.max_reconstruction_residual < 1e-9
             assert rep.max_logdet_oracle_error < 1e-10
             assert rep.noise_cov_error < 0.05
+
+    @pytest.mark.parametrize("trials", [0, -5, 2.5])
+    def test_a_bad_trial_count_is_refused_before_any_draw(self, monkeypatch,
+                                                          trials):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew for a bad trial count")
+
+        monkeypatch.setattr(converse, "noise_covariance", no_draw)
+        cfg = validate_config(2, 2, 2, F(1), 1200)
+        with pytest.raises(ArgumentError, match="trials must be"):
+            verify_converse(cfg, trials=trials, seed=0)
 
     def test_tolerance_override_fails_report(self):
         cfg = validate_config(2, 2, 2, F(1), 1200)

@@ -226,8 +226,10 @@ class TestRawLibraryDraw:
             lib.files[-1][0] = 1
 
     def test_draw_holds_no_second_copy(self):
-        # a page over the N*L bits and the cost that does not grow with L:
-        # the generator and one array header per file, measured at L = 4
+        # a page over the N*L bits, one file's L-byte temporary (each
+        # `integers` call's array before its copy into the block) and the
+        # cost that does not grow with L: the generator and one array header
+        # per file, measured at L = 4; L is sim-library's
         def draw_peak(n, l):
             library(n, l, seed=0).files
             tracemalloc.start()
@@ -237,9 +239,9 @@ class TestRawLibraryDraw:
             finally:
                 tracemalloc.stop()
 
-        n, l = 40, 4800
+        n, l = 40, 48000
         fixed = draw_peak(n, 4) - n * 4
-        assert draw_peak(n, l) < n * l + fixed + 4096
+        assert draw_peak(n, l) < n * l + l + fixed + 4096
 
     def test_bits_are_drawn_on_first_read(self, monkeypatch):
         def no_draw(*args, **kwargs):

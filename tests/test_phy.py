@@ -936,16 +936,47 @@ class TestCampaign:
         run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 4, master_seed=2)
         assert len(seen) == calls
 
-    @pytest.mark.parametrize("grid,per_snr", [([], 50), (SNR_GRID, 0)],
-                             ids=["empty-grid", "no-trials"])
-    def test_no_trials_return_no_points(self, monkeypatch, grid, per_snr):
+    def test_an_empty_grid_returns_no_points(self, monkeypatch):
         def no_stage(*args):
             raise AssertionError("the scheme stage ran on no trials")
 
         monkeypatch.setattr(phy, "_trial_results", no_stage)
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
-        assert run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, grid,
-                            per_snr, 0) == []
+        assert run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, [],
+                            50, 0) == []
+
+    @pytest.mark.parametrize("grid,per_snr,message", [
+        (SNR_GRID, 0, "trials must be"),
+        (SNR_GRID, -5, "trials must be"),
+        (SNR_GRID, 2.5, "trials must be"),
+        ([20.0, 40.0, math.nan], 50, "SNR values"),
+        ([20.0, 40.0, math.inf], 50, "SNR values"),
+        ([20.0, 40.0, MAX_SNR_DB + 1], 50, "SNR values"),
+        ([20.0, 40.0, "60"], 50, "SNR values"),
+    ], ids=["0-trials", "-5-trials", "2.5-trials", "nan", "inf", "over-max",
+            "text"])
+    def test_bad_campaigns_are_refused_before_any_trial(
+            self, monkeypatch, grid, per_snr, message):
+        def no_work(*args):
+            raise AssertionError("a refused campaign did work")
+
+        monkeypatch.setattr(phy, "_trial_results", no_work)
+        monkeypatch.setattr(phy, "_checked_assignment", no_work)
+        monkeypatch.setattr(streams, "trial_seeds", no_work)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        with pytest.raises(ArgumentError, match=message):
+            run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, grid,
+                         per_snr, 0)
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, MAX_SNR_DB + 1])
+    def test_a_bad_trial_snr_is_refused(self, monkeypatch, snr):
+        def no_work(*args):
+            raise AssertionError("a refused trial did work")
+
+        monkeypatch.setattr(phy, "_trial_results", no_work)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        with pytest.raises(ArgumentError, match="SNR values"):
+            run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, snr, 0)
 
     def test_memory_stays_within_a_chunk(self):
         """A campaign of ten chunks' trials at one SNR point allocates, on
@@ -1049,7 +1080,7 @@ snr_grids = st.lists(
               st.floats(-160.0, -130.0)),
     min_size=1, max_size=3, unique=True)
 campaigns = st.tuples(snr_grids, st.integers(1, 6),
-                      st.integers(0, 2 ** 200))
+                      st.integers(0, 2 ** 64 - 1))
 
 
 class TestBatchedCampaign:
@@ -1174,10 +1205,9 @@ class TestBatchedRedraws:
 
 MASK64 = 2 ** 64 - 1
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # its 128-bit LCG multiplier
-# word-count edges of numpy's entropy: 1, 2, 3, 4 and 5+ uint32 words
-EDGE_MASTERS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
-                2 ** 96 - 1, 2 ** 96, 2 ** 128, 2 ** 256]
-EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+# word-count edges of numpy's entropy: a seed of 1 or 2 uint32 words, up
+# to MAX_SEED, so with its index a row of 2 to 4 words
+EDGE_MASTERS = EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
 
 
 class TestBulkSeeding:
@@ -1185,15 +1215,18 @@ class TestBulkSeeding:
 
     @pytest.mark.parametrize("master", EDGE_MASTERS)
     @pytest.mark.parametrize("start,count", [(0, 3), (2 ** 32 - 2, 4),
-                                             (2 ** 32, 2), (2 ** 40, 1)])
+                                             (2 ** 32, 2), (2 ** 40, 1),
+                                             (2 ** 64 - 3, 3)])
     def test_trial_seeds_at_word_edges(self, master, start, count):
         assert trial_seeds(master, start, count) == [
             trial_seed(master, i) for i in range(start, start + count)]
 
     @settings(max_examples=60)
-    @given(st.one_of(st.sampled_from(EDGE_MASTERS), st.integers(0, 2 ** 256)),
+    @given(st.one_of(st.sampled_from(EDGE_MASTERS),
+                     st.integers(0, 2 ** 64 - 1)),
            st.one_of(st.integers(0, 2 ** 48),
-                     st.integers(2 ** 32 - 12, 2 ** 32 + 12)),
+                     st.integers(2 ** 32 - 12, 2 ** 32 + 12),
+                     st.integers(2 ** 64 - 40, 2 ** 64 - 12)),
            st.integers(0, 12))
     def test_trial_seeds_equal_numpys(self, master, start, count):
         assert trial_seeds(master, start, count) == [
@@ -1428,7 +1461,7 @@ class TestZigguratTables:
 
 
 # Each seed a seeded entry point must refuse with ArgumentError before any
-# work; a negative master seed once looped `streams.entropy_words` forever.
+# work: every seed is one uint64, in [0, model.MAX_SEED].
 BAD_SEEDS = """
 import json
 from fractions import Fraction
@@ -1442,11 +1475,16 @@ alloc = full_placement(FileLibrary.random(cfg, seed=0), cfg)
 args = (cfg, alloc, Scheme.ZERO_FORCING, DemandVector.worst_case(cfg))
 calls = {
     "run_campaign -1": lambda: run_campaign(*args, [20.0, 40.0, 60.0], 50, -1),
+    "run_campaign 2**64": lambda: run_campaign(*args, [20.0, 40.0, 60.0], 50,
+                                               2**64),
     "run_trial -1": lambda: run_trial(*args, 40.0, -1),
     "run_trial 2**64": lambda: run_trial(*args, 40.0, 2**64),
     "run_trial 1.0": lambda: run_trial(*args, 40.0, 1.0),
     "FileLibrary.random -1": lambda: FileLibrary.random(cfg, seed=-1),
+    "FileLibrary.random 2**64": lambda: FileLibrary.random(cfg, seed=2**64),
     "verify_converse -1": lambda: verify_converse(cfg, trials=1, seed=-1),
+    "verify_converse 2**64": lambda: verify_converse(cfg, trials=1,
+                                                     seed=2**64),
 }
 raised = {}
 for name, call in calls.items():
@@ -1468,7 +1506,7 @@ class TestSeedChecks:
                               capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
         raised = json.loads(proc.stdout)
-        assert len(raised) == 6
+        assert len(raised) == 9
         for name, error in raised.items():
             assert error and error.startswith("ArgumentError: seed must be"), (
                 name, error)
