@@ -1511,6 +1511,22 @@ class TestSeedChecks:
             assert error and error.startswith("ArgumentError: seed must be"), (
                 name, error)
 
+    # the masters past one uint64 that seeding took before MAX_SEED bounded
+    # every seed, among them each row length numpy's pool could not hold
+    @pytest.mark.parametrize("master", [2 ** 64, 2 ** 96 - 1, 2 ** 96,
+                                        2 ** 128, 2 ** 256])
+    def test_masters_past_one_word_are_refused_before_seeding(
+            self, monkeypatch, master):
+        def no_work(*args):
+            raise AssertionError("a refused campaign seeded its trials")
+
+        monkeypatch.setattr(phy, "_trial_results", no_work)
+        monkeypatch.setattr(streams, "trial_seeds", no_work)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        with pytest.raises(ArgumentError, match="seed must be"):
+            run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, SNR_GRID, 4,
+                         master)
+
     def test_the_largest_trial_seed_runs(self):
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
         result = run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0,
