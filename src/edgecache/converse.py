@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import RangeError, SingularH1Error
 from .model import (LOGDET_ORACLE_TOL, NOISE_COV_TOL, RECONSTRUCTION_TOL,
-                    SystemConfig, check_seed, check_trials)
+                    SystemConfig, check_cap, check_seed, check_trials)
 
 H1_COND_LIMIT = 1e6  # draws beyond this conditioning are rejected as singular
 NOISE_COV_SAMPLES = 100_000
@@ -351,18 +351,26 @@ def verify_converse(config: SystemConfig, ells=None, trials: int = 1000,
     """Monte-Carlo verification of the identities for each requested ell.
 
     Every cut's noise check reads the leading ell x ell corner of one
-    Wishart noise covariance S, drawn from `default_rng(seed + 1)`.
+    Wishart noise covariance S, drawn from `default_rng(seed + 1)`. A bad
+    trial count or seed, then, once each ell is checked, a run over a
+    `model` cap (K*M, trials x cuts, trials x the sum of ell**3 over the
+    cuts) is an ArgumentError raised before any draw.
     """
     check_trials(trials)
     check_seed(seed)
     m, k = config.num_ens, config.num_users
     ells = (range(1, min(m, k) + 1) if ells is None
             else [_cut_parameter(ell, min(m, k)) for ell in ells])
-    rows = max([ell for ell in ells if ell < k], default=0)  # ell = K folds none
+    cuts = sorted(set(ells))
+    check_cap(k * m, "MAX_LINKS", "K*M")
+    check_cap(trials * len(cuts), "MAX_CAMPAIGN_TRIALS", "trials x cuts")
+    check_cap(trials * sum(ell**3 for ell in cuts), "MAX_CONVERSE_COST",
+              "trials x the sum of ell^3 over the cuts")
+    rows = max([ell for ell in cuts if ell < k], default=0)  # ell = K folds none
     cov = noise_covariance(np.random.default_rng(seed + 1), rows, NOISE_COV_SAMPLES)
     reports = {}
     inputs = m * TIME_COLUMNS
-    for ell in sorted(set(ells)):
+    for ell in cuts:
         rng = np.random.default_rng((seed, ell))
         lam, worst_residual, worst_logdet, worst_oracle = -math.inf, 0.0, 0.0, 0.0
         for done in range(0, trials, TRIAL_CHUNK):

@@ -11,9 +11,9 @@ The fractional cache size mu is kept as an exact rational everywhere, never
 a float, so downstream bound maximisation and envelope corner matching are
 exact.
 
-The schemes, the seed, SNR and trial limits and their checks, and the
-converse tolerances live here too, so the command-line parser reads them
-without numpy.
+The schemes, the seed, SNR, trial and run limits and their checks, and
+the converse tolerances live here too, so the command-line parser reads
+them without numpy and every layer refuses what the parser refuses.
 
 The library's bits are one numpy `integers(0, 2)` call per file, drawn on
 first read; N*L is capped by MAX_LIBRARY_BITS.
@@ -29,7 +29,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ArgumentError, DemandError, FeasibilityError
+from .errors import (ArgumentError, DemandError, FeasibilityError,
+                     InsufficientDataError)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +46,8 @@ MAX_SNR_DB = 1500.0  # P = 1e150, so squared gains times P stay finite floats
 # any work: M, K and ell (M = 100 in the bounds row-cap test), K*M, the size
 # of every channel draw (8 x 8 in the converse acceptance test), and a
 # campaign's trials times SNR points (5 x 5,000 in the largest campaign
-# profiled) or a converse check's trials times cuts.
+# profiled) or a converse check's trials times cuts. The parser caps each
+# flag, and `check_cap`, in `phy` and `converse`, the products.
 MAX_NODES = 400
 MAX_LINKS = 256
 MAX_CAMPAIGN_TRIALS = 100_000
@@ -155,6 +157,29 @@ def check_snr_db(grid) -> None:
             f"SNR values {bad} must be finite and at most {MAX_SNR_DB:g} dB")
 
 
+def check_snr_grid(grid) -> None:
+    """Refuse an SNR grid the slope fit cannot use: repeated values, or
+    fewer than MIN_SNR_POINTS points or a span under MIN_SNR_SPAN_DB."""
+    dupes = sorted({s for s in grid if grid.count(s) > 1})
+    if dupes:
+        raise ArgumentError(f"duplicate SNR values {dupes}")
+    if len(grid) < MIN_SNR_POINTS:
+        raise InsufficientDataError(
+            f"need >= {MIN_SNR_POINTS} SNR points, got {len(grid)}")
+    if max(grid) - min(grid) < MIN_SNR_SPAN_DB:
+        raise InsufficientDataError(
+            f"SNR grid spans {max(grid) - min(grid):.1f} dB, "
+            f"need >= {MIN_SNR_SPAN_DB:g}")
+
+
+def check_cap(size: int, cap: str, what: str) -> None:
+    """Refuse, before any work, a run whose `what` is over the cap this
+    module names `cap`, read at each call so a patched cap applies."""
+    top = globals()[cap]
+    if size > top:
+        raise ArgumentError(f"{what} is {size}, more than the {top} allowed")
+
+
 @dataclass(frozen=True)
 class DemandVector:
     """File indices (1-based) requested by users 1..K."""
@@ -199,19 +224,18 @@ class FileLibrary:
     seed: int
 
     def __post_init__(self):
-        check_seed(self.seed)
-
-    @classmethod
-    def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
-        """The handle of a library of N x L random bits; a library over
-        MAX_LIBRARY_BITS is refused here, before any bit is drawn."""
-        n, l = config.library_size, config.file_bits
+        n, l = self.num_files, self.file_bits
         if n * l > MAX_LIBRARY_BITS:
             raise ArgumentError(
                 f"a library of {n} x {l} bits exceeds the {MAX_LIBRARY_BITS} "
                 "bits allowed"
             )
-        return cls(n, l, seed)
+        check_seed(self.seed)
+
+    @classmethod
+    def random(cls, config: SystemConfig, seed: int) -> "FileLibrary":
+        """The handle of a library of the config's N x L random bits."""
+        return cls(config.library_size, config.file_bits, seed)
 
     @cached_property
     def files(self) -> tuple[np.ndarray, ...]:

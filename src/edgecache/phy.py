@@ -47,14 +47,14 @@ from .errors import (
     UnsupportedError,
 )
 from .model import (
-    MIN_SNR_POINTS,
-    MIN_SNR_SPAN_DB,
     MIN_TRIALS_PER_SNR,
     DemandVector,
     Scheme,
     SystemConfig,
+    check_cap,
     check_seed,
     check_snr_db,
+    check_snr_grid,
     check_trials,
 )
 
@@ -475,11 +475,12 @@ def run_trial(config: SystemConfig, allocation: CacheAllocation,
     state `streams.first_draws` checks against numpy's own: the one-trial
     reference that campaigns, with their chunks across seeds and SNR
     points, are tested against. Returns the one-row result. A zero sum rate
-    is a SingularChannelError; a seed outside [0, model.MAX_SEED] or an SNR
-    that `check_snr_db` refuses is an ArgumentError.
+    is a SingularChannelError; a seed outside [0, model.MAX_SEED], an SNR
+    that `check_snr_db` refuses or a K*M over MAX_LINKS is an ArgumentError.
     """
     check_seed(seed)
     check_snr_db([snr_db])
+    check_cap(config.num_users * config.num_ens, "MAX_LINKS", "K*M")
     assignment = _checked_assignment(config, allocation, scheme, demand)
     columns = _trial_results(config, allocation, scheme, assignment,
                              np.array([snr_db_to_power(snr_db)]), [seed])
@@ -495,19 +496,22 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
     do not depend on execution order. `streams.trial_seeds` makes every
     seed in one array pass, point after point; each point's first seed is
     checked against numpy's `streams.trial_seed`, and a mismatch raises
-    RuntimeError. The
-    checks and TDMA's assignment run once; then all trials, each at its
-    point's power, go through the stage in trial order in chunks of
-    TRIAL_CHUNK, so memory does not grow with the campaign. The first
-    failing chunk raises what per-point runs would: the earliest failing
-    point's lowest failing trial's error. A master seed outside
-    [0, model.MAX_SEED], an SNR point that `check_snr_db` refuses or a trial
-    count below 1 is an ArgumentError.
+    RuntimeError. The checks and TDMA's assignment run once; then all
+    trials, each at its point's power, go through the stage in trial order
+    in chunks of TRIAL_CHUNK, so memory does not grow with the campaign.
+    The first failing chunk raises what per-point runs would: the earliest
+    failing point's lowest failing trial's error. A master seed outside
+    [0, model.MAX_SEED], an SNR point that `check_snr_db` refuses, a trial
+    count below 1, or a K*M or trials times SNR points over its `model` cap
+    is an ArgumentError, raised before any trial is seeded.
     """
     check_seed(master_seed)
     grid = list(snr_grid_db)
     check_snr_db(grid)
     check_trials(trials_per_snr)
+    check_cap(config.num_users * config.num_ens, "MAX_LINKS", "K*M")
+    check_cap(trials_per_snr * len(grid), "MAX_CAMPAIGN_TRIALS",
+              "trials x SNR points")
     assignment = _checked_assignment(config, allocation, scheme, demand)
     seeds = streams.trial_seeds(master_seed, 0, len(grid) * trials_per_snr)
     points = [slice(base, base + trials_per_snr)
@@ -535,23 +539,13 @@ def run_campaign(config: SystemConfig, allocation: CacheAllocation,
 def estimate_ndt(points) -> EmpiricalNdt:
     """Least-squares DoF slope of mean sum-rate against log2(P).
 
-    `points` are `PointResult`s. Needs at least MIN_SNR_POINTS distinct SNR
-    points spanning MIN_SNR_SPAN_DB or more, with at least
+    `points` are `PointResult`s, whose SNR points must pass
+    `model.check_snr_grid`, the `--snr-grid` parser's check, with at least
     MIN_TRIALS_PER_SNR trials each.
     """
     points = sorted(points, key=lambda p: p.snr_db)
     snrs = [p.snr_db for p in points]
-    if len(set(snrs)) < len(snrs):
-        raise ArgumentError(f"duplicate SNR points in {snrs}")
-    if len(snrs) < MIN_SNR_POINTS:
-        raise InsufficientDataError(
-            f"need >= {MIN_SNR_POINTS} distinct SNR points, got {len(snrs)}"
-        )
-    if snrs[-1] - snrs[0] < MIN_SNR_SPAN_DB:
-        raise InsufficientDataError(
-            f"SNR grid spans {snrs[-1] - snrs[0]:.1f} dB, "
-            f"need >= {MIN_SNR_SPAN_DB:g}"
-        )
+    check_snr_grid(snrs)
     short = [p.snr_db for p in points if len(p.seeds) < MIN_TRIALS_PER_SNR]
     if short:
         raise InsufficientDataError(

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edgecache
+from edgecache import converse
 from edgecache.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -27,7 +28,6 @@ from edgecache.cli import (
     EXIT_USAGE,
     MAX_INT_TEXT,
     MAX_RATIONAL_DIGITS,
-    MAX_SEED,
     build_parser,
     main,
     replay_manifest,
@@ -40,6 +40,7 @@ from edgecache.model import (
     MAX_LIBRARY_BITS,
     MAX_LINKS,
     MAX_NODES,
+    MAX_SEED,
     MAX_SNR_DB,
     MIN_TRIALS_PER_SNR,
     FileLibrary,
@@ -111,6 +112,13 @@ def assert_pinned(out, pin):
 
 def no_work(*args, **kwargs):
     raise AssertionError("work ran on a run over a cap")
+
+
+def no_draws(monkeypatch):
+    """Fail the converse's first draws: the noise covariance and every
+    channel stack."""
+    monkeypatch.setattr(converse, "noise_covariance", no_work)
+    monkeypatch.setattr(converse, "sample_regular_channel", no_work)
 
 
 def read_rows(path):
@@ -636,11 +644,11 @@ class TestSimulateCommand:
         args = ["simulate", "--m", "3", "--k", "2", "--mu", "1",
                 "--scheme", "zf", "--snr-grid", "20,40,60", "--trials", "50",
                 "--seed", "0"]
-        monkeypatch.setattr(f"edgecache.cli.{cap}", size)
+        monkeypatch.setattr(f"edgecache.model.{cap}", size)
         assert main(args + ["--out", str(tmp_path / "at.csv")]) == EXIT_OK
-        monkeypatch.setattr(f"edgecache.cli.{cap}", size - 1)
-        monkeypatch.setattr(FileLibrary, "random", no_work)
-        monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
+        monkeypatch.setattr(f"edgecache.model.{cap}", size - 1)
+        monkeypatch.setattr("numpy.random.default_rng", no_work)
+        monkeypatch.setattr("edgecache.streams.trial_seeds", no_work)
         over = tmp_path / "over"
         assert main(args + ["--out", str(over / "x.csv")]) == EXIT_USAGE
         assert what in capsys.readouterr().err
@@ -654,7 +662,7 @@ class TestSimulateCommand:
                                                        monkeypatch, capsys,
                                                        args):
         monkeypatch.setattr(FileLibrary, "random", no_work)
-        monkeypatch.setattr("edgecache.cli.run_campaign", no_work)
+        monkeypatch.setattr("edgecache.streams.trial_seeds", no_work)
         code = main(["simulate", *args, "--mu", "1", "--scheme", "zf",
                      "--seed", "0", "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -742,10 +750,10 @@ class TestVerifyConverseCommand:
                                                capsys):
         args = ["verify-converse", "--m", "3", "--k", "2", "--trials", "50",
                 "--seed", "0"]
-        monkeypatch.setattr("edgecache.cli.MAX_LINKS", 3 * 2)
+        monkeypatch.setattr("edgecache.model.MAX_LINKS", 3 * 2)
         assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
-        monkeypatch.setattr("edgecache.cli.MAX_LINKS", 3 * 2 - 1)
-        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        monkeypatch.setattr("edgecache.model.MAX_LINKS", 3 * 2 - 1)
+        no_draws(monkeypatch)
         over = tmp_path / "over"
         assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
         assert "K*M is 6," in capsys.readouterr().err
@@ -756,10 +764,10 @@ class TestVerifyConverseCommand:
         # --ell all at 3x2 runs 2 cuts; one cut is capped by --trials itself
         args = ["verify-converse", "--m", "3", "--k", "2", "--ell", "all",
                 "--trials", "50", "--seed", "0"]
-        monkeypatch.setattr("edgecache.cli.MAX_CAMPAIGN_TRIALS", 50 * 2)
+        monkeypatch.setattr("edgecache.model.MAX_CAMPAIGN_TRIALS", 50 * 2)
         assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
-        monkeypatch.setattr("edgecache.cli.MAX_CAMPAIGN_TRIALS", 50 * 2 - 1)
-        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        monkeypatch.setattr("edgecache.model.MAX_CAMPAIGN_TRIALS", 50 * 2 - 1)
+        no_draws(monkeypatch)
         over = tmp_path / "over"
         assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
         assert "trials x cuts is 100," in capsys.readouterr().err
@@ -770,10 +778,10 @@ class TestVerifyConverseCommand:
         # --ell all at 3x2 runs the cuts ell = 1 and 2: 50 x (1 + 8)
         args = ["verify-converse", "--m", "3", "--k", "2", "--ell", "all",
                 "--trials", "50", "--seed", "0"]
-        monkeypatch.setattr("edgecache.cli.MAX_CONVERSE_COST", 50 * 9)
+        monkeypatch.setattr("edgecache.model.MAX_CONVERSE_COST", 50 * 9)
         assert main(args + ["--out", str(tmp_path / "at.json")]) == EXIT_OK
-        monkeypatch.setattr("edgecache.cli.MAX_CONVERSE_COST", 50 * 9 - 1)
-        monkeypatch.setattr("edgecache.cli.verify_converse", no_work)
+        monkeypatch.setattr("edgecache.model.MAX_CONVERSE_COST", 50 * 9 - 1)
+        no_draws(monkeypatch)
         over = tmp_path / "over"
         assert main(args + ["--out", str(over / "v.json")]) == EXIT_USAGE
         assert "trials x the sum of ell^3 over the cuts is 450," in \
@@ -787,13 +795,25 @@ class TestVerifyConverseCommand:
         (6250, EXIT_USAGE),     # within trials x cuts, about 165 s of work
     ])
     def test_cost_cap_at_16x16(self, tmp_path, monkeypatch, trials, code):
+        """The real checks run, and a run they admit stops at its first
+        draw with no checks to report."""
         assert MAX_CONVERSE_COST == 200 * sum(ell**3 for ell in range(1, 17))
         calls = []
 
+        class FirstDraw(Exception):
+            pass
+
+        def first_draw(*args):
+            raise FirstDraw
+
         def record(config, ells, trials, seed):
-            calls.append(trials)
+            try:
+                converse.verify_converse(config, ells, trials=trials, seed=seed)
+            except FirstDraw:
+                calls.append(trials)
             return []
 
+        monkeypatch.setattr(converse, "noise_covariance", first_draw)
         monkeypatch.setattr("edgecache.cli.verify_converse", record)
         out = tmp_path / "v.json"
         assert main(["verify-converse", "--m", "16", "--k", "16", "--ell",
@@ -1217,7 +1237,7 @@ class TestParserCache:
     def test_a_patched_node_cap_still_refuses(self, tmp_path, capsys,
                                               monkeypatch):
         build_parser()
-        monkeypatch.setattr("edgecache.cli.MAX_NODES", 2)
+        monkeypatch.setattr("edgecache.model.MAX_NODES", 2)
         monkeypatch.setattr("edgecache.cli.tradeoff_sweep", no_work)
         code = main(["bounds", "--m", "3", "--k", "2",
                      "--out", str(tmp_path / "b.csv")])

@@ -1,6 +1,7 @@
 """Tests for the numerical verification of the converse identities."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -886,15 +887,34 @@ class TestVerifyConverse:
             assert rep.max_logdet_oracle_error < 1e-10
             assert rep.noise_cov_error < 0.05
 
-    @pytest.mark.parametrize("trials", [0, -5, 2.5])
-    def test_a_bad_trial_count_is_refused_before_any_draw(self, monkeypatch,
-                                                          trials):
+    @pytest.mark.parametrize("m,k,trials,caps,message", [
+        (2, 2, 0, {}, "trials must be"),
+        (2, 2, -5, {}, "trials must be"),
+        (2, 2, 2.5, {}, "trials must be"),
+        (17, 16, 1, {}, "K*M is 272, more than the 256 allowed"),
+        (16, 16, 6251, {},
+         "trials x cuts is 100016, more than the 100000 allowed"),
+        (16, 16, 201, {}, "trials x the sum of ell^3 over the cuts is "
+         "3717696, more than the 3699200 allowed"),
+        (3, 2, 50, {"MAX_CAMPAIGN_TRIALS": 50 * 2 - 1},
+         "trials x cuts is 100, more than the 99 allowed"),
+        (3, 2, 50, {"MAX_CONVERSE_COST": 50 * 9 - 1},
+         "trials x the sum of ell^3 over the cuts is 450, more than the 449 "
+         "allowed"),
+    ], ids=["0", "-5", "2.5", "over-links-cap", "over-trials-cap",
+            "over-cost-cap", "over-patched-trials-cap",
+            "over-patched-cost-cap"])
+    def test_a_bad_trial_count_is_refused_before_any_draw(
+            self, monkeypatch, m, k, trials, caps, message):
         def no_draw(*args, **kwargs):
-            raise AssertionError("drew for a bad trial count")
+            raise AssertionError("drew for a refused run")
 
         monkeypatch.setattr(converse, "noise_covariance", no_draw)
-        cfg = validate_config(2, 2, 2, F(1), 1200)
-        with pytest.raises(ArgumentError, match="trials must be"):
+        monkeypatch.setattr(converse, "sample_regular_channel", no_draw)
+        for cap, value in caps.items():
+            monkeypatch.setattr(f"edgecache.model.{cap}", value)
+        cfg = validate_config(m, k, k, F(1), 1200)
+        with pytest.raises(ArgumentError, match=re.escape(message)):
             verify_converse(cfg, trials=trials, seed=0)
 
     def test_tolerance_override_fails_report(self):

@@ -256,9 +256,18 @@ class TestRawLibraryDraw:
         np.testing.assert_array_equal(lib.files[1], library(2, 48000, 5).files[1])
 
     def test_library_cap_counts_every_bit(self, monkeypatch):
+        """Built from a config or directly, a library over the cap is
+        refused before any bit is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a library bit was drawn")
+
         assert 13 * 400 * 48000 < MAX_LIBRARY_BITS  # sim-library's library
-        monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40)
-        assert library(3, 40, seed=0).num_files == 3
-        monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40 - 1)
-        with pytest.raises(ArgumentError, match="3 x 40 bits exceeds"):
-            library(3, 40, seed=0)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ArgumentError, match="1000000 x 1000000 bits"):
+            FileLibrary(10**6, 10**6, 0)
+        for build in (library, FileLibrary):
+            monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40)
+            assert build(3, 40, 0).num_files == 3
+            monkeypatch.setattr("edgecache.model.MAX_LIBRARY_BITS", 3 * 40 - 1)
+            with pytest.raises(ArgumentError, match="3 x 40 bits exceeds"):
+                build(3, 40, 0)

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -945,28 +946,56 @@ class TestCampaign:
         assert run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, [],
                             50, 0) == []
 
-    @pytest.mark.parametrize("grid,per_snr,message", [
-        (SNR_GRID, 0, "trials must be"),
-        (SNR_GRID, -5, "trials must be"),
-        (SNR_GRID, 2.5, "trials must be"),
-        ([20.0, 40.0, math.nan], 50, "SNR values"),
-        ([20.0, 40.0, math.inf], 50, "SNR values"),
-        ([20.0, 40.0, MAX_SNR_DB + 1], 50, "SNR values"),
-        ([20.0, 40.0, "60"], 50, "SNR values"),
+    @pytest.mark.parametrize("grid,per_snr,caps,message", [
+        (SNR_GRID, 0, {}, "trials must be"),
+        (SNR_GRID, -5, {}, "trials must be"),
+        (SNR_GRID, 2.5, {}, "trials must be"),
+        ([20.0, 40.0, math.nan], 50, {}, "SNR values"),
+        ([20.0, 40.0, math.inf], 50, {}, "SNR values"),
+        ([20.0, 40.0, MAX_SNR_DB + 1], 50, {}, "SNR values"),
+        ([20.0, 40.0, "60"], 50, {}, "SNR values"),
+        ([20.0, 40.0], 60_000, {},
+         "trials x SNR points is 120000, more than the 100000 allowed"),
+        ([20.0, 40.0, 60.0], 50, {"MAX_CAMPAIGN_TRIALS": 3 * 50 - 1},
+         "trials x SNR points is 150, more than the 149 allowed"),
+        (SNR_GRID, 50, {"MAX_LINKS": 2 * 2 - 1},
+         "K*M is 4, more than the 3 allowed"),
     ], ids=["0-trials", "-5-trials", "2.5-trials", "nan", "inf", "over-max",
-            "text"])
+            "text", "over-trials-cap", "over-patched-trials-cap",
+            "over-patched-links-cap"])
     def test_bad_campaigns_are_refused_before_any_trial(
-            self, monkeypatch, grid, per_snr, message):
+            self, monkeypatch, grid, per_snr, caps, message):
         def no_work(*args):
             raise AssertionError("a refused campaign did work")
 
         monkeypatch.setattr(phy, "_trial_results", no_work)
         monkeypatch.setattr(phy, "_checked_assignment", no_work)
         monkeypatch.setattr(streams, "trial_seeds", no_work)
+        for cap, value in caps.items():
+            monkeypatch.setattr(f"edgecache.model.{cap}", value)
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
-        with pytest.raises(ArgumentError, match=message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
             run_campaign(cfg, alloc, Scheme.ZERO_FORCING, dem, grid,
                          per_snr, 0)
+
+    @pytest.mark.parametrize("m,k,caps,message", [
+        (17, 16, {}, "K*M is 272, more than the 256 allowed"),
+        (2, 2, {"MAX_LINKS": 2 * 2 - 1}, "K*M is 4, more than the 3 allowed"),
+    ], ids=["17x16", "patched-cap"])
+    def test_a_trial_over_the_links_cap_is_refused(self, monkeypatch, m, k,
+                                                   caps, message):
+        def no_work(*args):
+            raise AssertionError("a refused trial did work")
+
+        monkeypatch.setattr(phy, "_trial_results", no_work)
+        monkeypatch.setattr(phy, "_checked_assignment", no_work)
+        monkeypatch.setattr(streams, "trial_seeds", no_work)
+        monkeypatch.setattr(streams, "first_draws", no_work)
+        for cap, value in caps.items():
+            monkeypatch.setattr(f"edgecache.model.{cap}", value)
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING, m=m, k=k, n=k)
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            run_trial(cfg, alloc, Scheme.ZERO_FORCING, dem, 40.0, 0)
 
     @pytest.mark.parametrize("snr", [math.nan, -math.inf, MAX_SNR_DB + 1])
     def test_a_bad_trial_snr_is_refused(self, monkeypatch, snr):
