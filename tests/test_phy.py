@@ -324,19 +324,20 @@ class TestTdma:
 
     @staticmethod
     def fragment_loop(h, assignment, file_bits, power):
-        """One draw's delivery time, one fragment after another."""
+        """One draw's delivery time, one fragment after another, each rate
+        np.log2 of that fragment's own gain."""
         num_users, num_ens = h.shape
         total_uses = 0.0
         for user in range(1, num_users + 1):
             for frag, en in assignment.fragments_for_user(user):
                 if en is None:
                     en = (user - 1) % num_ens + 1
-                rate = math.log2(1.0 + h[user - 1, en - 1] ** 2 * power)
+                rate = np.log2(1.0 + h[user - 1, en - 1] ** 2 * power)
                 total_uses += frag.num_bits / rate
         return total_uses / file_bits
 
-    # np.log2 and math.log2 disagree most often just above 1, so low SNRs
-    # get their own share of the examples
+    # np.log2's SIMD loops part from math.log2 most often just above 1, so
+    # low SNRs get their own share of the examples
     @settings(max_examples=100)
     @given(st.integers(1, 4), st.integers(1, 4),
            st.sampled_from(["split", "full", "shared"]), st.integers(1, 8),
@@ -354,6 +355,55 @@ class TestTdma:
         assert [float(d).hex() for d in stacked] == [
             self.fragment_loop(one, assignment, cfg.file_bits, power).hex()
             for one in h]
+
+    def test_every_stacked_rate_is_within_one_ulp_of_math_log2(
+            self, monkeypatch):
+        """The stack's rates come from np.log2, which parts from math.log2 in
+        the last bit on about one gain in a thousand, most of them just
+        above 1; none is further off than that bit. A million gains, 1 +
+        10^u with u uniform on [-15, 6]: three in five are below 1.01."""
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 4), m=4, k=4, n=4)
+        assignment = assignment_for_demand(alloc, dem)
+        rng = np.random.default_rng(3)
+        h = np.sqrt(10.0 ** rng.uniform(-15.0, 6.0, (62_500, 4, 4)))
+        numpy_log2, calls = np.log2, []
+
+        def log2(gains):
+            calls.append((gains, numpy_log2(gains)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(np, "log2", log2)
+        tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
+        monkeypatch.undo()
+        [(gains, rates)] = calls
+        assert gains.size == 10 ** 6
+        want = np.array([math.log2(g) for g in gains.flat]).reshape(gains.shape)
+        ulps = np.abs(rates.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 1
+
+    def test_a_gain_of_exactly_one_is_the_only_dead_link(self):
+        """1 + h^2 P rounds to 1.0 when h^2 P is under half an ulp of 1:
+        that link's rate is 0, and the link is named. Each gain 1 + k eps
+        for 0 < k < 2000, nextafter(1, 2) first, has a positive rate."""
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2))
+        assignment = assignment_for_demand(alloc, dem)
+        eps = np.finfo(float).eps
+        h = np.ones((2, 2))
+        h[1, 0] = 2.0 ** -27  # h^2 = eps / 4, so the gain is 1.0
+        with pytest.raises(SingularChannelError, match="EN 1 -> user 2"):
+            tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
+        h[1, 0] = 2.0 ** -26  # h^2 = eps, so the gain is nextafter(1, 2)
+        assert 1.0 + h[1, 0] ** 2 == np.nextafter(1.0, 2.0)
+        delta = tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
+        assert delta.hex() == self.fragment_loop(
+            h, assignment, cfg.file_bits, 1.0).hex()
+        assert 0.0 < delta < math.inf
+        # one draw per k, its power k eps: every gain is 1 + k eps exactly
+        k = np.arange(1, 2000)
+        deltas = tdma_delivery(np.ones((k.size, 2, 2)), assignment,
+                               cfg.file_bits, power=k * eps)
+        assert np.all((deltas > 0.0) & np.isfinite(deltas))
+        assert all(math.log2(1.0 + i * eps) > 0.0 for i in k)
 
     def test_a_chunk_of_16x16_trials_stays_within_16_mib(self):
         """One point of a full chunk of 16x16 trials, 272 links each, peaks
