@@ -96,11 +96,6 @@ class SystemConfig:
     frac_cache: Fraction  # mu
     file_bits: int        # L
 
-    @property
-    def cache_bits(self) -> Fraction:
-        """Per-EN cache budget mu*N*L, exact."""
-        return self.frac_cache * self.library_size * self.file_bits
-
 
 def validate_config(num_ens, num_users, library_size, frac_cache,
                     file_bits) -> SystemConfig:

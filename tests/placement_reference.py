@@ -12,9 +12,14 @@ def cached_fragments(per_en_content, en: int, file_index: int) -> tuple:
                  if cf.fragment.file_index == file_index)
 
 
+def cache_bits(config):
+    """Per-EN cache budget mu*N*L of a `SystemConfig`, exact."""
+    return config.frac_cache * config.library_size * config.file_bits
+
+
 def verify_cache_budget(allocation, config) -> bool:
     """True iff every EN respects mu*N*L overall and mu*L per file."""
-    en_budget = config.cache_bits
+    en_budget = cache_bits(config)
     file_budget = config.frac_cache * config.file_bits
     for en in range(1, allocation.num_ens + 1):
         if allocation.en_bits(en) > en_budget:

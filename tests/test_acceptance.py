@@ -42,7 +42,11 @@ from edgecache.phy import (
     run_campaign,
     snr_db_to_power,
 )
-from placement_reference import cached_fragments, verify_cache_budget
+from placement_reference import (
+    cache_bits,
+    cached_fragments,
+    verify_cache_budget,
+)
 from sweep_rows import fraction_rows
 
 F = Fraction
@@ -282,7 +286,7 @@ class TestPropertySuites:
         alloc = split_placement(FileLibrary.random(cfg, 0), cfg)
         assert verify_cache_budget(alloc, cfg)
         for en in range(1, 5):
-            assert alloc.en_bits(en) == cfg.cache_bits  # exact equality
+            assert alloc.en_bits(en) == cache_bits(cfg)  # exact equality
 
     @pytest.mark.parametrize("scheme,mu,bound_mu", [
         (Scheme.ZERO_FORCING, F(1), F(1)),

@@ -18,7 +18,11 @@ from edgecache.caching import (
 )
 from edgecache.errors import ArgumentError, CoverageError
 from edgecache.model import DemandVector, FileLibrary, validate_config
-from placement_reference import cached_fragments, verify_cache_budget
+from placement_reference import (
+    cache_bits,
+    cached_fragments,
+    verify_cache_budget,
+)
 
 F = Fraction
 
@@ -329,7 +333,7 @@ class TestSplitPlacement:
         alloc = split_placement(lib, cfg)
         assert verify_cache_budget(alloc, cfg)
         for en in (1, 2):
-            assert alloc.en_bits(en) == cfg.cache_bits  # tight, no slack
+            assert alloc.en_bits(en) == cache_bits(cfg)  # tight, no slack
 
 
 class TestFullPlacement:

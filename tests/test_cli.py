@@ -55,61 +55,6 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def fresh_run(argv, out, threads):
-    """`edgecache <argv> --out OUT` in a fresh interpreter with `threads`
-    OpenBLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(
-        Path(edgecache.__file__).resolve().parents[1]))
-    subprocess.run([sys.executable, "-m", "edgecache.cli", *argv,
-                    "--out", str(out)], env=env, check=True,
-                   capture_output=True, timeout=120)
-
-
-# `simulate` argv -> (CSV, summary) SHA-256. 16 normals a draw (4x4) take
-# the first draws' fast path, about a fifth of trials falling back to the
-# per-trial loop; 36 and 256 (6x6, 16x16) take the loop alone
-SIMULATE_PINS = {
-    "--m 4 --k 4 --mu 1 --scheme zf --trials 50 --seed 0": (
-        "3b221419683443ce928caf305d19d8f030d3f3c5a440763fe7fa0830273ec440",
-        "9e7af2824876436325f9d13933864b7c0fb9ec9394cffc2736f4e9ed32fa889a"),
-    "--m 4 --k 4 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
-        "7a8480f997a285602765efc7358750e25bc37d287667037bd63c6aced0d5d935",
-        "711518ff555d9aa436cf2afc1999d608cffdf67b05621af42b4fabc171bf5fb6"),
-    "--m 6 --k 6 --mu 1 --scheme zf --trials 50 --seed 0": (
-        "7fbfb6dbaf9ba9002191274338ae6bd0a99f8106bdb8654dad2359bccbc6bcff",
-        "dc91b145d1830e961236396fc5a4ac10a842f90efa7efc01733945064f5c60e8"),
-    "--m 6 --k 6 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
-        "f0bec97300fe398c84ecf1b60b52264e06ff469ee8b24322f2746b10eb8c52a2",
-        "85f307dad818dcd6ec9f27f69b84631895d562400c694f64c95df689b65680bc"),
-    "--m 16 --k 16 --mu 1 --scheme zf --trials 50 --seed 0": (
-        "7f23f240e99e3ff7bea6f7fa22908ed4450fe0aa410b2e152aa63a2a4ae59c3a",
-        "ba68d3b05825c8206896ab8df26788c220ea46284463214bada94197b2e0ab1b"),
-    "--m 16 --k 16 --mu 1/2 --scheme tdma --trials 50 --seed 0": (
-        "cfbad64e1bf8a2382d0bc032d6c924b1b1e19d2d2d03e2ea8cb88dbb855f7f79",
-        "fee0556317501ae94ddf855236c4ed5683ced34b612035318d6a5d43904308e1"),
-    "--m 2 --k 2 --mu 1/2 --scheme ia --trials 50 --seed 7": (
-        "af84c8060c4d02ac87ede2c719ba5f8deefe17ab9f263ebc4fd5a786991ce9bd",
-        "8495f3f4cbcb5ae5fdbc989dab415fb20c36025d5446f1322efe281f7032dd79"),
-    "--m 2 --k 2 --mu 3/4 --scheme hybrid --trials 50 --seed 7": (
-        "6f1e426de347625a4ffc7c95e507334abc702b44bd42e78e0c9f35fe8c7406dc",
-        "7d61cf4d15528b4e89b3c0c19c3d876c4acc9787c22a7fc36a9111ddcd794902"),
-    # 1,250 trials: past the first TRIAL_CHUNK
-    "--m 2 --k 2 --mu 1 --scheme zf --trials 250 --seed 0": (
-        "1f0a9d105232db78f177dd493ac93182ca8476e4b2404db70c5117d7e4cbeb94",
-        "1bb86e9112769134d590dc73e670b9f092d38522264d5a2233c569852598d545"),
-}
-
-
-def assert_pinned(out, pin):
-    """`out` and its summary have the pinned digests, made with numpy
-    2.4.6 and its OpenBLAS wheel."""
-    import numpy
-
-    got = digest(out), digest(out.with_suffix(".summary.json"))
-    assert got == pin, (f"digests {got} differ from the pins {pin}; "
-                        f"numpy {numpy.__version__} is in use")
-
-
 def no_work(*args, **kwargs):
     raise AssertionError("work ran on a run over a cap")
 
@@ -252,66 +197,43 @@ class TestBoundsCommand:
         assert doc["rows"][0]["mu"] == "1/2"
         assert doc["rows"][0]["tight"] is True
 
-    @pytest.mark.parametrize("args,csv_sha,json_sha,first_line", [
+    @pytest.mark.parametrize("args,first_line", [
         pytest.param(
             ["--m", "30", "--k", "30", "--grid-step", "1/1800"],
-            "e3dea01d5b53dce7101a290086667d600d27e146f888c754960d6a40dd0d04cb",
-            "264bcc2ce71bb944355e5def2e0690e6a09d908e6be8a34e6f818657ab607121",
             "tight regions (lower = upper): {1/30} u {1}", id="30x30"),
         pytest.param(
             ["--m", "2", "--k", "2"],
-            "f369deacfd8e92cc58ce2d642d72c11af712a88707dc27cf40a407812b97bf12",
-            "2bc466c378a10958c5e1aeb01a0dae55baed498585b92e3a000d74c24ac7d940",
             "tight regions (lower = upper): [1/2, 1]", id="2x2-perfect"),
         pytest.param(
             ["--m", "2", "--k", "2", "--csi", "delayed"],
-            "babe1178d9f9c47d366e57808fb8c90268c72a205e8c94933d7553a57b36c6a7",
-            "ba9aa13cbecdf61909539d3db9fb96a2e33b93cc098b2ca97bc0b7ef09dff018",
             "delayed CSI: achievability only, no converse emitted",
             id="2x2-delayed"),
         pytest.param(
             ["--m", "2", "--k", "2", "--csi", "nocsi"],
-            "55f3246c2c48147a0dc557c7b10709880e2f68b293fc6c267eaa6875f29ae82a",
-            "840f371cfe8f952a526b0b3c899fc373e5dbaf5389e85a81fdad7b65c4795a71",
             "nocsi CSI: achievability only, no converse emitted",
             id="2x2-nocsi"),
         pytest.param(
             ["--m", "3", "--k", "3"],
-            "2c1661f903c49864d0ce4a13cbd6a36bedfed2a0389be2b82639fff34c13bf66",
-            "bccbb1c6495fd96c33f6dddf06439d80bc712005bbea172ab5d62742db04b6da",
             "tight regions (lower = upper): {1/3} u [2/3, 1]", id="3x3"),
         pytest.param(
             ["--m", "2", "--k", "3"],
-            "5fb32efcda8109e7eefa9d99ee7f0a6f1b90f59589e473446a8ac5e7c936c8ea",
-            "80ae25c246db6d317e1d3a9330d9a0b570f40d6441ac379743dfc60a1696999c",
             "tight regions (lower = upper): {1/2} u {1}", id="2x3"),
         pytest.param(
             ["--m", "1", "--k", "4"],
-            "6d14e7a5a2dbe1a2168aa1fc8f81face76d80ace2372966ccd15595b608eeec2",
-            "c3344791b2efadf17741f3d5ce7d70bb9c03a6eb64849d1e5bf0d8760f38add7",
             "tight regions (lower = upper): {1}", id="1x4"),
         pytest.param(
             ["--m", "7", "--k", "1"],
-            "9d896785c2d4da935f8da476c6993b85425a2e0e9c1e0962338366583456979e",
-            "e3f8a0239d5912600616284bd6ef986a6d24482388d560ab23d71542d46a0885",
             "tight regions (lower = upper): [1/7, 1]", id="7x1"),
         pytest.param(  # a step that does not divide 1 - 1/M
             ["--m", "12", "--k", "5", "--grid-step", "1/97"],
-            "42de7dcb60447a159ce9b1214a51793ce6940b0d21e322feda1a123fc8f0f80d",
-            "68033858f388295d145defdab6df786ce782861afec4cc5103da0d2635054320",
             "tight regions (lower = upper): {1/12} u {1}", id="12x5"),
     ])
-    def test_output_bytes_are_pinned(self, tmp_path, capsys, args, csv_sha,
-                                     json_sha, first_line):
-        """The exact CSV and JSON bytes and the printed first line.
-
-        The 30x30 digests are the benchmark's `bounds-sweep` reference.
-        """
+    def test_first_printed_line(self, tmp_path, capsys, args, first_line):
+        """The tight regions, or why there are none. The digest corpus's
+        `bounds-*` entries hold each run's CSV and JSON bytes."""
         out = tmp_path / "b.csv"
         assert main(["bounds", *args, "--json", "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == first_line
-        assert digest(out) == csv_sha
-        assert digest(out.with_suffix(".json")) == json_sha
 
     def test_rational_round_trip_lossless(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -499,79 +421,6 @@ class TestSimulateCommand:
         assert json.loads(out.with_suffix(".summary.json").read_text())[
             "mu"] == args[args.index("--mu") + 1]
 
-    def test_library_workload_bytes_are_pinned(self, tmp_path):
-        """The benchmark's `sim-library` call at seed 0, with its reference
-        digests."""
-        out = tmp_path / "tdma.csv"
-        assert main(["simulate", "--m", "6", "--k", "6", "--n", "400",
-                     "--l", "48000", "--mu", "1/2", "--scheme", "tdma",
-                     "--snr-grid", "20,40,60", "--trials", "50", "--seed", "0",
-                     "--out", str(out)]) == EXIT_OK
-        assert digest(out) == ("e00c02bd8330e42ed2e861f94eb1d9ef"
-                               "e35824b79a5da19ae47e5ac0947c036e")
-        assert digest(out.with_suffix(".summary.json")) == (
-            "0a12f261c39aa8daf62fd34d68c491ea"
-            "cd29bfb4dc88b5f5f8c1df6c57ad0226")
-
-    @pytest.mark.parametrize("scheme,mu,csv_sha,summary_sha", [
-        ("zf", "1",
-         "c971200c7adb379374ee389c4e7e387b922865d690401c7ad0fabcc1809bf5c5",
-         "dda2e37d1f486f18d4017625921669d986ea4fa03dd268425bed34055e66730b"),
-        ("ia", "1/2",
-         "f12920caed6bd2d1619a4bea20a7edf07e9396037c974d3b8cc76e2e67ddb586",
-         "612395237d7568bc7812e0fb6846e852ab9d997891d4f19c4f2a8ae780e2b730"),
-        ("hybrid", "3/4",
-         "34940ed75aa359661dc29db260d38162347419f5e6739848c27dff22a004d1e9",
-         "d9d065b275ac7fbba4118a8e4e0622fa95d965901ec24907138d3b519ec09ddc"),
-        ("tdma", "1/2",
-         "1dcd2eca1f285927b09900c0aab5743911496f7aca28216eba43d1fa10c6a0ec",
-         "371a533c619521eb03208d0a75061b65a46ff13d84d9bcae8e7aa4820aee4bdc"),
-    ])
-    def test_2x2_workload_bytes_are_pinned(self, tmp_path, scheme, mu,
-                                           csv_sha, summary_sha):
-        """The benchmark's `sim-2x2` calls at seed 0, with their reference
-        digests."""
-        out = tmp_path / f"{scheme}.csv"
-        assert main(["simulate", "--m", "2", "--k", "2", "--mu", mu,
-                     "--scheme", scheme, "--trials", "50", "--seed", "0",
-                     "--out", str(out)]) == EXIT_OK
-        assert digest(out) == csv_sha
-        assert digest(out.with_suffix(".summary.json")) == summary_sha
-
-    @pytest.mark.parametrize("argv", SIMULATE_PINS, ids=list(SIMULATE_PINS))
-    def test_simulate_bytes_are_pinned(self, tmp_path, argv):
-        """The first channel draws' fast path with its fallback (4x4), the
-        per-trial loop (6x6, 16x16), the alignment schemes at a second seed,
-        and a campaign across a TRIAL_CHUNK boundary."""
-        out = tmp_path / "x.csv"
-        assert main(["simulate", *argv.split(), "--out", str(out)]) == EXIT_OK
-        assert_pinned(out, SIMULATE_PINS[argv])
-
-    @pytest.mark.parametrize("argv", [
-        "--m 4 --k 4 --mu 1 --scheme zf --trials 50 --seed 0",
-        "--m 16 --k 16 --mu 1/2 --scheme tdma --trials 50 --seed 0",
-    ], ids=["zf-4x4", "tdma-16x16"])
-    def test_pinned_bytes_at_two_blas_threads(self, tmp_path, argv):
-        out = tmp_path / "x.csv"
-        fresh_run(["simulate", *argv.split()], out, threads=2)
-        assert_pinned(out, SIMULATE_PINS[argv])
-
-    @pytest.mark.parametrize("scheme,mu", [("zf", "1"), ("ia", "1/2"),
-                                           ("hybrid", "3/4"), ("tdma", "1/2")])
-    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path,
-                                                        scheme, mu):
-        """One and two OpenBLAS threads write the same CSV and summary,
-        with every SNR point's trials in one stack."""
-        outputs = []
-        for threads in (1, 2):
-            out = tmp_path / f"{scheme}-{threads}.csv"
-            fresh_run(["simulate", "--m", "2", "--k", "2", "--mu", mu,
-                       "--scheme", scheme, "--trials", "50", "--seed", "0"],
-                      out, threads)
-            outputs.append((out.read_bytes(),
-                            out.with_suffix(".summary.json").read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_benchmark_simulations_read_no_library_bit(self, tmp_path,
                                                       monkeypatch):
         """The benchmark's `sim-library` and `sim-2x2` calls at its reference
@@ -603,19 +452,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--m", "1", "--k", "1", "--mu", "1",
                      "--scheme", "zf", "--trials", "50", "--seed", "3",
                      "--out", str(tmp_path / "zf.csv")]) == EXIT_OK
-
-    def test_single_en_tdma_bytes_are_pinned(self, tmp_path):
-        """M = 1 tdma reads the same delivery table from the full placement
-        as it did from the split one."""
-        out = tmp_path / "tdma.csv"
-        assert main(["simulate", "--m", "1", "--k", "1", "--mu", "1",
-                     "--scheme", "tdma", "--trials", "50", "--seed", "3",
-                     "--out", str(out)]) == EXIT_OK
-        assert digest(out) == ("d608812d28b9dc631f9b7d42f17fb237"
-                               "338e146549ae647e414dbe3979c03184")
-        assert digest(out.with_suffix(".summary.json")) == (
-            "b4eb2f7861f8f881f85522a2d9cf7838"
-            "696ebe3e221768192f08e6b9b70a2617")
 
     def test_library_over_the_cap_draws_nothing(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -848,37 +684,6 @@ class TestVerifyConverseCommand:
                      f"{flag}={value}", "--out", str(tmp_path / "v.json")])
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
-
-    @staticmethod
-    def report_bytes(tmp_path, m, k, trials, threads):
-        """A `verify-converse --ell all` report at seed 0, written by a fresh
-        interpreter with `threads` OpenBLAS threads."""
-        out = tmp_path / f"v{m}x{k}-{threads}.json"
-        fresh_run(["verify-converse", "--m", str(m), "--k", str(k), "--ell",
-                   "all", "--trials", str(trials), "--seed", "0"], out, threads)
-        return out.read_bytes()
-
-    @pytest.mark.parametrize("m, k, trials, sha", [
-        (6, 6, 50,
-         "40f33d3dc6a789dd33b75bac0679262c7a7f7324c3cdf7f5ed02bd9a24f3c24f"),
-        (3, 3, 1000,
-         "d3ec03587b9802f71cbbc3c528b800b89c29e9dba679148029332cffe81bc339"),
-    ], ids=["6x6", "3x3"])
-    def test_report_bytes_are_pinned(self, tmp_path, m, k, trials, sha):
-        """The report bytes since every cut reads one noise covariance drawn
-        as a Wishart matrix; the 6x6 is the benchmark's `converse-verify`
-        call."""
-        report = self.report_bytes(tmp_path, m, k, trials, 1)
-        assert hashlib.sha256(report).hexdigest() == sha
-
-    @pytest.mark.parametrize("m, k, trials", [(3, 3, 1000), (3, 2, 100)],
-                             ids=["3x3", "3x2"])
-    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, m, k,
-                                                        trials):
-        """One and two OpenBLAS threads write the same report. At K = 2 the
-        noise covariance is 1 x 1, which einsum sums in a loop of its own."""
-        assert self.report_bytes(tmp_path, m, k, trials, 1) == \
-            self.report_bytes(tmp_path, m, k, trials, 2)
 
     def test_the_traced_draw_site_sees_every_channel_draw(self, tmp_path,
                                                           monkeypatch):

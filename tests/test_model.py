@@ -47,7 +47,6 @@ class TestValidateConfig:
         cfg = validate_config(2, 2, 2, Fraction(1, 2), 1200)
         assert cfg.num_ens == 2
         assert cfg.frac_cache == Fraction(1, 2)
-        assert cfg.cache_bits == 1200
 
     def test_accepts_3x3_third_cache(self):
         cfg = validate_config(3, 3, 3, Fraction(1, 3), 999)

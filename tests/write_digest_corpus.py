@@ -27,26 +27,92 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).resolve().with_name("digest_corpus.json")
-# name -> argv, less `--out`. The verify-converse entries reach the 16x16 cap
-# of the exact oracle; the bounds entries a 100x100 grid and a step that does
-# not divide 1 - 1/M; the tdma entries low SNRs, where np.log2 and math.log2
-# disagree most in the last bit
+# name -> argv, less `--out`. Each group says what its runs reach
 ENTRIES = {
+    # the exact oracle up to its 16x16 cap. Every cut reads one noise
+    # covariance drawn as a Wishart matrix; 6x6 is the benchmark's
+    # `converse-verify` call, and at K = 2 (3x2) the covariance is 1 x 1,
+    # which einsum sums in a loop of its own
     "verify-converse-7x4": ["verify-converse", "--m", "7", "--k", "4",
                             "--ell", "all", "--trials", "100", "--seed", "0"],
     "verify-converse-10x10": ["verify-converse", "--m", "10", "--k", "10",
                               "--ell", "all", "--trials", "50", "--seed", "0"],
     "verify-converse-16x16": ["verify-converse", "--m", "16", "--k", "16",
                               "--ell", "all", "--trials", "50", "--seed", "0"],
+    "verify-converse-6x6": ["verify-converse", "--m", "6", "--k", "6",
+                            "--ell", "all", "--trials", "50", "--seed", "0"],
+    "verify-converse-3x3": ["verify-converse", "--m", "3", "--k", "3",
+                            "--ell", "all", "--trials", "1000", "--seed", "0"],
+    "verify-converse-3x2": ["verify-converse", "--m", "3", "--k", "2",
+                            "--ell", "all", "--trials", "100", "--seed", "0"],
+    # the bounds layer: a 100x100 grid, steps that do not divide 1 - 1/M
+    # (7x5 and 12x5), the benchmark's `bounds-sweep` call (30x30), every CSI
+    # mode at 2x2, and one EN or one user
     "bounds-100x100": ["bounds", "--m", "100", "--k", "100", "--json"],
     "bounds-7x5-step-1/97": ["bounds", "--m", "7", "--k", "5",
                              "--grid-step", "1/97", "--json"],
+    "bounds-30x30-step-1/1800": ["bounds", "--m", "30", "--k", "30",
+                                 "--grid-step", "1/1800", "--json"],
+    "bounds-2x2-perfect": ["bounds", "--m", "2", "--k", "2", "--json"],
+    "bounds-2x2-delayed": ["bounds", "--m", "2", "--k", "2",
+                           "--csi", "delayed", "--json"],
+    "bounds-2x2-nocsi": ["bounds", "--m", "2", "--k", "2",
+                         "--csi", "nocsi", "--json"],
+    "bounds-3x3": ["bounds", "--m", "3", "--k", "3", "--json"],
+    "bounds-2x3": ["bounds", "--m", "2", "--k", "3", "--json"],
+    "bounds-1x4": ["bounds", "--m", "1", "--k", "4", "--json"],
+    "bounds-7x1": ["bounds", "--m", "7", "--k", "1", "--json"],
+    "bounds-12x5-step-1/97": ["bounds", "--m", "12", "--k", "5",
+                              "--grid-step", "1/97", "--json"],
+    # low SNRs, where np.log2 and math.log2 disagree most in the last bit
     "tdma-16x16": ["simulate", "--m", "16", "--k", "16", "--mu", "1/2",
                    "--scheme", "tdma", "--snr-grid=-30,0,30",
                    "--trials", "1000", "--seed", "0"],
     "tdma-6x6": ["simulate", "--m", "6", "--k", "6", "--mu", "1/2",
                  "--scheme", "tdma", "--snr-grid=-30,0,30",
                  "--trials", "1000", "--seed", "0"],
+    # the first channel draws: 16 normals a draw (4x4) take the fast path,
+    # about a fifth of trials falling back to the per-trial loop; 36 and 256
+    # (6x6, 16x16) take the loop alone
+    "zf-4x4-50-trials": ["simulate", "--m", "4", "--k", "4", "--mu", "1",
+                         "--scheme", "zf", "--trials", "50", "--seed", "0"],
+    "tdma-4x4-50-trials": ["simulate", "--m", "4", "--k", "4", "--mu", "1/2",
+                           "--scheme", "tdma", "--trials", "50",
+                           "--seed", "0"],
+    "zf-6x6-50-trials": ["simulate", "--m", "6", "--k", "6", "--mu", "1",
+                         "--scheme", "zf", "--trials", "50", "--seed", "0"],
+    "tdma-6x6-50-trials": ["simulate", "--m", "6", "--k", "6", "--mu", "1/2",
+                           "--scheme", "tdma", "--trials", "50",
+                           "--seed", "0"],
+    "zf-16x16-50-trials": ["simulate", "--m", "16", "--k", "16", "--mu", "1",
+                           "--scheme", "zf", "--trials", "50", "--seed", "0"],
+    "tdma-16x16-50-trials": ["simulate", "--m", "16", "--k", "16",
+                             "--mu", "1/2", "--scheme", "tdma",
+                             "--trials", "50", "--seed", "0"],
+    # the alignment schemes at a second seed
+    "ia-2x2-seed-7": ["simulate", "--m", "2", "--k", "2", "--mu", "1/2",
+                      "--scheme", "ia", "--trials", "50", "--seed", "7"],
+    "hybrid-2x2-seed-7": ["simulate", "--m", "2", "--k", "2", "--mu", "3/4",
+                          "--scheme", "hybrid", "--trials", "50",
+                          "--seed", "7"],
+    # 1,250 trials: a campaign past the first TRIAL_CHUNK
+    "zf-2x2-250-trials": ["simulate", "--m", "2", "--k", "2", "--mu", "1",
+                          "--scheme", "zf", "--trials", "250", "--seed", "0"],
+    # the benchmark's `sim-2x2` and `sim-library` calls at its reference seed
+    "sim-2x2-zf": ["simulate", "--m", "2", "--k", "2", "--mu", "1",
+                   "--scheme", "zf", "--trials", "50", "--seed", "0"],
+    "sim-2x2-ia": ["simulate", "--m", "2", "--k", "2", "--mu", "1/2",
+                   "--scheme", "ia", "--trials", "50", "--seed", "0"],
+    "sim-2x2-hybrid": ["simulate", "--m", "2", "--k", "2", "--mu", "3/4",
+                       "--scheme", "hybrid", "--trials", "50", "--seed", "0"],
+    "sim-2x2-tdma": ["simulate", "--m", "2", "--k", "2", "--mu", "1/2",
+                     "--scheme", "tdma", "--trials", "50", "--seed", "0"],
+    "sim-library": ["simulate", "--m", "6", "--k", "6", "--n", "400",
+                    "--l", "48000", "--mu", "1/2", "--scheme", "tdma",
+                    "--snr-grid", "20,40,60", "--trials", "50", "--seed", "0"],
+    # M = 1: tdma reads its delivery table from the full placement
+    "tdma-1x1-seed-3": ["simulate", "--m", "1", "--k", "1", "--mu", "1",
+                        "--scheme", "tdma", "--trials", "50", "--seed", "3"],
 }
 
 
