@@ -11,8 +11,8 @@ verified here at double precision:
   (ell x ell, invertible almost surely), H2 and H3;
 * the log-det residual term log det(I + Ht Ht^T) with Ht = H2 H1^-1, which
   is power independent, against an exact oracle that evaluates it as
-  det(G^T G) / det(H1)^2 with G = [H1; H2] (Sylvester's identity), both
-  determinants exact in Python ints;
+  det(G^T G) / det(H1^T H1) with G = [H1; H2] (Sylvester's identity), both
+  Gram determinants exact in Python ints;
 * the covariance of the folded noise Ht n, which must match Ht Ht^T.
 
 A stack of channel draws is sliced once into a `Cut`, whose H1s are
@@ -29,8 +29,8 @@ rejected draw is redrawn from the next K*M values, which shifts every
 later draw of the stack by K*M, and the stack draws those values on top.
 Each check returns, for every draw of a stack, what it returns for that
 draw alone, bit for bit. The oracle takes every determinant of a stack in
-one fraction-free elimination. The noise check reads one Wishart S per
-call.
+one pivot-free, fraction-free elimination of upper triangles. The noise
+check reads one Wishart S per call.
 """
 
 from __future__ import annotations
@@ -193,43 +193,41 @@ def logdet_term(cut: Cut):
     return np.log1p(svals ** 2).sum(axis=-1)
 
 
-def _det_stack(a: np.ndarray) -> np.ndarray:
-    """Exact determinants of a stack of square matrices of Python ints.
+def _gram_dets(packed: np.ndarray, n: int) -> np.ndarray:
+    """Exact determinants of a stack of n x n Gram matrices of Python ints,
+    each given by its upper triangle, packed row by row.
 
     Bareiss's (Math. Comp. 1968) fraction-free elimination, each step run
     on the whole stack: every step divides exactly by the previous pivot,
     so entries stay integers whose size grows only linearly with the step.
-    A matrix whose pivot is 0 swaps in its first row below with a nonzero
-    entry in that column; one with no such row is singular, and the rest
-    of it becomes the identity so that no later step divides by 0.
+    A Gram's pivots are its leading principal minors, 0 only if it is
+    singular (the oracle's are only where H1 is), so none is searched for;
+    each step keeps it symmetric, and past the first row the packing is
+    the next step's upper triangle in the same order.
     """
-    sign = np.ones(len(a), dtype=int)
-    prev = np.ones(len(a), dtype=object)
-    singular = np.zeros(len(a), dtype=bool)
-    while a.shape[-1]:
-        nonzero = a[..., 0] != 0
-        first = nonzero.argmax(axis=-1)  # 0 where the column is all zero
-        rows = np.flatnonzero(first)
-        below = first[rows]
-        a[rows, 0], a[rows, below] = a[rows, below], a[rows, 0]
-        sign[rows] = -sign[rows]
-        dead = ~nonzero.any(axis=-1)
-        if dead.any():
-            singular |= dead
-            a[dead] = np.identity(a.shape[-1], dtype=object)
-            prev[dead] = 1
-        # eliminate column 0 and drop it with the pivot row
-        rest = a[:, 1:, 1:] * a[:, :1, :1]
-        rest -= a[:, 1:, :1] * a[:, :1, 1:]
-        rest //= prev[:, None, None]
-        a, prev = rest, a[:, 0, 0].copy()  # no view keeps the old step alive
-    dets = sign * prev
-    dets[singular] = 0
-    return dets
+    rows, cols = np.triu_indices(n)
+    prev = np.ones((len(packed), 1), dtype=object)
+    while n:
+        top = packed[:, :n]  # the pivot, then the rest of its row
+        if not top[:, 0].all():
+            raise SingularH1Error("H1 is exactly singular in the oracle path")
+        rest = packed[:, n:] * top[:, :1]
+        rest -= top[:, rows[n:]] * top[:, cols[n:]]  # A[i, 0] is A[0, i]
+        rest //= prev
+        rows, cols = rows[n:] - 1, cols[n:] - 1  # the rest's triangle
+        packed, prev, n = rest, top[:, :1].copy(), n - 1  # no view keeps a step
+    return prev[:, 0]
+
+
+def _upper_gram(a: np.ndarray) -> np.ndarray:
+    """The upper triangle of every a a^T in a stack, packed row by row."""
+    return np.concatenate([a[:, i:i + 1] @ np.swapaxes(a[:, i:], -1, -2)
+                           for i in range(a.shape[1])], axis=-1)[:, 0]
 
 
 def _integer_blocks(g: np.ndarray) -> np.ndarray:
-    """Every H1^T, then every G^T G, of a stack of K x ell G, in exact ints.
+    """Every H1^T H1, then every G^T G = H1^T H1 + H2^T H2, of a stack of
+    K x ell G, in exact ints, packed as `_gram_dets` reads them.
 
     One numpy pass splits G into 53-bit integer mantissas and exponents;
     each column, shifted to its own smallest exponent, is an integer vector
@@ -239,17 +237,18 @@ def _integer_blocks(g: np.ndarray) -> np.ndarray:
     frac, exp = np.frexp(np.swapaxes(g, -1, -2).reshape(-1, ell, k))
     cols = ((frac * 2.0 ** 53).astype(np.int64).astype(object)
             << (exp - exp.min(axis=-1, keepdims=True)))
-    return np.concatenate([cols[..., :ell], cols @ np.swapaxes(cols, -1, -2)])
+    h1_gram = _upper_gram(cols[..., :ell])
+    return np.concatenate([h1_gram, h1_gram + _upper_gram(cols[..., ell:])])
 
 
 def logdet_oracle(cut: Cut):
     """Exact log det(I + Ht Ht^T) from two ell x ell determinants, per draw.
 
     With G = [H1; H2], Sylvester's identity gives det(I + Ht Ht^T) =
-    det(I + Ht^T Ht) = det(G^T G) / det(H1)^2, so no inverse is formed.
+    det(I + Ht^T Ht) = det(G^T G) / det(H1^T H1), so no inverse is formed.
     A power of two per column makes G an integer matrix; the column scales
-    cancel in the ratio. Both determinants of every draw in the stack are
-    taken at once, exactly, in Python ints; per draw only the reduced
+    cancel in the ratio. Both Gram determinants of every draw in the stack
+    are taken at once, exactly, in Python ints; per draw only the reduced
     ratio's two logarithms are floating point, which keeps the oracle
     honest where a float determinant would cancel.
     """
@@ -257,12 +256,10 @@ def logdet_oracle(cut: Cut):
     k, m = h.shape[-2:]
     if ell == k:
         return np.zeros(h.shape[:-2])
-    det_h1, det_gram = np.split(_det_stack(_integer_blocks(h[..., m - ell:])), 2)
-    if (det_h1 == 0).any():
-        raise SingularH1Error("H1 is exactly singular in the oracle path")
+    h1_dets, g_dets = np.split(_gram_dets(_integer_blocks(h[..., m - ell:]), ell), 2)
     values = []
     # both are positive, so the gcd reduces them as Fraction would
-    for num, den in zip(det_gram.tolist(), (det_h1 ** 2).tolist()):
+    for num, den in zip(g_dets.tolist(), h1_dets.tolist()):
         common = math.gcd(num, den)
         values.append(math.log(num // common) - math.log(den // common))
     return np.array(values).reshape(h.shape[:-2])

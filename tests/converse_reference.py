@@ -1,16 +1,18 @@
 """The converse's per-draw exact oracle and noise path: references.
 
 `converse.logdet_oracle` runs on a stack of draws, scales each column of
-G by its own power of two and eliminates the whole stack at once;
-`converse.noise_cov_check` runs on a stack of draws and reads one noise
-covariance S per call, which `converse.noise_covariance` draws directly
-as Wishart(n, I)/n by Bartlett's (1933) decomposition. These are the
-three as they stood before: one draw at a time, with one power of two for
-the whole of G from `as_integer_ratio` and Bareiss's elimination on lists
-(`det_bareiss`); the noise check of one draw against S; S as the sample
-covariance of a standard-normal block, the distributional reference for
-Bartlett's S; and the covariance of the folded noise block taken as one
-matrix product.
+G by its own power of two and takes both of its determinants as Gram
+determinants, det(G^T G) and det(H1^T H1), in one pivot-free elimination
+of the whole stack; `converse.noise_cov_check` runs on a stack of draws
+and reads one noise covariance S per call, which
+`converse.noise_covariance` draws directly as Wishart(n, I)/n by
+Bartlett's (1933) decomposition. These are the three as they stood
+before: one draw at a time, with one power of two for the whole of G from
+`as_integer_ratio`, det(G^T G) over det(H1)^2, and Bareiss's elimination
+with pivoting on lists (`det_bareiss`); the noise check of one draw
+against S; S as the sample covariance of a standard-normal block, the
+distributional reference for Bartlett's S; and the covariance of the
+folded noise block taken as one matrix product.
 """
 
 import math

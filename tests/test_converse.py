@@ -265,11 +265,48 @@ def square_integer_matrices(draw, min_n=0, max_n=5):
 
 
 @st.composite
-def integer_matrix_stacks(draw):
-    """One to five square_integer_matrices of one size, as one object stack."""
+def gram_stacks(draw):
+    """One to five square_integer_matrices A of one size, some with a column
+    made zero or a multiple of another, and the object stack of their A^T A,
+    each as its upper triangle packed row by row."""
     n = draw(st.integers(0, 5))
     stack = draw(st.lists(square_integer_matrices(n, n), min_size=1, max_size=5))
-    return np.array(stack, dtype=object).reshape(len(stack), n, n)
+    for rows in stack:
+        if n > 1 and draw(st.booleans()):
+            source, target = draw(st.permutations(range(n)))[:2]
+            scale = draw(st.integers(-3, 3))  # 0 makes a zero column
+            for row in rows:
+                row[target] = scale * row[source]
+    a = np.array(stack, dtype=object).reshape(len(stack), n, n)
+    i, j = np.triu_indices(n)
+    return stack, (np.swapaxes(a, -1, -2) @ a)[:, i, j]
+
+
+def integer_columns(g):
+    """The integers `converse._integer_blocks` makes of one K x ell G: each
+    column times 2^(53 - e), e its entries' smallest `math.frexp` exponent."""
+    columns = []
+    for column in np.asarray(g).T.tolist():
+        shift = 53 - min(math.frexp(v)[1] for v in column)
+        scaled = [Fraction(v) * Fraction(2) ** shift for v in column]
+        assert all(x.denominator == 1 for x in scaled)
+        columns.append([int(x) for x in scaled])
+    return [list(row) for row in zip(*columns)]
+
+
+def gram(rows):
+    """A^T A of an integer matrix A, as lists of Python ints."""
+    a = np.array(rows, dtype=object)
+    return (a.T @ a).tolist()
+
+
+def unpacked(triangle, n):
+    """The symmetric n x n matrix whose upper triangle, packed row by row,
+    is `triangle`."""
+    full = np.empty((n, n), dtype=object)
+    full[np.triu_indices(n)] = triangle
+    full.T[np.triu_indices(n)] = triangle
+    return full.tolist()
 
 
 def channel_with_h1(h1, k, seed):
@@ -279,14 +316,15 @@ def channel_with_h1(h1, k, seed):
     return h
 
 
-# H1^T, the matrix the oracle eliminates, has an exact 0 leading entry, so
-# the first step swaps rows
+# H1 has an exact 0 leading entry, so the per-draw reference's elimination
+# of H1 swaps rows at its first step; the oracle's Grams need no swap
 H1_SWAP_FIRST = [[0.0, 2.0, 1.0], [1.5, 1.0, -3.0], [2.0, -1.0, 0.5]]
-# H1^T's leading 2 x 2 minor is 0: the pivot first becomes 0 at step two
+# H1's leading 2 x 2 minor is 0: the reference's pivot first becomes 0 at
+# step two
 H1_SWAP_LATER = [[1.0, 2.0, 3.0], [2.0, 4.0, 1.0], [3.0, 5.0, 7.0]]
-# exactly singular H1s: H1^T's first column is 0, so no first pivot exists;
-# H1^T's second row is twice its first, which shows only at the last step,
-# after a swap at step two
+# exactly singular H1s: the first has a zero row, which makes only the last
+# pivot of H1^T H1 zero; the second's middle column is twice its first,
+# which makes its second pivot zero
 H1_SINGULAR_FIRST = [[0.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.5, 3.0, 2.0]]
 H1_SINGULAR_LATE = [[1.0, 2.0, 1.0], [2.0, 4.0, 1.0], [3.0, 6.0, 1.0]]
 
@@ -621,10 +659,30 @@ class TestLogDet:
         expected = [ratio_oracle(draw_of(cut, t)) for t in range(3)]
         assert bits(logdet_oracle(cut)) == bits(expected)
 
-    @given(integer_matrix_stacks())
-    def test_stacked_determinants_match_det_bareiss(self, stack):
-        expected = [det_bareiss(rows) for rows in stack.tolist()]
-        assert converse._det_stack(stack).tolist() == expected
+    @given(gram_stacks())
+    def test_gram_determinants_are_det_bareiss_squared(self, stacks):
+        matrices, grams = stacks
+        expected = [det_bareiss(rows) ** 2 for rows in matrices]
+        if 0 in expected:
+            with pytest.raises(SingularH1Error) as raised:
+                converse._gram_dets(grams, len(matrices[0]))
+            assert str(raised.value) == \
+                "H1 is exactly singular in the oracle path"
+            return
+        dets = converse._gram_dets(grams, len(matrices[0])).tolist()
+        assert dets == expected
+        assert all(type(det) is int for det in dets)
+
+    @given(scaled_oracle_stacks())
+    def test_h1_gram_block_is_det_h1_squared(self, cut):
+        m, t = cut.h.shape[-1], len(cut.h)
+        blocks = converse._integer_blocks(cut.h[..., m - cut.ell:])
+        for draw in range(t):
+            g = integer_columns(cut.h[draw, :, m - cut.ell:])
+            h1_gram = unpacked(blocks[draw], cut.ell)
+            assert h1_gram == gram(g[:cut.ell])
+            assert unpacked(blocks[t + draw], cut.ell) == gram(g)
+            assert det_bareiss(h1_gram) == det_bareiss(g[:cut.ell]) ** 2
 
     def test_stacked_pivots_match_the_per_draw_reference(self):
         # a regular draw beside draws that swap rows at the first and at a
@@ -640,8 +698,8 @@ class TestLogDet:
     @pytest.mark.parametrize("singular", [H1_SINGULAR_FIRST, H1_SINGULAR_LATE])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_exactly_singular_h1_in_a_stack_raises(self, singular, position):
-        # the other draws keep eliminating after the singular one runs out
-        # of pivots
+        # the per-draw reference and the stacked Gram elimination find the
+        # singular draw at different steps, but raise the same error
         draws = [channel_with_h1(H1_SWAP_FIRST, 5, 33),
                  channel_with_h1(H1_SWAP_LATER, 5, 34)]
         draws.insert(position, channel_with_h1(singular, 5, 35))
