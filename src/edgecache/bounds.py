@@ -28,22 +28,12 @@ from fractions import Fraction
 from .errors import ArgumentError, EmptyInputError, RangeError, UnsupportedError
 from .model import SystemConfig, as_fraction
 
-PROVENANCE_TAGS = (
-    "lower-bound",
-    "x-channel-corner",
-    "zf-corner",
-    "literature-point",
-    "envelope",
-)
-
-
 @dataclass(frozen=True)
 class NdtPoint:
-    """One (mu, delta) point with a tag recording where it came from."""
+    """One (mu, delta) point."""
 
     mu: Fraction
     ndt: Fraction
-    provenance: str = "envelope"
 
     def __post_init__(self):
         object.__setattr__(self, "mu", as_fraction(self.mu))
@@ -54,8 +44,6 @@ class NdtPoint:
             raise ArgumentError(
                 f"ndt {self.ndt} < 1: nothing beats the interference-free baseline"
             )
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ArgumentError(f"unknown provenance tag {self.provenance!r}")
 
 
 class CsiMode(enum.Enum):
@@ -156,13 +144,13 @@ def ndt_lower_bound(config: SystemConfig, mu) -> tuple[Fraction, int]:
 def corner_point_xchannel(config: SystemConfig) -> NdtPoint:
     """Interference-alignment corner: mu = 1/M, delta = (M+K-1)/M."""
     m, k = config.num_ens, config.num_users
-    return NdtPoint(Fraction(1, m), Fraction(m + k - 1, m), "x-channel-corner")
+    return NdtPoint(Fraction(1, m), Fraction(m + k - 1, m))
 
 
 def corner_point_zero_forcing(config: SystemConfig) -> NdtPoint:
     """Full-caching corner: mu = 1, delta = K/min(M,K) via cooperative ZF."""
     m, k = config.num_ens, config.num_users
-    return NdtPoint(Fraction(1), Fraction(k, min(m, k)), "zf-corner")
+    return NdtPoint(Fraction(1), Fraction(k, min(m, k)))
 
 
 def achievable_points(config: SystemConfig,
@@ -178,7 +166,7 @@ def achievable_points(config: SystemConfig,
     if csi_mode is CsiMode.PERFECT:
         points = [corner_point_xchannel(config), corner_point_zero_forcing(config)]
         if (m, k) == (3, 3):
-            points.append(NdtPoint(Fraction(2, 3), Fraction(7, 6), "literature-point"))
+            points.append(NdtPoint(Fraction(2, 3), Fraction(7, 6)))
         return points
     if (m, k) != (2, 2):
         raise UnsupportedError(
@@ -188,13 +176,13 @@ def achievable_points(config: SystemConfig,
     if csi_mode is CsiMode.DELAYED:
         # 2x2 X-channel sum-DoF 6/5 and 2x2 broadcast sum-DoF 4/3 under delay.
         return [
-            NdtPoint(Fraction(1, 2), Fraction(5, 3), "literature-point"),
-            NdtPoint(Fraction(1), Fraction(3, 2), "literature-point"),
+            NdtPoint(Fraction(1, 2), Fraction(5, 3)),
+            NdtPoint(Fraction(1), Fraction(3, 2)),
         ]
     # No CSI: time division, sum-DoF 1, flat NDT of K.
     return [
-        NdtPoint(Fraction(1, 2), Fraction(k), "literature-point"),
-        NdtPoint(Fraction(1), Fraction(k), "literature-point"),
+        NdtPoint(Fraction(1, 2), Fraction(k)),
+        NdtPoint(Fraction(1), Fraction(k)),
     ]
 
 
@@ -247,8 +235,7 @@ def lower_bound_curve(config: SystemConfig) -> TradeoffCurve:
     if breaks and breaks[-1][0] == breaks[-1][1]:
         del lines[-1], breaks[-1]
     mus = [(1, m), *breaks] + [(1, 1)] * (m > 1)
-    points = [NdtPoint(Fraction(p, q), Fraction(k * q + b * p, ell * q),
-                       "lower-bound")
+    points = [NdtPoint(Fraction(p, q), Fraction(k * q + b * p, ell * q))
               for (p, q), (ell, b) in zip(mus, [lines[0], *lines])]
     return TradeoffCurve(tuple(points), tuple(ell for ell, _ in lines))
 

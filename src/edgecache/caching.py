@@ -1,14 +1,17 @@
 """Concrete caching policies and per-demand delivery assignments.
 
-Every placement is one layout: the first `split_bits` bits of each file
-are cut into M contiguous equal fragments and EN m stores the m-th, and
-every EN stores the file's tail. Three policies cover the feasible range
-of the fractional cache size:
+Every placement is one layout, memory sharing between the two corner
+schemes: the first `split_bits` = alpha*L bits of each file are cut into
+M contiguous equal fragments and EN m stores the m-th, and every EN
+stores the file's tail. With alpha = (1-mu)/(1-1/M) each EN stores
+exactly mu*N*L bits, so one rule decides what can be placed: alpha*L must
+be a whole multiple of M bits, else the placement raises `ArgumentError`.
+Three placements cover the feasible range of the fractional cache size,
+and `policy` is read off `split_bits`:
 
-* split (mu = 1/M): `split_bits` = L, so there is no tail;
-* full (mu = 1): `split_bits` = 0, so every EN replicates the whole file;
-* hybrid (1/M < mu < 1): `split_bits` is alpha*L rounded up to a multiple
-  of M, with alpha = (1-mu)/(1-1/M) so the per-EN budget mu*N*L is met.
+* split (mu = 1/M): alpha = 1, so `split_bits` = L and there is no tail;
+* full (mu = 1): alpha = 0, so every EN replicates the whole file;
+* hybrid (1/M < mu < 1): 0 < `split_bits` < L.
 
 Placement happens before any demand or channel is known, so allocations
 never depend on either, and one delivery assignment serves every channel
@@ -60,17 +63,23 @@ class CachedFragment:
 
 @dataclass(frozen=True)
 class CacheAllocation:
-    """One caching policy's layout over a library (see the module docstring)."""
+    """One placement's layout over a library (see the module docstring)."""
 
     library: FileLibrary
     num_ens: int
-    policy: str  # "split" | "full" | "hybrid"
     split_bits: int  # per-file prefix cut into M fragments; the tail is replicated
-    alpha: Fraction | None = None
 
     @property
     def file_bits(self) -> int:
         return self.library.file_bits
+
+    @property
+    def policy(self) -> str:
+        """The layout's name: "full" with no split prefix, "split" with no
+        tail, else "hybrid"."""
+        if self.split_bits == 0:
+            return "full"
+        return "split" if self.split_bits == self.file_bits else "hybrid"
 
     def fragments(self, en: int, file_index: int) -> tuple[Fragment, ...]:
         """EN `en`'s fragments of a file in start-bit order: the en-th M-th
@@ -83,13 +92,6 @@ class CacheAllocation:
         if tail < self.file_bits:
             frags += (Fragment(file_index, tail, self.file_bits - tail),)
         return frags
-
-    def en_file_bits(self, en: int, file_index: int) -> int:
-        return sum(frag.num_bits for frag in self.fragments(en, file_index))
-
-    def en_bits(self, en: int) -> int:
-        """Total stored bits at EN `en` (1-based): every file has one layout."""
-        return self.library.num_files * self.en_file_bits(en, 1)
 
     @cached_property
     def per_en_content(self) -> tuple[tuple[CachedFragment, ...], ...]:
@@ -104,43 +106,45 @@ class CacheAllocation:
             for en in range(1, self.num_ens + 1))
 
 
+def _placement(library: FileLibrary, config: SystemConfig,
+               alpha) -> CacheAllocation:
+    """The layout that splits the first alpha*L bits of each file; refuses
+    a prefix that is not a whole multiple of M bits, the one split that
+    would not store exactly mu*N*L at every EN."""
+    m, split = config.num_ens, alpha * config.file_bits
+    if split % m:
+        raise ArgumentError(
+            f"mu = {config.frac_cache} cannot be stored exactly at L = "
+            f"{config.file_bits}: its split prefix alpha*L = {split} bits "
+            f"is not a whole multiple of M = {m}")
+    return CacheAllocation(library, m, int(split))
+
+
 def split_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
-    """Fragment-split placement for mu = 1/M; needs M | L."""
-    m, l = config.num_ens, config.file_bits
+    """Fragment-split placement for mu = 1/M (alpha = 1)."""
+    m = config.num_ens
     if config.frac_cache != Fraction(1, m):
         raise ArgumentError(
             f"split placement requires mu = 1/{m}, got {config.frac_cache}"
         )
-    if l % m != 0:
-        raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
-    return CacheAllocation(library, config.num_ens, "split", l)
+    return _placement(library, config, 1)
 
 
 def full_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
-    """Whole-library replication at every EN; requires mu = 1."""
+    """Whole-library replication at every EN; requires mu = 1 (alpha = 0)."""
     if config.frac_cache != 1:
         raise ArgumentError(f"full placement requires mu = 1, got {config.frac_cache}")
-    return CacheAllocation(library, config.num_ens, "full", 0)
+    return _placement(library, config, 0)
 
 
 def shared_placement(library: FileLibrary, config: SystemConfig) -> CacheAllocation:
-    """Cache-sharing hybrid for 1/M < mu < 1.
-
-    The split prefix length is alpha*L rounded up to the next multiple of M
-    (rounding down would grow the replicated tail and break the budget), so
-    per-EN storage never exceeds mu*N*L.
-    """
-    m, l = config.num_ens, config.file_bits
-    mu = config.frac_cache
+    """Cache-sharing hybrid for 1/M < mu < 1, alpha = (1-mu)/(1-1/M)."""
+    m, mu = config.num_ens, config.frac_cache
     if not Fraction(1, m) < mu < 1:
         raise ArgumentError(
             f"shared placement requires 1/{m} < mu < 1, got {mu}"
         )
-    if l % m != 0:
-        raise ArgumentError(f"file_bits {l} not divisible by num_ens {m}")
-    alpha = (1 - mu) / (1 - Fraction(1, m))
-    split_bits = int(-(-(alpha * l) // m)) * m  # ceil to a multiple of M
-    return CacheAllocation(library, config.num_ens, "hybrid", split_bits, alpha)
+    return _placement(library, config, (1 - mu) / (1 - Fraction(1, m)))
 
 
 @dataclass(frozen=True)

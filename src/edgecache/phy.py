@@ -89,7 +89,6 @@ class EmpiricalNdt:
     dof_estimate: float
     ndt_estimate: float
     fit_residual: float
-    snr_grid: tuple[float, ...]
 
 
 def snr_db_to_power(snr_db: float) -> float:
@@ -561,4 +560,4 @@ def estimate_ndt(points) -> EmpiricalNdt:
         raise InsufficientDataError(f"non-positive rate slope {slope:.3g}")
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     k = points[0].per_user_rates.shape[1]
-    return EmpiricalNdt(float(slope), k / float(slope), residual, tuple(snrs))
+    return EmpiricalNdt(float(slope), k / float(slope), residual)

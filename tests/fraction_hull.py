@@ -52,6 +52,6 @@ def fraction_lower_bound_curve(config) -> TradeoffCurve:
     if breaks and breaks[-1] == 1:
         del lines[-1], breaks[-1]
     mus = sorted({Fraction(1, m), *breaks, Fraction(1)})
-    points = [NdtPoint(mu, intercept + slope * mu, "lower-bound")
+    points = [NdtPoint(mu, intercept + slope * mu)
               for mu, (_, intercept, slope) in zip(mus, [lines[0], *lines])]
     return TradeoffCurve(tuple(points), tuple(ell for ell, _, _ in lines))

@@ -1,7 +1,8 @@
 """Test-side reads of a placement: per-file stored content and the budget.
 
 The package reads neither: a campaign reads a placement's fragment layout,
-and `simulate` checks the exact mu that each EN stores.
+and the placement itself refuses a split that would not store exactly
+mu*N*L at every EN.
 """
 
 
@@ -12,19 +13,27 @@ def cached_fragments(per_en_content, en: int, file_index: int) -> tuple:
                  if cf.fragment.file_index == file_index)
 
 
+def en_file_bits(allocation, en: int, file_index: int) -> int:
+    """Bits of one file that EN `en` (1-based) stores, from its fragments."""
+    return sum(frag.num_bits for frag in allocation.fragments(en, file_index))
+
+
+def en_bits(allocation, en: int) -> int:
+    """Total stored bits at EN `en`, file by file."""
+    return sum(en_file_bits(allocation, en, n)
+               for n in range(1, allocation.library.num_files + 1))
+
+
 def cache_bits(config):
     """Per-EN cache budget mu*N*L of a `SystemConfig`, exact."""
     return config.frac_cache * config.library_size * config.file_bits
 
 
 def verify_cache_budget(allocation, config) -> bool:
-    """True iff every EN respects mu*N*L overall and mu*L per file."""
-    en_budget = cache_bits(config)
+    """True iff every EN stores exactly mu*N*L overall and mu*L per file."""
     file_budget = config.frac_cache * config.file_bits
-    for en in range(1, allocation.num_ens + 1):
-        if allocation.en_bits(en) > en_budget:
-            return False
-        for n in range(1, config.library_size + 1):
-            if allocation.en_file_bits(en, n) > file_budget:
-                return False
-    return True
+    return all(
+        en_bits(allocation, en) == cache_bits(config)
+        and all(en_file_bits(allocation, en, n) == file_budget
+                for n in range(1, config.library_size + 1))
+        for en in range(1, allocation.num_ens + 1))

@@ -44,6 +44,7 @@ from edgecache.phy import (
 )
 from placement_reference import (
     cache_bits,
+    en_bits,
     cached_fragments,
     verify_cache_budget,
 )
@@ -191,8 +192,8 @@ def test_hybrid_time_cache_sharing():
     cfg_h, alloc_h, dem = scheme_setup(Scheme.HYBRID_SHARE, F(3, 4))
     cfg_z, alloc_z, _ = scheme_setup(Scheme.ZERO_FORCING, F(1))
     cfg_i, alloc_i, _ = scheme_setup(Scheme.IA_XCHANNEL_2X2, F(1, 2))
-    assert alloc_h.alpha == F(1, 2)
-    alpha = float(alloc_h.alpha)
+    assert F(alloc_h.split_bits, alloc_h.file_bits) == F(1, 2)  # alpha
+    alpha = alloc_h.split_bits / alloc_h.file_bits
     # paired campaigns: the same master seed gives every scheme the same
     # channel draws, making the time-sharing blend a sharp comparison
     runs = {
@@ -286,7 +287,7 @@ class TestPropertySuites:
         alloc = split_placement(FileLibrary.random(cfg, 0), cfg)
         assert verify_cache_budget(alloc, cfg)
         for en in range(1, 5):
-            assert alloc.en_bits(en) == cache_bits(cfg)  # exact equality
+            assert en_bits(alloc, en) == cache_bits(cfg)  # exact equality
 
     @pytest.mark.parametrize("scheme,mu,bound_mu", [
         (Scheme.ZERO_FORCING, F(1), F(1)),

@@ -14,6 +14,7 @@ import pytest
 
 import edgecache.cli as cli
 from edgecache import bounds, caching, converse, model, phy
+from placement_reference import en_bits
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 F = Fraction
@@ -65,7 +66,7 @@ def test_byte_hooks_read_a_real_library_and_placement(layers, placement, mu):
     allocation = placement(library, config)
     layers._stored_bytes(tracer, allocation)
     assert tracer.counters["caching.stored_bytes"] == sum(
-        allocation.en_bits(en) for en in range(1, 4))
+        en_bits(allocation, en) for en in range(1, 4))
 
 
 def test_stored_bytes_reads_the_single_en_allocation(layers):

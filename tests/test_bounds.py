@@ -255,7 +255,6 @@ class TestCornerPoints:
     def test_xchannel(self, m, k, expect):
         p = corner_point_xchannel(cfg(m, k))
         assert (p.mu, p.ndt) == expect
-        assert p.provenance == "x-channel-corner"
 
     @pytest.mark.parametrize("m,k,expect", [
         (2, 2, (F(1), F(1))),
@@ -265,7 +264,6 @@ class TestCornerPoints:
     def test_zero_forcing(self, m, k, expect):
         p = corner_point_zero_forcing(cfg(m, k))
         assert (p.mu, p.ndt) == expect
-        assert p.provenance == "zf-corner"
 
     def test_corners_meet_lower_bound_up_to_6x6(self):
         for m in range(1, 7):
@@ -362,12 +360,13 @@ class TestConvexEnvelope:
 
     def test_lowest_point_at_a_shared_mu_survives(self):
         first = NdtPoint(F(1, 2), F(3, 2))
-        twin = NdtPoint(F(1, 2), F(3, 2), "zf-corner")
+        twin = NdtPoint(F(1, 2), F(3, 2))
         for pts in ([NdtPoint(F(1, 2), F(2)), first, twin, NdtPoint(F(1), F(1))],
                     [NdtPoint(F(1), F(1)), first, NdtPoint(F(1, 2), F(2)), twin]):
             env = convex_envelope(pts)
-            # of equal points the first one given is kept, provenance included
+            # of equal points the first one given is kept
             assert env.points == (first, NdtPoint(F(1), F(1)))
+            assert env.points[0] is first
 
     def test_exact_arithmetic_on_2x2_line(self):
         env = convex_envelope(achievable_points(cfg(2, 2)))
@@ -553,5 +552,3 @@ class TestCurveProperties:
             NdtPoint(F(1, 2), F(1, 2))  # below the baseline
         with pytest.raises(RangeError):
             NdtPoint(F(3, 2), F(2))
-        with pytest.raises(ArgumentError):
-            NdtPoint(F(1, 2), F(2), "mystery")

@@ -21,6 +21,8 @@ from edgecache.model import DemandVector, FileLibrary, validate_config
 from placement_reference import (
     cache_bits,
     cached_fragments,
+    en_bits,
+    en_file_bits,
     verify_cache_budget,
 )
 
@@ -97,14 +99,17 @@ def edited(allocation, en, drop_file=None, extra=None):
                 return frags + (extra,)
             return frags
 
-    return Edited(allocation.library, allocation.num_ens, allocation.policy,
-                  allocation.split_bits, allocation.alpha)
+    return Edited(allocation.library, allocation.num_ens, allocation.split_bits)
 
 
 @st.composite
 def placed_libraries(draw, max_chunks=4):
     """A split, full or shared placement function, a config it accepts and
-    a small library, with L = M * (1..max_chunks)."""
+    a small library, with L = M * (1..max_chunks) for split and full.
+
+    Shared placements are drawn exact: L in (M, M * max_chunks], which M
+    need not divide, and a split prefix alpha*L of whole M-bit fragments,
+    the only hybrids a placement accepts."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, m))
     n = draw(st.integers(k, 8))
@@ -116,9 +121,9 @@ def placed_libraries(draw, max_chunks=4):
     elif kind == "full":
         mu = F(1)
     else:
-        den = draw(st.integers(2, 12))
-        t = F(draw(st.integers(1, den - 1)), den)
-        mu = F(1, m) + (1 - F(1, m)) * t
+        l = draw(st.integers(m + 1, m * max_chunks))
+        alpha = F(m * draw(st.integers(1, (l - 1) // m)), l)
+        mu = 1 - alpha * (1 - F(1, m))
     cfg, lib = make(m, k, n, mu, l, seed=draw(st.integers(0, 3)))
     placement = {"split": split_placement, "full": full_placement,
                  "shared": shared_placement}[kind]
@@ -142,7 +147,7 @@ def test_indexed_lookups_match_linear_scan(case):
         for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
             want = cached_fragments(alloc.per_en_content, en, n)
             assert alloc.fragments(en, n) == tuple(cf.fragment for cf in want)
-            assert alloc.en_file_bits(en, n) == \
+            assert en_file_bits(alloc, en, n) == \
                 sum(cf.fragment.num_bits for cf in want)
     assert assignment_for_demand(alloc, demand).users == \
         scan_assignment(alloc.per_en_content, demand)
@@ -180,7 +185,7 @@ def test_placement_stores_read_only_views_of_the_library(placement, mu):
 def reference_split(library, config):
     """The per-fragment split loop: one library lookup per fragment.
 
-    Returns per-EN content and (policy, file_bits, alpha, split_bits)."""
+    Returns per-EN content and (policy, file_bits, split_bits)."""
     m, l = config.num_ens, config.file_bits
     frag_len = l // m
     content = []
@@ -191,7 +196,7 @@ def reference_split(library, config):
                            library.files[n - 1][start:start + frag_len])
             for n in range(1, config.library_size + 1)
         ))
-    return tuple(content), ("split", l, None, l)
+    return tuple(content), ("split", l, l)
 
 
 def reference_full(library, config):
@@ -199,14 +204,13 @@ def reference_full(library, config):
     stored = tuple(CachedFragment(Fragment(n, 0, l), library.files[n - 1])
                    for n in range(1, config.library_size + 1))
     return (tuple(stored for _ in range(config.num_ens)),
-            ("full", l, None, 0))
+            ("full", l, 0))
 
 
 def reference_shared(library, config):
     """The per-fragment hybrid loop: a fresh tail fragment at every EN."""
     m, l, mu = config.num_ens, config.file_bits, config.frac_cache
-    alpha = (1 - mu) / (1 - F(1, m))
-    split_bits = int(-(-(alpha * l) // m)) * m
+    split_bits = int((1 - mu) / (1 - F(1, m)) * l)
     frag_len, tail = split_bits // m, l - split_bits
     content = []
     for en in range(1, m + 1):
@@ -222,7 +226,7 @@ def reference_shared(library, config):
                     Fragment(n, split_bits, tail),
                     library.files[n - 1][split_bits:]))
         content.append(tuple(stored))
-    return tuple(content), ("hybrid", l, alpha, split_bits)
+    return tuple(content), ("hybrid", l, split_bits)
 
 
 REFERENCE_PLACEMENTS = {split_placement: reference_split,
@@ -241,8 +245,7 @@ def assert_same_placement(placement, cfg, lib):
     got = placement(lib, cfg)
     want_content, want_fields = REFERENCE_PLACEMENTS[placement](lib, cfg)
     assert layout(got.per_en_content) == layout(want_content)
-    assert (got.policy, got.file_bits, got.alpha, got.split_bits) == \
-        want_fields
+    assert (got.policy, got.file_bits, got.split_bits) == want_fields
 
 
 @given(placed_libraries(max_chunks=40))
@@ -262,9 +265,9 @@ def test_closed_form_layout_matches_materialised_reference(case, data):
         for n in range(0, cfg.library_size + 2):  # 0 and N+1 are cached nowhere
             want = tuple(cf.fragment for cf in cached_fragments(content, en, n))
             assert alloc.fragments(en, n) == want
-            assert alloc.en_file_bits(en, n) == \
+            assert en_file_bits(alloc, en, n) == \
                 sum(frag.num_bits for frag in want)
-        assert alloc.en_bits(en) == \
+        assert en_bits(alloc, en) == \
             sum(cf.fragment.num_bits for cf in content[en - 1])
     k, n = cfg.num_users, cfg.library_size
     demand = DemandVector(tuple(data.draw(
@@ -278,16 +281,51 @@ def test_closed_form_layout_matches_materialised_reference(case, data):
 
 
 @pytest.mark.parametrize("m,l,mu,split_bits", [
-    (3, 6, F(1, 3) + F(1, 100), 6),   # the split rounds up to L: no tail
-    (6, 36, F(1, 6) + F(1, 1000), 36),
+    (3, 9, F(5, 9), 6),               # the tail is the last M bits
+    (6, 42, F(2, 7), 36),
     (2, 100, F(99, 100), 2),          # the tail is all but M bits
-    (6, 600, F(599, 600), 6),
+    (6, 600, F(119, 120), 6),
     (4, 8, F(5, 8), 4),
+    (3, 1000, F(1, 2), 750),          # M need not divide L
 ])
 def test_hybrid_edges_match_per_fragment_reference(m, l, mu, split_bits):
     cfg, lib = make(m, 1, 5, mu, l, seed=m)
     assert shared_placement(lib, cfg).split_bits == split_bits
     assert_same_placement(shared_placement, cfg, lib)
+
+
+@pytest.mark.parametrize("m,l,mu", [
+    (3, 6, F(1, 3) + F(1, 100)),      # alpha*L = 591/100
+    (6, 36, F(1, 6) + F(1, 1000)),    # alpha*L = 22473/625
+    (6, 600, F(599, 600)),            # alpha*L = 6/5
+    (2, 2, F(2, 3)),                  # alpha*L = 4/3
+])
+def test_inexact_hybrid_edges_are_refused(m, l, mu):
+    cfg, lib = make(m, 1, 5, mu, l, seed=m)
+    with pytest.raises(ArgumentError, match=f"not a whole multiple of M = {m}"):
+        shared_placement(lib, cfg)
+
+
+@given(st.integers(2, 6), st.integers(2, 12), st.data())
+def test_shared_placement_is_exact_or_refused(m, den, data):
+    """A shared placement stores exactly mu*N*L at every EN, or raises
+    `ArgumentError` exactly when alpha*L is not a whole multiple of M.
+
+    L is drawn freely or as a multiple of M * den, where every such mu is
+    exact, so both outcomes are drawn often."""
+    mu = F(1, m) + (1 - F(1, m)) * F(data.draw(st.integers(1, den - 1)), den)
+    l = data.draw(st.integers(1, 200)
+                  | st.integers(1, 20).map(lambda c: c * m * den))
+    cfg, lib = make(m, 1, 3, mu, l)
+    alpha = (1 - mu) / (1 - F(1, m))
+    if (alpha * l) % m:
+        with pytest.raises(ArgumentError):
+            shared_placement(lib, cfg)
+    else:
+        alloc = shared_placement(lib, cfg)
+        assert alloc.split_bits == alpha * l
+        assert all(en_bits(alloc, en) == cache_bits(cfg)
+                   for en in range(1, m + 1))
 
 
 class TestSplitPlacement:
@@ -299,7 +337,7 @@ class TestSplitPlacement:
             (cf2,) = cached_fragments(alloc.per_en_content, 2, n)
             np.testing.assert_array_equal(cf1.bits, lib.files[n - 1][:4])
             np.testing.assert_array_equal(cf2.bits, lib.files[n - 1][4:])
-        assert alloc.en_bits(1) == alloc.en_bits(2) == 8  # N*L/M
+        assert en_bits(alloc, 1) == en_bits(alloc, 2) == 8  # N*L/M
 
     def test_single_en_degenerates_to_replication(self):
         cfg, lib = make(1, 1, 1, F(1), 12)
@@ -333,14 +371,14 @@ class TestSplitPlacement:
         alloc = split_placement(lib, cfg)
         assert verify_cache_budget(alloc, cfg)
         for en in (1, 2):
-            assert alloc.en_bits(en) == cache_bits(cfg)  # tight, no slack
+            assert en_bits(alloc, en) == cache_bits(cfg)  # tight, no slack
 
 
 class TestFullPlacement:
     def test_whole_library_everywhere(self):
         cfg, lib = make(2, 2, 2, F(1), 8)
         alloc = full_placement(lib, cfg)
-        assert alloc.en_bits(1) == alloc.en_bits(2) == 16
+        assert en_bits(alloc, 1) == en_bits(alloc, 2) == 16
 
     def test_replication_symmetry(self):
         cfg, lib = make(3, 1, 1, F(1), 16)
@@ -359,22 +397,22 @@ class TestSharedPlacement:
     def test_half_alpha_budget_arithmetic(self):
         cfg, lib = make(2, 2, 2, F(3, 4), 8)
         alloc = shared_placement(lib, cfg)
-        assert alloc.alpha == F(1, 2)
-        assert alloc.split_bits == 4
+        assert alloc.split_bits == 4  # alpha*L = (1/2)*8
         # per EN and file: 2 split bits + 4 replicated = 6 = (3/4)*8
         for en in (1, 2):
             for n in (1, 2):
-                assert alloc.en_file_bits(en, n) == 6
-            assert alloc.en_bits(en) == 12  # (3/4)*N*L
+                assert en_file_bits(alloc, en, n) == 6
+            assert en_bits(alloc, en) == 12  # (3/4)*N*L
         assert verify_cache_budget(alloc, cfg)
 
     def test_rounding_keeps_budget(self):
-        # alpha*L not a multiple of M: split part rounds up, budget holds
+        # alpha*L = 27/4 bits is not a whole multiple of M = 3
         cfg, lib = make(3, 3, 3, F(1, 2), 9)
-        alloc = shared_placement(lib, cfg)
-        assert alloc.alpha == F(3, 4)
-        assert alloc.split_bits == 9  # ceil(27/4) -> 7 -> up to multiple of 3
-        assert verify_cache_budget(alloc, cfg)
+        with pytest.raises(ArgumentError) as refused:
+            shared_placement(lib, cfg)
+        assert str(refused.value) == (
+            "mu = 1/2 cannot be stored exactly at L = 9: its split prefix "
+            "alpha*L = 27/4 bits is not a whole multiple of M = 3")
 
     @pytest.mark.parametrize("mu", [F(1, 2), F(1)])
     def test_boundary_mu_rejected(self, mu):
@@ -385,10 +423,10 @@ class TestSharedPlacement:
     def test_alpha_continuity_near_boundaries(self):
         cfg, lib = make(2, 2, 2, F(51, 100), 200)
         near_split = shared_placement(lib, cfg)
-        assert near_split.alpha == F(49, 50)  # alpha -> 1 as mu -> 1/M
+        assert near_split.split_bits == 196  # alpha = 49/50 -> 1 as mu -> 1/M
         cfg2, lib2 = make(2, 2, 2, F(99, 100), 200)
         near_full = shared_placement(lib2, cfg2)
-        assert near_full.alpha == F(1, 50)  # alpha -> 0 as mu -> 1
+        assert near_full.split_bits == 4  # alpha = 1/50 -> 0 as mu -> 1
 
 
 class TestBudgetVerification:

@@ -395,8 +395,8 @@ class TestSimulateCommand:
     def test_unrealizable_mu_rejected_before_any_trial(self, tmp_path,
                                                        monkeypatch, capsys,
                                                        bits):
-        # the hybrid split rounds up to a multiple of M bits: at --l 2 or 4
-        # every EN stores 1/2 of each file, not the 2/3 asked for
+        # alpha*L is 4/3 or 8/3 bits, not a whole multiple of M = 2, so no
+        # split stores exactly 2/3 of each file at every EN
         def no_campaign(*args, **kwargs):
             raise AssertionError("a trial ran on an unrealizable mu")
 
@@ -405,7 +405,8 @@ class TestSimulateCommand:
                      "--scheme", "hybrid", "--l", bits, "--trials", "50",
                      "--seed", "0", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
-        assert "mu = 1/2 per EN, not 2/3" in capsys.readouterr().err
+        assert f"mu = 2/3 cannot be stored exactly at L = {bits}" in \
+            capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
@@ -413,7 +414,10 @@ class TestSimulateCommand:
         ["--m", "2", "--k", "2", "--mu", "3/4", "--scheme", "hybrid"],
         ["--m", "6", "--k", "6", "--n", "400", "--l", "48000", "--mu", "1/2",
          "--scheme", "tdma", "--snr-grid", "20,40,60"],
-    ], ids=["hybrid-2/3", "hybrid-3/4", "library-config"])
+        # M = 3 does not divide L, but alpha*L = 750 is 250 whole fragments
+        ["--m", "3", "--k", "3", "--l", "1000", "--mu", "1/2",
+         "--scheme", "tdma"],
+    ], ids=["hybrid-2/3", "hybrid-3/4", "library-config", "m-not-dividing-l"])
     def test_realizable_mu_runs(self, tmp_path, args):
         out = tmp_path / "x.csv"
         assert main(["simulate", *args, "--trials", "50", "--seed", "0",

@@ -140,8 +140,7 @@ def columns(points):
 
 def layout(allocation):
     """An allocation's fields, with each fragment's stored bits as bytes."""
-    return (allocation.policy, allocation.file_bits, allocation.alpha,
-            allocation.split_bits,
+    return (allocation.policy, allocation.file_bits, allocation.split_bits,
             [[(cf.fragment, cf.bits.tobytes()) for cf in content]
              for content in allocation.per_en_content])
 

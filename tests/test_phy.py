@@ -20,6 +20,7 @@ import edgecache
 from edgecache import phy, streams
 from edgecache.cli import EXIT_UNSUPPORTED, main
 from edgecache.caching import (
+    CacheAllocation,
     assignment_for_demand,
     full_placement,
     shared_placement,
@@ -345,8 +346,9 @@ class TestTdma:
            st.integers(0, 2 ** 32 - 1))
     def test_stacked_delivery_matches_the_fragment_loop(
             self, m, k, placement, draws, snr, seed):
+        # shared: alpha = 3/4, so alpha*L = 900 bits, a multiple of each M
         mu = {"split": F(1, m), "full": F(1),
-              "shared": F(1, m) + (1 - F(1, m)) / 3}[placement]
+              "shared": F(1, m) + (1 - F(1, m)) / 4}[placement]
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=mu, m=m, k=k, n=k + 1)
         assignment = assignment_for_demand(alloc, dem)
         h = np.random.default_rng(seed).standard_normal((draws, k, m))
@@ -446,6 +448,15 @@ class TestRunTrial:
         with pytest.raises(UnsupportedError):
             run_trial(cfg_f, alloc_f, Scheme.HYBRID_SHARE, dem, 40.0, 1)
 
+    def test_half_stored_layout_is_refused_for_zero_forcing(self):
+        # 1,200 of the 2,400 library bits per EN is the split layout
+        cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING)
+        half = CacheAllocation(alloc.library, 2, 1200)
+        assert half.policy == "split"
+        with pytest.raises(UnsupportedError,
+                           match="zero-forcing requires full replication"):
+            run_campaign(cfg, half, Scheme.ZERO_FORCING, dem, SNR_GRID, 50, 0)
+
     def test_zero_forcing_needs_m_at_least_k(self):
         cfg, alloc, dem = setup_scheme(Scheme.ZERO_FORCING, m=2, k=3, n=3)
         with pytest.raises(UnsupportedError):
@@ -481,7 +492,7 @@ class TestRunTrial:
         cfg_h, alloc_h, dem = setup_scheme(Scheme.HYBRID_SHARE)
         cfg_z, alloc_z, _ = setup_scheme(Scheme.ZERO_FORCING)
         cfg_i, alloc_i, _ = setup_scheme(Scheme.IA_XCHANNEL_2X2)
-        alpha = float(alloc_h.alpha)
+        alpha = alloc_h.split_bits / alloc_h.file_bits
         for seed in (3, 14, 159):
             hyb = run_trial(cfg_h, alloc_h, Scheme.HYBRID_SHARE, dem, 40.0, seed)
             zf = run_trial(cfg_z, alloc_z, Scheme.ZERO_FORCING, dem, 40.0, seed)
@@ -1192,8 +1203,9 @@ class TestBatchedCampaign:
     @given(st.integers(1, 4), st.integers(1, 4),
            st.sampled_from(["split", "full", "shared"]), campaigns)
     def test_tdma(self, m, k, placement, campaign):
+        # shared: alpha = 3/4, so alpha*L = 900 bits, a multiple of each M
         mu = {"split": F(1, m), "full": F(1),
-              "shared": F(1, m) + (1 - F(1, m)) / 3}[placement]
+              "shared": F(1, m) + (1 - F(1, m)) / 4}[placement]
         setup = setup_scheme(Scheme.TDMA, mu=mu, m=m, k=k, n=k + 1)
         self.assert_matches_trials(Scheme.TDMA, setup, campaign)
 
