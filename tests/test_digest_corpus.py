@@ -67,10 +67,11 @@ def test_record_writes_each_entry_as_checked_in(tmp_path, monkeypatch):
 
 
 # entries whose bytes must not depend on the OpenBLAS thread count: the first
-# draws' fast path and per-trial loop, each scheme's 2x2 kernels, the
-# converse's Wishart noise covariance (3x3) and its 1 x 1 einsum (3x2), and
-# the exact oracle at 10x10
-THREAD_TWINS = ["zf-4x4-50-trials", "tdma-16x16-50-trials", "tdma-16x16",
+# draws' fast path and per-trial loop, each scheme's 2x2 kernels, the wide
+# precoder, the converse's Wishart noise covariance (3x3) and its 1 x 1
+# einsum (3x2), and the exact oracle at 10x10
+THREAD_TWINS = ["zf-4x4-50-trials", "zf-4x3-50-trials",
+                "tdma-16x16-50-trials", "tdma-16x16",
                 "tdma-6x6", "sim-2x2-zf", "sim-2x2-ia", "sim-2x2-hybrid",
                 "sim-2x2-tdma", "verify-converse-3x3", "verify-converse-3x2",
                 "verify-converse-7x4", "verify-converse-10x10"]

@@ -326,14 +326,18 @@ class TestTdma:
     @staticmethod
     def fragment_loop(h, assignment, file_bits, power):
         """One draw's delivery time, one fragment after another, each rate
-        np.log2 of that fragment's own gain."""
+        np.log2 of that fragment's own gain, or log1p of its h^2 P where the
+        gain rounds to 1."""
         num_users, num_ens = h.shape
         total_uses = 0.0
         for user in range(1, num_users + 1):
             for frag, en in assignment.fragments_for_user(user):
                 if en is None:
                     en = (user - 1) % num_ens + 1
-                rate = np.log2(1.0 + h[user - 1, en - 1] ** 2 * power)
+                snr = h[user - 1, en - 1] ** 2 * power
+                rate = np.log2(1.0 + snr)
+                if rate == 0.0:
+                    rate = np.log1p(snr) / np.log(2.0)
                 total_uses += frag.num_bits / rate
         return total_uses / file_bits
 
@@ -383,29 +387,58 @@ class TestTdma:
         ulps = np.abs(rates.view(np.int64) - want.view(np.int64))
         assert ulps.max() <= 1
 
-    def test_a_gain_of_exactly_one_is_the_only_dead_link(self):
-        """1 + h^2 P rounds to 1.0 when h^2 P is under half an ulp of 1:
-        that link's rate is 0, and the link is named. Each gain 1 + k eps
-        for 0 < k < 2000, nextafter(1, 2) first, has a positive rate."""
+    def test_a_gain_that_rounds_to_one_is_a_live_link(self):
+        """1 + h^2 P rounds to 1.0 when h^2 P is under half an ulp of 1; that
+        link runs at log1p(h^2 P) / ln 2, not at rate 0. Each gain
+        1 + k eps for 0 < k < 2000, nextafter(1, 2) first, keeps its np.log2
+        rate."""
         cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1, 2))
         assignment = assignment_for_demand(alloc, dem)
         eps = np.finfo(float).eps
         h = np.ones((2, 2))
-        h[1, 0] = 2.0 ** -27  # h^2 = eps / 4, so the gain is 1.0
-        with pytest.raises(SingularChannelError, match="EN 1 -> user 2"):
-            tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
-        h[1, 0] = 2.0 ** -26  # h^2 = eps, so the gain is nextafter(1, 2)
-        assert 1.0 + h[1, 0] ** 2 == np.nextafter(1.0, 2.0)
-        delta = tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
-        assert delta.hex() == self.fragment_loop(
-            h, assignment, cfg.file_bits, 1.0).hex()
-        assert 0.0 < delta < math.inf
+        for tiny in (2.0 ** -27, 2.0 ** -26):  # h^2 = eps / 4, then eps
+            h[1, 0] = tiny
+            delta = tdma_delivery(h, assignment, cfg.file_bits, power=1.0)
+            assert delta.hex() == self.fragment_loop(
+                h, assignment, cfg.file_bits, 1.0).hex()
+            assert 0.0 < delta < math.inf
+        assert 1.0 + 2.0 ** -54 == 1.0  # the first gain was 1.0
         # one draw per k, its power k eps: every gain is 1 + k eps exactly
         k = np.arange(1, 2000)
         deltas = tdma_delivery(np.ones((k.size, 2, 2)), assignment,
                                cfg.file_bits, power=k * eps)
         assert np.all((deltas > 0.0) & np.isfinite(deltas))
         assert all(math.log2(1.0 + i * eps) > 0.0 for i in k)
+
+    def test_one_link_below_half_an_ulp_of_one_is_live_and_zero_is_dead(
+            self):
+        """At M = K = 1, full placement: |h| = 1e-9 at P = 1e-3 (h^2 P =
+        1e-21) delivers at 1e-21 / ln 2 bits per use; h = 0 is a dead link.
+        """
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1), m=1, k=1, n=1)
+        assignment = assignment_for_demand(alloc, dem)
+        power = np.array([1e-3])
+        h = np.array([[[1e-9]]])
+        [delta] = tdma_delivery(h, assignment, cfg.file_bits, power)
+        assert delta.hex() == self.fragment_loop(
+            h[0], assignment, cfg.file_bits, power[0]).hex()
+        assert delta == pytest.approx(math.log(2.0) * 1e21, rel=1e-12)
+        with pytest.raises(SingularChannelError,
+                           match="EN 1 -> user 1: rate is zero"):
+            tdma_delivery(np.zeros((1, 1, 1)), assignment, cfg.file_bits,
+                          power)
+
+    def test_a_delivery_time_past_every_float_is_a_dead_link(self):
+        """A positive rate so small that its fragment's channel uses
+        overflow fails its draw as a zero rate would, in draw order."""
+        cfg, alloc, dem = setup_scheme(Scheme.TDMA, mu=F(1), m=1, k=1, n=1)
+        assignment = assignment_for_demand(alloc, dem)
+        h = np.array([[[1.0]], [[1e-160]], [[0.0]]])
+        with pytest.raises(SingularChannelError,
+                           match="EN 1 -> user 1: delivery time overflows"):
+            tdma_delivery(h, assignment, cfg.file_bits, power=1e-3)
+        with pytest.raises(SingularChannelError, match="rate is zero"):
+            tdma_delivery(h[::-1], assignment, cfg.file_bits, power=1e-3)
 
     def test_a_chunk_of_16x16_trials_stays_within_16_mib(self):
         """One point of a full chunk of 16x16 trials, 272 links each, peaks
@@ -540,22 +573,26 @@ class TestRunTrial:
                     assert alignment < 1e-10
 
     # SNRs where, with master seed 3, trial 0 gets bits through and a
-    # later trial of the same point does not
+    # later trial of the same point does not. TDMA's links run at
+    # log1p(h^2 P) / ln 2 where 1 + h^2 P rounds to 1, so its trials fail
+    # only where a fragment's channel uses overflow
     MIXED_SNR_DB = {Scheme.ZERO_FORCING: -139.0, Scheme.IA_XCHANNEL_2X2: -153.0,
-                    Scheme.TDMA: -146.0, Scheme.HYBRID_SHARE: -139.0}
+                    Scheme.TDMA: -3035.0, Scheme.HYBRID_SHARE: -139.0}
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_sum_rate_is_a_singular_channel(self, scheme):
-        # at -400 dB every log2(1 + SINR) rounds to 0: no bit gets through
+        # at -400 dB every log2(1 + SINR) rounds to 0; at -4000 dB the power
+        # is 0.0, and so is every TDMA link's h^2 P: no bit gets through
         cfg, alloc, dem = setup_scheme(scheme)
+        silent = -4000.0 if scheme is Scheme.TDMA else -400.0
         with pytest.raises(SingularChannelError):
-            run_trial(cfg, alloc, scheme, dem, -400.0, seed=3)
-        # a campaign raises its first failing trial's error: at -400 dB
-        # that of its second point's first trial, at the mixed SNR that of
-        # a later trial of the point's batch
+            run_trial(cfg, alloc, scheme, dem, silent, seed=3)
+        # a campaign raises its first failing trial's error: at the silent
+        # SNR that of its second point's first trial, at the mixed SNR that
+        # of a later trial of the point's batch
         mixed = self.MIXED_SNR_DB[scheme]
         run_trial(cfg, alloc, scheme, dem, mixed, seed=trial_seed(3, 0))
-        for grid, per_snr in ([20.0, -400.0, 40.0], 4), ([mixed], 12):
+        for grid, per_snr in ([20.0, silent, 40.0], 4), ([mixed], 12):
             args = (cfg, alloc, scheme, dem, grid, per_snr, 3)
             expected = outcome(lambda: trial_by_trial(*args))
             assert isinstance(expected, tuple)  # an error, not trials
@@ -964,6 +1001,58 @@ class TestAcceptanceCertificate:
         assert_same_answers(accepts, expected)
 
 
+def crafted_draws(rng, draws, k, m, ratio):
+    """K x M draws h = U diag(sigma) V^T, U and V orthonormal from QRs of
+    normal draws, sigma geometric from sigma_1 to sigma_K = ratio sigma_1,
+    each draw at its own scale over six decades."""
+    u = np.linalg.qr(rng.standard_normal((draws, k, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((draws, m, k)))[0]
+    sigma = (np.geomspace(1.0, ratio, k)
+             * 10.0 ** rng.uniform(-3.0, 3.0, (draws, 1)))
+    return (u * sigma[:, None, :]) @ np.swapaxes(v, -1, -2)
+
+
+class TestZfPrecoder:
+    """The precoder's LU (K = M) and QR (K < M) against `pinv`, on the
+    worst-conditioned draws that `_zf_accepts` certifies."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (16, 16), (3, 4),
+                                       (8, 16)], ids="{0[0]}x{0[1]}".format)
+    def test_draws_just_inside_the_threshold(self, monkeypatch, shape):
+        # sigma_K / sigma_1 = 1.001e-4: lambda_K / lambda_1 = 1.002e-8,
+        # just above the certificate's 1e-8
+        k, m = shape
+        h = crafted_draws(np.random.default_rng(48), 2000, k, m, 1.001e-4)
+        calls = count_fallbacks(monkeypatch)
+        assert phy._zf_accepts(h)[0].all()
+        assert calls == []
+        # unit per-EN powers make the scale exactly 1, so the weights are w0
+        monkeypatch.setattr(phy, "zf_per_en_power",
+                            lambda w: np.ones(w.shape[:-1]))
+        w0 = phy._zf_weights(h, 1.0)
+        assert np.abs(h @ w0 - np.eye(k)).max() <= 1e-10
+        pinv = np.linalg.pinv(h)
+        assert np.all(np.linalg.norm(w0 - pinv, axis=(-2, -1))
+                      <= 1e-10 * np.linalg.norm(pinv, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("scheme,m,k", [(Scheme.ZERO_FORCING, 2, 2),
+                                            (Scheme.ZERO_FORCING, 4, 3),
+                                            (Scheme.HYBRID_SHARE, 2, 2)])
+    def test_campaigns_take_no_pinv(self, monkeypatch, scheme, m, k):
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("the precoder took a pseudo-inverse")
+
+        cfg, alloc, dem = setup_scheme(scheme, m=m, k=k, n=k)
+        calls = count_fallbacks(monkeypatch)
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        points = run_campaign(cfg, alloc, scheme, dem, SNR_GRID, 50, 0)
+        assert [len(point.seeds) for point in points] == [50] * len(SNR_GRID)
+        assert all(np.all(point.achieved_sum_rate > 0.0) for point in points)
+        # an SVD only of the alignment's receive bases
+        assert all(a.shape[-2:] == (EXTENSION_SLOTS, EXTENSION_SLOTS)
+                   for name, a in calls if name == "svd")
+
+
 class TestCampaign:
     def test_trial_seeds_unique_and_stable(self):
         seeds = [trial_seed(5, i) for i in range(200)]
@@ -1162,12 +1251,13 @@ def trial_by_trial(cfg, alloc, scheme, dem, grid, per_snr, master):
             for si, snr in enumerate(grid) for ti in range(per_snr)]
 
 
-# the low band fails trials at random positions and points: dead TDMA links
-# and zero sum rates
+# the low bands fail trials at random positions and points: zero sum rates
+# of the precoded schemes, and TDMA links whose channel uses overflow or
+# whose h^2 P underflows to 0
 snr_grids = st.lists(
     st.one_of(st.just(MAX_SNR_DB),
               st.floats(-20.0, MAX_SNR_DB, allow_nan=False),
-              st.floats(-160.0, -130.0)),
+              st.floats(-160.0, -130.0), st.floats(-3250.0, -3020.0)),
     min_size=1, max_size=3, unique=True)
 campaigns = st.tuples(snr_grids, st.integers(1, 6),
                       st.integers(0, 2 ** 64 - 1))

@@ -89,6 +89,9 @@ ENTRIES = {
     "tdma-16x16-50-trials": ["simulate", "--m", "16", "--k", "16",
                              "--mu", "1/2", "--scheme", "tdma",
                              "--trials", "50", "--seed", "0"],
+    # K < M: the wide precoder's QR
+    "zf-4x3-50-trials": ["simulate", "--m", "4", "--k", "3", "--mu", "1",
+                         "--scheme", "zf", "--trials", "50", "--seed", "0"],
     # the alignment schemes at a second seed
     "ia-2x2-seed-7": ["simulate", "--m", "2", "--k", "2", "--mu", "1/2",
                       "--scheme", "ia", "--trials", "50", "--seed", "7"],
